@@ -18,7 +18,6 @@ from .dataset import load_dataset, split_train_test, write_csv
 from .ensembles import (
     EnsembleConfig,
     evaluate,
-    feature_importance,
     fit_ensemble,
     load_model,
     rank_features,
@@ -260,6 +259,10 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     try:
         model = load_model(model_path)
         data = load_dataset(data_path)
+        if data.symbols != model.feature_names:
+            # A wider table, such as the pipeline's source CSV: score the
+            # model's own sensors, picked by name.
+            data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
         if sensor is None:
             sensor = rank_features(model)[0][0]
         specs = [NoiseSpec(sensor=sensor, mode=AWGN, snr_db=v) for v in levels]

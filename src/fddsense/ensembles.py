@@ -23,6 +23,7 @@ import numpy as np
 from .dataset import FAULT_CLASSES, Dataset
 from .errors import (
     DimensionMismatchError,
+    LabelOutOfRangeError,
     ModelFormatError,
     SchemaMismatchError,
     SingleClassError,
@@ -122,7 +123,9 @@ def _fit_bagged_tree(args) -> DecisionTree:
     if cfg.bootstrap:
         rng = np.random.default_rng(derive_seed(master_seed, index, "bootstrap"))
         rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        x, y = x[rows], y[rows]
+        # Gather the resample straight into column-major order, the layout
+        # fit_tree reads, so that it makes no second copy of the resample.
+        x, y = x.T.take(rows, axis=1).T, y[rows]
     return fit_tree(
         x, y, tree_cfg, rng_seed=derive_seed(master_seed, index, "grow"), n_classes=n_classes
     )
@@ -163,6 +166,12 @@ def fit_ensemble(
         )
     if n_classes is None:
         n_classes = int(y.max()) + 1
+    out_of_range = (y < 0) | (y >= n_classes)
+    if out_of_range.any():
+        row = int(np.flatnonzero(out_of_range)[0])
+        raise LabelOutOfRangeError(
+            f"label {int(y[row])} at row {row} is outside [0, {n_classes})"
+        )
     if np.unique(y).size < 2:
         raise SingleClassError("training labels contain a single class")
     feature_names = tuple(feature_names)
@@ -186,6 +195,7 @@ def fit_ensemble(
     # round, fitted to residuals onehot - p.  Rounds are inherently
     # sequential, so n_threads is ignored here.
     tree_cfg = replace(cfg.tree, task=REGRESSION)
+    x = np.asfortranarray(x)  # once for every fit_tree and predict_batch below
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     priors = np.where(counts > 0, counts, 0.5) / y.shape[0]
     base_scores = np.log(priors)
@@ -221,10 +231,15 @@ def predict_scores(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
     Bagging returns averaged leaf distributions (or vote fractions under
     hard_vote); boosting returns softmax probabilities of the additive
     scores.  Rows sum to 1 either way.
+
+    x may have any memory layout.  It is copied to column-major
+    (Fortran) order at most once here, not once per tree, and
+    column-major float64 input is routed without a copy.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError("prediction input must be a 2-D matrix")
+    x = np.asfortranarray(x)
     if model.config.method == BAGGING:
         if model.config.hard_vote:
             votes = np.zeros((x.shape[0], model.n_classes), dtype=np.float64)

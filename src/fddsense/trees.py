@@ -11,7 +11,7 @@ sequential scan and a concurrent one select the same split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,13 @@ class DecisionTree:
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Leaf outputs for a matrix of rows: (n, K) distributions for
-        classification trees, (n,) values for regression trees."""
+        classification trees, (n,) values for regression trees.
+
+        x may have any memory layout.  Rows are routed down columns, so a
+        column-major (Fortran-order) float64 x is routed without a copy;
+        any other layout is copied to column-major once per call, and a
+        caller that predicts with many trees should convert x first.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatchError(
@@ -145,23 +151,40 @@ class DecisionTree:
             )
         if x.size and not np.isfinite(x).all():
             raise NonFiniteInputError("prediction input contains NaN or Inf")
+        x = np.asfortranarray(x)
         n = x.shape[0]
-        if self.n_classes is not None:
-            out = np.empty((n, self.n_classes), dtype=np.float64)
-        else:
-            out = np.empty(n, dtype=np.float64)
+        classify = self.n_classes is not None
+        # Each row records its leaf's id; one take at the end gathers the
+        # leaf outputs for all rows.
+        leaf_ids = np.empty(n, dtype=np.intp)
+        outputs: list = []
         stack: list[tuple[Internal | Leaf, np.ndarray]] = [(self.root, np.arange(n))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
             if isinstance(node, Leaf):
-                out[idx] = node.distribution if self.n_classes is not None else node.value
+                leaf_ids[idx] = len(outputs)
+                outputs.append(node.distribution if classify else node.value)
                 continue
-            goes_left = x[idx, node.split.feature_index] <= node.split.threshold
-            stack.append((node.left, idx[goes_left]))
-            stack.append((node.right, idx[~goes_left]))
-        return out
+            left, right = _route(x, idx, node.split.feature_index, node.split.threshold)
+            stack.append((node.left, left))
+            stack.append((node.right, right))
+        table = np.array(outputs, dtype=np.float64)
+        if classify:
+            table = table.reshape(len(outputs), self.n_classes)
+        return table.take(leaf_ids, axis=0)
+
+
+def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
+    """(left, right) split of the row indices idx at feature <= threshold.
+
+    The one routing rule shared by fit_tree and predict_batch.  xf must be
+    column-major so that the feature's column is contiguous and take reads
+    it without striding across rows.  Both halves keep the order of idx.
+    """
+    goes_left = xf[:, feature].take(idx) <= threshold
+    return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
 
 
 def _node_samples(node: Internal | Leaf) -> int:
@@ -280,6 +303,7 @@ def fit_tree(
         raise EmptyInputError(f"need at least 2 rows to fit a tree, got {n}")
     if not np.isfinite(x).all():
         raise NonFiniteInputError("training matrix contains NaN or Inf")
+    x = np.asfortranarray(x)  # _route and the split scan read whole columns
     classify = cfg.task == CLASSIFICATION
     if classify:
         y = np.asarray(y, dtype=np.int64)
@@ -306,7 +330,7 @@ def fit_tree(
         best = None
         best_g = g_parent  # accept only strictly positive decrease
         for j in _pick_features(n_features, cfg, rng):
-            col = x[idx, j]
+            col = x[:, j].take(idx)
             found = (
                 _scan_feature_classification(col, yy, n_classes, cfg)
                 if classify
@@ -358,9 +382,9 @@ def fit_tree(
                 node = make_leaf(idx)
             else:
                 node = Internal(split=split, left=placeholder, right=placeholder)
-                goes_left = x[idx, split.feature_index] <= split.threshold
-                stack.append((idx[~goes_left], depth + 1, node, "right"))
-                stack.append((idx[goes_left], depth + 1, node, "left"))
+                left, right = _route(x, idx, split.feature_index, split.threshold)
+                stack.append((right, depth + 1, node, "right"))
+                stack.append((left, depth + 1, node, "left"))
         if parent is None:
             tree.root = node
         elif side == "left":

@@ -3,7 +3,7 @@ import json
 from click.testing import CliRunner
 
 from fddsense.cli import main
-from fddsense.dataset import write_csv
+from fddsense.dataset import load_dataset, write_csv
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 
@@ -106,6 +106,35 @@ class TestRobustnessCommand:
         assert ":failure" in result.output
         payload = json.loads((tmp_path / "rob" / "robustness.json").read_text())
         assert len(payload["scenarios"]) == 3
+
+    def test_pipeline_model_scores_its_source_csv(self, tmp_path):
+        data = make_csv(tmp_path, n_rows=2500, seed=2)
+        out = tmp_path / "out"
+        invoke(
+            "pipeline", "--data", str(data), "--trees", "5", "--seed", "2",
+            "--out", str(out), "--snr", "10", "--threshold", "0.9",
+        )
+        sensors = json.loads((out / "model.json").read_text())["feature_names"]
+        assert len(sensors) < 40  # the model reads a subset of the CSV's columns
+        result = invoke(
+            "robustness", "--model", str(out / "model.json"), "--data", str(data),
+            "--snr", "10", "--fail-sensor",
+        )
+        assert result.exit_code == 0
+        assert "baseline: macro-F1" in result.output
+        assert ":failure" in result.output
+
+        full = load_dataset(data)
+        missing = sensors[-1]
+        kept = [i for i, s in enumerate(full.symbols) if s != missing]
+        narrow = tmp_path / "narrow.csv"
+        write_csv(full.select_sensors(kept), narrow)
+        result = CliRunner().invoke(
+            main, ["robustness", "--model", str(out / "model.json"), "--data", str(narrow)]
+        )
+        assert result.exit_code == 1
+        assert "UnknownSensorError" in result.output
+        assert repr(missing) in result.output
 
     def test_bad_snr_list_rejected(self, tmp_path):
         result = CliRunner().invoke(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fddsense import ensembles
 from fddsense.dataset import FAULT_CLASSES
 from fddsense.ensembles import (
     EnsembleConfig,
@@ -21,6 +22,7 @@ from fddsense.ensembles import (
 )
 from fddsense.errors import (
     DimensionMismatchError,
+    LabelOutOfRangeError,
     ModelFormatError,
     SchemaMismatchError,
     SingleClassError,
@@ -254,6 +256,10 @@ class TestBoosting:
             EnsembleConfig(n_trees=0)
 
 
+def _no_tree_expected(*args, **kwargs):
+    raise AssertionError("a tree was grown before the labels were checked")
+
+
 class TestInputValidation:
     def test_single_class_rejected(self):
         d = training_data()
@@ -269,6 +275,22 @@ class TestInputValidation:
             fit_ensemble(d.values, d.labels[:-1], EnsembleConfig(), 0, d.symbols)
         with pytest.raises(DimensionMismatchError):
             fit_ensemble(d.values, d.labels, EnsembleConfig(), 0, ("a", "b"))
+
+    @pytest.mark.parametrize("method", ["bagging", "boosting"])
+    def test_label_beyond_n_classes_rejected_before_growing(self, method, monkeypatch):
+        d = training_data()
+        monkeypatch.setattr(ensembles, "fit_tree", _no_tree_expected)
+        cfg = EnsembleConfig(method=method, n_trees=2, tree=TreeConfig(max_depth=3))
+        with pytest.raises(LabelOutOfRangeError, match="outside \\[0, 3\\)"):
+            fit_ensemble(d.values, d.labels, cfg, 0, d.symbols, n_classes=3)
+
+    def test_negative_label_rejected_before_growing(self, monkeypatch):
+        d = training_data()
+        labels = d.labels.copy()
+        labels[5] = -1
+        monkeypatch.setattr(ensembles, "fit_tree", _no_tree_expected)
+        with pytest.raises(LabelOutOfRangeError, match="label -1 at row 5"):
+            fit_ensemble(d.values, labels, EnsembleConfig(n_trees=2), 0, d.symbols)
 
     def test_evaluate_checks_schema(self):
         d = training_data()

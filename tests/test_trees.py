@@ -230,9 +230,24 @@ class TestPrediction:
         self.tree = fit_tree(self.x, self.y, TreeConfig(max_depth=4))
 
     def test_batch_matches_single_row(self):
-        batch = self.tree.predict_batch(self.x[:20])
-        for i in range(20):
-            assert np.array_equal(predict_tree(self.tree, self.x[i]), batch[i])
+        target = self.x[:, 0] - 2.0 * self.x[:, 3]
+        regressor = fit_tree(
+            self.x, target, TreeConfig(task="regression_on_gradients", max_depth=4)
+        )
+        wide = np.random.default_rng(32).normal(size=(20, 8))
+        wide[:, ::2] = self.x[:20]
+        layouts = {
+            "C order": np.ascontiguousarray(self.x[:20]),
+            "F order": np.asfortranarray(self.x[:20]),
+            "strided column slice": wide[:, ::2],
+            "zero rows": self.x[:0],
+        }
+        for tree, width in ((self.tree, (2,)), (regressor, ())):
+            for name, x in layouts.items():
+                batch = tree.predict_batch(x)
+                assert batch.shape == (x.shape[0],) + width, name
+                for i in range(x.shape[0]):
+                    assert np.array_equal(predict_tree(tree, x[i]), batch[i]), name
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionMismatchError):
