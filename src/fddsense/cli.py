@@ -25,12 +25,11 @@ from .ensembles import (
 )
 from .errors import FddError
 from .fileio import atomic_write_text, write_csv_rows, write_json
-from .pipeline import parse_config, run_pipeline, _chart_svg
+from .pipeline import PipelineConfig, parse_config, run_pipeline, _chart_svg
 from .robustness import AWGN, FAILURE, NoiseSpec, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
-from .trees import TreeConfig
 
 
 def _fail(exc: Exception) -> "click.ClickException":
@@ -45,27 +44,6 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     if not levels or any(not math.isfinite(v) for v in levels):
         raise click.BadParameter(f"expected finite SNR values, got {text!r}")
     return levels
-
-
-def _tree_config(max_depth, min_leaf, feature_subsample, split_strategy, histogram_bins, n_sensors):
-    if feature_subsample == "sqrt":
-        subsample = max(1, math.isqrt(n_sensors))
-    elif feature_subsample in ("all", "none", ""):
-        subsample = None
-    else:
-        try:
-            subsample = int(feature_subsample)
-        except ValueError:
-            raise click.BadParameter(
-                f'feature subsample must be an int, "sqrt", or "all", got {feature_subsample!r}'
-            )
-    return TreeConfig(
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        feature_subsample=subsample,
-        split_strategy=split_strategy,
-        histogram_bins=histogram_bins,
-    )
 
 
 _ensemble_options = [
@@ -88,17 +66,20 @@ def _with_ensemble_options(fn):
     return fn
 
 
-def _build_ensemble(n_sensors, method, trees, max_depth, min_leaf, feature_subsample,
-                    split_strategy, histogram_bins, bootstrap, learning_rate, hard_vote):
-    tree = _tree_config(max_depth, min_leaf, feature_subsample, split_strategy, histogram_bins, n_sensors)
-    return EnsembleConfig(
-        method=method,
-        n_trees=trees,
-        tree=tree,
-        bootstrap=bootstrap,
-        learning_rate=learning_rate,
-        hard_vote=hard_vote,
-    )
+def _build_ensemble(n_sensors, trees, feature_subsample, **options) -> EnsembleConfig:
+    """The ensemble recipe of the CLI options, resolved as the pipeline
+    resolves its config file's "ensemble" section."""
+    if feature_subsample in ("all", "none", ""):
+        feature_subsample = None
+    elif feature_subsample != "sqrt":
+        try:
+            feature_subsample = int(feature_subsample)
+        except ValueError:
+            raise click.BadParameter(
+                f'feature subsample must be an int, "sqrt", or "all", got {feature_subsample!r}'
+            )
+    cfg = PipelineConfig(n_trees=trees, feature_subsample=feature_subsample, **options)
+    return cfg.ensemble_config(n_sensors)
 
 
 @click.group()

@@ -23,6 +23,7 @@ import numpy as np
 from .dataset import FAULT_CLASSES, Dataset
 from .errors import (
     DimensionMismatchError,
+    InvalidValueError,
     LabelOutOfRangeError,
     ModelFormatError,
     SchemaMismatchError,
@@ -67,13 +68,13 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.method not in (BAGGING, BOOSTING):
-            raise ValueError(f"unknown ensemble method {self.method!r}")
+            raise InvalidValueError(f"unknown ensemble method {self.method!r}")
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise InvalidValueError("n_trees must be >= 1")
         if self.method == BOOSTING and not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise InvalidValueError("learning_rate must be in (0, 1]")
         if self.method == BOOSTING and self.hard_vote:
-            raise ValueError("hard_vote applies to bagging only")
+            raise InvalidValueError("hard_vote applies to bagging only")
 
 
 def schema_fingerprint(feature_names: tuple[str, ...]) -> str:

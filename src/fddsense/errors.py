@@ -88,10 +88,6 @@ class EmptyMatrixError(FddError):
 
 # -- selection ----------------------------------------------------------------
 
-class RankingSchemaMismatchError(FddError):
-    """Importance ranking does not cover the dataset's sensors."""
-
-
 class EmptyRankingError(FddError):
     """Importance ranking contains no sensors."""
 
@@ -126,5 +122,5 @@ class ConfigParseError(FddError):
     """Config file is not valid JSON; message reports the position."""
 
 
-class InvalidValueError(FddError):
+class InvalidValueError(FddError, ValueError):
     """A config field violates its constraint; message names both."""

@@ -2,11 +2,12 @@
 
 One run loads (or generates) a dataset, rebalances it, splits it, ranks
 all sensors with a full-sensor ensemble, shrinks the sensor set by
-recursive feature addition, retrains on the selected set, and probes that
-final model against noise and a dead top sensor.  Every stage draws its
-randomness from a seed derived from (master seed, stage name), so a run
-is one pure function of (config, seed) and its artifact files are
-byte-identical across repeats, platforms, and thread counts.
+recursive feature addition, and probes the model of the addition's last
+step, which was trained on exactly the selected set, against noise and a
+dead top sensor.  Every stage draws its randomness from a seed derived
+from (master seed, stage name), so a run is one pure function of
+(config, seed) and its artifact files are byte-identical across repeats,
+platforms, and thread counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .dataset import load_dataset, split_train_test, undersample_majority
 from .ensembles import (
     EnsembleConfig,
     EnsembleModel,
-    evaluate,
     fit_ensemble,
     model_to_dict,
     rank_features,
@@ -81,6 +81,10 @@ class PipelineConfig:
             if not math.isfinite(level):
                 raise InvalidValueError(f"snr level {level!r} is not finite")
         object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
+        # Build the ensemble recipe once now, so that a bad ensemble setting
+        # fails in parse_config rather than at stage rank.  The sensor count
+        # only resolves "sqrt", and no check depends on it.
+        self.ensemble_config(n_sensors=1)
 
     def ensemble_config(self, n_sensors: int) -> EnsembleConfig:
         subsample = self.feature_subsample
@@ -261,7 +265,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything a run produced, plus where the artifacts were written."""
+    """Everything a run produced, plus where the artifacts were written.
+
+    final_model is trace.model, and report is its clean test report,
+    robustness.baseline.
+    """
 
     config: PipelineConfig
     ranking: tuple[tuple[str, float], ...]
@@ -410,22 +418,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         stage = "selection"
         trace = run_rfa(train, test, ens_cfg, model_seed, cfg.rfa, ranking=ranking)
 
-        stage = "final-fit"
-        selected_idx = [train.sensor_index(s) for s in trace.selected]
-        train_sel = train.select_sensors(selected_idx)
-        test_sel = test.select_sensors(selected_idx)
-        final_model = fit_ensemble(
-            train_sel.values,
-            train_sel.labels,
-            ens_cfg,
-            model_seed,
-            train_sel.symbols,
-            n_classes=max(train.n_classes, test.n_classes),
-            n_threads=cfg.n_threads,
-        )
-        report = evaluate(final_model, test_sel)
-
         stage = "robustness"
+        test_sel = test.select_sensors([test.sensor_index(s) for s in trace.selected])
         top_sensor = trace.ranking[0]
         specs = [
             NoiseSpec(sensor=top_sensor, mode=AWGN, snr_db=level)
@@ -434,8 +428,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         if cfg.include_failure:
             specs.append(NoiseSpec(sensor=top_sensor, mode=FAILURE))
         robustness = run_scenarios(
-            final_model, test_sel, specs, derive_seed(cfg.seed, "robustness")
+            trace.model, test_sel, specs, derive_seed(cfg.seed, "robustness")
         )
+        report = robustness.baseline
 
         stage = "artifacts"
         paths = {
@@ -451,7 +446,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "chart": out_dir / "rfa_curves.svg",
         }
         write_json(paths["config"], cfg.to_json_dict())
-        write_json(paths["model"], model_to_dict(final_model))
+        write_json(paths["model"], model_to_dict(trace.model))
         write_json(
             paths["importance"],
             {
@@ -481,7 +476,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         config=cfg,
         ranking=tuple(ranking),
         trace=trace,
-        final_model=final_model,
+        final_model=trace.model,
         report=report,
         robustness=robustness,
         out_dir=out_dir,

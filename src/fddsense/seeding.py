@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(*parts: int | str) -> int:
     """Hash a master seed plus context labels into a fresh 64-bit seed.
@@ -23,8 +21,3 @@ def derive_seed(*parts: int | str) -> int:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
-
-
-def rng_from(*parts: int | str) -> np.random.Generator:
-    """A numpy Generator seeded with derive_seed(*parts)."""
-    return np.random.default_rng(derive_seed(*parts))

@@ -11,9 +11,10 @@ how exposed each prefix is to noise on its most important member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dataset import Dataset
+from .ensembles import EnsembleModel
 from .errors import EmptyRankingError, InvalidValueError
 from .seeding import derive_seed
 
@@ -57,6 +58,10 @@ class RfaTrace:
 
     selected is the ranked prefix in force when the loop stopped; it meets
     the threshold iff threshold_met.  ranking always lists every sensor.
+    model is the ensemble trained at the last step, on exactly the
+    selected sensors; it is the study's final model.  It is kept out of
+    the JSON and CSV records, repr and equality, and no earlier step's
+    model is kept.
     """
 
     ranking: tuple[str, ...]
@@ -65,6 +70,7 @@ class RfaTrace:
     selected: tuple[str, ...]
     threshold: float
     threshold_met: bool
+    model: EnsembleModel = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,8 +126,9 @@ def run_rfa(
             by importance descending, to skip the ranking fit.
 
     Returns:
-        RfaTrace. threshold_met is False when the loop exhausted its
-        sensor budget without reaching the threshold.
+        RfaTrace, carrying the last step's model. threshold_met is False
+        when the loop exhausted its sensor budget without reaching the
+        threshold.
     """
     from .ensembles import evaluate, fit_ensemble, rank_features
     from .robustness import inject_awgn
@@ -176,12 +183,12 @@ def run_rfa(
             threshold_met = True
             break
 
-    selected = ranked_symbols[: steps[-1].sensor_count] if steps else ()
     return RfaTrace(
         ranking=ranked_symbols,
         importances=importances,
         steps=tuple(steps),
-        selected=selected,
+        selected=ranked_symbols[: steps[-1].sensor_count],
         threshold=rfa_cfg.threshold,
         threshold_met=threshold_met,
+        model=model,
     )

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     EmptyNodeError,
+    InvalidValueError,
     NonFiniteInputError,
 )
 
@@ -47,14 +48,18 @@ class TreeConfig:
     task: str = CLASSIFICATION
 
     def __post_init__(self):
+        if self.max_depth is not None and self.max_depth < 0:
+            raise InvalidValueError("max_depth must be >= 0 or None")
         if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+            raise InvalidValueError("min_leaf must be >= 1")
+        if self.feature_subsample is not None and self.feature_subsample < 1:
+            raise InvalidValueError("feature_subsample must be >= 1 or None")
         if self.split_strategy not in (EXACT, HISTOGRAM):
-            raise ValueError(f"unknown split_strategy {self.split_strategy!r}")
+            raise InvalidValueError(f"unknown split_strategy {self.split_strategy!r}")
         if self.split_strategy == HISTOGRAM and self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be >= 2")
+            raise InvalidValueError("histogram_bins must be >= 2")
         if self.task not in (CLASSIFICATION, REGRESSION):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise InvalidValueError(f"unknown task {self.task!r}")
 
 
 @dataclass(frozen=True)
@@ -411,14 +416,12 @@ def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
     return node.value
 
 
-def tree_importance_contributions(
-    tree: DecisionTree, mode: str = "impurity", weighted: bool = True
-) -> np.ndarray:
+def tree_importance_contributions(tree: DecisionTree, mode: str = "impurity") -> np.ndarray:
     """Per-feature sums over the tree's splits.
 
-    mode "impurity" sums each split's impurity decrease, by default scaled
-    by the node's share of the root samples (pass weighted=False for the
-    plain unscaled sum); mode "gain" sums the absolute objective gains.
+    mode "impurity" sums each split's impurity decrease scaled by the
+    node's share of the root samples; mode "gain" sums the absolute
+    objective gains.
     """
     if mode not in ("impurity", "gain"):
         raise ValueError(f"unknown importance mode {mode!r}")
@@ -427,7 +430,7 @@ def tree_importance_contributions(
         if mode == "gain":
             out[rec.feature_index] += rec.gain
         else:
-            out[rec.feature_index] += rec.impurity_decrease * (rec.weight if weighted else 1.0)
+            out[rec.feature_index] += rec.impurity_decrease * rec.weight
     return out
 
 

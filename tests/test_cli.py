@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from fddsense.cli import main
@@ -55,6 +56,16 @@ class TestTrainCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "FileNotFoundError" in result.output
         assert "Traceback" not in result.output
+
+    def test_bad_ensemble_flag_fails_cleanly(self, tmp_path):
+        data = make_csv(tmp_path, n_rows=200)
+        model_path = tmp_path / "model.json"
+        result = invoke(
+            "train", "--data", str(data), "--model-out", str(model_path), "--min-leaf", "0"
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: InvalidValueError: min_leaf must be >= 1"]
+        assert not model_path.exists()
 
 
 class TestImportanceCommand:
@@ -174,6 +185,21 @@ class TestPipelineCommand:
         assert echo["seed"] == 4
         assert echo["rfa"]["threshold"] == 0.9
         assert echo["ensemble"]["n_trees"] == 8
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("min_leaf", 0), ("method", "foo"), ("feature_subsample", 0), ("max_depth", -1)],
+    )
+    def test_bad_ensemble_value_fails_before_any_stage(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {key: value}}))
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: InvalidValueError: ") and key in lines[0]
+        assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fddsense.dataset import write_csv
-from fddsense.ensembles import evaluate, load_model
+from fddsense import ensembles, pipeline
+from fddsense.dataset import split_train_test, undersample_majority, write_csv
+from fddsense.ensembles import fit_ensemble, load_model, model_json_text
 from fddsense.errors import ConfigParseError, InvalidValueError
 from fddsense.pipeline import (
     OUT_DIR_ENV,
@@ -12,6 +13,7 @@ from fddsense.pipeline import (
     parse_config,
     run_pipeline,
 )
+from fddsense.seeding import derive_seed
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 SMALL = {"generator": {"n_rows": 2500}, "n_trees": 10}
@@ -97,6 +99,16 @@ class TestParseConfig:
         assert PipelineConfig(feature_subsample=4).ensemble_config(40).tree.feature_subsample == 4
         with pytest.raises(InvalidValueError):
             PipelineConfig(feature_subsample="log2")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("min_leaf", 0), ("method", "foo"), ("feature_subsample", 0), ("max_depth", -1)],
+    )
+    def test_bad_ensemble_values_rejected(self, tmp_path, key, value):
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"ensemble": {key: value}}))
+        with pytest.raises(InvalidValueError, match=key):
+            parse_config(str(file), None)
 
     def test_bad_value_types_rejected(self):
         with pytest.raises(InvalidValueError):
@@ -184,3 +196,55 @@ class TestRunPipeline:
         failure_row = result.robustness.scenarios[-1]
         assert failure_row.spec.mode == "failure"
         assert failure_row.macro_f1 < result.robustness.baseline.macro_f1
+
+    def test_fits_only_the_rank_model_and_the_rfa_steps(self, tmp_path, monkeypatch):
+        calls = {"fit_ensemble": 0, "evaluate": 0}
+
+        def counting(name):
+            real = getattr(ensembles, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(ensembles, name, wrapper)
+            if hasattr(pipeline, name):
+                monkeypatch.setattr(pipeline, name, wrapper)
+        cfg = parse_config(None, {**SMALL, "seed": 4, "out_dir": str(tmp_path / "out")})
+        result = run_pipeline(cfg)
+        steps = len(result.trace.steps)
+        assert calls["fit_ensemble"] == 1 + steps
+        # RFA scores each step clean and noisy; run_scenarios scores the
+        # baseline and each scenario.  The pipeline itself scores nothing.
+        assert calls["evaluate"] == 2 * steps + 1 + len(result.robustness.scenarios)
+        assert result.report is result.robustness.baseline
+
+    @pytest.mark.parametrize(
+        "ensemble", [{}, {"method": "boosting", "n_trees": 2}], ids=["bagging", "boosting"]
+    )
+    def test_final_model_is_a_fresh_fit_on_the_selected_sensors(self, tmp_path, ensemble):
+        cfg = parse_config(None, {**SMALL, **ensemble, "seed": 6, "out_dir": str(tmp_path / "out")})
+        result = run_pipeline(cfg)
+        assert result.final_model is result.trace.model
+        data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
+        data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
+        pair = split_train_test(
+            data, cfg.train_fraction, stratified=True, seed=derive_seed(cfg.seed, "split")
+        )
+        train = pair.train.select_sensors(
+            [pair.train.sensor_index(s) for s in result.trace.selected]
+        )
+        fresh = fit_ensemble(
+            train.values,
+            train.labels,
+            cfg.ensemble_config(pair.train.n_sensors),
+            derive_seed(cfg.seed, "model"),
+            train.symbols,
+            n_classes=max(pair.train.n_classes, pair.test.n_classes),
+        )
+        assert model_json_text(result.final_model) == model_json_text(fresh)
+        assert result.artifact_paths["model"].read_text() == model_json_text(fresh)

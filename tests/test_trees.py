@@ -294,10 +294,6 @@ class TestImportanceContributions:
         assert out[0] == pytest.approx(0.18, abs=1e-15)
         assert out[1] == pytest.approx(0.6 * 0.2, abs=1e-15)
 
-    def test_unweighted_impurity_mode(self):
-        out = tree_importance_contributions(hand_tree(), mode="impurity", weighted=False)
-        assert out[1] == pytest.approx(0.2, abs=1e-15)
-
     def test_gain_mode(self):
         out = tree_importance_contributions(hand_tree(), mode="gain")
         assert list(out) == [1.8, 1.2]
