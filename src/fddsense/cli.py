@@ -8,15 +8,14 @@ on stdout; artifact files land in the requested directory.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import click
 
 from .dataset import load_dataset, split_train_test, write_csv
 from .ensembles import (
-    EnsembleConfig,
     evaluate,
     fit_ensemble,
     load_model,
@@ -25,7 +24,7 @@ from .ensembles import (
 )
 from .errors import FddError
 from .fileio import atomic_write_text, write_csv_rows, write_json
-from .pipeline import PipelineConfig, parse_config, run_pipeline, _chart_svg
+from .pipeline import DEFAULT_SNR_LEVELS, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
 from .robustness import AWGN, FAILURE, NoiseSpec, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig, run_rfa
@@ -46,40 +45,42 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     return levels
 
 
-_ensemble_options = [
-    click.option("--method", type=click.Choice(["bagging", "boosting"]), default="bagging", show_default=True),
-    click.option("--trees", type=int, default=25, show_default=True, help="Trees (bagging) or rounds (boosting)."),
-    click.option("--max-depth", type=int, default=12, show_default=True),
-    click.option("--min-leaf", type=int, default=5, show_default=True),
-    click.option("--feature-subsample", default="sqrt", show_default=True, help='Per-node feature subset size, "sqrt", or "all".'),
-    click.option("--split-strategy", type=click.Choice(["exact", "histogram"]), default="exact", show_default=True),
-    click.option("--histogram-bins", type=int, default=64, show_default=True),
-    click.option("--bootstrap/--no-bootstrap", default=True, show_default=True),
-    click.option("--learning-rate", type=float, default=0.3, show_default=True),
-    click.option("--hard-vote", is_flag=True, help="Majority voting instead of distribution averaging (bagging)."),
-]
+_HELP = {
+    "n_trees": "Trees (bagging) or rounds (boosting).",
+    "feature_subsample": 'Per-node feature subset size, "sqrt", or "all".',
+    "hard_vote": "Majority voting instead of distribution averaging (bagging).",
+}
+
+
+def _feature_subsample(ctx, param, text):
+    """The flag's text as its config value, where "all" stands for null."""
+    if text in ("all", "none", ""):
+        return None
+    try:
+        return text if text == "sqrt" else int(text)
+    except ValueError:
+        raise click.BadParameter(
+            f'feature subsample must be an int, "sqrt", or "all", got {text!r}'
+        )
 
 
 def _with_ensemble_options(fn):
-    for option in reversed(_ensemble_options):
-        fn = option(fn)
+    """Add one flag per "ensemble" config key, defaulting as PipelineConfig."""
+    for key in reversed([k for k in _SCHEMA if k.path.startswith("ensemble.")]):
+        flag = "--trees" if key.field == "n_trees" else "--" + key.field.replace("_", "-")
+        default = getattr(PipelineConfig, key.field)
+        kwargs = {"default": default, "show_default": True, "help": _HELP.get(key.field)}
+        if key.kinds == (bool,):
+            kwargs["is_flag"] = True
+            flag += f"/--no-{flag[2:]}" if default else ""
+        elif key.field == "feature_subsample":
+            kwargs["callback"] = _feature_subsample
+        elif all(isinstance(kind, str) for kind in key.kinds):
+            kwargs["type"] = click.Choice(key.kinds)
+        else:
+            kwargs["type"] = key.kinds[0]
+        fn = click.option(flag, key.field, **kwargs)(fn)
     return fn
-
-
-def _build_ensemble(n_sensors, trees, feature_subsample, **options) -> EnsembleConfig:
-    """The ensemble recipe of the CLI options, resolved as the pipeline
-    resolves its config file's "ensemble" section."""
-    if feature_subsample in ("all", "none", ""):
-        feature_subsample = None
-    elif feature_subsample != "sqrt":
-        try:
-            feature_subsample = int(feature_subsample)
-        except ValueError:
-            raise click.BadParameter(
-                f'feature subsample must be an int, "sqrt", or "all", got {feature_subsample!r}'
-            )
-    cfg = PipelineConfig(n_trees=trees, feature_subsample=feature_subsample, **options)
-    return cfg.ensemble_config(n_sensors)
 
 
 @click.group()
@@ -102,24 +103,20 @@ def main():
 def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
              train_fraction, snr, no_failure, threads):
     """Run the full study and write all artifacts."""
-    overrides: dict = {
+    overrides = {
         "data_path": data_path,
         "seed": seed,
         "out_dir": out_dir,
         "n_trees": trees,
         "train_fraction": train_fraction,
         "n_threads": threads,
+        "generator": None if rows is None else {"n_rows": rows},
+        "rfa": None if threshold is None else {"threshold": threshold},
+        "snr_levels": None if snr is None else _parse_snr_list(snr),
+        "include_failure": False if no_failure else None,
     }
-    if rows is not None:
-        overrides["generator"] = {"n_rows": rows}
-    if snr is not None:
-        overrides["snr_levels"] = list(_parse_snr_list(snr))
-    if no_failure:
-        overrides["include_failure"] = False
     try:
         cfg = parse_config(config_path, overrides)
-        if threshold is not None:
-            cfg = dataclasses.replace(cfg, rfa=dataclasses.replace(cfg.rfa, threshold=threshold))
         result = run_pipeline(cfg)
     except (FddError, OSError) as exc:
         raise _fail(exc)
@@ -137,7 +134,7 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
 
 @main.command()
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Destination CSV.")
-@click.option("--rows", type=int, default=20000, show_default=True)
+@click.option("--rows", type=int, default=GeneratorConfig.n_rows, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def simgen(out_path, rows, seed):
     """Generate a synthetic labelled dataset CSV."""
@@ -154,11 +151,11 @@ def simgen(out_path, rows, seed):
 @click.option("--model-out", type=click.Path(), default="model.json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_with_ensemble_options
-def train(data_path, model_out, seed, **ensemble_kwargs):
+def train(data_path, model_out, seed, **ensemble_fields):
     """Fit an ensemble on a CSV and save it as JSON."""
     try:
         data = load_dataset(data_path)
-        cfg = _build_ensemble(data.n_sensors, **ensemble_kwargs)
+        cfg = PipelineConfig(**ensemble_fields).ensemble_config(data.n_sensors)
         model = fit_ensemble(
             data.values, data.labels, cfg, derive_seed(seed, "model"), data.symbols
         )
@@ -192,18 +189,18 @@ def importance(model_path, mode, top):
 @main.command()
 @click.option("--data", "data_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threshold", type=float, default=0.99, show_default=True)
+@click.option("--threshold", type=float, default=RfaConfig.threshold, show_default=True)
 @click.option("--max-sensors", type=int, default=None)
-@click.option("--snr-probe", type=float, default=3.0, show_default=True, help="SNR of the per-step noise probe (dB).")
-@click.option("--train-fraction", type=float, default=0.75, show_default=True)
+@click.option("--snr-probe", type=float, default=RfaConfig.noise_snr_db, show_default=True, help="SNR of the per-step noise probe (dB).")
+@click.option("--train-fraction", type=float, default=PipelineConfig.train_fraction, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write trace artifacts here.")
 @_with_ensemble_options
-def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_dir, **ensemble_kwargs):
+def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_dir, **ensemble_fields):
     """Rank sensors, then grow the smallest set meeting the threshold."""
     try:
         data = load_dataset(data_path)
         pair = split_train_test(data, train_fraction, seed=derive_seed(seed, "split"))
-        cfg = _build_ensemble(data.n_sensors, **ensemble_kwargs)
+        cfg = PipelineConfig(**ensemble_fields).ensemble_config(data.n_sensors)
         rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, noise_snr_db=snr_probe)
         trace = run_rfa(pair.train, pair.test, cfg, derive_seed(seed, "model"), rfa_cfg)
     except (FddError, OSError) as exc:
@@ -216,8 +213,6 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
     click.echo(f"threshold {trace.threshold:g} met: {trace.threshold_met}")
     click.echo("selected: " + ", ".join(trace.selected))
     if out_dir is not None:
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "rfa_trace.json", trace.to_json_dict())
@@ -230,7 +225,7 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--data", "data_path", type=click.Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
-@click.option("--snr", default="10,3,0", show_default=True, help="Comma-separated SNR levels in dB.")
+@click.option("--snr", default=",".join(f"{v:g}" for v in DEFAULT_SNR_LEVELS), show_default=True, help="Comma-separated SNR levels in dB.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write robustness artifacts here.")
@@ -257,8 +252,6 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
         measured = "" if not math.isfinite(row.measured_snr_db) else f" (measured {row.measured_snr_db:.2f} dB)"
         click.echo(f"{row.spec.label()}: macro-F1 {row.macro_f1:.4f}{measured}")
     if out_dir is not None:
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "robustness.json", report.to_json_dict())

@@ -17,6 +17,7 @@ from .errors import (
     ClassTooSmallError,
     DegenerateFractionError,
     EmptyDatasetError,
+    InvalidValueError,
     MalformedRowError,
     SchemaMismatchError,
     SingleClassError,
@@ -47,9 +48,9 @@ class SensorMeta:
 
     def __post_init__(self):
         if self.kind not in SENSOR_KINDS:
-            raise ValueError(f"unknown sensor kind {self.kind!r}")
+            raise InvalidValueError(f"unknown sensor kind {self.kind!r}")
         if KIND_UNITS[self.kind] != self.unit:
-            raise ValueError(
+            raise InvalidValueError(
                 f"unit {self.unit!r} inconsistent with kind {self.kind!r} "
                 f"for sensor {self.symbol!r}"
             )
@@ -160,18 +161,18 @@ class Dataset:
         values = _freeze(np.asarray(self.values, dtype=np.float64))
         labels = _freeze(np.asarray(self.labels, dtype=np.int64))
         if values.ndim != 2:
-            raise ValueError("values must be a 2-D matrix")
+            raise InvalidValueError("values must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != values.shape[0]:
-            raise ValueError("labels length must equal the number of rows")
+            raise InvalidValueError("labels length must equal the number of rows")
         if values.shape[1] != len(self.schema):
-            raise ValueError("column count must equal schema length")
+            raise InvalidValueError("column count must equal schema length")
         if values.size and not np.isfinite(values).all():
-            raise ValueError("values contain NaN or Inf")
+            raise InvalidValueError("values contain NaN or Inf")
         if labels.size and labels.min() < 0:
-            raise ValueError("labels must be non-negative")
+            raise InvalidValueError("labels must be non-negative")
         symbols = [s.symbol for s in self.schema]
         if len(set(symbols)) != len(symbols):
-            raise ValueError("sensor symbols must be unique")
+            raise InvalidValueError("sensor symbols must be unique")
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
@@ -246,7 +247,7 @@ def _parse_header(header: list[str], schema_policy: str) -> tuple[SensorMeta, ..
             INSTALLED_SENSOR_INDEX.get(s, _temp(s, "inferred sensor"))
             for s in symbols
         )
-    raise ValueError(f"schema_policy must be 'strict' or 'infer', got {schema_policy!r}")
+    raise InvalidValueError(f"schema_policy must be 'strict' or 'infer', got {schema_policy!r}")
 
 
 def load_dataset(path, schema_policy: str = "strict") -> Dataset:
@@ -262,9 +263,11 @@ def load_dataset(path, schema_policy: str = "strict") -> Dataset:
     Raises:
         FileNotFoundError: path does not exist.
         SchemaMismatchError: header malformed or unknown symbol in strict mode.
-        MalformedRowError: any cell is missing or non-numeric; the error
-            lists every offending (row, column).
+        MalformedRowError: any cell is missing or non-numeric, or a class
+            label is not a non-negative integer; the error lists every
+            offending (row, column).
         EmptyDatasetError: no data rows.
+        InvalidValueError: schema_policy is neither "strict" nor "infer".
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -293,10 +296,14 @@ def load_dataset(path, schema_policy: str = "strict") -> Dataset:
                         bad_cells.append((row_index, col))
                 continue
             try:
-                labels.append(int(row[-1]))
+                label = int(row[-1])
             except ValueError:
+                label = -1
+            if label < 0:
                 rows.pop()
                 bad_cells.append((row_index, LABEL_COLUMN))
+            else:
+                labels.append(label)
 
     if bad_cells:
         raise MalformedRowError(bad_cells)

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .dataset import load_dataset, split_train_test, undersample_majority
 from .ensembles import (
+    BAGGING,
+    BOOSTING,
     EnsembleConfig,
     EnsembleModel,
     fit_ensemble,
@@ -33,11 +38,97 @@ from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, run_scenario
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
-from .trees import TreeConfig
+from .trees import EXACT, HISTOGRAM, TreeConfig
 
 OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
 
 DEFAULT_SNR_LEVELS = (10.0, 3.0, 0.0)
+
+
+class _Key(NamedTuple):
+    """One config key: its dotted place in the config file (path), the
+    dotted PipelineConfig attribute it sets, also its override name
+    (field), the values it accepts (kinds: int, float, which takes an int
+    too, bool, str, None for null, list for a list of numbers, or a
+    literal string) and whether config.json echoes it."""
+
+    path: str
+    field: str
+    kinds: tuple
+    echo: bool = True
+
+
+# The config schema.  Defaults live on PipelineConfig, GeneratorConfig
+# and RfaConfig; the parser, the config.json echo and the CLI's ensemble
+# flags all read this table.
+_SCHEMA = (
+    _Key("seed", "seed", (int,)),
+    _Key("data.path", "data_path", (str, None)),
+    _Key("data.generator.n_rows", "generator.n_rows", (int,)),
+    _Key("data.generator.class_proportions", "generator.class_proportions", (list,)),
+    _Key("train_fraction", "train_fraction", (float,)),
+    _Key("undersample", "undersample", (bool,)),
+    _Key("ensemble.method", "method", (BAGGING, BOOSTING)),
+    _Key("ensemble.n_trees", "n_trees", (int,)),
+    _Key("ensemble.max_depth", "max_depth", (int, None)),
+    _Key("ensemble.min_leaf", "min_leaf", (int,)),
+    _Key("ensemble.feature_subsample", "feature_subsample", (int, "sqrt", None)),
+    _Key("ensemble.split_strategy", "split_strategy", (EXACT, HISTOGRAM)),
+    _Key("ensemble.histogram_bins", "histogram_bins", (int,)),
+    _Key("ensemble.bootstrap", "bootstrap", (bool,)),
+    _Key("ensemble.learning_rate", "learning_rate", (float,)),
+    _Key("ensemble.hard_vote", "hard_vote", (bool,)),
+    _Key("rfa.threshold", "rfa.threshold", (float,)),
+    _Key("rfa.max_sensors", "rfa.max_sensors", (int, None)),
+    _Key("rfa.noise_snr_db", "rfa.noise_snr_db", (float,)),
+    _Key("rfa.importance_mode", "rfa.importance_mode", (str,)),
+    _Key("robustness.snr_db", "snr_levels", (list,)),
+    _Key("robustness.include_failure", "include_failure", (bool,)),
+    # Placement and parallelism cannot affect results, so the echo leaves
+    # them out and stays byte-stable across destinations and thread counts.
+    _Key("out_dir", "out_dir", (str,), echo=False),
+    _Key("n_threads", "n_threads", (int,), echo=False),
+)
+
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list of numbers"}
+
+
+def _accepts(kind, value) -> bool:
+    if kind is None:
+        return value is None
+    if isinstance(kind, str):
+        return isinstance(value, str) and value == kind
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_accepts(float, v) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
+def _checked(key: _Key, value, name: str):
+    """value, if key accepts it; else an InvalidValueError naming name."""
+    if not any(_accepts(kind, value) for kind in key.kinds):
+        expected = " or ".join(_JSON_NAMES.get(k) or json.dumps(k) for k in key.kinds)
+        raise InvalidValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def _merge(section, prefix: str, keys: dict, merged: dict, source: str) -> None:
+    """Check the dict section found at the dotted prefix against keys (the
+    schema by file path or by field) and store its values in merged by
+    field.  Unknown keys are rejected, not ignored."""
+    if not isinstance(section, dict):
+        raise InvalidValueError(f"{prefix[:-1]} must be an object, got {section!r}")
+    names = {name[len(prefix):].split(".")[0] for name in keys if name.startswith(prefix)}
+    unknown = sorted(prefix + str(name) for name in section if name not in names)
+    if unknown:
+        raise InvalidValueError(f"unknown {source} key(s) {unknown}")
+    for name, value in section.items():
+        key = keys.get(prefix + name)
+        if key is None:
+            _merge(value, prefix + name + ".", keys, merged, source)
+        else:
+            merged[key.field] = _checked(key, value, prefix + name)
 
 
 @dataclass(frozen=True)
@@ -54,12 +145,12 @@ class PipelineConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     train_fraction: float = 0.75
     undersample: bool = True
-    method: str = "bagging"
+    method: str = BAGGING
     n_trees: int = 25
     max_depth: int | None = 12
     min_leaf: int = 5
     feature_subsample: int | str | None = "sqrt"
-    split_strategy: str = "exact"
+    split_strategy: str = EXACT
     histogram_bins: int = 64
     bootstrap: bool = True
     learning_rate: float = 0.3
@@ -71,10 +162,11 @@ class PipelineConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if isinstance(self.feature_subsample, str) and self.feature_subsample != "sqrt":
-            raise InvalidValueError(
-                f'feature_subsample must be an int, null, or "sqrt", got {self.feature_subsample!r}'
-            )
+        for key in _SCHEMA:
+            if "." not in key.field:
+                _checked(key, getattr(self, key.field), key.field)
+        if not 0.0 < self.train_fraction < 1.0:
+            raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads < 1:
             raise InvalidValueError("n_threads must be >= 1")
         for level in self.snr_levels:
@@ -107,50 +199,18 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
-        """Echo of the study parameters.  Placement and parallelism knobs
-        (out_dir, n_threads) are omitted: they cannot affect results, so
-        the echo is byte-stable across destinations and thread counts."""
-        gen = self.generator
-        return {
-            "seed": self.seed,
-            "data": {
-                "path": self.data_path,
-                "generator": {
-                    "n_rows": gen.n_rows,
-                    "class_proportions": list(gen.class_proportions),
-                },
-            },
-            "train_fraction": self.train_fraction,
-            "undersample": self.undersample,
-            "ensemble": {
-                "method": self.method,
-                "n_trees": self.n_trees,
-                "max_depth": self.max_depth,
-                "min_leaf": self.min_leaf,
-                "feature_subsample": self.feature_subsample,
-                "split_strategy": self.split_strategy,
-                "histogram_bins": self.histogram_bins,
-                "bootstrap": self.bootstrap,
-                "learning_rate": self.learning_rate,
-                "hard_vote": self.hard_vote,
-            },
-            "rfa": {
-                "threshold": self.rfa.threshold,
-                "max_sensors": self.rfa.max_sensors,
-                "noise_snr_db": self.rfa.noise_snr_db,
-                "importance_mode": self.rfa.importance_mode,
-            },
-            "robustness": {
-                "snr_db": list(self.snr_levels),
-                "include_failure": self.include_failure,
-            },
-        }
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise InvalidValueError(f"unknown key(s) {unknown} in {where} config")
+        """Echo of the study parameters: every schema key but out_dir and
+        n_threads, nested as in the config file."""
+        echo: dict = {}
+        for key in _SCHEMA:
+            if key.echo:
+                *sections, leaf = key.path.split(".")
+                node = echo
+                for section in sections:
+                    node = node.setdefault(section, {})
+                value = attrgetter(key.field)(self)
+                node[leaf] = list(value) if isinstance(value, tuple) else value
+        return echo
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -158,13 +218,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 
     Precedence, lowest to highest: built-in defaults, the FDDSENSE_OUT_DIR
     environment variable (output directory only), the JSON config file,
-    then explicit overrides (CLI flags).  Unknown keys anywhere are
-    rejected rather than ignored.
+    then explicit overrides (CLI flags).  Overrides are keyed by
+    PipelineConfig field; generator and rfa take a dict of their fields,
+    merged into the file's, and a None override is ignored.  Unknown keys
+    anywhere are rejected rather than ignored, and every value must have
+    its key's type.
 
     Raises:
         ConfigParseError: file unreadable or not valid JSON (the message
             carries line and column).
-        InvalidValueError: unknown keys or out-of-range values.
+        InvalidValueError: unknown keys, wrong-typed or out-of-range
+            values; the message names the key.
     """
     merged: dict = {}
     env_out = os.environ.get(OUT_DIR_ENV)
@@ -185,82 +249,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
             ) from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError(f"config file {path} must hold a JSON object")
-        _reject_unknown(
-            loaded,
-            {
-                "seed",
-                "data",
-                "train_fraction",
-                "undersample",
-                "ensemble",
-                "rfa",
-                "robustness",
-                "out_dir",
-                "n_threads",
-            },
-            "top-level",
-        )
-        for key in ("seed", "train_fraction", "undersample", "out_dir", "n_threads"):
-            if key in loaded:
-                merged[key] = loaded[key]
-        if "data" in loaded:
-            data = loaded["data"]
-            _reject_unknown(data, {"path", "generator"}, '"data"')
-            if "path" in data:
-                merged["data_path"] = data["path"]
-            if "generator" in data:
-                gen = data["generator"]
-                _reject_unknown(gen, {"n_rows", "class_proportions"}, '"data.generator"')
-                merged["generator"] = gen
-        if "ensemble" in loaded:
-            ens = loaded["ensemble"]
-            _reject_unknown(
-                ens,
-                {
-                    "method",
-                    "n_trees",
-                    "max_depth",
-                    "min_leaf",
-                    "feature_subsample",
-                    "split_strategy",
-                    "histogram_bins",
-                    "bootstrap",
-                    "learning_rate",
-                    "hard_vote",
-                },
-                '"ensemble"',
-            )
-            merged.update(ens)
-        if "rfa" in loaded:
-            rfa = loaded["rfa"]
-            _reject_unknown(
-                rfa,
-                {"threshold", "max_sensors", "noise_snr_db", "importance_mode"},
-                '"rfa"',
-            )
-            merged["rfa"] = rfa
-        if "robustness" in loaded:
-            rob = loaded["robustness"]
-            _reject_unknown(rob, {"snr_db", "include_failure"}, '"robustness"')
-            if "snr_db" in rob:
-                merged["snr_levels"] = rob["snr_db"]
-            if "include_failure" in rob:
-                merged["include_failure"] = rob["include_failure"]
+        _merge(loaded, "", {key.path: key for key in _SCHEMA}, merged, "config")
 
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    given = {name: value for name, value in (overrides or {}).items() if value is not None}
+    _merge(given, "", {key.field: key for key in _SCHEMA}, merged, "override")
 
-    try:
-        if isinstance(merged.get("generator"), dict):
-            merged["generator"] = GeneratorConfig(**merged["generator"])
-        if isinstance(merged.get("rfa"), dict):
-            merged["rfa"] = RfaConfig(**merged["rfa"])
-        if isinstance(merged.get("snr_levels"), list):
-            merged["snr_levels"] = tuple(float(v) for v in merged["snr_levels"])
-        return PipelineConfig(**merged)
-    except TypeError as exc:
-        raise InvalidValueError(f"bad config value: {exc}") from exc
+    fields = {name: value for name, value in merged.items() if "." not in name}
+    for outer, cls in (("generator", GeneratorConfig), ("rfa", RfaConfig)):
+        prefix = outer + "."
+        fields[outer] = cls(**{n[len(prefix):]: v for n, v in merged.items() if n.startswith(prefix)})
+    return PipelineConfig(**fields)
 
 
 @dataclass(frozen=True)

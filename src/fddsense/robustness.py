@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyVectorError, ZeroSignalError
+from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
 from .metrics import ClassReport
 from .seeding import derive_seed
 
@@ -34,12 +34,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode == AWGN:
             if self.snr_db is None or not math.isfinite(self.snr_db):
-                raise ValueError("awgn mode needs a finite snr_db")
+                raise InvalidValueError("awgn mode needs a finite snr_db")
         elif self.mode == FAILURE:
             if self.snr_db is not None:
-                raise ValueError("failure mode takes no snr_db")
+                raise InvalidValueError("failure mode takes no snr_db")
         else:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+            raise InvalidValueError(f"unknown noise mode {self.mode!r}")
 
     def label(self) -> str:
         if self.mode == FAILURE:

@@ -67,6 +67,17 @@ class TestTrainCommand:
         assert result.output.splitlines() == ["Error: InvalidValueError: min_leaf must be >= 1"]
         assert not model_path.exists()
 
+    def test_negative_label_fails_cleanly(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n")
+        model_path = tmp_path / "model.json"
+        result = invoke("train", "--data", str(data), "--model-out", str(model_path))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: MalformedRowError: malformed cells: row 1 col 'class'"
+        ]
+        assert not model_path.exists()
+
 
 class TestImportanceCommand:
     def test_prints_ranking(self, tmp_path):
@@ -188,17 +199,45 @@ class TestPipelineCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("min_leaf", 0), ("method", "foo"), ("feature_subsample", 0), ("max_depth", -1)],
+        [
+            ("min_leaf", 0),
+            ("method", "foo"),
+            ("feature_subsample", 0),
+            ("max_depth", -1),
+            ("train_fraction", 1.5),
+        ],
     )
     def test_bad_ensemble_value_fails_before_any_stage(self, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ensemble": {key: value}}))
+        payload = {key: value} if key == "train_fraction" else {"ensemble": {key: value}}
+        cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
         result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 1
         lines = result.output.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("Error: InvalidValueError: ") and key in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"ensemble": {"bootstrap": "no"}}, "ensemble.bootstrap"),
+            ({"robustness": {"include_failure": "no"}}, "robustness.include_failure"),
+            ({"seed": "7"}, "seed"),
+            ({"ensemble": {"n_trees": 2.5}}, "ensemble.n_trees"),
+        ],
+        ids=["bootstrap", "include_failure", "seed", "n_trees"],
+    )
+    def test_wrong_typed_config_fails_before_any_stage(self, tmp_path, payload, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"Error: InvalidValueError: {key} must be ")
         assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path):

@@ -5,6 +5,7 @@ from fddsense.dataset import (
     FAULT_CLASSES,
     INSTALLED_SENSORS,
     Dataset,
+    SensorMeta,
     load_dataset,
     split_train_test,
     undersample_majority,
@@ -14,6 +15,7 @@ from fddsense.errors import (
     ClassTooSmallError,
     DegenerateFractionError,
     EmptyDatasetError,
+    FddError,
     MalformedRowError,
     SchemaMismatchError,
     SingleClassError,
@@ -35,6 +37,12 @@ class TestSchema:
         assert kinds.count("mass_flow") == 3
         assert kinds.count("pressure") == 7
         assert kinds.count("temperature") == 24
+
+    def test_bad_sensor_meta_is_an_fdd_error(self):
+        with pytest.raises(FddError, match="unknown sensor kind"):
+            SensorMeta("X1", "probe", "W", "voltage")
+        with pytest.raises(FddError, match="inconsistent"):
+            SensorMeta("X1", "probe", "W", "temperature")
 
     def test_seven_fault_classes(self):
         assert [fc.id for fc in FAULT_CLASSES] == list(range(7))
@@ -69,6 +77,16 @@ class TestDatasetType:
             Dataset(INSTALLED_SENSORS[:2], np.zeros((2, 2)), np.array([0, -1]))
         with pytest.raises(ValueError):
             Dataset(INSTALLED_SENSORS[:2], np.full((2, 2), np.nan), np.array([0, 1]))
+
+    def test_validation_errors_are_fdd_errors(self):
+        for values, labels in (
+            (np.zeros((3, 2)), np.array([0, 1])),
+            (np.zeros((2, 2)), np.array([0, -1])),
+            (np.full((2, 2), np.nan), np.array([0, 1])),
+            (np.zeros((2, 3)), np.array([0, 1])),
+        ):
+            with pytest.raises(FddError):
+                Dataset(INSTALLED_SENSORS[:2], values, labels)
 
 
 class TestCsvRoundTrip:
@@ -110,6 +128,19 @@ class TestCsvRoundTrip:
         assert (1, "T_FI") in cells
         assert (2, "class") in cells
         assert (3, "class") in cells
+
+    def test_negative_label_is_a_malformed_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n1.0,2.0,1\n")
+        with pytest.raises(MalformedRowError) as info:
+            load_dataset(path)
+        assert info.value.cells == [(1, "class")]
+
+    def test_unknown_schema_policy_is_an_fdd_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("T_FI,class\n1.0,0\n")
+        with pytest.raises(FddError, match="schema_policy"):
+            load_dataset(path, schema_policy="loose")
 
     def test_nonfinite_cells_reported(self, tmp_path):
         path = tmp_path / "bad.csv"

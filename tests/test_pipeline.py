@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +8,43 @@ import pytest
 from fddsense import ensembles, pipeline
 from fddsense.dataset import split_train_test, undersample_majority, write_csv
 from fddsense.ensembles import fit_ensemble, load_model, model_json_text
-from fddsense.errors import ConfigParseError, InvalidValueError
+from fddsense.errors import ConfigParseError, FddError, InvalidValueError
 from fddsense.pipeline import (
+    _SCHEMA,
     OUT_DIR_ENV,
     PipelineConfig,
     parse_config,
     run_pipeline,
 )
 from fddsense.seeding import derive_seed
+from fddsense.selection import RfaConfig
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 SMALL = {"generator": {"n_rows": 2500}, "n_trees": 10}
+
+
+def nested(dotted, value):
+    """{"a": {"b": value}} for "a.b"."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+def wrong_values(key):
+    """Values of the wrong JSON type for one schema key."""
+    kinds = key.kinds
+    candidates = [
+        (True, bool in kinds),
+        (1, int in kinds or float in kinds),
+        (2.5, float in kinds),
+        ("7", str in kinds),
+        ("no", str in kinds),
+        ([], list in kinds),
+        (["7"], False),
+        ({}, False),
+        (None, None in kinds),
+    ]
+    return [value for value, legal in candidates if not legal]
 
 
 class TestParseConfig:
@@ -102,17 +130,101 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("min_leaf", 0), ("method", "foo"), ("feature_subsample", 0), ("max_depth", -1)],
+        [
+            ("min_leaf", 0),
+            ("method", "foo"),
+            ("feature_subsample", 0),
+            ("max_depth", -1),
+            ("train_fraction", 1.5),
+        ],
     )
     def test_bad_ensemble_values_rejected(self, tmp_path, key, value):
         file = tmp_path / "cfg.json"
-        file.write_text(json.dumps({"ensemble": {key: value}}))
+        payload = {key: value} if key == "train_fraction" else {"ensemble": {key: value}}
+        file.write_text(json.dumps(payload))
         with pytest.raises(InvalidValueError, match=key):
             parse_config(str(file), None)
 
     def test_bad_value_types_rejected(self):
         with pytest.raises(InvalidValueError):
             parse_config(None, {"bogus_key": 3})
+
+    @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
+    def test_wrong_typed_values_rejected(self, tmp_path, key):
+        file = tmp_path / "cfg.json"
+        for value in wrong_values(key):
+            file.write_text(json.dumps(nested(key.path, value)))
+            with pytest.raises(FddError) as info:
+                parse_config(str(file), None)
+            assert key.path in str(info.value), value
+            if value is None and "." not in key.field:
+                continue  # a None override means "not given"
+            with pytest.raises(FddError) as info:
+                parse_config(None, nested(key.field, value))
+            assert key.field in str(info.value), value
+
+    @pytest.mark.parametrize("section", ["data", "data.generator", "ensemble", "rfa", "robustness"])
+    def test_non_object_section_rejected(self, tmp_path, section):
+        file = tmp_path / "cfg.json"
+        for value in (5, "x", [], None):
+            file.write_text(json.dumps(nested(section, value)))
+            with pytest.raises(InvalidValueError, match=section):
+                parse_config(str(file), None)
+
+    def test_nested_overrides_keep_the_files_other_keys(self, tmp_path):
+        file = tmp_path / "cfg.json"
+        file.write_text(
+            json.dumps(
+                {
+                    "data": {"generator": {"class_proportions": [0.4] + [0.1] * 6}},
+                    "rfa": {"max_sensors": 5, "noise_snr_db": 6},
+                }
+            )
+        )
+        cfg = parse_config(str(file), {"rfa": {"threshold": 0.9}, "generator": {"n_rows": 700}})
+        assert (cfg.rfa.threshold, cfg.rfa.max_sensors, cfg.rfa.noise_snr_db) == (0.9, 5, 6)
+        assert cfg.generator.n_rows == 700
+        assert cfg.generator.class_proportions == (0.4,) + (0.1,) * 6
+
+    def test_echo_parses_back_to_the_same_config(self, tmp_path):
+        cfg = PipelineConfig(
+            seed=4,
+            data_path="plant.csv",
+            generator=GeneratorConfig(n_rows=900, class_proportions=(0.4,) + (0.1,) * 6),
+            train_fraction=0.6,
+            undersample=False,
+            method="boosting",
+            n_trees=3,
+            max_depth=None,
+            min_leaf=2,
+            feature_subsample=None,
+            split_strategy="histogram",
+            histogram_bins=16,
+            bootstrap=False,
+            learning_rate=0.5,
+            rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0, importance_mode="gain"),
+            snr_levels=(5.0,),
+            include_failure=False,
+        )
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(cfg.to_json_dict()))
+        assert parse_config(str(file), None) == cfg
+
+    def test_readme_example_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        file = tmp_path / "study.json"
+        file.write_text(block)
+        echo = parse_config(str(file), None).to_json_dict()
+
+        def assert_within(part, whole):
+            for name, value in part.items():
+                if isinstance(value, dict):
+                    assert_within(value, whole[name])
+                else:
+                    assert whole[name] == value, name
+
+        assert_within(json.loads(block), echo)
 
 
 class TestRunPipeline:

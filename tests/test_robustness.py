@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fddsense.ensembles import EnsembleConfig, fit_ensemble
-from fddsense.errors import EmptyVectorError, UnknownSensorError, ZeroSignalError
+from fddsense.errors import EmptyVectorError, FddError, UnknownSensorError, ZeroSignalError
 from fddsense.robustness import (
     AWGN,
     FAILURE,
@@ -102,6 +102,11 @@ class TestFailure:
             NoiseSpec("T_FI", FAILURE, snr_db=3.0)
         with pytest.raises(ValueError):
             NoiseSpec("T_FI", "dropout")
+
+    def test_spec_errors_are_fdd_errors(self):
+        for args in ((AWGN,), (AWGN, math.inf), (FAILURE, 3.0), ("dropout",)):
+            with pytest.raises(FddError):
+                NoiseSpec("T_FI", *args)
 
 
 def _fitted_model_and_test():
