@@ -224,7 +224,7 @@ class SplitPair:
 
     def __post_init__(self):
         if self.train.schema != self.test.schema:
-            raise ValueError("train and test must share one schema")
+            raise InvalidValueError("train and test must share one schema")
 
 
 def _parse_header(header: list[str], schema_policy: str) -> tuple[SensorMeta, ...]:
@@ -355,7 +355,7 @@ def undersample_majority(d: Dataset, target="match_largest_minority", seed: int 
                 f"target {n_keep} exceeds majority count {counts[majority]}"
             )
         if n_keep < 0:
-            raise ValueError("explicit target must be non-negative")
+            raise InvalidValueError("explicit target must be non-negative")
 
     majority_rows = np.flatnonzero(d.labels == majority)
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from .errors import (
     SchemaMismatchError,
     SingleClassError,
 )
-from .fileio import canonical_json, write_json
+from .fileio import _of_kind, canonical_json, write_json
 from .metrics import ClassReport, build_report
 from .seeding import derive_seed
 from .trees import (
@@ -37,6 +37,7 @@ from .trees import (
     REGRESSION,
     DecisionTree,
     TreeConfig,
+    _field,
     fit_tree,
     tree_from_dict,
     tree_importance_contributions,
@@ -46,7 +47,7 @@ from .trees import (
 BAGGING = "bagging"
 BOOSTING = "boosting"
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def feature_importance(model: EnsembleModel, mode: str = "impurity") -> np.ndarr
     (all-zero when no tree ever split).
     """
     if mode not in ("impurity", "gain"):
-        raise ValueError(f"unknown importance mode {mode!r}")
+        raise InvalidValueError(f"unknown importance mode {mode!r}")
     n_features = len(model.feature_names)
     total = np.zeros(n_features, dtype=np.float64)
     for tree in model.trees:
@@ -312,6 +313,7 @@ def evaluate(model: EnsembleModel, data: Dataset) -> ClassReport:
 
 def model_to_dict(model: EnsembleModel) -> dict:
     cfg = model.config
+    trees = [tree_to_dict(tree) for tree in model.trees]
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "method": cfg.method,
@@ -319,7 +321,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "bootstrap": cfg.bootstrap,
         "learning_rate": cfg.learning_rate,
         "hard_vote": cfg.hard_vote,
-        "tree_config": tree_to_dict(model.trees[0])["config"],
+        "tree_config": trees[0]["config"],
         "n_classes": model.n_classes,
         "feature_names": list(model.feature_names),
         "fingerprint": model.fingerprint,
@@ -327,34 +329,77 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "base_scores": None
         if model.base_scores is None
         else [float(v) for v in model.base_scores],
-        "trees": [tree_to_dict(tree) for tree in model.trees],
+        "trees": trees,
     }
 
 
 def model_from_dict(payload: dict) -> EnsembleModel:
+    """Inverse of model_to_dict.  The whole model is checked here, so that
+    a model that loads also predicts.
+
+    Raises:
+        ModelFormatError: a format_version other than MODEL_FORMAT_VERSION,
+            a missing, wrong-typed or out-of-range field, a fingerprint that
+            does not match feature_names, or a tree that does not fit the
+            model: its feature count, class count, task, config or the tree
+            count (n_trees for bagging, n_trees * n_classes for boosting).
+    """
     try:
         version = payload["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format_version {version!r}")
-        trees = [tree_from_dict(item) for item in payload["trees"]]
+        names = payload["feature_names"]
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+            raise ModelFormatError("feature_names must be a non-empty list of strings")
+        names = tuple(names)
+        if payload["fingerprint"] != schema_fingerprint(names):
+            raise ModelFormatError("fingerprint does not match feature_names")
+        n_classes = _field(payload, "n_classes", "model", int, 2)
         cfg = EnsembleConfig(
             method=payload["method"],
-            n_trees=payload["n_trees"],
-            tree=trees[0].config,
-            bootstrap=payload["bootstrap"],
-            learning_rate=payload["learning_rate"],
-            hard_vote=payload["hard_vote"],
+            n_trees=_field(payload, "n_trees", "model", int),
+            tree=TreeConfig(**payload["tree_config"]),
+            bootstrap=_field(payload, "bootstrap", "model", bool),
+            learning_rate=_field(payload, "learning_rate", "model", float),
+            hard_vote=_field(payload, "hard_vote", "model", bool),
         )
+        boosting = cfg.method == BOOSTING
         base = payload["base_scores"]
+        if not boosting and base is not None:
+            raise ModelFormatError("base_scores must be null for bagging")
+        if boosting and not (
+            isinstance(base, list) and len(base) == n_classes and all(_of_kind(float, v) for v in base)
+        ):
+            raise ModelFormatError(f"base_scores must list {n_classes} finite numbers for boosting")
+        items = payload["trees"]
+        expected = cfg.n_trees * n_classes if boosting else cfg.n_trees
+        if not isinstance(items, list) or len(items) != expected:
+            raise ModelFormatError(f"{cfg.method} with n_trees {cfg.n_trees} needs {expected} trees")
+        trees = []
+        for i, item in enumerate(items):
+            try:
+                tree = tree_from_dict(item)
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"trees[{i}]: {exc}") from exc
+            if tree.config != cfg.tree:
+                raise ModelFormatError(f"trees[{i}]: config differs from tree_config")
+            if tree.n_features != len(names):
+                raise ModelFormatError(
+                    f"trees[{i}]: n_features {tree.n_features} but {len(names)} feature_names"
+                )
+            if tree.n_classes != (None if boosting else n_classes):
+                task = REGRESSION if boosting else f"{CLASSIFICATION} with {n_classes} classes"
+                raise ModelFormatError(f"trees[{i}]: {cfg.method} needs {task} trees")
+            trees.append(tree)
         return EnsembleModel(
             config=cfg,
             trees=trees,
-            n_classes=payload["n_classes"],
-            feature_names=tuple(payload["feature_names"]),
+            n_classes=n_classes,
+            feature_names=names,
             base_scores=None if base is None else np.asarray(base, dtype=np.float64),
-            master_seed=payload["master_seed"],
+            master_seed=_field(payload, "master_seed", "model", int),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, InvalidValueError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc!r}") from exc
 
 

@@ -11,9 +11,32 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
+import sys
 import tempfile
 from pathlib import Path
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _of_kind(kind: type, value) -> bool:
+    """Whether a value read from JSON is of kind: int (an integer, not a
+    bool), float (a number, an integer too), bool or str.  Numbers must be
+    finite floats: Python's json reads NaN, Infinity and 1e400 (as inf),
+    and integers of any size."""
+    # Exact builtin types first: a model file holds thousands of numbers,
+    # and the abstract types are slow to check.
+    exact = type(value)
+    if exact is float or exact is int:
+        return (kind is float or kind is exact) and abs(value) <= _FLOAT_MAX
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is int or kind is float:
+        number = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, number) and abs(value) <= _FLOAT_MAX
+    return isinstance(value, kind)
 
 
 def canonical_json(payload) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -32,13 +31,13 @@ from .ensembles import (
     rank_features,
 )
 from .errors import ConfigParseError, InvalidValueError
-from .fileio import atomic_write_text, write_csv_rows, write_json
+from .fileio import _of_kind, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
 from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
-from .trees import EXACT, HISTOGRAM, TreeConfig
+from .trees import TreeConfig
 
 OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
 
@@ -50,7 +49,8 @@ class _Key(NamedTuple):
     dotted PipelineConfig attribute it sets, also its override name
     (field), the values it accepts (kinds: int, float, which takes an int
     too, bool, str, None for null, list for a list of numbers, or a
-    literal string) and whether config.json echoes it."""
+    literal string; numbers must be finite) and whether config.json
+    echoes it."""
 
     path: str
     field: str
@@ -73,8 +73,6 @@ _SCHEMA = (
     _Key("ensemble.max_depth", "max_depth", (int, None)),
     _Key("ensemble.min_leaf", "min_leaf", (int,)),
     _Key("ensemble.feature_subsample", "feature_subsample", (int, "sqrt", None)),
-    _Key("ensemble.split_strategy", "split_strategy", (EXACT, HISTOGRAM)),
-    _Key("ensemble.histogram_bins", "histogram_bins", (int,)),
     _Key("ensemble.bootstrap", "bootstrap", (bool,)),
     _Key("ensemble.learning_rate", "learning_rate", (float,)),
     _Key("ensemble.hard_vote", "hard_vote", (bool,)),
@@ -90,7 +88,13 @@ _SCHEMA = (
     _Key("n_threads", "n_threads", (int,), echo=False),
 )
 
-_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list of numbers"}
+_JSON_NAMES = {
+    int: "integer",
+    float: "finite number",
+    bool: "boolean",
+    str: "string",
+    list: "list of finite numbers",
+}
 
 
 def _accepts(kind, value) -> bool:
@@ -99,10 +103,8 @@ def _accepts(kind, value) -> bool:
     if isinstance(kind, str):
         return isinstance(value, str) and value == kind
     if kind is list:
-        return isinstance(value, (list, tuple)) and all(_accepts(float, v) for v in value)
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+        return isinstance(value, (list, tuple)) and all(_of_kind(float, v) for v in value)
+    return _of_kind(kind, value)
 
 
 def _checked(key: _Key, value, name: str):
@@ -150,8 +152,6 @@ class PipelineConfig:
     max_depth: int | None = 12
     min_leaf: int = 5
     feature_subsample: int | str | None = "sqrt"
-    split_strategy: str = EXACT
-    histogram_bins: int = 64
     bootstrap: bool = True
     learning_rate: float = 0.3
     hard_vote: bool = False
@@ -169,9 +169,6 @@ class PipelineConfig:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads < 1:
             raise InvalidValueError("n_threads must be >= 1")
-        for level in self.snr_levels:
-            if not math.isfinite(level):
-                raise InvalidValueError(f"snr level {level!r} is not finite")
         object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
         # Build the ensemble recipe once now, so that a bad ensemble setting
         # fails in parse_config rather than at stage rank.  The sensor count
@@ -186,8 +183,6 @@ class PipelineConfig:
             max_depth=self.max_depth,
             min_leaf=self.min_leaf,
             feature_subsample=subsample,
-            split_strategy=self.split_strategy,
-            histogram_bins=self.histogram_bins,
         )
         return EnsembleConfig(
             method=self.method,

@@ -11,6 +11,7 @@ sequential scan and a concurrent one select the same split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,31 +21,27 @@ from .errors import (
     EmptyInputError,
     EmptyNodeError,
     InvalidValueError,
+    ModelFormatError,
     NonFiniteInputError,
 )
+from .fileio import _of_kind
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression_on_gradients"
 
-EXACT = "exact"
-HISTOGRAM = "histogram"
-
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Growth limits and split-finding strategy for one tree.
+    """Growth limits for one tree.
 
     feature_subsample is the size of the random feature subset drawn at
     every node; None means all features, and a value larger than the
-    available feature count is clamped to it.  histogram_bins is consulted
-    only when split_strategy is "histogram".
+    available feature count is clamped to it.
     """
 
     max_depth: int | None = None
     min_leaf: int = 1
     feature_subsample: int | None = None
-    split_strategy: str = EXACT
-    histogram_bins: int = 64
     task: str = CLASSIFICATION
 
     def __post_init__(self):
@@ -54,10 +51,6 @@ class TreeConfig:
             raise InvalidValueError("min_leaf must be >= 1")
         if self.feature_subsample is not None and self.feature_subsample < 1:
             raise InvalidValueError("feature_subsample must be >= 1 or None")
-        if self.split_strategy not in (EXACT, HISTOGRAM):
-            raise InvalidValueError(f"unknown split_strategy {self.split_strategy!r}")
-        if self.split_strategy == HISTOGRAM and self.histogram_bins < 2:
-            raise InvalidValueError("histogram_bins must be >= 2")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise InvalidValueError(f"unknown task {self.task!r}")
 
@@ -200,40 +193,29 @@ def gini_impurity(class_counts) -> float:
     """Gini impurity 1 - sum(p_i^2) of a node's class counts."""
     counts = np.asarray(class_counts, dtype=np.int64)
     if counts.size and counts.min() < 0:
-        raise ValueError("class counts must be non-negative")
+        raise InvalidValueError("class counts must be non-negative")
     total = int(counts.sum())
     if total == 0:
         raise EmptyNodeError("gini impurity of an empty node is undefined")
     return 1.0 - float(np.sum(counts * counts)) / (float(total) * float(total))
 
 
-def _candidate_boundaries(sorted_x: np.ndarray, cfg: TreeConfig) -> np.ndarray:
+def _candidate_boundaries(sorted_x: np.ndarray) -> np.ndarray:
     """Indices i such that a split between sorted_x[i] and sorted_x[i+1] is
-    a candidate.  Exact mode takes every distinct-value boundary; histogram
-    mode thins them to at most bins-1 evenly spaced ones, which leaves the
-    candidate set unchanged whenever bins >= the number of distinct values.
-    """
-    boundaries = np.flatnonzero(sorted_x[:-1] < sorted_x[1:])
-    if cfg.split_strategy == HISTOGRAM and boundaries.size > cfg.histogram_bins - 1:
-        picks = np.round(
-            np.linspace(0, boundaries.size - 1, cfg.histogram_bins - 1)
-        ).astype(np.intp)
-        boundaries = boundaries[np.unique(picks)]
-    return boundaries
+    a candidate: every distinct-value boundary."""
+    return np.flatnonzero(sorted_x[:-1] < sorted_x[1:])
 
 
-def _scan_feature_classification(
-    x: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
-):
+def _scan_feature_classification(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
     """Best candidate on one feature: (g, threshold, counts) or None."""
     n = x.shape[0]
     order = np.argsort(x)
     xs = x[order]
-    boundaries = _candidate_boundaries(xs, cfg)
+    boundaries = _candidate_boundaries(xs)
     if boundaries.size == 0:
         return None
     n_left = boundaries + 1
-    ok = (n_left >= cfg.min_leaf) & (n - n_left >= cfg.min_leaf)
+    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
     boundaries, n_left = boundaries[ok], n_left[ok]
     if boundaries.size == 0:
         return None
@@ -250,15 +232,15 @@ def _scan_feature_classification(
     return float(g[best]), float(threshold), int(n_left[best]), int(n_right[best])
 
 
-def _scan_feature_regression(x: np.ndarray, y: np.ndarray, cfg: TreeConfig):
+def _scan_feature_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
     n = x.shape[0]
     order = np.argsort(x)
     xs = x[order]
-    boundaries = _candidate_boundaries(xs, cfg)
+    boundaries = _candidate_boundaries(xs)
     if boundaries.size == 0:
         return None
     n_left = boundaries + 1
-    ok = (n_left >= cfg.min_leaf) & (n - n_left >= cfg.min_leaf)
+    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
     boundaries, n_left = boundaries[ok], n_left[ok]
     if boundaries.size == 0:
         return None
@@ -292,7 +274,7 @@ def fit_tree(
     Args:
         x: (n, f) feature matrix, finite.
         y: class ids (classification) or real targets (regression).
-        cfg: growth limits and split strategy.
+        cfg: growth limits.
         rng_seed: drives per-node feature subsampling only.
         n_classes: class count for classification; inferred from y if None.
 
@@ -302,7 +284,7 @@ def fit_tree(
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError("x must be a 2-D matrix")
+        raise InvalidValueError("x must be a 2-D matrix")
     n, n_features = x.shape
     if n < 2:
         raise EmptyInputError(f"need at least 2 rows to fit a tree, got {n}")
@@ -337,9 +319,9 @@ def fit_tree(
         for j in _pick_features(n_features, cfg, rng):
             col = x[:, j].take(idx)
             found = (
-                _scan_feature_classification(col, yy, n_classes, cfg)
+                _scan_feature_classification(col, yy, n_classes, cfg.min_leaf)
                 if classify
-                else _scan_feature_regression(col, yy, cfg)
+                else _scan_feature_regression(col, yy, cfg.min_leaf)
             )
             if found is None:
                 continue
@@ -424,7 +406,7 @@ def tree_importance_contributions(tree: DecisionTree, mode: str = "impurity") ->
     objective gains.
     """
     if mode not in ("impurity", "gain"):
-        raise ValueError(f"unknown importance mode {mode!r}")
+        raise InvalidValueError(f"unknown importance mode {mode!r}")
     out = np.zeros(tree.n_features, dtype=np.float64)
     for rec in tree.split_log:
         if mode == "gain":
@@ -435,28 +417,34 @@ def tree_importance_contributions(tree: DecisionTree, mode: str = "impurity") ->
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
-    """JSON-ready nested-node encoding of a tree."""
-
-    def encode(node: Internal | Leaf) -> dict:
+    """JSON-ready encoding of a tree: its nodes as one flat list in
+    preorder, where a split names its two children by list index."""
+    nodes: list[dict] = []
+    # (node, the encoded parent, the parent's key for this node)
+    stack: list[tuple[Internal | Leaf, dict | None, str]] = [(tree.root, None, "")]
+    while stack:
+        node, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
         if isinstance(node, Leaf):
             payload: dict = {"kind": "leaf", "n_samples": node.n_samples}
             if node.distribution is not None:
                 payload["distribution"] = [float(p) for p in node.distribution]
             else:
                 payload["value"] = node.value
-            return payload
-        return {
-            "kind": "split",
-            "feature": node.split.feature_index,
-            "threshold": node.split.threshold,
-            "impurity_decrease": node.split.impurity_decrease,
-            "gain": node.split.gain,
-            "left_count": node.split.left_count,
-            "right_count": node.split.right_count,
-            "left": encode(node.left),
-            "right": encode(node.right),
-        }
-
+        else:
+            payload = {
+                "kind": "split",
+                "feature": node.split.feature_index,
+                "threshold": node.split.threshold,
+                "impurity_decrease": node.split.impurity_decrease,
+                "gain": node.split.gain,
+                "left_count": node.split.left_count,
+                "right_count": node.split.right_count,
+            }
+            stack.append((node.right, payload, "right"))
+            stack.append((node.left, payload, "left"))
+        nodes.append(payload)
     return {
         "n_features": tree.n_features,
         "n_classes": tree.n_classes,
@@ -464,37 +452,93 @@ def tree_to_dict(tree: DecisionTree) -> dict:
             "max_depth": tree.config.max_depth,
             "min_leaf": tree.config.min_leaf,
             "feature_subsample": tree.config.feature_subsample,
-            "split_strategy": tree.config.split_strategy,
-            "histogram_bins": tree.config.histogram_bins,
             "task": tree.config.task,
         },
-        "root": encode(tree.root),
+        "nodes": nodes,
     }
 
 
-def tree_from_dict(payload: dict) -> DecisionTree:
-    def decode(node: dict) -> Internal | Leaf:
-        if node["kind"] == "leaf":
-            dist = node.get("distribution")
-            return Leaf(
-                n_samples=node["n_samples"],
-                distribution=None if dist is None else np.asarray(dist, dtype=np.float64),
-                value=node.get("value"),
-            )
-        split = SplitCandidate(
-            feature_index=node["feature"],
-            threshold=node["threshold"],
-            impurity_decrease=node["impurity_decrease"],
-            gain=node["gain"],
-            left_count=node["left_count"],
-            right_count=node["right_count"],
-        )
-        return Internal(split=split, left=decode(node["left"]), right=decode(node["right"]))
+def _field(spec: dict, key: str, where: str, kind: type = float, low: float = -math.inf):
+    """spec[key] if it is of kind (a finite float, an int or a bool) and
+    >= low; else a ModelFormatError naming where and key."""
+    value = spec[key]
+    if not _of_kind(kind, value) or value < low:
+        expected = {int: "an integer", float: "a finite number", bool: "a boolean"}[kind]
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise ModelFormatError(f"{where}: {key} must be {expected}{bound}, got {value!r}")
+    return value
 
-    cfg = TreeConfig(**payload["config"])
-    return DecisionTree(
-        root=decode(payload["root"]),
-        n_features=payload["n_features"],
-        config=cfg,
-        n_classes=payload["n_classes"],
-    )
+
+def tree_from_dict(payload: dict) -> DecisionTree:
+    """Inverse of tree_to_dict.  Every node is checked here, so that a tree
+    that decodes also predicts.
+
+    Raises:
+        ModelFormatError: a missing or wrong-typed field, a feature index
+            outside [0, n_features), a leaf that does not hold n_classes
+            probabilities, or a child index that is out of range, does not
+            come after its parent, or is used twice.  The message names the
+            node.
+    """
+    where = "tree"
+    try:
+        cfg = TreeConfig(**payload["config"])
+        n_features = _field(payload, "n_features", "tree", int, 1)
+        if cfg.task == CLASSIFICATION:
+            n_classes = _field(payload, "n_classes", "tree", int, 2)
+        elif payload["n_classes"] is not None:
+            raise ModelFormatError("tree: a regression tree has n_classes null")
+        else:
+            n_classes = None
+        specs = payload["nodes"]
+        if not isinstance(specs, list) or not specs:
+            raise ModelFormatError("tree: nodes must be a non-empty list")
+        # Children come after their parent, so a walk from the last node
+        # to the first builds every child before its parent.
+        nodes: list = [None] * len(specs)
+        is_child = [False] * len(specs)
+        for i in range(len(specs) - 1, -1, -1):
+            spec, where = specs[i], f"node {i}"
+            kind = spec["kind"]
+            if kind == "split":
+                feature = _field(spec, "feature", where, int, 0)
+                if feature >= n_features:
+                    raise ModelFormatError(f"{where}: feature {feature} is outside [0, {n_features})")
+                children = [_field(spec, side, where, int, i + 1) for side in ("left", "right")]
+                for side, child in zip(("left", "right"), children):
+                    if child >= len(specs) or is_child[child]:
+                        raise ModelFormatError(f"{where}: {side} child {child} is out of range or used twice")
+                    is_child[child] = True
+                split = SplitCandidate(
+                    feature_index=feature,
+                    threshold=_field(spec, "threshold", where),
+                    impurity_decrease=_field(spec, "impurity_decrease", where),
+                    gain=_field(spec, "gain", where),
+                    left_count=_field(spec, "left_count", where, int, 1),
+                    right_count=_field(spec, "right_count", where, int, 1),
+                )
+                nodes[i] = Internal(split=split, left=nodes[children[0]], right=nodes[children[1]])
+            elif kind != "leaf":
+                raise ModelFormatError(f"{where}: kind must be \"split\" or \"leaf\", got {kind!r}")
+            elif n_classes is None:
+                nodes[i] = Leaf(
+                    n_samples=_field(spec, "n_samples", where, int, 1),
+                    value=_field(spec, "value", where),
+                )
+            else:
+                dist = spec["distribution"]
+                if not (
+                    isinstance(dist, list)
+                    and len(dist) == n_classes
+                    and all(_of_kind(float, p) for p in dist)
+                ):
+                    raise ModelFormatError(f"{where}: distribution must list {n_classes} finite numbers")
+                nodes[i] = Leaf(
+                    n_samples=_field(spec, "n_samples", where, int, 1),
+                    distribution=np.asarray(dist, dtype=np.float64),
+                )
+        if False in is_child[1:]:
+            raise ModelFormatError(f"node {is_child.index(False, 1)} is no node's child")
+    except (KeyError, TypeError, InvalidValueError) as exc:
+        raise ModelFormatError(f"{where}: missing or malformed field: {exc!r}") from exc
+    return DecisionTree(root=nodes[0], n_features=n_features, config=cfg, n_classes=n_classes)

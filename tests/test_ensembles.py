@@ -1,10 +1,11 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
 from fddsense import ensembles
-from fddsense.dataset import FAULT_CLASSES
+from fddsense.dataset import FAULT_CLASSES, SplitPair, undersample_majority
 from fddsense.ensembles import (
     EnsembleConfig,
     EnsembleModel,
@@ -22,6 +23,8 @@ from fddsense.ensembles import (
 )
 from fddsense.errors import (
     DimensionMismatchError,
+    FddError,
+    InvalidValueError,
     LabelOutOfRangeError,
     ModelFormatError,
     SchemaMismatchError,
@@ -29,7 +32,16 @@ from fddsense.errors import (
 )
 from fddsense.fileio import canonical_json
 from fddsense.simgen import GeneratorConfig, generate_dataset
-from fddsense.trees import DecisionTree, Internal, Leaf, SplitCandidate, TreeConfig, fit_tree
+from fddsense.trees import (
+    DecisionTree,
+    Internal,
+    Leaf,
+    SplitCandidate,
+    TreeConfig,
+    fit_tree,
+    gini_impurity,
+    tree_importance_contributions,
+)
 
 
 def _leaf(n):
@@ -353,3 +365,162 @@ class TestSerialization:
         save_model(model, path)
         text = path.read_text()
         assert text == canonical_json(json.loads(text))
+
+
+def small_models():
+    d = training_data(n=400)
+    bagging = fit_ensemble(
+        d.values, d.labels, EnsembleConfig(n_trees=2, tree=TreeConfig(max_depth=3)), 3, d.symbols
+    )
+    boosting = fit_ensemble(
+        d.values,
+        d.labels,
+        EnsembleConfig(method="boosting", n_trees=1, tree=TreeConfig(max_depth=2)),
+        3,
+        d.symbols,
+    )
+    return d, {"bagging": bagging, "boosting": boosting}
+
+
+def with_field(payload, path, value):
+    """A deep copy of payload with the field at path (a tuple of keys and
+    indices) set to value, or deleted when value is DELETE."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return payload
+
+
+DELETE = object()
+
+
+def field_paths(node, path=()):
+    """The path of every field below node, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+# (method, path of the field, its bad value, a part of the error message)
+BAD_MODELS = [
+    ("bagging", ("trees", 0, "nodes", 0, "feature"), -1, "trees[0]: node 0: feature"),
+    ("bagging", ("trees", 1, "nodes", 0, "feature"), 99, "trees[1]: node 0: feature 99 is outside [0, 4)"),
+    ("bagging", ("trees", 0, "nodes", 0, "left"), 0, "trees[0]: node 0: left"),
+    ("bagging", ("trees", 0, "nodes", 0, "right"), 10**6, "trees[0]: node 0: right child"),
+    ("bagging", ("trees", 0, "nodes", 0, "threshold"), "0.5", "trees[0]: node 0: threshold"),
+    ("bagging", ("trees", 0, "nodes", 0, "threshold"), float("nan"), "trees[0]: node 0: threshold"),
+    ("bagging", ("n_classes",), 8, "bagging needs classification with 8 classes"),
+    ("bagging", ("trees", 0, "n_classes"), 8, "distribution must list 8"),
+    ("bagging", ("trees", 0, "n_features"), 5, "trees[0]: n_features 5 but 4 feature_names"),
+    ("bagging", ("fingerprint",), "0" * 16, "fingerprint"),
+    ("bagging", ("feature_names", 0), "T_XX", "fingerprint"),
+    ("bagging", ("feature_names",), "T_FI", "feature_names"),
+    ("bagging", ("n_trees",), 3, "needs 3 trees"),
+    ("boosting", ("n_trees",), 2, "needs 14 trees"),
+    ("boosting", ("base_scores",), None, "base_scores"),
+    ("boosting", ("base_scores", 0), float("inf"), "base_scores"),
+    ("bagging", ("base_scores",), [0.0] * 7, "base_scores"),
+    ("boosting", ("n_classes",), 6, "base_scores"),
+    ("bagging", ("method",), "stacking", "unknown ensemble method"),
+    ("bagging", ("n_trees",), 0, "n_trees must be >= 1"),
+    ("bagging", ("n_trees",), 2.0, "n_trees"),
+    ("boosting", ("learning_rate",), 0.0, "learning_rate"),
+    ("bagging", ("learning_rate",), float("nan"), "learning_rate"),
+    ("bagging", ("hard_vote",), "no", "hard_vote"),
+    ("bagging", ("tree_config", "min_leaf"), 0, "min_leaf"),
+    ("bagging", ("tree_config", "max_depth"), 4, "trees[0]: config differs"),
+    ("bagging", ("trees", 1, "config", "task"), "regression_on_gradients", "trees[1]"),
+    ("boosting", ("trees", 3, "config", "task"), "classification", "trees[3]"),
+    ("bagging", ("master_seed",), "3", "master_seed"),
+]
+
+
+class TestLoaderChecks:
+    """model_from_dict rejects a model that could not predict, or that
+    disagrees with itself, with a ModelFormatError."""
+
+    @pytest.mark.parametrize(
+        "method, path, value, message",
+        BAD_MODELS,
+        ids=[f"{method}-{'.'.join(map(str, path))}" for method, path, _, _ in BAD_MODELS],
+    )
+    def test_bad_model_rejected(self, method, path, value, message):
+        _, models = small_models()
+        payload = with_field(model_to_dict(models[method]), path, value)
+        with pytest.raises(ModelFormatError) as info:
+            model_from_dict(payload)
+        assert message in str(info.value)
+
+    def test_format_1_rejected(self):
+        payload = model_to_dict(hand_model_a())
+        payload["format_version"] = 1
+        with pytest.raises(ModelFormatError, match="format_version 1"):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("method", ["bagging", "boosting"])
+    def test_single_field_mutations_raise_only_fdd_errors(self, tmp_path, method):
+        """Seeded fuzz pass: each mutation of one field of a saved model
+        either loads and scores, or raises an FddError, at load or at
+        prediction time; nothing else."""
+        d, models = small_models()
+        payload = model_to_dict(models[method])
+        paths = list(field_paths(payload))
+        values = [DELETE, None, True, 0, -1, 1, 99, 2.5, float("nan"), float("-inf"), "x", [], {}, [0.5]]
+        rng = random.Random(2024)
+        path_file = tmp_path / "model.json"
+        loaded = 0
+        for _ in range(400):
+            field_path, value = rng.choice(paths), rng.choice(values)
+            if value is DELETE and isinstance(field_path[-1], int):
+                value = None
+            path_file.write_text(json.dumps(with_field(payload, field_path, value)))
+            try:
+                model = load_model(path_file)
+                loaded += 1
+                predict_scores(model, d.values[:50])
+                rank_features(model, mode="impurity")
+                rank_features(model, mode="gain")
+                model_to_dict(model)
+            except FddError:
+                continue
+            except Exception as exc:  # the failure this test exists to find
+                pytest.fail(f"{field_path} = {value!r}: {type(exc).__name__}: {exc}")
+        assert 0 < loaded < 400
+
+
+class TestFddErrors:
+    def test_bad_arguments_are_fdd_errors(self):
+        """Each bad argument raises an InvalidValueError, which except
+        FddError catches."""
+        d = training_data(n=300)
+        model = _model(hand_model_a().trees)
+        other_schema = d.select_sensors([1, 0, 2, 3])
+        calls = {
+            "undersample_majority target": lambda: undersample_majority(d, target=-1),
+            "SplitPair schemas": lambda: SplitPair(train=d, test=other_schema, seed=0, train_fraction=0.5),
+            "feature_importance mode": lambda: feature_importance(model, mode="split_count"),
+            "tree_importance_contributions mode": lambda: tree_importance_contributions(
+                model.trees[0], mode="split_count"
+            ),
+            "gini_impurity counts": lambda: gini_impurity([3, -1]),
+            "fit_tree x": lambda: fit_tree(np.zeros(5), np.zeros(5, dtype=int), TreeConfig()),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+            except FddError as exc:
+                assert isinstance(exc, InvalidValueError), name
+            else:
+                pytest.fail(f"{name}: no error")

@@ -163,6 +163,41 @@ class TestParseConfig:
                 parse_config(None, nested(key.field, value))
             assert key.field in str(info.value), value
 
+    @pytest.mark.parametrize(
+        "key",
+        [key for key in _SCHEMA if {int, float, list} & set(key.kinds)],
+        ids=lambda key: key.path,
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, key):
+        file = tmp_path / "cfg.json"
+        for number in (float("nan"), float("inf"), float("-inf"), "1e400"):
+            value = [number] if list in key.kinds else number
+            # json.dumps writes NaN, Infinity and -Infinity, which json.loads
+            # reads back; the literal 1e400 reads as inf.
+            file.write_text(json.dumps(nested(key.path, value)).replace('"1e400"', "1e400"))
+            with pytest.raises(InvalidValueError, match=re.escape(key.path)):
+                parse_config(str(file), None)
+            if number == "1e400":
+                continue
+            with pytest.raises(InvalidValueError, match=re.escape(key.field)):
+                parse_config(None, nested(key.field, value))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("ensemble.split_strategy", "exact"), ("ensemble.histogram_bins", 64)],
+        ids=["ensemble.split_strategy", "ensemble.histogram_bins"],
+    )
+    def test_removed_keys_rejected(self, tmp_path, path, value):
+        """The histogram splitter and its two keys are gone; setting either
+        is an unknown key, through the file and through overrides."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(nested(path, value)))
+        with pytest.raises(InvalidValueError, match=re.escape(path)):
+            parse_config(str(file), None)
+        field = path.split(".")[1]
+        with pytest.raises(InvalidValueError, match=field):
+            parse_config(None, {field: value})
+
     @pytest.mark.parametrize("section", ["data", "data.generator", "ensemble", "rfa", "robustness"])
     def test_non_object_section_rejected(self, tmp_path, section):
         file = tmp_path / "cfg.json"
@@ -198,8 +233,6 @@ class TestParseConfig:
             max_depth=None,
             min_leaf=2,
             feature_subsample=None,
-            split_strategy="histogram",
-            histogram_bins=16,
             bootstrap=False,
             learning_rate=0.5,
             rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0, importance_mode="gain"),

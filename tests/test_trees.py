@@ -1,10 +1,22 @@
+import copy
+
 import numpy as np
 import pytest
 
+from fddsense.ensembles import (
+    EnsembleConfig,
+    fit_ensemble,
+    load_model,
+    model_json_text,
+    predict_batch,
+    predict_scores,
+    save_model,
+)
 from fddsense.errors import (
     DimensionMismatchError,
     EmptyInputError,
     EmptyNodeError,
+    ModelFormatError,
     NonFiniteInputError,
 )
 from fddsense.trees import (
@@ -145,32 +157,7 @@ class TestGrowthControls:
         with pytest.raises(ValueError):
             TreeConfig(min_leaf=0)
         with pytest.raises(ValueError):
-            TreeConfig(split_strategy="quantile")
-        with pytest.raises(ValueError):
-            TreeConfig(split_strategy="histogram", histogram_bins=1)
-        with pytest.raises(ValueError):
             TreeConfig(task="ordinal")
-
-
-class TestHistogramStrategy:
-    def test_equals_exact_when_bins_cover_distinct_values(self):
-        rng = np.random.default_rng(9)
-        x = rng.integers(0, 40, size=(300, 4)).astype(float)  # <= 40 distinct
-        y = ((x[:, 0] > 20) | (x[:, 2] < 5)).astype(int)
-        exact = fit_tree(x, y, TreeConfig(split_strategy="exact"))
-        hist = fit_tree(x, y, TreeConfig(split_strategy="histogram", histogram_bins=64))
-        assert tree_to_dict(exact)["root"] == tree_to_dict(hist)["root"]
-
-    def test_coarse_bins_restrict_candidates(self):
-        x = np.arange(100, dtype=float).reshape(-1, 1)
-        y = (x[:, 0] < 30).astype(int)
-        exact = fit_tree(x, y, TreeConfig(max_depth=1))
-        hist = fit_tree(
-            x, y, TreeConfig(max_depth=1, split_strategy="histogram", histogram_bins=4)
-        )
-        assert exact.root.split.threshold == 29.5
-        # Only boundaries {0, 49, 98} survive thinning to 3 candidates.
-        assert hist.root.split.threshold == 49.5
 
 
 class TestFeatureSubsampling:
@@ -322,3 +309,134 @@ class TestSerialization:
         clone = tree_from_dict(tree_to_dict(tree))
         assert clone.n_classes is None
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
+
+    def test_nodes_are_a_flat_preorder_list(self):
+        nodes = tree_to_dict(hand_tree())["nodes"]
+        assert [node["kind"] for node in nodes] == ["split", "leaf", "split", "leaf", "leaf"]
+        assert [(node["feature"], node["left"], node["right"]) for node in nodes if node["kind"] == "split"] == [
+            (0, 1, 2),
+            (1, 3, 4),
+        ]
+        assert [node["n_samples"] for node in nodes if node["kind"] == "leaf"] == [4, 3, 3]
+
+
+class TestDeepTree:
+    def test_depth_2499_tree_saves_loads_and_predicts(self, tmp_path):
+        # One column 0..2499 with alternating labels: an unlimited tree
+        # splits off one row per level, so it grows 2499 levels deep.
+        x = np.arange(2500, dtype=np.float64).reshape(-1, 1)
+        y = np.arange(2500) % 2
+        cfg = EnsembleConfig(n_trees=1, tree=TreeConfig(max_depth=None, min_leaf=1), bootstrap=False)
+        model = fit_ensemble(x, y, cfg, 0, ("s0",))
+        node, depth = model.trees[0].root, 0
+        while isinstance(node, Internal):
+            node, depth = node.right, depth + 1
+        assert depth == 2499
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        clone = load_model(path)
+        assert np.array_equal(predict_scores(clone, x), predict_scores(model, x))
+        assert np.array_equal(predict_batch(clone, x), y)
+        assert path.read_text() == model_json_text(clone)
+
+
+def corrupt(payload, index, key, value):
+    """A deep copy of a tree payload with nodes[index][key] set to value
+    (deleted when value is DELETE)."""
+    payload = copy.deepcopy(payload)
+    if value is DELETE:
+        del payload["nodes"][index][key]
+    else:
+        payload["nodes"][index][key] = value
+    return payload
+
+
+class _Delete:
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = _Delete()
+
+
+# (node index, field, its bad value or DELETE, a part of the error message)
+BAD_NODES = [
+    (0, "feature", -1, "node 0: feature"),
+    (2, "feature", 2, "node 2: feature 2 is outside [0, 2)"),
+    (0, "feature", 1.0, "node 0: feature"),
+    (0, "feature", True, "node 0: feature"),
+    (0, "left", 0, "node 0: left"),
+    (2, "right", 1, "node 2: right"),
+    (0, "right", 5, "node 0: right child 5 is out of range"),
+    (0, "right", 1, "node 0: right child 1"),
+    (0, "left", "1", "node 0: left"),
+    (0, "threshold", float("nan"), "node 0: threshold"),
+    (0, "threshold", float("inf"), "node 0: threshold"),
+    (0, "threshold", "2.0", "node 0: threshold"),
+    (0, "threshold", None, "node 0: threshold"),
+    (0, "gain", "x", "node 0: gain"),
+    (0, "left_count", 0, "node 0: left_count"),
+    (1, "distribution", [1.0], "node 1: distribution"),
+    (1, "distribution", [1.0, 0.0, 0.0], "node 1: distribution"),
+    (1, "distribution", [1.0, float("nan")], "node 1: distribution"),
+    (1, "distribution", "ab", "node 1: distribution"),
+    (1, "n_samples", 0, "node 1: n_samples"),
+    (1, "kind", "branch", "node 1: kind"),
+    (0, "threshold", DELETE, "node 0: missing or malformed field: KeyError('threshold')"),
+    (3, "kind", DELETE, "node 3: missing or malformed field: KeyError('kind')"),
+]
+
+
+class TestDecodeChecks:
+    """tree_from_dict rejects every node that could not be routed or read,
+    with a ModelFormatError naming the node."""
+
+    def setup_method(self):
+        self.payload = tree_to_dict(hand_tree())  # splits at nodes 0 and 2
+
+    @pytest.mark.parametrize(
+        "index, key, value, message",
+        BAD_NODES,
+        ids=[f"node{index}-{key}-{value!r}" for index, key, value, _ in BAD_NODES],
+    )
+    def test_bad_node_rejected(self, index, key, value, message):
+        with pytest.raises(ModelFormatError) as info:
+            tree_from_dict(corrupt(self.payload, index, key, value))
+        assert message in str(info.value)
+
+    def test_orphan_node_rejected(self):
+        payload = copy.deepcopy(self.payload)
+        payload["nodes"].append({"kind": "leaf", "n_samples": 1, "distribution": [1.0, 0.0]})
+        with pytest.raises(ModelFormatError, match="node 5 is no node's child"):
+            tree_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_features", 0),
+            ("n_features", "2"),
+            ("n_classes", None),
+            ("n_classes", 1),
+            ("nodes", []),
+            ("nodes", {}),
+            ("config", {"max_depth": 3, "split_strategy": "exact"}),
+            ("config", {"task": "ordinal"}),
+        ],
+    )
+    def test_bad_tree_field_rejected(self, key, value):
+        payload = copy.deepcopy(self.payload)
+        payload[key] = value
+        with pytest.raises(ModelFormatError):
+            tree_from_dict(payload)
+
+    def test_regression_tree_needs_null_classes_and_finite_values(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(40, 2))
+        cfg = TreeConfig(task="regression_on_gradients", max_depth=2)
+        payload = tree_to_dict(fit_tree(x, x[:, 0], cfg))
+        leaf = next(i for i, node in enumerate(payload["nodes"]) if node["kind"] == "leaf")
+        with pytest.raises(ModelFormatError, match=f"node {leaf}: value"):
+            tree_from_dict(corrupt(payload, leaf, "value", float("inf")))
+        payload["n_classes"] = 2
+        with pytest.raises(ModelFormatError, match="n_classes null"):
+            tree_from_dict(payload)
