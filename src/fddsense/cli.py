@@ -170,13 +170,12 @@ def train(data_path, model_out, seed, **ensemble_fields):
 
 @main.command()
 @click.option("--model", "model_path", type=click.Path(), required=True)
-@click.option("--mode", type=click.Choice(["impurity", "gain"]), default="impurity", show_default=True)
-@click.option("--top", type=int, default=None, help="Show only the top N sensors.")
-def importance(model_path, mode, top):
+@click.option("--top", type=click.IntRange(min=1), default=None, help="Show only the top N sensors.")
+def importance(model_path, top):
     """Print a model's per-sensor importance ranking."""
     try:
         model = load_model(model_path)
-        ranking = rank_features(model, mode=mode)
+        ranking = rank_features(model)
     except (FddError, OSError) as exc:
         raise _fail(exc)
     if top is not None:

@@ -9,7 +9,7 @@ pure functions of (input, seed) and every returned Dataset is immutable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from .errors import (
     MalformedRowError,
     SchemaMismatchError,
     SingleClassError,
-    TargetTooLargeError,
     UnknownSensorError,
 )
 
 LABEL_COLUMN = "class"
+_LABEL_MAX = int(np.iinfo(np.int64).max)  # labels are stored as int64
 
 SENSOR_KINDS = ("power", "mass_flow", "pressure", "temperature")
 
@@ -227,7 +227,7 @@ class SplitPair:
             raise InvalidValueError("train and test must share one schema")
 
 
-def _parse_header(header: list[str], schema_policy: str) -> tuple[SensorMeta, ...]:
+def _parse_header(header: list[str]) -> tuple[SensorMeta, ...]:
     if not header or header[-1] != LABEL_COLUMN:
         raise SchemaMismatchError(
             f"last header column must be {LABEL_COLUMN!r}, got {header[-1:]!r}"
@@ -237,37 +237,27 @@ def _parse_header(header: list[str], schema_policy: str) -> tuple[SensorMeta, ..
         raise SchemaMismatchError("header names no sensor columns")
     if len(set(symbols)) != len(symbols):
         raise SchemaMismatchError("duplicate sensor symbols in header")
-    if schema_policy == "strict":
-        unknown = [s for s in symbols if s not in INSTALLED_SENSOR_INDEX]
-        if unknown:
-            raise SchemaMismatchError(f"unknown sensor symbols {unknown!r}")
-        return tuple(INSTALLED_SENSOR_INDEX[s] for s in symbols)
-    if schema_policy == "infer":
-        return tuple(
-            INSTALLED_SENSOR_INDEX.get(s, _temp(s, "inferred sensor"))
-            for s in symbols
-        )
-    raise InvalidValueError(f"schema_policy must be 'strict' or 'infer', got {schema_policy!r}")
+    unknown = [s for s in symbols if s not in INSTALLED_SENSOR_INDEX]
+    if unknown:
+        raise SchemaMismatchError(f"unknown sensor symbols {unknown!r}")
+    return tuple(INSTALLED_SENSOR_INDEX[s] for s in symbols)
 
 
-def load_dataset(path, schema_policy: str = "strict") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a CSV sensor table into a Dataset.
 
     Args:
-        path: CSV file with a header row of sensor symbols plus a final
-            "class" column.
-        schema_policy: "strict" requires every symbol to name an installed
-            sensor; "infer" accepts any unique names and defaults their
-            kind to temperature.
+        path: CSV file with a header row of installed sensor symbols plus a
+            final "class" column.
 
     Raises:
         FileNotFoundError: path does not exist.
-        SchemaMismatchError: header malformed or unknown symbol in strict mode.
+        SchemaMismatchError: header malformed, or a symbol names no
+            installed sensor.
         MalformedRowError: any cell is missing or non-numeric, or a class
-            label is not a non-negative integer; the error lists every
+            label is not an integer in [0, 2**63); the error lists every
             offending (row, column).
         EmptyDatasetError: no data rows.
-        InvalidValueError: schema_policy is neither "strict" nor "infer".
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -275,7 +265,7 @@ def load_dataset(path, schema_policy: str = "strict") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
-        schema = _parse_header(header, schema_policy)
+        schema = _parse_header(header)
         n_cols = len(header)
 
         rows: list[list[float]] = []
@@ -299,7 +289,7 @@ def load_dataset(path, schema_policy: str = "strict") -> Dataset:
                 label = int(row[-1])
             except ValueError:
                 label = -1
-            if label < 0:
+            if not 0 <= label <= _LABEL_MAX:
                 rows.pop()
                 bad_cells.append((row_index, LABEL_COLUMN))
             else:
@@ -329,14 +319,12 @@ def write_csv(d: Dataset, path) -> None:
             fh.write(f",{int(label)}\n")
 
 
-def undersample_majority(d: Dataset, target="match_largest_minority", seed: int = 0) -> Dataset:
-    """Reduce the majority class; keep every minority row verbatim.
+def undersample_majority(d: Dataset, seed: int = 0) -> Dataset:
+    """Shrink the majority class to the size of the largest minority class;
+    keep every minority row verbatim.
 
     Args:
         d: source dataset, at least two distinct labels.
-        target: "match_largest_minority" shrinks the majority class to the
-            size of the largest minority class; an integer shrinks it to
-            exactly that count.
         seed: drives the uniform without-replacement subsample.
 
     Returns:
@@ -346,16 +334,7 @@ def undersample_majority(d: Dataset, target="match_largest_minority", seed: int 
     if len(counts) < 2:
         raise SingleClassError("undersampling needs at least two classes")
     majority = min(c for c in counts if counts[c] == max(counts.values()))
-    if target == "match_largest_minority":
-        n_keep = max(n for c, n in counts.items() if c != majority)
-    else:
-        n_keep = int(target)
-        if n_keep > counts[majority]:
-            raise TargetTooLargeError(
-                f"target {n_keep} exceeds majority count {counts[majority]}"
-            )
-        if n_keep < 0:
-            raise InvalidValueError("explicit target must be non-negative")
+    n_keep = max(n for c, n in counts.items() if c != majority)
 
     majority_rows = np.flatnonzero(d.labels == majority)
     rng = np.random.default_rng(seed)
@@ -366,14 +345,12 @@ def undersample_majority(d: Dataset, target="match_largest_minority", seed: int 
     return d.take_rows(np.flatnonzero(mask))
 
 
-def split_train_test(
-    d: Dataset, train_fraction: float, stratified: bool = True, seed: int = 0
-) -> SplitPair:
-    """Split rows into disjoint train/test sets.
+def split_train_test(d: Dataset, train_fraction: float, seed: int = 0) -> SplitPair:
+    """Split rows into disjoint train/test sets, stratified by class.
 
-    Stratified mode keeps each class's train share within one row of
-    train_fraction times its count and requires every class to have at
-    least two rows.  Deterministic for a fixed seed.
+    Each class's train share is the floor of train_fraction times its
+    count, so every class needs at least two rows.  Deterministic for a
+    fixed seed.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DegenerateFractionError(f"train_fraction {train_fraction} not in (0, 1)")
@@ -382,18 +359,14 @@ def split_train_test(
     rng = np.random.default_rng(seed)
 
     train_idx: list[np.ndarray] = []
-    if stratified:
-        for class_id, count in sorted(d.class_counts().items()):
-            if count < 2:
-                raise ClassTooSmallError(
-                    f"class {class_id} has {count} row(s); stratified split needs >= 2"
-                )
-            class_rows = np.flatnonzero(d.labels == class_id)
-            n_train = int(np.floor(train_fraction * count))
-            train_idx.append(rng.permutation(class_rows)[:n_train])
-    else:
-        n_train = int(np.floor(train_fraction * d.n_rows))
-        train_idx.append(rng.permutation(d.n_rows)[:n_train])
+    for class_id, count in sorted(d.class_counts().items()):
+        if count < 2:
+            raise ClassTooSmallError(
+                f"class {class_id} has {count} row(s); stratified split needs >= 2"
+            )
+        class_rows = np.flatnonzero(d.labels == class_id)
+        n_train = int(np.floor(train_fraction * count))
+        train_idx.append(rng.permutation(class_rows)[:n_train])
 
     train_mask = np.zeros(d.n_rows, dtype=bool)
     train_mask[np.concatenate(train_idx)] = True

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -121,7 +121,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 def _fit_bagged_tree(args) -> DecisionTree:
     x, y, cfg, master_seed, index, n_classes = args
-    tree_cfg = replace(cfg.tree, task=CLASSIFICATION)
     if cfg.bootstrap:
         rng = np.random.default_rng(derive_seed(master_seed, index, "bootstrap"))
         rows = rng.integers(0, x.shape[0], size=x.shape[0])
@@ -129,7 +128,7 @@ def _fit_bagged_tree(args) -> DecisionTree:
         # fit_tree reads, so that it makes no second copy of the resample.
         x, y = x.T.take(rows, axis=1).T, y[rows]
     return fit_tree(
-        x, y, tree_cfg, rng_seed=derive_seed(master_seed, index, "grow"), n_classes=n_classes
+        x, y, cfg.tree, rng_seed=derive_seed(master_seed, index, "grow"), n_classes=n_classes
     )
 
 
@@ -154,7 +153,9 @@ def fit_ensemble(
         n_threads: bagging parallelism; results do not depend on it.
 
     Returns:
-        EnsembleModel ready for prediction and importance queries.
+        EnsembleModel ready for prediction and importance queries.  Its
+        config.tree has the task its trees were grown with: classification
+        for bagging, regression on gradients for boosting.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -177,6 +178,8 @@ def fit_ensemble(
     if np.unique(y).size < 2:
         raise SingleClassError("training labels contain a single class")
     feature_names = tuple(feature_names)
+    task = CLASSIFICATION if cfg.method == BAGGING else REGRESSION
+    cfg = replace(cfg, tree=replace(cfg.tree, task=task))
 
     if cfg.method == BAGGING:
         jobs = [(x, y, cfg, master_seed, i, n_classes) for i in range(cfg.n_trees)]
@@ -196,7 +199,6 @@ def fit_ensemble(
     # Boosting: additive softmax model, one regression tree per class per
     # round, fitted to residuals onehot - p.  Rounds are inherently
     # sequential, so n_threads is ignored here.
-    tree_cfg = replace(cfg.tree, task=REGRESSION)
     x = np.asfortranarray(x)  # once for every fit_tree and predict_batch below
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     priors = np.where(counts > 0, counts, 0.5) / y.shape[0]
@@ -212,7 +214,7 @@ def fit_ensemble(
             tree = fit_tree(
                 x,
                 residuals[:, k],
-                tree_cfg,
+                cfg.tree,
                 rng_seed=derive_seed(master_seed, "boost", round_index, k),
             )
             trees.append(tree)
@@ -272,30 +274,20 @@ def predict(model: EnsembleModel, row) -> int:
     return int(predict_batch(model, row[None, :])[0])
 
 
-def feature_importance(model: EnsembleModel, mode: str = "impurity") -> np.ndarray:
-    """Per-feature importance vector aligned with model.feature_names.
-
-    mode "impurity": mean over trees of the sample-weighted impurity
-    decreases accumulated at each tree's splits.  mode "gain": total
-    objective gain per feature over all trees, normalised to sum to 1
-    (all-zero when no tree ever split).
-    """
-    if mode not in ("impurity", "gain"):
-        raise InvalidValueError(f"unknown importance mode {mode!r}")
-    n_features = len(model.feature_names)
-    total = np.zeros(n_features, dtype=np.float64)
+def feature_importance(model: EnsembleModel) -> np.ndarray:
+    """Per-feature importance vector aligned with model.feature_names: the
+    mean over trees of the sample-weighted impurity decreases accumulated
+    at each tree's splits (mean decrease in impurity)."""
+    total = np.zeros(len(model.feature_names), dtype=np.float64)
     for tree in model.trees:
-        total += tree_importance_contributions(tree, mode=mode)
-    if mode == "impurity":
-        return total / len(model.trees)
-    norm = total.sum()
-    return total / norm if norm > 0 else total
+        total += tree_importance_contributions(tree)
+    return total / len(model.trees)
 
 
-def rank_features(model: EnsembleModel, mode: str = "impurity") -> list[tuple[str, float]]:
+def rank_features(model: EnsembleModel) -> list[tuple[str, float]]:
     """(symbol, importance) pairs sorted by importance descending; equal
     importances keep schema order."""
-    values = feature_importance(model, mode=mode)
+    values = feature_importance(model)
     order = np.argsort(-values, kind="stable")
     return [(model.feature_names[i], float(values[i])) for i in order]
 
@@ -313,7 +305,6 @@ def evaluate(model: EnsembleModel, data: Dataset) -> ClassReport:
 
 def model_to_dict(model: EnsembleModel) -> dict:
     cfg = model.config
-    trees = [tree_to_dict(tree) for tree in model.trees]
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "method": cfg.method,
@@ -321,7 +312,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "bootstrap": cfg.bootstrap,
         "learning_rate": cfg.learning_rate,
         "hard_vote": cfg.hard_vote,
-        "tree_config": trees[0]["config"],
+        "tree_config": asdict(cfg.tree),
         "n_classes": model.n_classes,
         "feature_names": list(model.feature_names),
         "fingerprint": model.fingerprint,
@@ -329,7 +320,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "base_scores": None
         if model.base_scores is None
         else [float(v) for v in model.base_scores],
-        "trees": trees,
+        "trees": [tree_to_dict(tree) for tree in model.trees],
     }
 
 

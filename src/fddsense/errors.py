@@ -13,7 +13,7 @@ class FddError(Exception):
 # -- dataset ingestion / preprocessing --------------------------------------
 
 class SchemaMismatchError(FddError):
-    """CSV header does not satisfy the requested schema policy."""
+    """CSV header is malformed or names a sensor that is not installed."""
 
 
 class MalformedRowError(FddError):
@@ -36,10 +36,6 @@ class EmptyDatasetError(FddError):
 
 class SingleClassError(FddError):
     """Operation needs at least two distinct label values."""
-
-
-class TargetTooLargeError(FddError):
-    """Explicit undersampling target exceeds the majority-class count."""
 
 
 class DegenerateFractionError(FddError):

@@ -79,7 +79,6 @@ _SCHEMA = (
     _Key("rfa.threshold", "rfa.threshold", (float,)),
     _Key("rfa.max_sensors", "rfa.max_sensors", (int, None)),
     _Key("rfa.noise_snr_db", "rfa.noise_snr_db", (float,)),
-    _Key("rfa.importance_mode", "rfa.importance_mode", (str,)),
     _Key("robustness.snr_db", "snr_levels", (list,)),
     _Key("robustness.include_failure", "include_failure", (bool,)),
     # Placement and parallelism cannot affect results, so the echo leaves
@@ -389,9 +388,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
 
         stage = "split"
-        pair = split_train_test(
-            data, cfg.train_fraction, stratified=True, seed=derive_seed(cfg.seed, "split")
-        )
+        pair = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
         train, test = pair.train, pair.test
 
         stage = "rank"
@@ -406,7 +403,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             n_classes=max(train.n_classes, test.n_classes),
             n_threads=cfg.n_threads,
         )
-        ranking = rank_features(full_model, mode=cfg.rfa.importance_mode)
+        ranking = rank_features(full_model)
 
         stage = "selection"
         trace = run_rfa(train, test, ens_cfg, model_seed, cfg.rfa, ranking=ranking)
@@ -443,7 +440,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         write_json(
             paths["importance"],
             {
-                "mode": cfg.rfa.importance_mode,
+                "mode": "impurity",  # the one measure; kept so the format stays
                 "ranking": [{"sensor": s, "importance": v} for s, v in ranking],
             },
         )

@@ -31,15 +31,12 @@ class RfaConfig:
     threshold: float = 0.99
     max_sensors: int | None = None
     noise_snr_db: float = 3.0
-    importance_mode: str = "impurity"
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
             raise InvalidValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.max_sensors is not None and self.max_sensors < 1:
             raise InvalidValueError("max_sensors must be >= 1 or None")
-        if self.importance_mode not in ("impurity", "gain"):
-            raise InvalidValueError(f"unknown importance mode {self.importance_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def run_rfa(
             train.symbols,
             n_classes=max(train.n_classes, test.n_classes),
         )
-        ranking = rank_features(full_model, mode=rfa_cfg.importance_mode)
+        ranking = rank_features(full_model)
     if not ranking:
         raise EmptyRankingError("sensor ranking is empty")
 

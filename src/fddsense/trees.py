@@ -5,14 +5,17 @@ g = sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (classification)
 or g = (sum_left y)^2/n_left + (sum_right y)^2/n_right (regression), both of
 which order splits identically to weighted impurity decrease / variance
 reduction but cost one addition and two divisions per candidate.  Ties are
-broken toward the lowest feature index, then the lowest threshold, so a
-sequential scan and a concurrent one select the same split.
+broken toward the lowest feature index, then the lowest threshold.
+
+A tree's feature importance is its mean decrease in impurity: each split's
+impurity decrease, weighted by its node's share of the root's samples,
+summed per feature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,48 +93,12 @@ class Internal:
     right: "Internal | Leaf"
 
 
-@dataclass(frozen=True)
-class SplitRecord:
-    """One split_log entry: per-feature importance bookkeeping.
-
-    weight is the node's share of the root's samples, used for the
-    sample-weighted impurity-importance convention.
-    """
-
-    feature_index: int
-    impurity_decrease: float
-    gain: float
-    weight: float
-
-
 @dataclass
 class DecisionTree:
     root: Internal | Leaf
     n_features: int
     config: TreeConfig
     n_classes: int | None = None  # None for regression trees
-
-    @property
-    def split_log(self) -> list[SplitRecord]:
-        """All internal nodes in preorder as importance records."""
-        root_n = _node_samples(self.root)
-        records: list[SplitRecord] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                continue
-            records.append(
-                SplitRecord(
-                    feature_index=node.split.feature_index,
-                    impurity_decrease=node.split.impurity_decrease,
-                    gain=node.split.gain,
-                    weight=node.split.n_samples / root_n,
-                )
-            )
-            stack.append(node.right)
-            stack.append(node.left)
-        return records
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Leaf outputs for a matrix of rows: (n, K) distributions for
@@ -183,10 +150,6 @@ def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
     """
     goes_left = xf[:, feature].take(idx) <= threshold
     return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
-
-
-def _node_samples(node: Internal | Leaf) -> int:
-    return node.n_samples if isinstance(node, Leaf) else node.split.n_samples
 
 
 def gini_impurity(class_counts) -> float:
@@ -398,21 +361,19 @@ def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
     return node.value
 
 
-def tree_importance_contributions(tree: DecisionTree, mode: str = "impurity") -> np.ndarray:
-    """Per-feature sums over the tree's splits.
-
-    mode "impurity" sums each split's impurity decrease scaled by the
-    node's share of the root samples; mode "gain" sums the absolute
-    objective gains.
-    """
-    if mode not in ("impurity", "gain"):
-        raise InvalidValueError(f"unknown importance mode {mode!r}")
+def tree_importance_contributions(tree: DecisionTree) -> np.ndarray:
+    """Per-feature sums of the tree's split impurity decreases, each
+    scaled by its node's share of the root's samples."""
     out = np.zeros(tree.n_features, dtype=np.float64)
-    for rec in tree.split_log:
-        if mode == "gain":
-            out[rec.feature_index] += rec.gain
-        else:
-            out[rec.feature_index] += rec.impurity_decrease * rec.weight
+    if isinstance(tree.root, Leaf):
+        return out
+    root_n = tree.root.split.n_samples
+    stack = [tree.root]
+    while stack:  # preorder, so the sums add up in a fixed order
+        node = stack.pop()
+        split = node.split
+        out[split.feature_index] += split.impurity_decrease * (split.n_samples / root_n)
+        stack += [child for child in (node.right, node.left) if isinstance(child, Internal)]
     return out
 
 
@@ -448,12 +409,7 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     return {
         "n_features": tree.n_features,
         "n_classes": tree.n_classes,
-        "config": {
-            "max_depth": tree.config.max_depth,
-            "min_leaf": tree.config.min_leaf,
-            "feature_subsample": tree.config.feature_subsample,
-            "task": tree.config.task,
-        },
+        "config": asdict(tree.config),
         "nodes": nodes,
     }
 

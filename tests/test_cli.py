@@ -68,13 +68,14 @@ class TestTrainCommand:
         assert not model_path.exists()
 
     def test_negative_label_fails_cleanly(self, tmp_path):
+        """A negative label, and one beyond int64, is one Error: line."""
         data = tmp_path / "data.csv"
-        data.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n")
+        data.write_text(f"T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n1.0,2.0,{10**30}\n")
         model_path = tmp_path / "model.json"
         result = invoke("train", "--data", str(data), "--model-out", str(model_path))
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            "Error: MalformedRowError: malformed cells: row 1 col 'class'"
+            "Error: MalformedRowError: malformed cells: row 1 col 'class', row 2 col 'class'"
         ]
         assert not model_path.exists()
 
@@ -89,6 +90,18 @@ class TestImportanceCommand:
         lines = result.output.strip().splitlines()
         assert len(lines) == 4
         assert lines[0].split()[0] == "1"
+
+    @pytest.mark.parametrize("top", ["0", "-38"])
+    def test_top_below_one_rejected(self, tmp_path, top):
+        result = CliRunner().invoke(main, ["importance", "--model", str(tmp_path / "m.json"), "--top", top])
+        assert result.exit_code == 2
+        assert "Invalid value for '--top'" in result.output
+        assert "Traceback" not in result.output
+
+    def test_mode_flag_is_gone(self, tmp_path):
+        result = CliRunner().invoke(main, ["importance", "--model", str(tmp_path / "m.json"), "--mode", "gain"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--mode" in result.output
 
     def test_bad_model_file(self, tmp_path):
         bad = tmp_path / "model.json"

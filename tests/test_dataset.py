@@ -19,7 +19,6 @@ from fddsense.errors import (
     MalformedRowError,
     SchemaMismatchError,
     SingleClassError,
-    TargetTooLargeError,
     UnknownSensorError,
 )
 from fddsense.simgen import GeneratorConfig, generate_dataset
@@ -104,8 +103,6 @@ class TestCsvRoundTrip:
         path.write_text("T_FI,T_mystery,class\n1.0,2.0,0\n3.0,4.0,1\n")
         with pytest.raises(SchemaMismatchError):
             load_dataset(path)
-        inferred = load_dataset(path, schema_policy="infer")
-        assert inferred.schema[1].kind == "temperature"
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -130,17 +127,14 @@ class TestCsvRoundTrip:
         assert (3, "class") in cells
 
     def test_negative_label_is_a_malformed_cell(self, tmp_path):
+        """So is a label beyond int64, which int() accepts."""
         path = tmp_path / "bad.csv"
-        path.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n1.0,2.0,1\n")
+        path.write_text(f"T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n1.0,2.0,1\n1.0,2.0,{2**63}\n")
         with pytest.raises(MalformedRowError) as info:
             load_dataset(path)
-        assert info.value.cells == [(1, "class")]
-
-    def test_unknown_schema_policy_is_an_fdd_error(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("T_FI,class\n1.0,0\n")
-        with pytest.raises(FddError, match="schema_policy"):
-            load_dataset(path, schema_policy="loose")
+        assert info.value.cells == [(1, "class"), (3, "class")]
+        path.write_text(f"T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,{2**63 - 1}\n")
+        assert load_dataset(path).labels.tolist() == [0, 2**63 - 1]
 
     def test_nonfinite_cells_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -184,16 +178,6 @@ class TestUndersampling:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    def test_explicit_target(self):
-        d = small_dataset(n=400, seed=1)
-        out = undersample_majority(d, target=10, seed=0)
-        assert out.class_counts()[0] == 10
-
-    def test_target_too_large(self):
-        d = small_dataset(n=400, seed=1)
-        with pytest.raises(TargetTooLargeError):
-            undersample_majority(d, target=10**6)
-
     def test_single_class_rejected(self):
         d = small_dataset(n=50, seed=0)
         uni = d.take_rows(np.flatnonzero(d.labels == 0))
@@ -217,11 +201,6 @@ class TestSplitting:
         for class_id, count in d.class_counts().items():
             expected = int(np.floor(0.6 * count))
             assert pair.train.class_counts().get(class_id, 0) == expected
-
-    def test_unstratified_floor_total(self):
-        d = small_dataset(n=500, seed=2)
-        pair = split_train_test(d, 0.6, stratified=False, seed=3)
-        assert pair.train.n_rows == int(np.floor(0.6 * d.n_rows))
 
     def test_deterministic_per_seed(self):
         d = small_dataset(n=500, seed=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fddsense import ensembles
-from fddsense.dataset import FAULT_CLASSES, SplitPair, undersample_majority
+from fddsense.dataset import FAULT_CLASSES, SplitPair
 from fddsense.ensembles import (
     EnsembleConfig,
     EnsembleModel,
@@ -40,7 +40,6 @@ from fddsense.trees import (
     TreeConfig,
     fit_tree,
     gini_impurity,
-    tree_importance_contributions,
 )
 
 
@@ -104,27 +103,17 @@ def hand_model_b():
 
 class TestHandComputedImportance:
     def test_model_a_impurity(self):
-        out = feature_importance(hand_model_a(), mode="impurity")
+        out = feature_importance(hand_model_a())
         assert out[0] == pytest.approx((1.0 * 0.18 + 0.5 * 0.1) / 2, abs=1e-12)
         assert out[1] == pytest.approx((0.6 * 0.2 + 1.0 * 0.3) / 2, abs=1e-12)
 
-    def test_model_a_gain_normalised(self):
-        out = feature_importance(hand_model_a(), mode="gain")
-        assert out[0] == pytest.approx(2.3 / 6.5, abs=1e-12)
-        assert out[1] == pytest.approx(4.2 / 6.5, abs=1e-12)
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
     def test_model_b_impurity(self):
-        out = feature_importance(hand_model_b(), mode="impurity")
+        out = feature_importance(hand_model_b())
         assert out[0] == pytest.approx((0.5 + (0.25 + 0.4 * 0.2)) / 2, abs=1e-12)
         assert out[1] == 0.0
 
-    def test_model_b_gain_normalised(self):
-        out = feature_importance(hand_model_b(), mode="gain")
-        assert out.tolist() == [1.0, 0.0]
-
     def test_rank_features_orders_and_breaks_ties_by_schema(self):
-        ranked = rank_features(hand_model_a(), mode="impurity")
+        ranked = rank_features(hand_model_a())
         assert [s for s, _ in ranked] == ["b", "a"]
         stump = _model(
             [
@@ -147,8 +136,11 @@ class TestHandComputedImportance:
         assert [s for s, _ in rank_features(stump)] == ["a", "b"]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            feature_importance(hand_model_a(), mode="permutation")
+        """Impurity is the one importance measure: no mode is accepted."""
+        with pytest.raises(TypeError):
+            feature_importance(hand_model_a(), mode="gain")
+        with pytest.raises(TypeError):
+            rank_features(hand_model_a(), mode="gain")
 
 
 def training_data(n=900, seed=4):
@@ -341,6 +333,16 @@ class TestSerialization:
         assert np.allclose(clone.base_scores, model.base_scores)
         assert np.array_equal(predict_batch(clone, d.values), predict_batch(model, d.values))
 
+    @pytest.mark.parametrize("method", ["bagging", "boosting"])
+    def test_loaded_config_equals_fitted(self, method):
+        """The model keeps the tree task its trees were grown with, so the
+        saved tree_config loads back to the same config."""
+        d = training_data(n=300)
+        cfg = EnsembleConfig(method=method, n_trees=2, tree=TreeConfig(max_depth=3))
+        model = fit_ensemble(d.values, d.labels, cfg, 9, d.symbols)
+        assert all(tree.config == model.config.tree for tree in model.trees)
+        assert model_from_dict(model_to_dict(model)).config == model.config
+
     def test_unknown_version_rejected(self):
         payload = model_to_dict(hand_model_a())
         payload["format_version"] = 999
@@ -490,8 +492,7 @@ class TestLoaderChecks:
                 model = load_model(path_file)
                 loaded += 1
                 predict_scores(model, d.values[:50])
-                rank_features(model, mode="impurity")
-                rank_features(model, mode="gain")
+                rank_features(model)
                 model_to_dict(model)
             except FddError:
                 continue
@@ -508,12 +509,7 @@ class TestFddErrors:
         model = _model(hand_model_a().trees)
         other_schema = d.select_sensors([1, 0, 2, 3])
         calls = {
-            "undersample_majority target": lambda: undersample_majority(d, target=-1),
             "SplitPair schemas": lambda: SplitPair(train=d, test=other_schema, seed=0, train_fraction=0.5),
-            "feature_importance mode": lambda: feature_importance(model, mode="split_count"),
-            "tree_importance_contributions mode": lambda: tree_importance_contributions(
-                model.trees[0], mode="split_count"
-            ),
             "gini_impurity counts": lambda: gini_impurity([3, -1]),
             "fit_tree x": lambda: fit_tree(np.zeros(5), np.zeros(5, dtype=int), TreeConfig()),
         }

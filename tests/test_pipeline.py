@@ -184,19 +184,25 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "path, value",
-        [("ensemble.split_strategy", "exact"), ("ensemble.histogram_bins", 64)],
-        ids=["ensemble.split_strategy", "ensemble.histogram_bins"],
+        [
+            ("ensemble.split_strategy", "exact"),
+            ("ensemble.histogram_bins", 64),
+            ("rfa.importance_mode", "gain"),
+        ],
+        ids=["ensemble.split_strategy", "ensemble.histogram_bins", "rfa.importance_mode"],
     )
     def test_removed_keys_rejected(self, tmp_path, path, value):
-        """The histogram splitter and its two keys are gone; setting either
-        is an unknown key, through the file and through overrides."""
+        """The histogram splitter's two keys and the importance mode are
+        gone; setting one is an unknown key, through the file and through
+        overrides (ensemble keys are top-level override names, rfa keys
+        nest under "rfa")."""
         file = tmp_path / "cfg.json"
         file.write_text(json.dumps(nested(path, value)))
         with pytest.raises(InvalidValueError, match=re.escape(path)):
             parse_config(str(file), None)
-        field = path.split(".")[1]
-        with pytest.raises(InvalidValueError, match=field):
-            parse_config(None, {field: value})
+        field = path.removeprefix("ensemble.")
+        with pytest.raises(InvalidValueError, match=re.escape(field)):
+            parse_config(None, nested(field, value))
 
     @pytest.mark.parametrize("section", ["data", "data.generator", "ensemble", "rfa", "robustness"])
     def test_non_object_section_rejected(self, tmp_path, section):
@@ -235,7 +241,7 @@ class TestParseConfig:
             feature_subsample=None,
             bootstrap=False,
             learning_rate=0.5,
-            rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0, importance_mode="gain"),
+            rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0),
             snr_levels=(5.0,),
             include_failure=False,
         )
@@ -378,7 +384,7 @@ class TestRunPipeline:
         data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
         data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
         pair = split_train_test(
-            data, cfg.train_fraction, stratified=True, seed=derive_seed(cfg.seed, "split")
+            data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split")
         )
         train = pair.train.select_sensors(
             [pair.train.sensor_index(s) for s in result.trace.selected]

@@ -30,8 +30,9 @@ class TestConfigValidation:
             RfaConfig(max_sensors=0)
 
     def test_importance_mode(self):
-        with pytest.raises(InvalidValueError):
-            RfaConfig(importance_mode="votes")
+        """The importance measure is not a setting."""
+        with pytest.raises(TypeError):
+            RfaConfig(importance_mode="gain")
 
 
 class TestRfaLoop:
@@ -84,7 +85,7 @@ class TestRfaLoop:
             pair.train.values, pair.train.labels, ENS, 7, pair.train.symbols,
             n_classes=max(pair.train.n_classes, pair.test.n_classes),
         )
-        ranking = rank_features(model, mode="impurity")
+        ranking = rank_features(model)
         auto = run_rfa(pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95))
         manual = run_rfa(
             pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95), ranking=ranking

@@ -272,22 +272,15 @@ def hand_tree():
 
 
 class TestImportanceContributions:
-    def test_split_log_weights(self):
-        log = hand_tree().split_log
-        assert [(r.feature_index, r.weight) for r in log] == [(0, 1.0), (1, 0.6)]
-
     def test_weighted_impurity_mode(self):
-        out = tree_importance_contributions(hand_tree(), mode="impurity")
+        out = tree_importance_contributions(hand_tree())
         assert out[0] == pytest.approx(0.18, abs=1e-15)
         assert out[1] == pytest.approx(0.6 * 0.2, abs=1e-15)
 
-    def test_gain_mode(self):
-        out = tree_importance_contributions(hand_tree(), mode="gain")
-        assert list(out) == [1.8, 1.2]
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            tree_importance_contributions(hand_tree(), mode="split_count")
+        """Impurity is the one importance measure: no mode is accepted."""
+        with pytest.raises(TypeError):
+            tree_importance_contributions(hand_tree(), mode="gain")
 
 
 class TestSerialization:
