@@ -13,7 +13,6 @@ from .dataset import (
     Dataset,
     FaultClass,
     SensorMeta,
-    SplitPair,
     load_dataset,
     split_train_test,
     undersample_majority,
@@ -71,7 +70,6 @@ __all__ = [
     "RfaTrace",
     "RobustnessReport",
     "SensorMeta",
-    "SplitPair",
     "TreeConfig",
     "build_report",
     "confusion_matrix",

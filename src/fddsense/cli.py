@@ -198,10 +198,10 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
     """Rank sensors, then grow the smallest set meeting the threshold."""
     try:
         data = load_dataset(data_path)
-        pair = split_train_test(data, train_fraction, seed=derive_seed(seed, "split"))
+        train, test = split_train_test(data, train_fraction, seed=derive_seed(seed, "split"))
         cfg = PipelineConfig(**ensemble_fields).ensemble_config(data.n_sensors)
         rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, noise_snr_db=snr_probe)
-        trace = run_rfa(pair.train, pair.test, cfg, derive_seed(seed, "model"), rfa_cfg)
+        trace = run_rfa(train, test, cfg, derive_seed(seed, "model"), rfa_cfg)
     except (FddError, OSError) as exc:
         raise _fail(exc)
     for step in trace.steps:

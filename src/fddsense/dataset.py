@@ -2,8 +2,9 @@
 
 The on-disk carrier is a UTF-8 CSV whose header row lists sensor symbols
 followed by a final "class" column; cells are decimal or scientific
-notation numbers and labels are bare integers.  All operations here are
-pure functions of (input, seed) and every returned Dataset is immutable.
+notation numbers and labels are fault class ids (bare integers 0-6).
+All operations here are pure functions of (input, seed) and every
+returned Dataset is immutable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
 )
 
 LABEL_COLUMN = "class"
-_LABEL_MAX = int(np.iinfo(np.int64).max)  # labels are stored as int64
 
 SENSOR_KINDS = ("power", "mass_flow", "pressure", "temperature")
 
@@ -213,20 +213,6 @@ class Dataset:
         return Dataset(self.schema, self.values[indices], self.labels[indices])
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """Disjoint, exhaustive train/test partition of one source Dataset."""
-
-    train: Dataset
-    test: Dataset
-    seed: int
-    train_fraction: float
-
-    def __post_init__(self):
-        if self.train.schema != self.test.schema:
-            raise InvalidValueError("train and test must share one schema")
-
-
 def _parse_header(header: list[str]) -> tuple[SensorMeta, ...]:
     if not header or header[-1] != LABEL_COLUMN:
         raise SchemaMismatchError(
@@ -254,46 +240,64 @@ def load_dataset(path) -> Dataset:
         FileNotFoundError: path does not exist.
         SchemaMismatchError: header malformed, or a symbol names no
             installed sensor.
-        MalformedRowError: any cell is missing or non-numeric, or a class
-            label is not an integer in [0, 2**63); the error lists every
-            offending (row, column).
+        MalformedRowError: any cell is missing, non-numeric, holds NUL or
+            is not valid UTF-8, or a class label is not a fault class id (an integer
+            in [0, len(FAULT_CLASSES))); the error lists every offending
+            (row, column).  A row the CSV reader cannot split, such as
+            one with a stray quote, is listed as (row, None) and ends the
+            reading.
         EmptyDatasetError: no data rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    n_labels = len(FAULT_CLASSES)
+    # Undecodable bytes become lone surrogates, which no number parses, so
+    # they are reported as malformed cells like any other bad text.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        # strict: a quote left open at the end of the file, or text after a
+        # closing quote, is an error rather than a silently merged cell.
+        # NUL becomes U+FFFD first: Python 3.10's csv module rejects a line
+        # holding NUL while 3.11 keeps it in the cell, and this way both
+        # report the cell as malformed.
+        reader = csv.reader((line.replace("\0", "\ufffd") for line in fh), strict=True)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
+        except csv.Error as exc:
+            raise SchemaMismatchError(f"header is not readable CSV: {exc}") from exc
         schema = _parse_header(header)
         n_cols = len(header)
 
         rows: list[list[float]] = []
         labels: list[int] = []
-        bad_cells: list[tuple[int, str]] = []
-        for row_index, row in enumerate(reader):
-            if len(row) != n_cols:
-                col = header[len(row)] if len(row) < n_cols else LABEL_COLUMN
-                bad_cells.append((row_index, col))
-                continue
-            try:
-                rows.append([float(cell) for cell in row[:-1]])
-            except ValueError:
-                for col, cell in zip(header, row[:-1]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        bad_cells.append((row_index, col))
-                continue
-            try:
-                label = int(row[-1])
-            except ValueError:
-                label = -1
-            if not 0 <= label <= _LABEL_MAX:
-                rows.pop()
-                bad_cells.append((row_index, LABEL_COLUMN))
-            else:
-                labels.append(label)
+        bad_cells: list[tuple[int, str | None]] = []
+        row_index = -1
+        try:
+            for row_index, row in enumerate(reader):
+                if len(row) != n_cols:
+                    col = header[len(row)] if len(row) < n_cols else LABEL_COLUMN
+                    bad_cells.append((row_index, col))
+                    continue
+                try:
+                    rows.append([float(cell) for cell in row[:-1]])
+                except ValueError:
+                    for col, cell in zip(header, row[:-1]):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            bad_cells.append((row_index, col))
+                    continue
+                try:
+                    label = int(row[-1])
+                except ValueError:
+                    label = -1
+                if not 0 <= label < n_labels:
+                    rows.pop()
+                    bad_cells.append((row_index, LABEL_COLUMN))
+                else:
+                    labels.append(label)
+        except csv.Error as exc:
+            bad_cells.append((row_index + 1, None))
+            raise MalformedRowError(bad_cells, f"unreadable CSV: {exc}") from exc
 
     if bad_cells:
         raise MalformedRowError(bad_cells)
@@ -345,8 +349,8 @@ def undersample_majority(d: Dataset, seed: int = 0) -> Dataset:
     return d.take_rows(np.flatnonzero(mask))
 
 
-def split_train_test(d: Dataset, train_fraction: float, seed: int = 0) -> SplitPair:
-    """Split rows into disjoint train/test sets, stratified by class.
+def split_train_test(d: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """Split rows into disjoint (train, test) sets, stratified by class.
 
     Each class's train share is the floor of train_fraction times its
     count, so every class needs at least two rows.  Deterministic for a
@@ -370,6 +374,4 @@ def split_train_test(d: Dataset, train_fraction: float, seed: int = 0) -> SplitP
 
     train_mask = np.zeros(d.n_rows, dtype=bool)
     train_mask[np.concatenate(train_idx)] = True
-    train = d.take_rows(np.flatnonzero(train_mask))
-    test = d.take_rows(np.flatnonzero(~train_mask))
-    return SplitPair(train=train, test=test, seed=seed, train_fraction=train_fraction)
+    return d.take_rows(np.flatnonzero(train_mask)), d.take_rows(np.flatnonzero(~train_mask))

@@ -20,14 +20,19 @@ class MalformedRowError(FddError):
     """One or more data rows contain non-numeric or missing cells.
 
     ``cells`` lists every offending (row_index, column_name) pair, with
-    row_index counted over data rows (header excluded, 0-based).
+    row_index counted over data rows (header excluded, 0-based).  A
+    column_name of None marks a row that could not be read at all; reason
+    then says why.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, reason: str = ""):
         self.cells = list(cells)
-        preview = ", ".join(f"row {r} col {c!r}" for r, c in self.cells[:5])
+        preview = ", ".join(
+            f"row {r}" if c is None else f"row {r} col {c!r}" for r, c in self.cells[:5]
+        )
         more = "" if len(self.cells) <= 5 else f" (+{len(self.cells) - 5} more)"
-        super().__init__(f"malformed cells: {preview}{more}")
+        detail = f" ({reason})" if reason else ""
+        super().__init__(f"malformed cells: {preview}{more}{detail}")
 
 
 class EmptyDatasetError(FddError):

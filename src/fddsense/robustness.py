@@ -67,10 +67,14 @@ def awgn_for(x, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
 
     The measured SNR is recomputed from the empirical powers of the clean
     signal and the actually drawn noise, so it fluctuates around the
-    requested value with O(1/sqrt(n)) error.
+    requested value with O(1/sqrt(n)) error.  A zero-power signal, such as
+    a dead sensor's column, has no SNR to set: it comes back as an
+    unchanged copy with a measured SNR of NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     p_signal = signal_power(x)
+    if p_signal == 0.0:
+        return x.copy(), math.nan
     p_noise = noise_power_for_snr(p_signal, snr_db)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(p_noise), x.shape[0])
@@ -84,7 +88,7 @@ class PerturbedTestSet:
     """A test set with one sensor degraded, plus the realised SNR.
 
     measured_snr_db is -inf for failure scenarios (zero surviving signal
-    is treated as all noise).
+    is treated as all noise) and NaN for noise on a zero-power column.
     """
 
     data: Dataset

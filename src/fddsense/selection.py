@@ -104,13 +104,14 @@ def run_rfa(
     ensemble_cfg,
     master_seed: int,
     rfa_cfg: RfaConfig,
-    ranking: list[tuple[str, float]] | None = None,
+    n_threads: int = 1,
 ) -> RfaTrace:
-    """Rank sensors, then grow the set one ranked sensor at a time.
+    """Rank sensors on an all-sensor model, then grow the set one ranked
+    sensor at a time.
 
-    Every per-prefix model is trained with the same master_seed as the
-    ranking model, so the only thing that changes between steps is the
-    sensor set.  The noise probe always targets the globally top-ranked
+    The ranking model and every per-prefix model are trained with the same
+    recipe and master_seed, so the only thing that changes between fits is
+    the sensor set.  The noise probe always targets the globally top-ranked
     sensor (which every prefix contains) and draws its noise from a seed
     derived from (master_seed, step), so traces are reproducible.
 
@@ -119,37 +120,39 @@ def run_rfa(
         ensemble_cfg: recipe used for the ranking model and every refit.
         master_seed: root seed for all model fits.
         rfa_cfg: stopping rule and probe level.
-        ranking: optional precomputed (sensor, importance) list, ordered
-            by importance descending, to skip the ranking fit.
+        n_threads: bagging parallelism of every fit; results do not
+            depend on it.
 
     Returns:
-        RfaTrace, carrying the last step's model. threshold_met is False
-        when the loop exhausted its sensor budget without reaching the
-        threshold.
+        RfaTrace, carrying the ranking and the last step's model.
+        threshold_met is False when the loop exhausted its sensor budget
+        without reaching the threshold.
     """
     from .ensembles import evaluate, fit_ensemble, rank_features
     from .robustness import inject_awgn
 
     if train.schema != test.schema:
         raise InvalidValueError("train and test schemas differ")
+    n_classes = max(train.n_classes, test.n_classes)
 
-    if ranking is None:
-        full_model = fit_ensemble(
-            train.values,
-            train.labels,
+    def fit(data: Dataset) -> EnsembleModel:
+        return fit_ensemble(
+            data.values,
+            data.labels,
             ensemble_cfg,
             master_seed,
-            train.symbols,
-            n_classes=max(train.n_classes, test.n_classes),
+            data.symbols,
+            n_classes=n_classes,
+            n_threads=n_threads,
         )
-        ranking = rank_features(full_model)
+
+    ranking = rank_features(fit(train))
     if not ranking:
         raise EmptyRankingError("sensor ranking is empty")
 
     ranked_symbols = tuple(s for s, _ in ranking)
-    importances = tuple(float(v) for _, v in ranking)
+    importances = tuple(v for _, v in ranking)
     top_sensor = ranked_symbols[0]
-    n_classes = max(train.n_classes, test.n_classes)
     limit = len(ranked_symbols)
     if rfa_cfg.max_sensors is not None:
         limit = min(limit, rfa_cfg.max_sensors)
@@ -158,16 +161,8 @@ def run_rfa(
     threshold_met = False
     for k in range(1, limit + 1):
         subset = [train.sensor_index(s) for s in ranked_symbols[:k]]
-        train_k = train.select_sensors(subset)
+        model = fit(train.select_sensors(subset))
         test_k = test.select_sensors(subset)
-        model = fit_ensemble(
-            train_k.values,
-            train_k.labels,
-            ensemble_cfg,
-            master_seed,
-            train_k.symbols,
-            n_classes=n_classes,
-        )
         clean = evaluate(model, test_k).macro_f1
         probe = inject_awgn(
             test_k, top_sensor, rfa_cfg.noise_snr_db, derive_seed(master_seed, "rfa-noise", k)

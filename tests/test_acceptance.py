@@ -252,7 +252,7 @@ def test_criterion_6_pipeline_selection_and_noise_ordering(capsys, tmp_path):
             assert result.trace.threshold_met
             assert len(result.trace.selected) <= 8
 
-            top4 = {name for name, _ in result.ranking[:4]}
+            top4 = set(result.trace.ranking[:4])
             assert len(top4 & {"T_FI", "T_FO", "T_C"}) >= 2
 
             baseline = result.robustness.baseline.macro_f1

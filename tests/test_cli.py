@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from fddsense.cli import main
-from fddsense.dataset import load_dataset, write_csv
+from fddsense.dataset import Dataset, load_dataset, write_csv
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 
@@ -80,6 +80,38 @@ class TestTrainCommand:
         assert not model_path.exists()
 
 
+    def test_label_outside_the_fault_classes_fails_cleanly(self, tmp_path):
+        """Class ids stop at 6, so a label of 3000 cannot inflate the model
+        to 3001 classes."""
+        data = tmp_path / "data.csv"
+        data.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.5,2.5,0\n3.0,4.0,3000\n3.5,4.5,3000\n")
+        model_path = tmp_path / "model.json"
+        result = invoke("train", "--data", str(data), "--model-out", str(model_path))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: MalformedRowError: malformed cells: row 2 col 'class', row 3 col 'class'"
+        ]
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "edit, cells",
+        [
+            (lambda line: b'"' + line, "row 1 (unreadable CSV: field larger than field limit (131072))"),
+            (lambda line: b"\xff" + line, "row 1 col 'W1'"),
+        ],
+        ids=["stray-quote", "xff-byte"],
+    )
+    def test_unreadable_csv_fails_cleanly(self, tmp_path, edit, cells):
+        data = make_csv(tmp_path, n_rows=3000)
+        lines = data.read_bytes().split(b"\n")
+        lines[2] = edit(lines[2])
+        data.write_bytes(b"\n".join(lines))
+        model_path = tmp_path / "model.json"
+        result = invoke("train", "--data", str(data), "--model-out", str(model_path))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: MalformedRowError: malformed cells: {cells}"]
+        assert not model_path.exists()
+
 class TestImportanceCommand:
     def test_prints_ranking(self, tmp_path):
         data = make_csv(tmp_path)
@@ -141,6 +173,29 @@ class TestRobustnessCommand:
         assert ":failure" in result.output
         payload = json.loads((tmp_path / "rob" / "robustness.json").read_text())
         assert len(payload["scenarios"]) == 3
+
+    def test_dead_top_sensor_is_a_scenario_result(self, tmp_path):
+        data = make_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        invoke("train", "--data", str(data), "--model-out", str(model_path), "--trees", "5")
+        top = invoke("importance", "--model", str(model_path), "--top", "1").output.split()[1]
+        table = load_dataset(data)
+        values = table.values.copy()
+        values[:, table.sensor_index(top)] = 0.0
+        dead = tmp_path / "dead.csv"
+        write_csv(Dataset(table.schema, values, table.labels), dead)
+        result = invoke(
+            "robustness", "--model", str(model_path), "--data", str(dead),
+            "--snr", "3", "--fail-sensor", "--out", str(tmp_path / "rob"),
+        )
+        assert result.exit_code == 0
+        baseline = result.output.splitlines()[0].split()[-1]
+        assert result.output.splitlines()[1:3] == [
+            f"{top}:awgn@3dB: macro-F1 {baseline}",
+            f"{top}:failure: macro-F1 {baseline}",
+        ]
+        payload = json.loads((tmp_path / "rob" / "robustness.json").read_text())
+        assert payload["scenarios"][0]["measured_snr_db"] is None
 
     def test_pipeline_model_scores_its_source_csv(self, tmp_path):
         data = make_csv(tmp_path, n_rows=2500, seed=2)

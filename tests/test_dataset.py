@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -127,14 +129,19 @@ class TestCsvRoundTrip:
         assert (3, "class") in cells
 
     def test_negative_label_is_a_malformed_cell(self, tmp_path):
-        """So is a label beyond int64, which int() accepts."""
+        """So is a label beyond int64, which int() accepts, and any label
+        that is not a fault class id."""
         path = tmp_path / "bad.csv"
         path.write_text(f"T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,-1\n1.0,2.0,1\n1.0,2.0,{2**63}\n")
         with pytest.raises(MalformedRowError) as info:
             load_dataset(path)
         assert info.value.cells == [(1, "class"), (3, "class")]
-        path.write_text(f"T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,{2**63 - 1}\n")
-        assert load_dataset(path).labels.tolist() == [0, 2**63 - 1]
+        path.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,7\n")
+        with pytest.raises(MalformedRowError) as info:
+            load_dataset(path)
+        assert info.value.cells == [(1, "class")]
+        path.write_text("T_FI,T_FO,class\n1.0,2.0,0\n1.0,2.0,6\n")
+        assert load_dataset(path).labels.tolist() == [0, 6]
 
     def test_nonfinite_cells_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -188,25 +195,25 @@ class TestUndersampling:
 class TestSplitting:
     def test_disjoint_and_exhaustive(self):
         d = small_dataset(n=500, seed=2)
-        pair = split_train_test(d, 0.75, seed=3)
-        assert pair.train.n_rows + pair.test.n_rows == d.n_rows
-        combined = np.vstack([pair.train.values, pair.test.values])
+        train, test = split_train_test(d, 0.75, seed=3)
+        assert train.n_rows + test.n_rows == d.n_rows
+        combined = np.vstack([train.values, test.values])
         assert np.array_equal(
             np.sort(combined, axis=0), np.sort(d.values, axis=0)
         )
 
     def test_stratified_floor_per_class(self):
         d = small_dataset(n=500, seed=2)
-        pair = split_train_test(d, 0.6, seed=3)
+        train, _ = split_train_test(d, 0.6, seed=3)
         for class_id, count in d.class_counts().items():
             expected = int(np.floor(0.6 * count))
-            assert pair.train.class_counts().get(class_id, 0) == expected
+            assert train.class_counts().get(class_id, 0) == expected
 
     def test_deterministic_per_seed(self):
         d = small_dataset(n=500, seed=2)
-        a = split_train_test(d, 0.75, seed=8)
-        b = split_train_test(d, 0.75, seed=8)
-        assert np.array_equal(a.train.values, b.train.values)
+        a, _ = split_train_test(d, 0.75, seed=8)
+        b, _ = split_train_test(d, 0.75, seed=8)
+        assert np.array_equal(a.values, b.values)
 
     def test_degenerate_fraction_rejected(self):
         d = small_dataset()
@@ -221,3 +228,112 @@ class TestSplitting:
         trimmed = d.take_rows(np.sort(np.concatenate([keep, one_row_of_6])))
         with pytest.raises(ClassTooSmallError):
             split_train_test(trimmed, 0.75)
+
+
+# Seeded CSV fuzzing.  Each edit changes one cell, or for "drop-comma" one
+# line, of a valid table that is longer than the csv module's 131072-char
+# field limit, so that a stray quote early on overflows it.
+_REPLACEMENTS = (b"abc", b"", b"nan", b"inf", b"1e400", b"-1", b"7", b"1.5")
+
+
+def _insert(piece):
+    def edit(cell, rng):
+        k = int(rng.integers(0, len(cell) + 1))
+        return cell[:k] + piece + cell[k:]
+
+    return edit
+
+
+_CELL_EDITS = {
+    **{
+        "replace-" + (text.decode() or "empty"): (lambda cell, rng, text=text: text)
+        for text in _REPLACEMENTS
+    },
+    "stray-quote": lambda cell, rng: b'"' + cell,
+    "nul": _insert(b"\x00"),
+    "xff": _insert(b"\xff"),
+    "extra-comma": _insert(b","),
+}
+# These edits leave the row's cells in place, so the error names the cell.
+_NAMES_THE_CELL = {"nul", "xff"} | {k for k in _CELL_EDITS if k.startswith("replace-")}
+
+
+def _loads_as_number(text: bytes) -> bool:
+    try:
+        return np.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "table.csv"
+    write_csv(small_dataset(n=400, seed=9), path)
+    text = path.read_bytes()
+    assert len(text) > 2 * 131072
+    return text
+
+
+class TestCsvFuzz:
+    @pytest.mark.parametrize("kind", sorted([*_CELL_EDITS, "drop-comma"]))
+    def test_mutations_raise_only_fdd_errors(self, tmp_path, fuzz_table, kind):
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
+        lines = fuzz_table.split(b"\n")  # the last entry is empty
+        header = lines[0].decode().split(",")
+        path = tmp_path / "mutated.csv"
+        for _ in range(20):
+            line_no = int(rng.integers(0, len(lines) - 1))
+            cells = lines[line_no].split(b",")
+            if kind == "drop-comma":
+                col = int(rng.integers(0, len(cells) - 1))
+                cells[col : col + 2] = [cells[col] + cells[col + 1]]
+            else:
+                col = int(rng.integers(0, len(cells)))
+                cells[col] = _CELL_EDITS[kind](cells[col], rng)
+            edited = cells[col]
+            path.write_bytes(b"\n".join([*lines[:line_no], b",".join(cells), *lines[line_no + 1 :]]))
+            case = f"{kind} at line {line_no} col {header[col]!r}"
+            try:
+                loaded = load_dataset(path)
+            except FddError as exc:
+                error = exc
+            else:
+                error = None
+            if line_no == 0:
+                assert isinstance(error, SchemaMismatchError), case
+                continue
+            row = line_no - 1
+            if error is None:
+                # A number where a sensor reading belongs is no error.
+                assert kind.startswith("replace-"), case
+                assert header[col] != "class" and _loads_as_number(edited), case
+                assert loaded.values[row, col] == float(edited), case
+                continue
+            assert isinstance(error, MalformedRowError), case
+            if kind in _NAMES_THE_CELL:
+                assert error.cells == [(row, header[col])], case
+            else:
+                assert [r for r, _ in error.cells] == [row], case
+
+    def test_stray_quote_names_the_row_where_reading_stopped(self, tmp_path, fuzz_table):
+        lines = fuzz_table.split(b"\n")
+        lines[6] = b'"' + lines[6]
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(MalformedRowError) as info:
+            load_dataset(path)
+        assert info.value.cells == [(5, None)]
+        assert "field larger than field limit" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line, why",
+        [('"1.0"5,2.0,0', "',' expected after '\"'"), ('1.0,2.0,"0', "unexpected end of data")],
+        ids=["text-after-closing-quote", "quote-open-at-end"],
+    )
+    def test_quotes_never_merge_into_a_number(self, tmp_path, line, why):
+        path = tmp_path / "quoted.csv"
+        path.write_text(f"T_FI,T_FO,class\n1.0,2.0,1\n{line}\n")
+        with pytest.raises(MalformedRowError) as info:
+            load_dataset(path)
+        assert info.value.cells == [(1, None)]
+        assert why in str(info.value)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fddsense import ensembles
-from fddsense.dataset import FAULT_CLASSES, SplitPair
+from fddsense.dataset import FAULT_CLASSES
 from fddsense.ensembles import (
     EnsembleConfig,
     EnsembleModel,
@@ -505,11 +505,7 @@ class TestFddErrors:
     def test_bad_arguments_are_fdd_errors(self):
         """Each bad argument raises an InvalidValueError, which except
         FddError catches."""
-        d = training_data(n=300)
-        model = _model(hand_model_a().trees)
-        other_schema = d.select_sensors([1, 0, 2, 3])
         calls = {
-            "SplitPair schemas": lambda: SplitPair(train=d, test=other_schema, seed=0, train_fraction=0.5),
             "gini_impurity counts": lambda: gini_impurity([3, -1]),
             "fit_tree x": lambda: fit_tree(np.zeros(5), np.zeros(5, dtype=int), TreeConfig()),
         }

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -374,28 +375,45 @@ class TestRunPipeline:
         assert calls["evaluate"] == 2 * steps + 1 + len(result.robustness.scenarios)
         assert result.report is result.robustness.baseline
 
+    def test_every_fit_of_a_study_gets_n_threads(self, tmp_path, monkeypatch):
+        real = ensembles.fit_ensemble
+        threads = []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            threads.append(bound.arguments["n_threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "fit_ensemble", recording)
+        cfg = parse_config(
+            None, {**SMALL, "seed": 4, "n_threads": 3, "out_dir": str(tmp_path / "out")}
+        )
+        result = run_pipeline(cfg)
+        # The ranking fit, then one fit per RFA step.
+        assert threads == [cfg.n_threads] * (1 + len(result.trace.steps))
+
     @pytest.mark.parametrize(
         "ensemble", [{}, {"method": "boosting", "n_trees": 2}], ids=["bagging", "boosting"]
     )
     def test_final_model_is_a_fresh_fit_on_the_selected_sensors(self, tmp_path, ensemble):
         cfg = parse_config(None, {**SMALL, **ensemble, "seed": 6, "out_dir": str(tmp_path / "out")})
         result = run_pipeline(cfg)
-        assert result.final_model is result.trace.model
         data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
         data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
-        pair = split_train_test(
+        train, test = split_train_test(
             data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split")
         )
-        train = pair.train.select_sensors(
-            [pair.train.sensor_index(s) for s in result.trace.selected]
+        train_sel = train.select_sensors(
+            [train.sensor_index(s) for s in result.trace.selected]
         )
         fresh = fit_ensemble(
-            train.values,
-            train.labels,
-            cfg.ensemble_config(pair.train.n_sensors),
+            train_sel.values,
+            train_sel.labels,
+            cfg.ensemble_config(train.n_sensors),
             derive_seed(cfg.seed, "model"),
-            train.symbols,
-            n_classes=max(pair.train.n_classes, pair.test.n_classes),
+            train_sel.symbols,
+            n_classes=max(train.n_classes, test.n_classes),
         )
-        assert model_json_text(result.final_model) == model_json_text(fresh)
+        assert model_json_text(result.trace.model) == model_json_text(fresh)
         assert result.artifact_paths["model"].read_text() == model_json_text(fresh)

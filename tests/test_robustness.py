@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fddsense.dataset import Dataset
 from fddsense.ensembles import EnsembleConfig, fit_ensemble
 from fddsense.errors import EmptyVectorError, FddError, UnknownSensorError, ZeroSignalError
 from fddsense.robustness import (
@@ -55,6 +56,12 @@ class TestAwgn:
         for target in (0.0, 3.0, 10.0):
             _, measured = awgn_for(x, target, seed=11)
             assert abs(measured - target) < 0.3
+
+    def test_zero_power_signal_comes_back_unchanged(self):
+        x = np.zeros(50)
+        noisy, measured = awgn_for(x, 3.0, seed=4)
+        assert np.array_equal(noisy, x) and noisy is not x
+        assert math.isnan(measured)
 
     def test_deterministic_per_seed(self):
         x = np.linspace(1, 10, 500)
@@ -160,3 +167,15 @@ class TestScenarios:
         assert rows[2][0] == "T_FI" and rows[2][1] == "awgn"
         assert rows[3][1] == "failure" and rows[3][3] == ""
         assert float(rows[2][4]) == report.scenarios[0].macro_f1
+
+    def test_dead_target_sensor_scores_as_the_baseline(self):
+        model, test = _fitted_model_and_test()
+        values = test.values.copy()
+        values[:, test.sensor_index("T_FI")] = 0.0
+        dead = Dataset(test.schema, values, test.labels)
+        report = run_scenarios(model, dead, [NoiseSpec("T_FI", AWGN, 3.0)], seed=0)
+        (row,) = report.scenarios
+        assert math.isnan(row.measured_snr_db)
+        assert (row.macro_f1, row.accuracy) == (report.baseline.macro_f1, report.baseline.accuracy)
+        assert report.to_json_dict()["scenarios"][0]["measured_snr_db"] is None
+        assert report.to_csv_rows()[2][3] == ""

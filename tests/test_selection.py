@@ -37,8 +37,8 @@ class TestConfigValidation:
 
 class TestRfaLoop:
     def test_stops_at_threshold_with_few_sensors(self):
-        pair = study_data()
-        trace = run_rfa(pair.train, pair.test, ENS, 42, RfaConfig(threshold=0.95))
+        train, test = study_data()
+        trace = run_rfa(train, test, ENS, 42, RfaConfig(threshold=0.95))
         assert trace.threshold_met
         assert len(trace.selected) <= 6
         assert trace.steps[-1].clean_f1 >= 0.95
@@ -47,62 +47,47 @@ class TestRfaLoop:
             assert step.clean_f1 < 0.95
 
     def test_selected_is_ranking_prefix(self):
-        pair = study_data()
-        trace = run_rfa(pair.train, pair.test, ENS, 42, RfaConfig(threshold=0.95))
+        train, test = study_data()
+        trace = run_rfa(train, test, ENS, 42, RfaConfig(threshold=0.95))
         assert trace.selected == trace.ranking[: len(trace.selected)]
-        assert set(trace.ranking) == set(pair.train.symbols)
+        assert set(trace.ranking) == set(train.symbols)
         assert [s.sensor_count for s in trace.steps] == list(range(1, len(trace.steps) + 1))
         assert [s.added_sensor for s in trace.steps] == list(trace.selected)
 
     def test_sensor_budget_exhaustion(self):
-        pair = study_data()
+        train, test = study_data()
         cfg = RfaConfig(threshold=0.999999, max_sensors=2)
-        trace = run_rfa(pair.train, pair.test, ENS, 42, cfg)
+        trace = run_rfa(train, test, ENS, 42, cfg)
         assert not trace.threshold_met
         assert len(trace.steps) == 2
         assert len(trace.selected) == 2
 
     def test_noise_probe_targets_top_sensor(self):
-        pair = study_data()
+        train, test = study_data()
         cfg = RfaConfig(threshold=0.95, noise_snr_db=0.0)
-        trace = run_rfa(pair.train, pair.test, ENS, 42, cfg)
+        trace = run_rfa(train, test, ENS, 42, cfg)
         # Heavy noise on the most important sensor must cost accuracy by
         # the time that sensor is load-bearing.
         final = trace.steps[-1]
         assert final.noisy_f1 < final.clean_f1
 
     def test_deterministic(self):
-        pair = study_data()
-        a = run_rfa(pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95))
-        b = run_rfa(pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95))
+        train, test = study_data()
+        a = run_rfa(train, test, ENS, 7, RfaConfig(threshold=0.95))
+        b = run_rfa(train, test, ENS, 7, RfaConfig(threshold=0.95))
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_precomputed_ranking_matches_auto(self):
-        from fddsense.ensembles import fit_ensemble, rank_features
-
-        pair = study_data()
-        model = fit_ensemble(
-            pair.train.values, pair.train.labels, ENS, 7, pair.train.symbols,
-            n_classes=max(pair.train.n_classes, pair.test.n_classes),
-        )
-        ranking = rank_features(model)
-        auto = run_rfa(pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95))
-        manual = run_rfa(
-            pair.train, pair.test, ENS, 7, RfaConfig(threshold=0.95), ranking=ranking
-        )
-        assert auto.to_json_dict() == manual.to_json_dict()
-
     def test_schema_mismatch_rejected(self):
-        pair = study_data()
-        test_subset = pair.test.select_sensors(range(5))
+        train, test = study_data()
+        test_subset = test.select_sensors(range(5))
         with pytest.raises(InvalidValueError):
-            run_rfa(pair.train, test_subset, ENS, 7, RfaConfig())
+            run_rfa(train, test_subset, ENS, 7, RfaConfig())
 
 
 class TestTraceSerialization:
     def test_json_and_csv_shapes(self):
-        pair = study_data()
-        trace = run_rfa(pair.train, pair.test, ENS, 42, RfaConfig(threshold=0.95))
+        train, test = study_data()
+        trace = run_rfa(train, test, ENS, 42, RfaConfig(threshold=0.95))
         payload = trace.to_json_dict()
         assert payload["threshold"] == 0.95
         assert payload["threshold_met"] is True
