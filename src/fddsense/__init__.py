@@ -36,7 +36,6 @@ from .metrics import ClassReport, build_report, confusion_matrix, macro_f1, per_
 from .pipeline import PipelineConfig, PipelineResult, parse_config, run_pipeline
 from .robustness import (
     NoiseSpec,
-    PerturbedTestSet,
     RobustnessReport,
     fail_sensor,
     inject_awgn,
@@ -63,7 +62,6 @@ __all__ = [
     "FddError",
     "GeneratorConfig",
     "NoiseSpec",
-    "PerturbedTestSet",
     "PipelineConfig",
     "PipelineResult",
     "RfaConfig",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from .dataset import load_dataset, split_train_test, write_csv
+from .dataset import load_dataset, write_csv
 from .ensembles import (
     evaluate,
     fit_ensemble,
@@ -23,11 +23,11 @@ from .ensembles import (
     save_model,
 )
 from .errors import FddError
-from .fileio import atomic_write_text, write_csv_rows, write_json
+from .fileio import atomic_write_text
 from .pipeline import DEFAULT_SNR_LEVELS, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .robustness import AWGN, FAILURE, NoiseSpec, run_scenarios
+from .pipeline import _probe, _select, _write_pair
 from .seeding import derive_seed
-from .selection import RfaConfig, run_rfa
+from .selection import RfaConfig
 from .simgen import GeneratorConfig, generate_dataset
 
 
@@ -195,13 +195,15 @@ def importance(model_path, top):
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write trace artifacts here.")
 @_with_ensemble_options
 def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_dir, **ensemble_fields):
-    """Rank sensors, then grow the smallest set meeting the threshold."""
+    """Rank sensors, then grow the smallest set meeting the threshold.
+
+    Runs the pipeline's data, rebalance, split and selection stages, so
+    the trace is the pipeline's for the same CSV, seed and flags."""
     try:
-        data = load_dataset(data_path)
-        train, test = split_train_test(data, train_fraction, seed=derive_seed(seed, "split"))
-        cfg = PipelineConfig(**ensemble_fields).ensemble_config(data.n_sensors)
         rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, noise_snr_db=snr_probe)
-        trace = run_rfa(train, test, cfg, derive_seed(seed, "model"), rfa_cfg)
+        cfg = PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
+                             rfa=rfa_cfg, **ensemble_fields)
+        _, trace = _select(cfg, lambda stage: None)
     except (FddError, OSError) as exc:
         raise _fail(exc)
     for step in trace.steps:
@@ -214,8 +216,7 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "rfa_trace.json", trace.to_json_dict())
-        write_csv_rows(out / "rfa_trace.csv", trace.to_csv_rows())
+        _write_pair(out, "rfa_trace", trace)
         atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
         click.echo(f"artifacts: {out}")
 
@@ -234,16 +235,9 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     try:
         model = load_model(model_path)
         data = load_dataset(data_path)
-        if data.symbols != model.feature_names:
-            # A wider table, such as the pipeline's source CSV: score the
-            # model's own sensors, picked by name.
-            data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
         if sensor is None:
             sensor = rank_features(model)[0][0]
-        specs = [NoiseSpec(sensor=sensor, mode=AWGN, snr_db=v) for v in levels]
-        if fail_sensor:
-            specs.append(NoiseSpec(sensor=sensor, mode=FAILURE))
-        report = run_scenarios(model, data, specs, derive_seed(seed, "robustness"))
+        report = _probe(model, data, sensor, levels, fail_sensor, derive_seed(seed, "robustness"))
     except (FddError, OSError) as exc:
         raise _fail(exc)
     click.echo(f"baseline: macro-F1 {report.baseline.macro_f1:.4f}")
@@ -253,8 +247,7 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "robustness.json", report.to_json_dict())
-        write_csv_rows(out / "robustness.csv", report.to_csv_rows())
+        _write_pair(out, "robustness", report)
         click.echo(f"artifacts: {out}")
 
 

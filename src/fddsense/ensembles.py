@@ -29,7 +29,7 @@ from .errors import (
     SchemaMismatchError,
     SingleClassError,
 )
-from .fileio import _of_kind, canonical_json, write_json
+from .fileio import _of_kind, _read_json, canonical_json, write_json
 from .metrics import ClassReport, build_report
 from .seeding import derive_seed
 from .trees import (
@@ -399,14 +399,7 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(_read_json(path, ModelFormatError, "model file"))
 
 
 def model_json_text(model: EnsembleModel) -> str:

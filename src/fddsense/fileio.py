@@ -67,3 +67,30 @@ def write_csv_rows(path: str | Path, rows: list[list[str]]) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     atomic_write_text(path, buffer.getvalue())
+
+
+def _cell(value) -> str:
+    """One CSV cell of a JSON record value: a float is its repr, None an
+    empty cell, and anything else its str."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_rows(records: list[dict]) -> list[list[str]]:
+    """CSV rows of JSON records that share their keys: the keys as a
+    header, then one row of cells per record."""
+    return [list(records[0])] + [[_cell(v) for v in record.values()] for record in records]
+
+
+def _read_json(path: str | Path, error: type, what: str):
+    """The JSON value in the file at path.  OSError propagates; a file
+    that is not UTF-8 JSON, or that nests too deep to parse, raises error
+    with a message that starts with what."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, a huge integer, deep nesting
+        raise error(f"{what} is not readable JSON: {type(exc).__name__}: {exc}") from exc

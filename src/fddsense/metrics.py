@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMatrixError, LabelOutOfRangeError, LengthMismatchError
+from .fileio import _csv_rows
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int | None = None) -> np.ndarray:
@@ -102,18 +103,11 @@ class ClassReport:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["class", "precision", "recall", "f1", "support"]]
-        for i, name in enumerate(self.class_names):
-            rows.append(
-                [
-                    name,
-                    repr(float(self.precision[i])),
-                    repr(float(self.recall[i])),
-                    repr(float(self.f1[i])),
-                    str(int(self.support[i])),
-                ]
-            )
-        rows.append(["macro", "", "", repr(self.macro_f1), str(int(self.support.sum()))])
+        """One row per class from the JSON records, then a macro row."""
+        macro = {"name": "macro", "precision": None, "recall": None, "f1": self.macro_f1,
+                 "support": int(self.support.sum())}
+        rows = _csv_rows(self.to_json_dict()["classes"] + [macro])
+        rows[0][0] = "class"  # the CSV's name for the records' "name"
         return rows
 
 

@@ -19,17 +19,17 @@ import os
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .dataset import load_dataset, split_train_test, undersample_majority
+from .dataset import Dataset, load_dataset, split_train_test, undersample_majority
 from .ensembles import BAGGING, BOOSTING, EnsembleConfig, model_to_dict
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
 from .errors import ConfigParseError, InvalidValueError
-from .fileio import _of_kind, atomic_write_text, write_csv_rows, write_json
+from .fileio import _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
-from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, run_scenarios
+from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, _snr_ratio, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
@@ -165,6 +165,13 @@ class PipelineConfig:
         if self.n_threads < 1:
             raise InvalidValueError("n_threads must be >= 1")
         object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
+        snr_keys = {"robustness.snr_db": self.snr_levels, "rfa.noise_snr_db": [self.rfa.noise_snr_db]}
+        for name, levels in snr_keys.items():
+            for level in levels:
+                if _snr_ratio(level) is None:
+                    raise InvalidValueError(
+                        f"{name} {level!r} is out of range: 10^(snr/10) must be a finite positive float"
+                    )
         # Build the ensemble recipe once now, so that a bad ensemble setting
         # fails in parse_config rather than at stage selection.  The sensor count
         # only resolves "sqrt", and no check depends on it.
@@ -215,8 +222,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
     its key's type.
 
     Raises:
-        ConfigParseError: file unreadable or not valid JSON (the message
-            carries line and column).
+        ConfigParseError: file unreadable or not valid UTF-8 JSON (the
+            message carries line and column where it can).
         InvalidValueError: unknown keys, wrong-typed or out-of-range
             values; the message names the key.
     """
@@ -227,16 +234,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            loaded = _read_json(path, ConfigParseError, f"config file {path}")
         except OSError as exc:
             raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(
-                f"config file {path} is not valid JSON: {exc.msg} "
-                f"at line {exc.lineno} column {exc.colno}"
-            ) from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError(f"config file {path} must hold a JSON object")
         _merge(loaded, "", {key.path: key for key in _SCHEMA}, merged, "config")
@@ -361,6 +361,50 @@ def _chart_svg(trace: RfaTrace) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> tuple[Dataset, RfaTrace]:
+    """Run the stages data, rebalance, split and selection: (test set,
+    trace).  enter is called with each stage's name as the stage starts."""
+    enter("data")
+    if cfg.data_path is not None:
+        data = load_dataset(cfg.data_path)
+    else:
+        data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
+
+    enter("rebalance")
+    if cfg.undersample:
+        data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
+
+    enter("split")
+    train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
+
+    enter("selection")
+    trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"),
+                    cfg.rfa, n_threads=cfg.n_threads)
+    return test, trace
+
+
+def _probe(model, data: Dataset, sensor: str, snr_levels, include_failure: bool,
+           seed: int) -> RobustnessReport:
+    """Score model on its own sensors of data, picked by name: clean, with
+    noise on sensor at each SNR level, and with sensor dead if
+    include_failure."""
+    if data.symbols != model.feature_names:
+        data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
+    specs = [NoiseSpec(sensor=sensor, mode=AWGN, snr_db=level) for level in snr_levels]
+    if include_failure:
+        specs.append(NoiseSpec(sensor=sensor, mode=FAILURE))
+    return run_scenarios(model, data, specs, seed)
+
+
+def _write_pair(out_dir: Path, name: str, result) -> dict[str, Path]:
+    """Write result's JSON record to <name>.json and its CSV rows to
+    <name>.csv under out_dir; returns their artifact_paths entries."""
+    paths = {f"{name}_json": out_dir / f"{name}.json", f"{name}_csv": out_dir / f"{name}.csv"}
+    write_json(paths[f"{name}_json"], result.to_json_dict())
+    write_csv_rows(paths[f"{name}_csv"], result.to_csv_rows())
+    return paths
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Execute every stage and write all artifacts under cfg.out_dir.
 
@@ -369,91 +413,38 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stage = "setup"
+    stages = ["setup"]
     try:
-        stage = "data"
-        if cfg.data_path is not None:
-            data = load_dataset(cfg.data_path)
-        else:
-            data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
+        test, trace = _select(cfg, stages.append)
 
-        stage = "rebalance"
-        if cfg.undersample:
-            data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
-
-        stage = "split"
-        train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
-
-        stage = "selection"
-        trace = run_rfa(
-            train,
-            test,
-            cfg.ensemble_config(train.n_sensors),
-            derive_seed(cfg.seed, "model"),
-            cfg.rfa,
-            n_threads=cfg.n_threads,
-        )
-
-        stage = "robustness"
-        test_sel = test.select_sensors([test.sensor_index(s) for s in trace.selected])
-        top_sensor = trace.ranking[0]
-        specs = [
-            NoiseSpec(sensor=top_sensor, mode=AWGN, snr_db=level)
-            for level in cfg.snr_levels
-        ]
-        if cfg.include_failure:
-            specs.append(NoiseSpec(sensor=top_sensor, mode=FAILURE))
-        robustness = run_scenarios(
-            trace.model, test_sel, specs, derive_seed(cfg.seed, "robustness")
-        )
+        stages.append("robustness")
+        robustness = _probe(trace.model, test, trace.ranking[0], cfg.snr_levels,
+                            cfg.include_failure, derive_seed(cfg.seed, "robustness"))
         report = robustness.baseline
 
-        stage = "artifacts"
+        stages.append("artifacts")
         paths = {
             "config": out_dir / "config.json",
             "model": out_dir / "model.json",
             "importance": out_dir / "importance.json",
-            "rfa_trace_json": out_dir / "rfa_trace.json",
-            "rfa_trace_csv": out_dir / "rfa_trace.csv",
-            "robustness_json": out_dir / "robustness.json",
-            "robustness_csv": out_dir / "robustness.csv",
-            "class_report_json": out_dir / "class_report.json",
-            "class_report_csv": out_dir / "class_report.csv",
+            **_write_pair(out_dir, "rfa_trace", trace),
+            **_write_pair(out_dir, "robustness", robustness),
+            **_write_pair(out_dir, "class_report", report),
             "chart": out_dir / "rfa_curves.svg",
         }
         write_json(paths["config"], cfg.to_json_dict())
         write_json(paths["model"], model_to_dict(trace.model))
-        trace_json = trace.to_json_dict()
-        write_json(
-            paths["importance"],
-            {
-                "mode": "impurity",  # the one measure; kept so the format stays
-                "ranking": trace_json["ranking"],
-            },
-        )
-        write_json(paths["rfa_trace_json"], trace_json)
-        write_csv_rows(paths["rfa_trace_csv"], trace.to_csv_rows())
-        write_json(paths["robustness_json"], robustness.to_json_dict())
-        write_csv_rows(paths["robustness_csv"], robustness.to_csv_rows())
-        write_json(paths["class_report_json"], report.to_json_dict())
-        write_csv_rows(paths["class_report_csv"], report.to_csv_rows())
+        # "mode" names the one importance measure; kept so the format stays.
+        write_json(paths["importance"], {"mode": "impurity", "ranking": trace.to_json_dict()["ranking"]})
         atomic_write_text(paths["chart"], _chart_svg(trace))
-        stale_error = out_dir / "error.json"
-        if stale_error.exists():
-            stale_error.unlink()
+        (out_dir / "error.json").unlink(missing_ok=True)
     except Exception as exc:
-        payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
+        payload = {"stage": stages[-1], "error": type(exc).__name__, "message": str(exc)}
         try:
             write_json(out_dir / "error.json", payload)
         except OSError:
             pass
         raise
 
-    return PipelineResult(
-        config=cfg,
-        trace=trace,
-        report=report,
-        robustness=robustness,
-        out_dir=out_dir,
-        artifact_paths=paths,
-    )
+    return PipelineResult(config=cfg, trace=trace, report=report, robustness=robustness,
+                          out_dir=out_dir, artifact_paths=paths)

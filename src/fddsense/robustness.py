@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
+from .fileio import _csv_rows
 from .metrics import ClassReport
 from .seeding import derive_seed
 
@@ -33,8 +34,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.mode == AWGN:
-            if self.snr_db is None or not math.isfinite(self.snr_db):
-                raise InvalidValueError("awgn mode needs a finite snr_db")
+            if _snr_ratio(self.snr_db) is None:
+                raise InvalidValueError(f"awgn mode needs an snr_db whose power ratio "
+                                        f"10^(snr_db/10) is a finite positive float, got {self.snr_db!r}")
+            object.__setattr__(self, "snr_db", float(self.snr_db))
         elif self.mode == FAILURE:
             if self.snr_db is not None:
                 raise InvalidValueError("failure mode takes no snr_db")
@@ -45,6 +48,16 @@ class NoiseSpec:
         if self.mode == FAILURE:
             return f"{self.sensor}:failure"
         return f"{self.sensor}:awgn@{self.snr_db:g}dB"
+
+
+def _snr_ratio(snr_db) -> float | None:
+    """The power ratio 10^(snr_db / 10), or None if it is not a finite
+    positive float (below about -3236 dB or above 3082 dB)."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except (OverflowError, TypeError):
+        return None
+    return ratio if 0.0 < ratio < math.inf else None
 
 
 def signal_power(x) -> float:
@@ -59,7 +72,11 @@ def noise_power_for_snr(p_signal: float, snr_db: float) -> float:
     """Noise power that puts the given signal power at snr_db decibels."""
     if p_signal <= 0.0:
         raise ZeroSignalError("cannot set an SNR against a zero-power signal")
-    return p_signal / (10.0 ** (snr_db / 10.0))
+    ratio = _snr_ratio(snr_db)
+    p_noise = math.nan if ratio is None else p_signal / ratio
+    if not 0.0 < p_noise < math.inf:
+        raise InvalidValueError(f"no finite positive noise power puts power {p_signal!r} at {snr_db!r} dB")
+    return p_noise
 
 
 def awgn_for(x, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
@@ -78,47 +95,30 @@ def awgn_for(x, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
     p_noise = noise_power_for_snr(p_signal, snr_db)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(p_noise), x.shape[0])
-    p_noise_emp = float(np.mean(noise * noise))
+    with np.errstate(over="ignore"):
+        p_noise_emp = float(np.mean(noise * noise))
+    if p_noise_emp == math.inf:
+        raise InvalidValueError(f"noise at {snr_db!r} dB overflows against a signal of power {p_signal!r}")
     measured = math.inf if p_noise_emp == 0.0 else 10.0 * math.log10(p_signal / p_noise_emp)
     return x + noise, measured
 
 
-@dataclass(frozen=True)
-class PerturbedTestSet:
-    """A test set with one sensor degraded, plus the realised SNR.
-
-    measured_snr_db is -inf for failure scenarios (zero surviving signal
-    is treated as all noise) and NaN for noise on a zero-power column.
-    """
-
-    data: Dataset
-    spec: NoiseSpec
-    measured_snr_db: float
-
-
-def inject_awgn(data: Dataset, sensor: str, snr_db: float, seed: int) -> PerturbedTestSet:
-    """Dataset copy with white Gaussian noise added to one sensor column."""
+def inject_awgn(data: Dataset, sensor: str, snr_db: float, seed: int) -> tuple[Dataset, float]:
+    """(dataset copy with white Gaussian noise added to one sensor column,
+    measured SNR in dB); the SNR is NaN for a zero-power column."""
     column = data.sensor_index(sensor)
     values = data.values.copy()
-    noisy, measured = awgn_for(values[:, column], snr_db, seed)
-    values[:, column] = noisy
-    return PerturbedTestSet(
-        data=Dataset(data.schema, values, data.labels),
-        spec=NoiseSpec(sensor=sensor, mode=AWGN, snr_db=float(snr_db)),
-        measured_snr_db=measured,
-    )
+    values[:, column], measured = awgn_for(values[:, column], snr_db, seed)
+    return Dataset(data.schema, values, data.labels), measured
 
 
-def fail_sensor(data: Dataset, sensor: str) -> PerturbedTestSet:
-    """Dataset copy with one sensor column stuck at 0."""
+def fail_sensor(data: Dataset, sensor: str) -> tuple[Dataset, float]:
+    """(dataset copy with one sensor column stuck at 0, measured SNR of
+    -inf dB: no signal survives, so the column is treated as all noise)."""
     column = data.sensor_index(sensor)
     values = data.values.copy()
     values[:, column] = 0.0
-    return PerturbedTestSet(
-        data=Dataset(data.schema, values, data.labels),
-        spec=NoiseSpec(sensor=sensor, mode=FAILURE),
-        measured_snr_db=-math.inf,
-    )
+    return Dataset(data.schema, values, data.labels), -math.inf
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,13 @@ class RobustnessReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "baseline": {
-                "macro_f1": self.baseline.macro_f1,
-                "accuracy": self.baseline.accuracy,
-            },
+            "baseline": {"macro_f1": self.baseline.macro_f1, "accuracy": self.baseline.accuracy},
             "scenarios": [
                 {
                     "sensor": r.spec.sensor,
                     "mode": r.spec.mode,
                     "snr_db": r.spec.snr_db,
-                    "measured_snr_db": None
-                    if not math.isfinite(r.measured_snr_db)
-                    else r.measured_snr_db,
+                    "measured_snr_db": r.measured_snr_db if math.isfinite(r.measured_snr_db) else None,
                     "macro_f1": r.macro_f1,
                     "accuracy": r.accuracy,
                 }
@@ -158,22 +153,10 @@ class RobustnessReport:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["sensor", "mode", "snr_db", "measured_snr_db", "macro_f1", "accuracy"]]
-        rows.append(
-            ["", "baseline", "", "", repr(self.baseline.macro_f1), repr(self.baseline.accuracy)]
-        )
-        for r in self.scenarios:
-            rows.append(
-                [
-                    r.spec.sensor,
-                    r.spec.mode,
-                    "" if r.spec.snr_db is None else repr(float(r.spec.snr_db)),
-                    "" if not math.isfinite(r.measured_snr_db) else repr(r.measured_snr_db),
-                    repr(r.macro_f1),
-                    repr(r.accuracy),
-                ]
-            )
-        return rows
+        """A baseline row, then one row per scenario, from the JSON records."""
+        record = self.to_json_dict()
+        baseline = {"sensor": None, "mode": "baseline", "snr_db": None, "measured_snr_db": None}
+        return _csv_rows([{**baseline, **record["baseline"]}] + record["scenarios"])
 
 
 def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
@@ -189,16 +172,16 @@ def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
     results = []
     for spec in specs:
         if spec.mode == AWGN:
-            perturbed = inject_awgn(
+            perturbed, measured = inject_awgn(
                 test, spec.sensor, spec.snr_db, derive_seed(seed, spec.label())
             )
         else:
-            perturbed = fail_sensor(test, spec.sensor)
-        report = evaluate(model, perturbed.data)
+            perturbed, measured = fail_sensor(test, spec.sensor)
+        report = evaluate(model, perturbed)
         results.append(
             ScenarioResult(
                 spec=spec,
-                measured_snr_db=perturbed.measured_snr_db,
+                measured_snr_db=measured,
                 macro_f1=report.macro_f1,
                 accuracy=report.accuracy,
             )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .dataset import Dataset
 from .ensembles import EnsembleModel
 from .errors import EmptyRankingError, InvalidValueError
+from .fileio import _csv_rows
 from .seeding import derive_seed
 
 
@@ -90,12 +91,7 @@ class RfaTrace:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["sensor_count", "added_sensor", "clean_f1", "noisy_f1"]]
-        for s in self.steps:
-            rows.append(
-                [str(s.sensor_count), s.added_sensor, repr(s.clean_f1), repr(s.noisy_f1)]
-            )
-        return rows
+        return _csv_rows(self.to_json_dict()["steps"])
 
 
 def run_rfa(
@@ -164,10 +160,10 @@ def run_rfa(
         model = fit(train.select_sensors(subset))
         test_k = test.select_sensors(subset)
         clean = evaluate(model, test_k).macro_f1
-        probe = inject_awgn(
+        probe, _ = inject_awgn(
             test_k, top_sensor, rfa_cfg.noise_snr_db, derive_seed(master_seed, "rfa-noise", k)
         )
-        noisy = evaluate(model, probe.data).macro_f1
+        noisy = evaluate(model, probe).macro_f1
         steps.append(
             RfaStep(sensor_count=k, added_sensor=ranked_symbols[k - 1], clean_f1=clean, noisy_f1=noisy)
         )

@@ -18,6 +18,14 @@ def make_csv(tmp_path, n_rows=2000, seed=0, name="data.csv"):
     return path
 
 
+# Bytes that are no UTF-8 JSON, and JSON nested too deep for the parser.
+UNREADABLE_JSON = pytest.mark.parametrize(
+    "raw, cause",
+    [(b"\xff{}", "UnicodeDecodeError"), (b"[" * 100_000 + b"]" * 100_000, "RecursionError")],
+    ids=["xff-byte", "deep-nesting"],
+)
+
+
 class TestSimgenCommand:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "synth.csv"
@@ -142,6 +150,16 @@ class TestImportanceCommand:
         assert result.exit_code != 0
         assert "ModelFormatError" in result.output
 
+    @UNREADABLE_JSON
+    def test_unreadable_model_file_fails_cleanly(self, tmp_path, raw, cause):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(raw)
+        result = invoke("importance", "--model", str(bad))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"Error: ModelFormatError: model file is not readable JSON: {cause}: ")
+
 
 class TestRfaCommand:
     def test_prints_steps_and_writes_artifacts(self, tmp_path):
@@ -156,6 +174,26 @@ class TestRfaCommand:
         assert (out / "rfa_trace.json").exists()
         assert (out / "rfa_trace.csv").exists()
         assert (out / "rfa_curves.svg").exists()
+
+    def test_trace_files_equal_the_pipelines(self, tmp_path):
+        """rfa runs the pipeline's data, rebalance, split and selection
+        stages, so the same CSV, seed and flags give the same trace."""
+        flags = ["--data", str(make_csv(tmp_path, n_rows=3000, seed=4)), "--seed", "3",
+                 "--trees", "6", "--threshold", "0.95", "--train-fraction", "0.7"]
+        assert invoke("rfa", *flags, "--out", str(tmp_path / "rfa")).exit_code == 0
+        assert invoke("pipeline", *flags, "--out", str(tmp_path / "pipeline")).exit_code == 0
+        for name in ("rfa_trace.json", "rfa_trace.csv", "rfa_curves.svg"):
+            rfa, pipeline = ((tmp_path / side / name).read_bytes() for side in ("rfa", "pipeline"))
+            assert rfa == pipeline, name
+
+    @pytest.mark.parametrize("probe", ["4000", "-4000"])
+    def test_extreme_snr_probe_fails_cleanly(self, tmp_path, probe):
+        result = invoke("rfa", "--data", str(make_csv(tmp_path)), f"--snr-probe={probe}")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: InvalidValueError: rfa.noise_snr_db {float(probe)!r} is out of range: "
+            "10^(snr/10) must be a finite positive float"
+        ]
 
 
 class TestRobustnessCommand:
@@ -232,6 +270,18 @@ class TestRobustnessCommand:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_extreme_snr_fails_cleanly(self, tmp_path, snr):
+        data = make_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        invoke("train", "--data", str(data), "--model-out", str(model_path), "--trees", "2")
+        result = invoke("robustness", "--model", str(model_path), "--data", str(data), f"--snr={snr}")
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: InvalidValueError: awgn mode needs an snr_db ")
+        assert lines[0].endswith(f"got {float(snr)!r}")
+
 
 class TestPipelineCommand:
     def test_full_run(self, tmp_path):
@@ -306,6 +356,31 @@ class TestPipelineCommand:
         lines = result.output.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"Error: InvalidValueError: {key} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "3,4000"])
+    def test_extreme_snr_fails_before_any_stage(self, tmp_path, snr):
+        out = tmp_path / "out"
+        result = invoke("pipeline", f"--snr={snr}", "--out", str(out))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: InvalidValueError: robustness.snr_db {float(snr.split(',')[-1])!r} "
+            "is out of range: 10^(snr/10) must be a finite positive float"
+        ]
+        assert not out.exists()
+
+    @UNREADABLE_JSON
+    def test_unreadable_config_fails_cleanly(self, tmp_path, raw, cause):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"Error: ConfigParseError: config file {cfg} is not readable JSON: {cause}: "
+        )
         assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path):

@@ -122,6 +122,23 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config("/no/such/config.json", None)
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"robustness": {"snr_db": [3, 4000]}}, "robustness.snr_db"),
+            ({"robustness": {"snr_db": [-4000]}}, "robustness.snr_db"),
+            ({"rfa": {"noise_snr_db": 4000}}, "rfa.noise_snr_db"),
+            ({"rfa": {"noise_snr_db": -4000}}, "rfa.noise_snr_db"),
+        ],
+    )
+    def test_snr_without_a_finite_power_ratio_names_the_key(self, tmp_path, payload, key):
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(payload))
+        with pytest.raises(InvalidValueError, match=re.escape(key)):
+            parse_config(str(file), None)
+        cfg = parse_config(None, {"snr_levels": [3000, -3000], "rfa": {"noise_snr_db": -3000}})
+        assert cfg.snr_levels == (3000.0, -3000.0)
+
     def test_feature_subsample_forms(self):
         assert PipelineConfig(feature_subsample="sqrt").ensemble_config(40).tree.feature_subsample == 6
         assert PipelineConfig(feature_subsample=None).ensemble_config(40).tree.feature_subsample is None
@@ -321,6 +338,28 @@ class TestRunPipeline:
         payload = json.loads((out / "error.json").read_text())
         assert payload["stage"] == "data"
         assert payload["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize(
+        "stage, target",
+        [
+            ("data", "generate_dataset"),
+            ("rebalance", "undersample_majority"),
+            ("split", "split_train_test"),
+            ("selection", "run_rfa"),
+            ("robustness", "run_scenarios"),
+            ("artifacts", "model_to_dict"),
+        ],
+    )
+    def test_error_artifact_names_each_stage(self, tmp_path, monkeypatch, stage, target):
+        def broken(*args, **kwargs):
+            raise FileNotFoundError(f"{target} failed")
+
+        monkeypatch.setattr(pipeline, target, broken)
+        out = tmp_path / "out"
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(parse_config(None, {**SMALL, "seed": 1, "out_dir": str(out)}))
+        payload = json.loads((out / "error.json").read_text())
+        assert payload == {"stage": stage, "error": "FileNotFoundError", "message": f"{target} failed"}
 
     def test_stale_error_artifact_removed_on_success(self, tmp_path):
         out = tmp_path / "out"

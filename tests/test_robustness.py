@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestPowerArithmetic:
         with pytest.raises(ZeroSignalError):
             noise_power_for_snr(0.0, 3.0)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3200.0, math.nan])
+    def test_no_finite_positive_noise_power_is_an_fdd_error(self, snr_db):
+        # -3200 dB has a finite ratio (1e-320), but its noise power overflows.
+        with pytest.raises(FddError, match=re.escape(f"at {snr_db!r} dB")):
+            noise_power_for_snr(1.0, snr_db)
+
+    def test_noise_that_overflows_its_power_is_an_fdd_error(self):
+        with pytest.raises(FddError, match=re.escape("noise at -3080.0 dB overflows")):
+            awgn_for(np.ones(1000), -3080.0, seed=1)
+
 
 class TestAwgn:
     def test_measured_snr_near_target(self):
@@ -74,12 +85,12 @@ class TestAwgn:
     def test_inject_touches_only_target_column(self):
         d = generate_dataset(GeneratorConfig(n_rows=200), 1)
         col = d.sensor_index("T_FI")
-        out = inject_awgn(d, "T_FI", 3.0, seed=2)
+        out, measured = inject_awgn(d, "T_FI", 3.0, seed=2)
         untouched = [j for j in range(d.n_sensors) if j != col]
-        assert np.array_equal(out.data.values[:, untouched], d.values[:, untouched])
-        assert not np.array_equal(out.data.values[:, col], d.values[:, col])
-        assert np.array_equal(out.data.labels, d.labels)
-        assert out.spec == NoiseSpec("T_FI", AWGN, 3.0)
+        assert np.array_equal(out.values[:, untouched], d.values[:, untouched])
+        assert not np.array_equal(out.values[:, col], d.values[:, col])
+        assert np.array_equal(out.labels, d.labels)
+        assert measured == awgn_for(d.values[:, col], 3.0, seed=2)[1]
 
     def test_unknown_sensor_rejected(self):
         d = generate_dataset(GeneratorConfig(n_rows=50), 1)
@@ -97,10 +108,9 @@ class TestAwgn:
 class TestFailure:
     def test_column_reads_zero(self):
         d = generate_dataset(GeneratorConfig(n_rows=80), 2)
-        out = fail_sensor(d, "W6")
-        assert np.all(out.data.values[:, d.sensor_index("W6")] == 0.0)
-        assert out.measured_snr_db == -math.inf
-        assert out.spec.mode == FAILURE
+        out, measured = fail_sensor(d, "W6")
+        assert np.all(out.values[:, d.sensor_index("W6")] == 0.0)
+        assert measured == -math.inf
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -111,9 +121,14 @@ class TestFailure:
             NoiseSpec("T_FI", "dropout")
 
     def test_spec_errors_are_fdd_errors(self):
-        for args in ((AWGN,), (AWGN, math.inf), (FAILURE, 3.0), ("dropout",)):
+        for args in ((AWGN,), (AWGN, math.inf), (AWGN, 4000.0), (AWGN, -4000), (FAILURE, 3.0), ("dropout",)):
             with pytest.raises(FddError):
                 NoiseSpec("T_FI", *args)
+
+    def test_spec_stores_snr_as_float(self):
+        spec = NoiseSpec("T_FI", AWGN, 3)
+        assert type(spec.snr_db) is float and spec == NoiseSpec("T_FI", AWGN, 3.0)
+        assert spec.label() == "T_FI:awgn@3dB"
 
 
 def _fitted_model_and_test():
