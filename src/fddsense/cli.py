@@ -204,6 +204,11 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
         cfg = PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
                              rfa=rfa_cfg, **ensemble_fields)
         _, trace = _select(cfg, lambda stage: None)
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_pair(out, "rfa_trace", trace)
+            atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
     except (FddError, OSError) as exc:
         raise _fail(exc)
     for step in trace.steps:
@@ -214,10 +219,6 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
     click.echo(f"threshold {trace.threshold:g} met: {trace.threshold_met}")
     click.echo("selected: " + ", ".join(trace.selected))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_pair(out, "rfa_trace", trace)
-        atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
         click.echo(f"artifacts: {out}")
 
 
@@ -238,6 +239,10 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
         if sensor is None:
             sensor = rank_features(model)[0][0]
         report = _probe(model, data, sensor, levels, fail_sensor, derive_seed(seed, "robustness"))
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_pair(out, "robustness", report)
     except (FddError, OSError) as exc:
         raise _fail(exc)
     click.echo(f"baseline: macro-F1 {report.baseline.macro_f1:.4f}")
@@ -245,9 +250,6 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
         measured = "" if not math.isfinite(row.measured_snr_db) else f" (measured {row.measured_snr_db:.2f} dB)"
         click.echo(f"{row.spec.label()}: macro-F1 {row.macro_f1:.4f}{measured}")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_pair(out, "robustness", report)
         click.echo(f"artifacts: {out}")
 
 

@@ -7,6 +7,17 @@ which order splits identically to weighted impurity decrease / variance
 reduction but cost one addition and two divisions per candidate.  Ties are
 broken toward the lowest feature index, then the lowest threshold.
 
+Each node makes one scan over all its sampled features at once: the
+node's rows of those columns form one (features, rows) array, sorted
+along its rows in one call.  Classification needs no per-class count
+table.  Its sums of squared counts come from exact int64 identities: a
+row of class c adds 2 * occ + 1 to sum(left_counts^2), where occ counts
+the earlier sorted rows of class c, and sum(right_counts^2) =
+sum(T^2) - 2 * sum(T * left_counts) + sum(left_counts^2) for the node's
+class counts T.  So g is bit-equal to the per-class count formula.  A
+node with more sampled elements than _SCAN_BLOCK is scanned in blocks of
+whole features, which bounds the scan's working set.
+
 A tree's feature importance is its mean decrease in impurity: each split's
 impurity decrease, weighted by its node's share of the root's samples,
 summed per feature.
@@ -163,65 +174,60 @@ def gini_impurity(class_counts) -> float:
     return 1.0 - float(np.sum(counts * counts)) / (float(total) * float(total))
 
 
-def _candidate_boundaries(sorted_x: np.ndarray) -> np.ndarray:
-    """Indices i such that a split between sorted_x[i] and sorted_x[i+1] is
-    a candidate: every distinct-value boundary."""
-    return np.flatnonzero(sorted_x[:-1] < sorted_x[1:])
+# Largest (features x rows) array one scan handles; a node with more
+# sampled elements is scanned in blocks of whole features.  2**14 is
+# 128 KiB per 8-byte array, and only a tree's few largest nodes take more
+# than one block.
+_SCAN_BLOCK = 1 << 14
 
 
-def _scan_feature_classification(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
-    """Best candidate on one feature: (g, threshold, counts) or None."""
-    n = x.shape[0]
-    order = np.argsort(x)
-    xs = x[order]
-    boundaries = _candidate_boundaries(xs)
-    if boundaries.size == 0:
-        return None
-    n_left = boundaries + 1
-    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    boundaries, n_left = boundaries[ok], n_left[ok]
-    if boundaries.size == 0:
-        return None
-
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y[order]] = 1
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[boundaries]
-    right = cum[-1] - left
+def _scan(cols: np.ndarray, yy: np.ndarray, min_leaf: int, counts: np.ndarray | None):
+    """Best candidate over cols (m, n), one row per sampled feature:
+    (g, feature row, position, threshold), where position i puts the
+    i + 1 smallest values left.  counts is the node's class counts, None
+    for regression.  g is -inf when no candidate exists.
+    """
+    m, n = cols.shape
+    order = cols.argsort(axis=1)
+    xs = cols.take(order + np.arange(0, m * n, n)[:, None])
+    valid = xs[:, :-1] < xs[:, 1:]
+    valid[:, : min_leaf - 1] = False
+    valid[:, n - min_leaf :] = False
+    n_left = np.arange(1, n)
     n_right = n - n_left
-    g = np.sum(left * left, axis=1) / n_left + np.sum(right * right, axis=1) / n_right
-    best = int(np.argmax(g))  # first max: lowest threshold wins ties
-    threshold = (xs[boundaries[best]] + xs[boundaries[best] + 1]) / 2
-    return float(g[best]), float(threshold), int(n_left[best]), int(n_right[best])
-
-
-def _scan_feature_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    n = x.shape[0]
-    order = np.argsort(x)
-    xs = x[order]
-    boundaries = _candidate_boundaries(xs)
-    if boundaries.size == 0:
-        return None
-    n_left = boundaries + 1
-    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    boundaries, n_left = boundaries[ok], n_left[ok]
-    if boundaries.size == 0:
-        return None
-
-    cum = np.cumsum(y[order])
-    sum_left = cum[boundaries]
-    sum_right = cum[-1] - sum_left
-    n_right = n - n_left
-    g = sum_left * sum_left / n_left + sum_right * sum_right / n_right
-    best = int(np.argmax(g))
-    threshold = (xs[boundaries[best]] + xs[boundaries[best] + 1]) / 2
-    return float(g[best]), float(threshold), int(n_left[best]), int(n_right[best])
+    if counts is None:
+        cum = yy.take(order).cumsum(axis=1)
+        sum_left = cum[:, :-1]
+        sum_right = cum[:, -1:] - sum_left
+        g = sum_left * sum_left / n_left + sum_right * sum_right / n_right
+    else:
+        # The module docstring's identities; cross's last entry is sum(T^2).
+        k = counts.size
+        dtype = np.min_scalar_type(m * k - 1)  # numpy radix-sorts 8- and 16-bit keys
+        ys = yy.astype(dtype).take(order)
+        key = (ys + np.arange(0, m * k, k, dtype=dtype)[:, None]).ravel()
+        sizes = np.bincount(key, minlength=m * k)
+        # A stable sort groups each (feature, class) in sorted-row order,
+        # so a row's rank in its group is its occ.
+        step = np.empty(m * n, dtype=np.int64)
+        step[key.argsort(kind="stable")] = (
+            2 * (np.arange(m * n) - np.repeat(np.cumsum(sizes) - sizes, sizes)) + 1
+        )
+        sum_left_sq = step.reshape(m, n)[:, :-1].cumsum(axis=1)
+        cross = counts.take(ys).cumsum(axis=1)
+        sum_right_sq = cross[:, -1:] - 2 * cross[:, :-1] + sum_left_sq
+        g = sum_left_sq / n_left + sum_right_sq / n_right
+    g[~valid] = -np.inf  # equal neighbours, or fewer than min_leaf rows a side
+    best = int(g.argmax())  # first maximum: lowest feature row, then threshold
+    row, pos = divmod(best, n - 1)
+    threshold = (xs[row, pos] + xs[row, pos + 1]) / 2
+    return float(g[row, pos]), row, pos, float(threshold)
 
 
 def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
     m = cfg.feature_subsample
     if m is None or m >= n_features:
-        return range(n_features)  # no draw: full-feature trees ignore the rng
+        return np.arange(n_features)  # no draw: full-feature trees ignore the rng
     return np.sort(rng.choice(n_features, size=m, replace=False))
 
 
@@ -253,7 +259,8 @@ def fit_tree(
         raise EmptyInputError(f"need at least 2 rows to fit a tree, got {n}")
     if not np.isfinite(x).all():
         raise NonFiniteInputError("training matrix contains NaN or Inf")
-    x = np.asfortranarray(x)  # _route and the split scan read whole columns
+    x = np.asfortranarray(x)  # _route reads whole columns
+    xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     classify = cfg.task == CLASSIFICATION
     if classify:
         y = np.asarray(y, dtype=np.int64)
@@ -270,37 +277,35 @@ def fit_tree(
         return Leaf(n_samples=idx.size, value=float(y[idx].mean()))
 
     def best_split(idx: np.ndarray) -> SplitCandidate | None:
-        yy = y[idx]
+        yy = y.take(idx)
         if classify:
             counts = np.bincount(yy, minlength=n_classes).astype(np.int64)
             g_parent = float(np.sum(counts * counts)) / idx.size
         else:
+            counts = None
             s = float(yy.sum())
             g_parent = s * s / idx.size
+        features = _pick_features(n_features, cfg, rng)
+        per_block = max(1, _SCAN_BLOCK // idx.size)
         best = None
         best_g = g_parent  # accept only strictly positive decrease
-        for j in _pick_features(n_features, cfg, rng):
-            col = x[:, j].take(idx)
-            found = (
-                _scan_feature_classification(col, yy, n_classes, cfg.min_leaf)
-                if classify
-                else _scan_feature_regression(col, yy, cfg.min_leaf)
-            )
-            if found is None:
-                continue
-            g, threshold, left_count, right_count = found
-            if g > best_g:
-                best_g = g
-                decrease = (g - g_parent) / idx.size
-                best = SplitCandidate(
-                    feature_index=int(j),
-                    threshold=threshold,
-                    impurity_decrease=decrease,
-                    gain=g - g_parent,
-                    left_count=left_count,
-                    right_count=right_count,
-                )
-        return best
+        for start in range(0, features.size, per_block):
+            block = features[start : start + per_block]
+            cols = xt.take(block[:, None] * n + idx)
+            g, row, pos, threshold = _scan(cols, yy, cfg.min_leaf, counts)
+            if g > best_g:  # strict: an earlier block wins ties
+                best_g, best = g, (int(block[row]), threshold, pos + 1)
+        if best is None:
+            return None
+        feature, threshold, left_count = best
+        return SplitCandidate(
+            feature_index=feature,
+            threshold=threshold,
+            impurity_decrease=(best_g - g_parent) / idx.size,
+            gain=best_g - g_parent,
+            left_count=left_count,
+            right_count=idx.size - left_count,
+        )
 
     placeholder = Leaf(n_samples=n)
     tree = DecisionTree(

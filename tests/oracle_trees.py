@@ -5,6 +5,10 @@ sum(right_counts^2)/n_right computed with the same IEEE-754 operations
 (exact integer sums, one float division each, one add), accept only
 strictly positive decreases, and break ties toward the lowest feature
 index then the lowest threshold, so agreement can be checked exactly.
+
+The regression reference ranks splits by g = (sum_left y)^2/n_left +
+(sum_right y)^2/n_right.  Its cases use integer-valued targets, so every
+float sum is exact in any order and agreement is again exact.
 """
 
 from collections import Counter
@@ -81,12 +85,75 @@ def oracle_fit(rows, labels, max_depth=None, min_leaf=1, n_classes=None, depth=0
     }
 
 
+def oracle_best_split_regression(rows, targets, min_leaf=1):
+    """Exhaustive regression scan, as oracle_best_split."""
+    n = len(rows)
+    total = float(sum(targets))
+    best_g = total * total / n
+    best = None
+    for j in range(len(rows[0])):
+        distinct = sorted(set(r[j] for r in rows))
+        for lo, hi in zip(distinct, distinct[1:]):
+            thr = (lo + hi) / 2
+            left = [i for i in range(n) if rows[i][j] <= thr]
+            if len(left) < min_leaf or n - len(left) < min_leaf:
+                continue
+            right = [i for i in range(n) if rows[i][j] > thr]
+            sum_left = float(sum(targets[i] for i in left))
+            sum_right = float(sum(targets[i] for i in right))
+            g = sum_left * sum_left / len(left) + sum_right * sum_right / len(right)
+            if g > best_g:
+                best_g = g
+                best = (j, thr, left, right)
+    return best
+
+
+def oracle_fit_regression(rows, targets, max_depth=None, min_leaf=1, depth=0):
+    """Greedy regression tree as a nested dict; a leaf holds the mean."""
+    n = len(targets)
+    capped = max_depth is not None and depth >= max_depth
+    found = None
+    if len(set(targets)) > 1 and not capped and n >= 2 * min_leaf:
+        found = oracle_best_split_regression(rows, targets, min_leaf)
+    if found is None:
+        return {"kind": "leaf", "value": float(sum(targets)) / n}
+    j, thr, left, right = found
+    return {
+        "kind": "split",
+        "feature": j,
+        "threshold": thr,
+        "left": oracle_fit_regression(
+            [rows[i] for i in left], [targets[i] for i in left],
+            max_depth, min_leaf, depth + 1,
+        ),
+        "right": oracle_fit_regression(
+            [rows[i] for i in right], [targets[i] for i in right],
+            max_depth, min_leaf, depth + 1,
+        ),
+    }
+
+
 def random_case(rng):
-    """One small fitting problem with plenty of tied feature values."""
-    n = int(rng.integers(2, 9))
+    """One small fitting problem with plenty of tied feature values.
+
+    It has 1-5 features; in about one case in four the last column copies
+    an earlier one, so that splits tie across features and the lower
+    index must win.
+    """
+    n = int(rng.integers(2, 13))
+    f = int(rng.integers(1, 6))
     if rng.integers(0, 2):
-        rows = rng.integers(0, 4, size=(n, 2)).astype(float)
+        rows = rng.integers(0, 4, size=(n, f)).astype(float)
     else:
-        rows = (rng.normal(0.0, 1.0, size=(n, 2)) * 10).round() / 10.0
+        rows = (rng.normal(0.0, 1.0, size=(n, f)) * 10).round() / 10.0
+    if f > 1 and rng.integers(0, 4) == 0:
+        rows[:, -1] = rows[:, rng.integers(0, f - 1)]
     labels = rng.integers(0, 3, size=n)
     return [tuple(map(float, r)) for r in rows], [int(v) for v in labels]
+
+
+def random_regression_case(rng):
+    """random_case's rows with integer-valued float targets."""
+    rows, labels = random_case(rng)
+    targets = rng.integers(-20, 21, size=len(rows))
+    return rows, [float(v) for v in targets]

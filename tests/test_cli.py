@@ -196,6 +196,19 @@ class TestRfaCommand:
         ]
 
 
+    def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        result = invoke(
+            "rfa", "--data", str(make_csv(tmp_path)), "--trees", "3", "--threshold", "0.5",
+            "--out", str(blocker),
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileExistsError: [Errno 17] File exists: {str(blocker)!r}"
+        ]
+
+
 class TestRobustnessCommand:
     def test_scores_scenarios(self, tmp_path):
         data = make_csv(tmp_path)
@@ -281,6 +294,22 @@ class TestRobustnessCommand:
         assert len(lines) == 1
         assert lines[0].startswith("Error: InvalidValueError: awgn mode needs an snr_db ")
         assert lines[0].endswith(f"got {float(snr)!r}")
+
+
+    def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
+        data = make_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        invoke("train", "--data", str(data), "--model-out", str(model_path), "--trees", "2")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        result = invoke(
+            "robustness", "--model", str(model_path), "--data", str(data), "--snr", "10",
+            "--out", str(blocker),
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileExistsError: [Errno 17] File exists: {str(blocker)!r}"
+        ]
 
 
 class TestPipelineCommand:

@@ -19,6 +19,7 @@ from fddsense.errors import (
     ModelFormatError,
     NonFiniteInputError,
 )
+from fddsense import trees
 from fddsense.trees import (
     DecisionTree,
     Internal,
@@ -33,13 +34,22 @@ from fddsense.trees import (
     tree_to_dict,
 )
 
-from oracle_trees import oracle_fit, oracle_gini, random_case
+from oracle_trees import (
+    oracle_fit,
+    oracle_fit_regression,
+    oracle_gini,
+    random_case,
+    random_regression_case,
+)
 
 
 def assert_same_tree(node, ref):
     if ref["kind"] == "leaf":
         assert isinstance(node, Leaf)
-        assert list(node.distribution) == ref["distribution"]
+        if "value" in ref:
+            assert node.value == ref["value"]
+        else:
+            assert list(node.distribution) == ref["distribution"]
     else:
         assert isinstance(node, Internal)
         assert node.split.feature_index == ref["feature"]
@@ -104,6 +114,23 @@ class TestFitAgainstOracle:
             tree = fit_tree(np.array(rows), np.array(labels), cfg, n_classes=3)
             ref = oracle_fit(rows, labels, max_depth=max_depth, min_leaf=min_leaf, n_classes=3)
             assert_same_tree(tree.root, ref)
+
+    def test_scan_blocks_keep_the_lowest_feature_on_ties(self):
+        """A stump over more features than one scan block holds: the
+        winning column sits in the first and in the last block, and the
+        first copy wins with the threshold a one-block fit finds."""
+        n = trees._SCAN_BLOCK // 4  # four features per block
+        rng = np.random.default_rng(8)
+        y = rng.integers(0, 3, size=n)
+        x = rng.normal(size=(n, 9))
+        x[:, 0] = x[:, 8] = y + rng.normal(0.0, 0.6, size=n)
+        cfg = TreeConfig(max_depth=1)
+        one_block = fit_tree(x[:, :1], y, cfg, n_classes=3).root.split
+        first = fit_tree(x, y, cfg, n_classes=3).root.split
+        assert (first.feature_index, first.threshold) == (0, one_block.threshold)
+        assert first.gain == one_block.gain
+        last = fit_tree(x[:, 1:], y, cfg, n_classes=3).root.split
+        assert (last.feature_index, last.threshold) == (7, one_block.threshold)
 
 
 class TestGrowthControls:
@@ -181,6 +208,17 @@ class TestFeatureSubsampling:
 
 
 class TestRegressionTask:
+    def test_matches_bruteforce_randomized(self):
+        rng = np.random.default_rng(2025)
+        for case in range(200):
+            rows, targets = random_regression_case(rng)
+            min_leaf = 1 if case % 3 else 2
+            max_depth = None if case % 4 else 2
+            cfg = TreeConfig(task="regression_on_gradients", max_depth=max_depth, min_leaf=min_leaf)
+            tree = fit_tree(np.array(rows), np.array(targets), cfg)
+            ref = oracle_fit_regression(rows, targets, max_depth=max_depth, min_leaf=min_leaf)
+            assert_same_tree(tree.root, ref)
+
     def test_reduces_sse(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(300, 2))
