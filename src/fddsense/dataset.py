@@ -27,8 +27,6 @@ from .errors import (
 
 LABEL_COLUMN = "class"
 
-SENSOR_KINDS = ("power", "mass_flow", "pressure", "temperature")
-
 KIND_UNITS = {
     "power": "W",
     "mass_flow": "kg/min",
@@ -39,82 +37,61 @@ KIND_UNITS = {
 
 @dataclass(frozen=True)
 class SensorMeta:
-    """One installed sensor: short symbol, free-text description, unit, kind."""
+    """One installed sensor: short symbol, free-text description, kind
+    (a key of KIND_UNITS)."""
 
     symbol: str
     description: str
-    unit: str
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in SENSOR_KINDS:
-            raise InvalidValueError(f"unknown sensor kind {self.kind!r}")
-        if KIND_UNITS[self.kind] != self.unit:
-            raise InvalidValueError(
-                f"unit {self.unit!r} inconsistent with kind {self.kind!r} "
-                f"for sensor {self.symbol!r}"
-            )
-
-
-def _power(symbol, description):
-    return SensorMeta(symbol, description, "W", "power")
-
-
-def _flow(symbol, description):
-    return SensorMeta(symbol, description, "kg/min", "mass_flow")
-
-
-def _pressure(symbol, description):
-    return SensorMeta(symbol, description, "MPa", "pressure")
-
-
-def _temp(symbol, description):
-    return SensorMeta(symbol, description, "°C", "temperature")
+    @property
+    def unit(self) -> str:
+        return KIND_UNITS[self.kind]
 
 
 # The full 40-sensor instrumentation schema of the two-stage CO2 rig:
 # 6 power, 3 mass flow, 7 pressure, and 24 temperature sensors.
 INSTALLED_SENSORS: tuple[SensorMeta, ...] = (
-    _power("W1", "MT 1st compressor power"),
-    _power("W2", "MT 2nd compressor power"),
-    _power("W3", "MT 3rd compressor power"),
-    _power("W4", "LT 1st compressor power"),
-    _power("W5", "LT 2nd compressor power"),
-    _power("W6", "Condenser fan power"),
-    _flow("M1", "Flash tank bypass mass flow rate"),
-    _flow("M2", "LT evaporator mass flow rate"),
-    _flow("M3", "MT evaporator mass flow rate"),
-    _pressure("P_dis1", "MT compressor rack outlet pressure"),
-    _pressure("P_suc1", "MT compressor rack inlet pressure"),
-    _pressure("P_dis2", "LT compressor rack outlet pressure"),
-    _pressure("P_suc2", "LT compressor rack inlet pressure"),
-    _pressure("P_dis3", "Flash tank vapor outlet pressure"),
-    _pressure("P_suc3", "LT display case suction pressure"),
-    _pressure("P_suc4", "MT display case suction pressure"),
-    _temp("T_dis1", "MT 1st compressor discharge temperature"),
-    _temp("T_suc1", "MT 1st compressor suction temperature"),
-    _temp("T_dis2", "MT 2nd compressor discharge temperature"),
-    _temp("T_suc2", "MT 2nd compressor suction temperature"),
-    _temp("T_dis3", "MT 3rd compressor discharge temperature"),
-    _temp("T_suc3", "MT 3rd compressor suction temperature"),
-    _temp("T_dis4", "LT 1st compressor discharge temperature"),
-    _temp("T_suc4", "LT 1st compressor suction temperature"),
-    _temp("T_dis5", "LT 2nd compressor discharge temperature"),
-    _temp("T_suc5", "LT 2nd compressor suction temperature"),
-    _temp("T_dis6", "MT compressor rack outlet temperature"),
-    _temp("T_suc6", "MT compressor rack inlet temperature"),
-    _temp("T_dis7", "LT compressor rack outlet temperature"),
-    _temp("T_suc7", "LT compressor rack inlet temperature"),
-    _temp("T_suc8", "Flash tank vapor outlet temperature"),
-    _temp("T_suc9", "LT display case suction temperature"),
-    _temp("T_suc10", "MT display case suction temperature"),
-    _temp("T_C", "Condenser outlet temperature"),
-    _temp("T_FI", "Condenser inlet air temperature"),
-    _temp("T_FO", "Condenser outlet air temperature"),
-    _temp("T_sup1", "MT evaporator supply air temperature"),
-    _temp("T_ret1", "MT evaporator return air temperature"),
-    _temp("T_sup2", "LT evaporator supply air temperature"),
-    _temp("T_ret2", "LT evaporator return air temperature"),
+    SensorMeta("W1", "MT 1st compressor power", "power"),
+    SensorMeta("W2", "MT 2nd compressor power", "power"),
+    SensorMeta("W3", "MT 3rd compressor power", "power"),
+    SensorMeta("W4", "LT 1st compressor power", "power"),
+    SensorMeta("W5", "LT 2nd compressor power", "power"),
+    SensorMeta("W6", "Condenser fan power", "power"),
+    SensorMeta("M1", "Flash tank bypass mass flow rate", "mass_flow"),
+    SensorMeta("M2", "LT evaporator mass flow rate", "mass_flow"),
+    SensorMeta("M3", "MT evaporator mass flow rate", "mass_flow"),
+    SensorMeta("P_dis1", "MT compressor rack outlet pressure", "pressure"),
+    SensorMeta("P_suc1", "MT compressor rack inlet pressure", "pressure"),
+    SensorMeta("P_dis2", "LT compressor rack outlet pressure", "pressure"),
+    SensorMeta("P_suc2", "LT compressor rack inlet pressure", "pressure"),
+    SensorMeta("P_dis3", "Flash tank vapor outlet pressure", "pressure"),
+    SensorMeta("P_suc3", "LT display case suction pressure", "pressure"),
+    SensorMeta("P_suc4", "MT display case suction pressure", "pressure"),
+    SensorMeta("T_dis1", "MT 1st compressor discharge temperature", "temperature"),
+    SensorMeta("T_suc1", "MT 1st compressor suction temperature", "temperature"),
+    SensorMeta("T_dis2", "MT 2nd compressor discharge temperature", "temperature"),
+    SensorMeta("T_suc2", "MT 2nd compressor suction temperature", "temperature"),
+    SensorMeta("T_dis3", "MT 3rd compressor discharge temperature", "temperature"),
+    SensorMeta("T_suc3", "MT 3rd compressor suction temperature", "temperature"),
+    SensorMeta("T_dis4", "LT 1st compressor discharge temperature", "temperature"),
+    SensorMeta("T_suc4", "LT 1st compressor suction temperature", "temperature"),
+    SensorMeta("T_dis5", "LT 2nd compressor discharge temperature", "temperature"),
+    SensorMeta("T_suc5", "LT 2nd compressor suction temperature", "temperature"),
+    SensorMeta("T_dis6", "MT compressor rack outlet temperature", "temperature"),
+    SensorMeta("T_suc6", "MT compressor rack inlet temperature", "temperature"),
+    SensorMeta("T_dis7", "LT compressor rack outlet temperature", "temperature"),
+    SensorMeta("T_suc7", "LT compressor rack inlet temperature", "temperature"),
+    SensorMeta("T_suc8", "Flash tank vapor outlet temperature", "temperature"),
+    SensorMeta("T_suc9", "LT display case suction temperature", "temperature"),
+    SensorMeta("T_suc10", "MT display case suction temperature", "temperature"),
+    SensorMeta("T_C", "Condenser outlet temperature", "temperature"),
+    SensorMeta("T_FI", "Condenser inlet air temperature", "temperature"),
+    SensorMeta("T_FO", "Condenser outlet air temperature", "temperature"),
+    SensorMeta("T_sup1", "MT evaporator supply air temperature", "temperature"),
+    SensorMeta("T_ret1", "MT evaporator return air temperature", "temperature"),
+    SensorMeta("T_sup2", "LT evaporator supply air temperature", "temperature"),
+    SensorMeta("T_ret2", "LT evaporator return air temperature", "temperature"),
 )
 
 INSTALLED_SENSOR_INDEX = {s.symbol: s for s in INSTALLED_SENSORS}

@@ -38,6 +38,7 @@ from .trees import (
     DecisionTree,
     TreeConfig,
     _field,
+    _tree_config,
     fit_tree,
     tree_from_dict,
     tree_importance_contributions,
@@ -349,7 +350,7 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         cfg = EnsembleConfig(
             method=payload["method"],
             n_trees=_field(payload, "n_trees", "model", int),
-            tree=TreeConfig(**payload["tree_config"]),
+            tree=_tree_config(payload["tree_config"], "tree_config"),
             bootstrap=_field(payload, "bootstrap", "model", bool),
             learning_rate=_field(payload, "learning_rate", "model", float),
             hard_vote=_field(payload, "hard_vote", "model", bool),

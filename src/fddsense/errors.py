@@ -113,10 +113,6 @@ class BadProportionsError(FddError):
     """Class proportions are malformed or do not sum to 1."""
 
 
-class UnknownSymbolError(FddError):
-    """Generator config names a sensor symbol outside the schema."""
-
-
 # -- configuration ----------------------------------------------------------
 
 class ConfigParseError(FddError):

@@ -2,8 +2,8 @@
 
 Rows are drawn from class-conditional Gaussians: every sensor reads a
 per-kind operating baseline plus a per-(sensor, class) mean shift plus
-white noise with a per-kind standard deviation.  The default shift map
-encodes one signature per fault:
+white noise with a per-kind standard deviation.  These are constants of
+the rig, not settings.  The shift table encodes one signature per fault:
 
   * classes 1-4 occupy the four sign quadrants of (T_FO, T_C), so the two
     condenser outlet temperatures jointly identify them;
@@ -20,56 +20,51 @@ heavily imbalanced mix with the non-faulty class near 46 percent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FAULT_CLASSES, INSTALLED_SENSORS, Dataset
-from .errors import BadProportionsError, InvalidValueError, UnknownSymbolError
+from .errors import BadProportionsError, InvalidValueError
 
 DEFAULT_PROPORTIONS = (0.456, 0.091, 0.089, 0.091, 0.091, 0.091, 0.091)
 
-DEFAULT_BASELINES = MappingProxyType(
-    {"power": 3000.0, "mass_flow": 4.0, "pressure": 3.5, "temperature": 25.0}
-)
+# Operating baseline and noise standard deviation of each sensor kind.
+_KIND_LEVELS = {
+    "power": (3000.0, 40.0),
+    "mass_flow": (4.0, 0.15),
+    "pressure": (3.5, 0.08),
+    "temperature": (25.0, 1.0),
+}
+_BASELINE, _NOISE_SD = np.array([_KIND_LEVELS[s.kind] for s in INSTALLED_SENSORS]).T
 
-DEFAULT_NOISE_SD = MappingProxyType(
-    {"power": 40.0, "mass_flow": 0.15, "pressure": 0.08, "temperature": 1.0}
-)
-
-# Per-class mean shifts, indexed by class id 0..6.
-DEFAULT_SHIFTS = MappingProxyType(
-    {
-        "T_FI": (0.0, 0.0, 0.0, 0.0, 0.0, 8.0, -8.0),
-        "T_FO": (0.0, 6.0, 6.0, -6.0, -6.0, 0.0, 0.0),
-        "T_C": (0.0, 6.0, -6.0, 6.0, -6.0, 0.0, 0.0),
-        "W6": (0.0, 0.0, 0.0, 0.0, 0.0, 120.0, 120.0),
-        "T_ret2": (0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        "M2": (0.0, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0),
-        "T_suc4": (0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0),
-        "T_ret1": (0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0),
-        "T_sup1": (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0),
-    }
-)
+# Per-class mean shifts, (class id 0..6, sensor); sensors not named here
+# carry no signature.
+_SHIFTS = {
+    "T_FI": (0.0, 0.0, 0.0, 0.0, 0.0, 8.0, -8.0),
+    "T_FO": (0.0, 6.0, 6.0, -6.0, -6.0, 0.0, 0.0),
+    "T_C": (0.0, 6.0, -6.0, 6.0, -6.0, 0.0, 0.0),
+    "W6": (0.0, 0.0, 0.0, 0.0, 0.0, 120.0, 120.0),
+    "T_ret2": (0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    "M2": (0.0, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0),
+    "T_suc4": (0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0),
+    "T_ret1": (0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0),
+    "T_sup1": (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0),
+}
+_SHIFT_TABLE = np.array([_SHIFTS.get(s.symbol, [0.0] * len(FAULT_CLASSES)) for s in INSTALLED_SENSORS]).T
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Distribution parameters; the draw itself is picked by a seed.
+    """Row count and class mix of a draw; the seed picks the draw itself.
 
     class_proportions must be non-negative, one entry per fault class,
-    and sum to 1 within 1e-9.  shifts maps installed sensor symbols to
-    per-class mean offsets.
+    and sum to 1 within 1e-9.  The sensor signature is fixed (see the
+    module docstring).
     """
 
     n_rows: int = 20000
     class_proportions: tuple[float, ...] = DEFAULT_PROPORTIONS
-    baselines: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BASELINES))
-    noise_sd: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_NOISE_SD))
-    shifts: dict[str, tuple[float, ...]] = field(
-        default_factory=lambda: {k: v for k, v in DEFAULT_SHIFTS.items()}
-    )
 
     def __post_init__(self):
         n_classes = len(FAULT_CLASSES)
@@ -85,20 +80,6 @@ class GeneratorConfig:
         if abs(sum(props) - 1.0) > 1e-9:
             raise BadProportionsError(f"class proportions sum to {sum(props)!r}, not 1")
         object.__setattr__(self, "class_proportions", props)
-        installed = {s.symbol for s in INSTALLED_SENSORS}
-        for symbol, offsets in self.shifts.items():
-            if symbol not in installed:
-                raise UnknownSymbolError(f"shift names unknown sensor {symbol!r}")
-            if len(offsets) != n_classes:
-                raise InvalidValueError(
-                    f"shift for {symbol!r} needs {n_classes} entries, got {len(offsets)}"
-                )
-        for kind_map, label in ((self.baselines, "baseline"), (self.noise_sd, "noise_sd")):
-            for sensor in INSTALLED_SENSORS:
-                if sensor.kind not in kind_map:
-                    raise InvalidValueError(f"missing {label} for kind {sensor.kind!r}")
-        if any(sd <= 0 for sd in self.noise_sd.values()):
-            raise InvalidValueError("noise_sd values must be > 0")
 
 
 def _exact_label_counts(n_rows: int, proportions: tuple[float, ...]) -> np.ndarray:
@@ -117,7 +98,7 @@ def generate_dataset(cfg: GeneratorConfig, seed: int) -> Dataset:
     """Draw one dataset over all installed sensors.
 
     Args:
-        cfg: distribution parameters.
+        cfg: row count and class mix.
         seed: picks the draw; equal (cfg, seed) means an identical Dataset.
 
     Returns:
@@ -129,15 +110,6 @@ def generate_dataset(cfg: GeneratorConfig, seed: int) -> Dataset:
     counts = _exact_label_counts(cfg.n_rows, cfg.class_proportions)
     labels = rng.permutation(np.repeat(np.arange(n_classes, dtype=np.int64), counts))
 
-    n_sensors = len(INSTALLED_SENSORS)
-    base = np.array([cfg.baselines[s.kind] for s in INSTALLED_SENSORS])
-    sd = np.array([cfg.noise_sd[s.kind] for s in INSTALLED_SENSORS])
-    shift_table = np.zeros((n_classes, n_sensors))
-    for j, sensor in enumerate(INSTALLED_SENSORS):
-        offsets = cfg.shifts.get(sensor.symbol)
-        if offsets is not None:
-            shift_table[:, j] = offsets
-
-    values = base + shift_table[labels]
-    values += rng.normal(0.0, 1.0, (cfg.n_rows, n_sensors)) * sd
+    values = _BASELINE + _SHIFT_TABLE[labels]
+    values += rng.normal(0.0, 1.0, (cfg.n_rows, len(INSTALLED_SENSORS))) * _NOISE_SD
     return Dataset(INSTALLED_SENSORS, values, labels)

@@ -270,19 +270,15 @@ def fit_tree(
         y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(rng_seed)
 
-    def make_leaf(idx: np.ndarray) -> Leaf:
+    def make_leaf(size: int, yy: np.ndarray, counts: np.ndarray | None) -> Leaf:
         if classify:
-            counts = np.bincount(y[idx], minlength=n_classes)
-            return Leaf(n_samples=idx.size, distribution=counts / idx.size)
-        return Leaf(n_samples=idx.size, value=float(y[idx].mean()))
+            return Leaf(n_samples=size, distribution=counts / size)
+        return Leaf(n_samples=size, value=float(yy.mean()))
 
-    def best_split(idx: np.ndarray) -> SplitCandidate | None:
-        yy = y.take(idx)
+    def best_split(idx: np.ndarray, yy: np.ndarray, counts: np.ndarray | None) -> SplitCandidate | None:
         if classify:
-            counts = np.bincount(yy, minlength=n_classes).astype(np.int64)
             g_parent = float(np.sum(counts * counts)) / idx.size
         else:
-            counts = None
             s = float(yy.sum())
             g_parent = s * s / idx.size
         features = _pick_features(n_features, cfg, rng)
@@ -323,23 +319,21 @@ def fit_tree(
     while stack:
         idx, depth, parent, side = stack.pop()
         node: Internal | Leaf
-        pure = (
-            (y[idx].min() == y[idx].max())
-            if idx.size
-            else True
-        )
+        # One gather of the node's labels serves the purity test, the
+        # scan and the leaf; a node holds at least min_leaf >= 1 rows.
+        yy = y.take(idx)
+        counts = np.bincount(yy, minlength=n_classes).astype(np.int64) if classify else None
+        pure = counts.max() == idx.size if classify else yy.min() == yy.max()
         depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
-        if pure or depth_capped or idx.size < 2 * cfg.min_leaf:
-            node = make_leaf(idx)
+        grow = not (pure or depth_capped or idx.size < 2 * cfg.min_leaf)
+        split = best_split(idx, yy, counts) if grow else None
+        if split is None:
+            node = make_leaf(idx.size, yy, counts)
         else:
-            split = best_split(idx)
-            if split is None:
-                node = make_leaf(idx)
-            else:
-                node = Internal(split=split, left=placeholder, right=placeholder)
-                left, right = _route(x, idx, split.feature_index, split.threshold)
-                stack.append((right, depth + 1, node, "right"))
-                stack.append((left, depth + 1, node, "left"))
+            node = Internal(split=split, left=placeholder, right=placeholder)
+            left, right = _route(x, idx, split.feature_index, split.threshold)
+            stack.append((right, depth + 1, node, "right"))
+            stack.append((left, depth + 1, node, "left"))
         if parent is None:
             tree.root = node
         elif side == "left":
@@ -430,6 +424,15 @@ def _field(spec: dict, key: str, where: str, kind: type = float, low: float = -m
     return value
 
 
+def _tree_config(spec: dict, where: str) -> TreeConfig:
+    """TreeConfig(**spec) once its count fields are integers: TreeConfig
+    checks only their ranges, and 3.0 == 3 would pass a config comparison."""
+    for key, low in (("max_depth", 0), ("min_leaf", 1), ("feature_subsample", 1)):
+        if key == "min_leaf" or spec[key] is not None:
+            _field(spec, key, where, int, low)
+    return TreeConfig(**spec)
+
+
 def tree_from_dict(payload: dict) -> DecisionTree:
     """Inverse of tree_to_dict.  Every node is checked here, so that a tree
     that decodes also predicts.
@@ -443,7 +446,7 @@ def tree_from_dict(payload: dict) -> DecisionTree:
     """
     where = "tree"
     try:
-        cfg = TreeConfig(**payload["config"])
+        cfg = _tree_config(payload["config"], "config")
         n_features = _field(payload, "n_features", "tree", int, 1)
         if cfg.task == CLASSIFICATION:
             n_classes = _field(payload, "n_classes", "tree", int, 2)

@@ -5,9 +5,9 @@ import pytest
 
 from fddsense.dataset import (
     FAULT_CLASSES,
+    INSTALLED_SENSOR_INDEX,
     INSTALLED_SENSORS,
     Dataset,
-    SensorMeta,
     load_dataset,
     split_train_test,
     undersample_majority,
@@ -38,12 +38,7 @@ class TestSchema:
         assert kinds.count("mass_flow") == 3
         assert kinds.count("pressure") == 7
         assert kinds.count("temperature") == 24
-
-    def test_bad_sensor_meta_is_an_fdd_error(self):
-        with pytest.raises(FddError, match="unknown sensor kind"):
-            SensorMeta("X1", "probe", "W", "voltage")
-        with pytest.raises(FddError, match="inconsistent"):
-            SensorMeta("X1", "probe", "W", "temperature")
+        assert INSTALLED_SENSOR_INDEX["M1"].unit == "kg/min"
 
     def test_seven_fault_classes(self):
         assert [fc.id for fc in FAULT_CLASSES] == list(range(7))

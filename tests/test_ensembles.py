@@ -446,6 +446,10 @@ BAD_MODELS = [
     ("bagging", ("trees", 1, "config", "task"), "regression_on_gradients", "trees[1]"),
     ("boosting", ("trees", 3, "config", "task"), "classification", "trees[3]"),
     ("bagging", ("master_seed",), "3", "master_seed"),
+    # 2.0 == 2 and True == 1: equal values of the wrong type.
+    ("boosting", ("tree_config", "max_depth"), 2.0, "tree_config: max_depth must be an integer"),
+    ("boosting", ("tree_config", "min_leaf"), True, "tree_config: min_leaf must be an integer"),
+    ("bagging", ("trees", 0, "config", "max_depth"), 3.0, "trees[0]: config: max_depth"),
 ]
 
 

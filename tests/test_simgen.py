@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fddsense.dataset import INSTALLED_SENSORS
-from fddsense.errors import BadProportionsError, InvalidValueError, UnknownSymbolError
+from fddsense.errors import BadProportionsError, InvalidValueError
 from fddsense.simgen import (
     DEFAULT_PROPORTIONS,
     GeneratorConfig,
@@ -109,21 +109,6 @@ class TestValidation:
     def test_default_proportions_valid(self):
         assert abs(sum(DEFAULT_PROPORTIONS) - 1.0) <= 1e-12
 
-    def test_unknown_shift_symbol_rejected(self):
-        with pytest.raises(UnknownSymbolError):
-            GeneratorConfig(shifts={"T_outdoors": (0,) * 7})
-
-    def test_wrong_shift_length_rejected(self):
-        with pytest.raises(InvalidValueError):
-            GeneratorConfig(shifts={"T_FI": (0.0, 1.0)})
-
     def test_nonpositive_rows_rejected(self):
         with pytest.raises(InvalidValueError):
             GeneratorConfig(n_rows=0)
-
-    def test_bad_noise_sd_rejected(self):
-        with pytest.raises(InvalidValueError):
-            GeneratorConfig(noise_sd={"power": 40.0})  # missing kinds
-        sds = {"power": 40.0, "mass_flow": 0.15, "pressure": 0.08, "temperature": 0.0}
-        with pytest.raises(InvalidValueError):
-            GeneratorConfig(noise_sd=sds)

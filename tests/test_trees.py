@@ -285,6 +285,10 @@ class TestPrediction:
         row[2] = np.inf
         with pytest.raises(NonFiniteInputError):
             predict_tree(self.tree, row)
+        rows = np.zeros((3, 4))
+        rows[1, 2] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            self.tree.predict_batch(rows)
 
     def test_training_rows_classified_correctly(self):
         # Fully grown tree on unique rows reproduces its training labels.
