@@ -121,17 +121,24 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asfortranarray(arr)
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable numeric sensor table plus an integer fault label per row."""
+    """Immutable numeric sensor table plus an integer fault label per row.
+
+    values is column-major (Fortran order): each sensor's column is one
+    contiguous block.  Trees are fitted and rows routed a column at a
+    time, and a degradation study rewrites one column, so every consumer
+    reads this layout without a copy.  The builders here gather straight
+    into it, and any other input is copied to it once.
+    """
 
     schema: tuple[SensorMeta, ...]
-    values: np.ndarray  # (n_rows, n_sensors) float64, finite
+    values: np.ndarray  # (n_rows, n_sensors) float64, finite, column-major
     labels: np.ndarray  # (n_rows,) int64, >= 0
 
     def __post_init__(self):
@@ -184,10 +191,14 @@ class Dataset:
         """New Dataset restricted to the given sensor columns, rows unchanged."""
         indices = list(indices)
         schema = tuple(self.schema[i] for i in indices)
-        return Dataset(schema, self.values[:, indices], self.labels)
+        # values.T is row-major, one row per sensor, so a gather along it
+        # writes each column contiguously: these results are column-major
+        # and Dataset keeps them without a second copy.
+        return Dataset(schema, self.values.T.take(indices, axis=0).T, self.labels)
 
     def take_rows(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.schema, self.values[indices], self.labels[indices])
+        values = self.values.T.take(indices, axis=1).T
+        return Dataset(self.schema, values, self.labels[indices])
 
 
 def _parse_header(header: list[str]) -> tuple[SensorMeta, ...]:
@@ -206,8 +217,26 @@ def _parse_header(header: list[str]) -> tuple[SensorMeta, ...]:
     return tuple(INSTALLED_SENSOR_INDEX[s] for s in symbols)
 
 
+def _class_id(cell: str) -> int:
+    """The fault class id a label cell holds: an integer in
+    [0, len(FAULT_CLASSES)).  ValueError for any other text."""
+    label = int(cell)
+    if not 0 <= label < len(FAULT_CLASSES):
+        raise ValueError(f"{label} is not a fault class id")
+    return label
+
+
 def load_dataset(path) -> Dataset:
     """Load a CSV sensor table into a Dataset.
+
+    NumPy's C reader parses the file as it streams past.  It takes a file
+    only whole: a valid header, then rows that each hold a plain finite
+    number per sensor and a class id last.  Any other file (a blank line,
+    a quote, a cell only Python's float() reads, non-finite values, bytes
+    that are not UTF-8, no data rows) is read again by a per-cell loop
+    over the csv module, which accepts what it accepts and is the one
+    place that reports errors.  So both readers give the same Dataset or
+    the same error.
 
     Args:
         path: CSV file with a header row of installed sensor symbols plus a
@@ -225,7 +254,49 @@ def load_dataset(path) -> Dataset:
             reading.
         EmptyDatasetError: no data rows.
     """
-    n_labels = len(FAULT_CLASSES)
+    loaded = _load_fast(path)
+    return loaded if loaded is not None else _load_cells(path)
+
+
+def _load_fast(path) -> Dataset | None:
+    """The file parsed by np.loadtxt, or None when load_dataset must read
+    it cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = fh.readline().rstrip("\r\n").split(",")
+            schema = _parse_header(header)
+            first = fh.readline()
+            # loadtxt skips blank lines and warns when it finds no row.
+            if not first.rstrip("\r\n"):
+                return None
+            n_lines = 1
+
+            def lines():
+                nonlocal n_lines
+                yield first
+                for line in fh:
+                    n_lines += 1
+                    yield line
+
+            table = np.loadtxt(
+                lines(),
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                converters={len(header) - 1: _class_id},
+            )
+        except (ValueError, SchemaMismatchError):  # UnicodeDecodeError is a ValueError
+            return None
+    # loadtxt skips the blank lines that the per-cell reader rejects, so
+    # a row count short of the line count means the file has one.
+    if table.shape != (n_lines, len(header)) or not np.isfinite(table).all():
+        return None
+    return Dataset(schema, table[:, :-1], table[:, -1].astype(np.int64))
+
+
+def _load_cells(path) -> Dataset:
+    """load_dataset's per-cell reader: the csv module splits each row and
+    float() and _class_id parse each cell."""
     # Undecodable bytes become lone surrogates, which no number parses, so
     # they are reported as malformed cells like any other bad text.
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -264,14 +335,10 @@ def load_dataset(path) -> Dataset:
                             bad_cells.append((row_index, col))
                     continue
                 try:
-                    label = int(row[-1])
+                    labels.append(_class_id(row[-1]))
                 except ValueError:
-                    label = -1
-                if not 0 <= label < n_labels:
                     rows.pop()
                     bad_cells.append((row_index, LABEL_COLUMN))
-                else:
-                    labels.append(label)
         except csv.Error as exc:
             bad_cells.append((row_index + 1, None))
             raise MalformedRowError(bad_cells, f"unreadable CSV: {exc}") from exc
@@ -287,6 +354,9 @@ def load_dataset(path) -> Dataset:
     return Dataset(schema, values, np.array(labels, dtype=np.int64))
 
 
+_WRITE_BLOCK_ROWS = 8192
+
+
 def write_csv(d: Dataset, path) -> None:
     """Write a Dataset in the loadable CSV format.
 
@@ -295,9 +365,13 @@ def write_csv(d: Dataset, path) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(d.symbols) + f",{LABEL_COLUMN}\n")
-        for row, label in zip(d.values, d.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(label)}\n")
+        # tolist() turns a block of rows into Python floats in one call;
+        # reading a column-major row scalar by scalar is the slow way.  A
+        # block at a time keeps a large table from doubling in memory.
+        for start in range(0, d.n_rows, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            for row, label in zip(d.values[block].tolist(), d.labels[block].tolist()):
+                fh.write(f"{','.join(map(repr, row))},{label}\n")
 
 
 def undersample_majority(d: Dataset, seed: int = 0) -> Dataset:

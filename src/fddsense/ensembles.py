@@ -239,7 +239,8 @@ def predict_scores(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
 
     x may have any memory layout.  It is copied to column-major
     (Fortran) order at most once here, not once per tree, and
-    column-major float64 input is routed without a copy.
+    column-major float64 input, such as any Dataset's values, is routed
+    without a copy.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

@@ -49,7 +49,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # The temp file is ours; the caller named path.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)

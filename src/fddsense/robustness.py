@@ -107,7 +107,7 @@ def inject_awgn(data: Dataset, sensor: str, snr_db: float, seed: int) -> tuple[D
     """(dataset copy with white Gaussian noise added to one sensor column,
     measured SNR in dB); the SNR is NaN for a zero-power column."""
     column = data.sensor_index(sensor)
-    values = data.values.copy()
+    values = data.values.copy(order="F")
     values[:, column], measured = awgn_for(values[:, column], snr_db, seed)
     return Dataset(data.schema, values, data.labels), measured
 
@@ -116,7 +116,7 @@ def fail_sensor(data: Dataset, sensor: str) -> tuple[Dataset, float]:
     """(dataset copy with one sensor column stuck at 0, measured SNR of
     -inf dB: no signal survives, so the column is treated as all noise)."""
     column = data.sensor_index(sensor)
-    values = data.values.copy()
+    values = data.values.copy(order="F")
     values[:, column] = 0.0
     return Dataset(data.schema, values, data.labels), -math.inf
 

@@ -116,9 +116,11 @@ class DecisionTree:
         classification trees, (n,) values for regression trees.
 
         x may have any memory layout.  Rows are routed down columns, so a
-        column-major (Fortran-order) float64 x is routed without a copy;
-        any other layout is copied to column-major once per call, and a
-        caller that predicts with many trees should convert x first.
+        column-major (Fortran-order) float64 x, such as a Dataset's
+        values, is routed without a copy; any other layout is copied to
+        column-major once per call, and a caller that predicts with many
+        trees should convert x first.  Every call checks that x is
+        finite, so an ensemble checks its input once per tree.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:

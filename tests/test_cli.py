@@ -120,6 +120,19 @@ class TestTrainCommand:
         assert result.output.splitlines() == [f"Error: MalformedRowError: malformed cells: {cells}"]
         assert not model_path.exists()
 
+    def test_model_out_naming_a_directory_names_it(self, tmp_path):
+        """The error names the path given, not the temp file the model
+        was written to first, and no temp file is left behind."""
+        data = make_csv(tmp_path, n_rows=200)
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        result = invoke("train", "--data", str(data), "--model-out", str(model_dir), "--trees", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: IsADirectoryError: [Errno 21] Is a directory: '{model_dir}'"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "models"]
+
 class TestImportanceCommand:
     def test_prints_ranking(self, tmp_path):
         data = make_csv(tmp_path)

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,6 +9,8 @@ from fddsense.dataset import (
     INSTALLED_SENSOR_INDEX,
     INSTALLED_SENSORS,
     Dataset,
+    _load_cells,
+    _load_fast,
     load_dataset,
     split_train_test,
     undersample_majority,
@@ -23,6 +26,7 @@ from fddsense.errors import (
     SingleClassError,
     UnknownSensorError,
 )
+from fddsense.robustness import fail_sensor, inject_awgn
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 
@@ -332,3 +336,135 @@ class TestCsvFuzz:
             load_dataset(path)
         assert info.value.cells == [(1, None)]
         assert why in str(info.value)
+
+
+def _outcome(load, path):
+    """What a reader makes of a file: its table, bit for bit, or its
+    error's type, cells and message."""
+    try:
+        d = load(path)
+    except FddError as exc:
+        return type(exc), getattr(exc, "cells", None), str(exc)
+    return d.symbols, d.values.shape, d.values.tobytes(), d.labels.tobytes()
+
+
+def _fuzz_mutations(fuzz_table, kind):
+    """The 20 tables TestCsvFuzz loads for kind: the same edits, drawn
+    from the same seed."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    lines = fuzz_table.split(b"\n")
+    for _ in range(20):
+        line_no = int(rng.integers(0, len(lines) - 1))
+        cells = lines[line_no].split(b",")
+        if kind == "drop-comma":
+            col = int(rng.integers(0, len(cells) - 1))
+            cells[col : col + 2] = [cells[col] + cells[col + 1]]
+        else:
+            col = int(rng.integers(0, len(cells)))
+            cells[col] = _CELL_EDITS[kind](cells[col], rng)
+        yield b"\n".join([*lines[:line_no], b",".join(cells), *lines[line_no + 1 :]])
+
+
+_HEADER = b"T_FI,T_FO,class\n"
+
+# name -> (file bytes, whether NumPy's reader takes the file whole; None
+# where NumPy versions may differ)
+_EDGE_FILES = {
+    "clean": (_HEADER + b"1.5,-2e3,0\n4.25,0.5,6\n", True),
+    "crlf": (_HEADER.replace(b"\n", b"\r\n") + b"1.5,2.5,0\r\n3.5,4.5,6\r\n", True),
+    "cr": (_HEADER.replace(b"\n", b"\r") + b"1.5,2.5,0\r3.5,4.5,6\r", True),
+    "no-final-newline": (_HEADER + b"1.5,2.5,0\n3.5,4.5,6", True),
+    "label-plus-3": (_HEADER + b"1.5,2.5,+3\n", True),
+    "label-space-3": (_HEADER + b"1.5,2.5, 3\n", True),
+    "nbsp-around-cell": (_HEADER + "\u00a01.5\u00a0,2.5,3\n".encode(), None),
+    "label-3.0": (_HEADER + b"1.5,2.5,3.0\n", False),
+    "blank-line": (_HEADER + b"1.5,2.5,0\n\n3.5,4.5,6\n", False),
+    "blank-first-line": (_HEADER + b"\n1.5,2.5,0\n", False),
+    "blank-last-line": (_HEADER + b"1.5,2.5,0\n\r\n", False),
+    "blank-lines-only": (_HEADER + b"\n\n", False),
+    "spaces-line": (_HEADER + b"1.5,2.5,0\n   \n", False),
+    "hash-in-cell": (_HEADER + b"1.5,#2.5,0\n", False),
+    "quoted-cell": (_HEADER + b'"1.5",2.5,0\n', False),
+    "underscore-cell": (_HEADER + b"1_000,2.5,0\n", False),
+    "arabic-indic-digit": (_HEADER + "\u0661,2.5,0\n".encode(), False),
+    "inf": (_HEADER + b"inf,2.5,0\n", False),
+    "xff-byte": (_HEADER + b"1.5,2\xff.5,0\n", False),
+    "nul": (_HEADER + b"1.5,2\x00.5,0\n", False),
+    "extra-column-every-row": (_HEADER + b"1.5,2.5,0,1\n3.5,4.5,6,1\n", False),
+    "unknown-symbol": (b"T_FI,T_x,class\n1.5,2.5,0\n", False),
+    "quoted-header": (b'"T_FI",T_FO,class\n1.5,2.5,0\n', False),
+    "empty": (b"", False),
+    "header-only": (_HEADER, False),
+}
+
+
+class TestFastCsvPath:
+    """load_dataset parses with np.loadtxt and falls back to the per-cell
+    reader; both must give the same table or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_FILES))
+    def test_edge_files(self, tmp_path, name):
+        raw, fast = _EDGE_FILES[name]
+        path = tmp_path / "edge.csv"
+        path.write_bytes(raw)
+        if fast is not None:
+            assert (_load_fast(path) is not None) == fast
+        assert _outcome(load_dataset, path) == _outcome(_load_cells, path)
+
+    def test_clean_fuzz_table_takes_the_fast_path(self, tmp_path, fuzz_table):
+        path = tmp_path / "table.csv"
+        path.write_bytes(fuzz_table)
+        assert _load_fast(path) is not None
+        assert _outcome(_load_fast, path) == _outcome(_load_cells, path)
+
+    @pytest.mark.parametrize("kind", sorted([*_CELL_EDITS, "drop-comma"]))
+    def test_fuzz_mutations(self, tmp_path, fuzz_table, kind):
+        path = tmp_path / "mutated.csv"
+        for raw in _fuzz_mutations(fuzz_table, kind):
+            path.write_bytes(raw)
+            assert _outcome(load_dataset, path) == _outcome(_load_cells, path)
+
+
+def _column_major(d: Dataset) -> bool:
+    return (
+        d.values.flags.f_contiguous
+        and not d.values.flags.writeable
+        and np.asfortranarray(d.values) is d.values
+    )
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestColumnMajorValues:
+    def test_every_builder_gives_column_major_values(self, tmp_path):
+        d = small_dataset(n=300, seed=2)
+        path = tmp_path / "data.csv"
+        write_csv(d, path)
+        rows = np.flatnonzero(d.labels != 0)
+        built = {
+            "generate_dataset": d,
+            "load_dataset": load_dataset(path),
+            "_load_cells": _load_cells(path),
+            "take_rows": d.take_rows(rows),
+            "select_sensors": d.select_sensors([5, 0, 33]),
+            "inject_awgn": inject_awgn(d, "T_C", 3.0, seed=1)[0],
+            "fail_sensor": fail_sensor(d, "T_C")[0],
+            "from a row-major matrix": Dataset(d.schema, np.ascontiguousarray(d.values), d.labels),
+        }
+        assert {name: _column_major(b) for name, b in built.items()} == dict.fromkeys(built, True)
+        assert np.array_equal(built["take_rows"].values, d.values[rows])
+        assert np.array_equal(built["select_sensors"].values, d.values[:, [5, 0, 33]])
+
+    def test_gathers_copy_the_matrix_once(self):
+        d = small_dataset(n=20_000, seed=2)
+        rows = np.arange(0, d.n_rows, 2)
+        half = d.values.nbytes // 2
+        assert _peak_bytes(lambda: d.take_rows(rows)) < 1.5 * half
+        assert _peak_bytes(lambda: d.select_sensors(range(20))) < 1.5 * half
