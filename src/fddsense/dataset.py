@@ -135,6 +135,11 @@ class Dataset:
     time, and a degradation study rewrites one column, so every consumer
     reads this layout without a copy.  The builders here gather straight
     into it, and any other input is copied to it once.
+
+    A values array that is already float64 and column-major (and a
+    labels array that is already int64) is adopted, not copied, and made
+    read-only in place: the caller's own array stops being writable.
+    Pass a copy to keep a writable one.
     """
 
     schema: tuple[SensorMeta, ...]

@@ -18,6 +18,25 @@ class counts T.  So g is bit-equal to the per-class count formula.  A
 node with more sampled elements than _SCAN_BLOCK is scanned in blocks of
 whole features, which bounds the scan's working set.
 
+A classification tree on one feature (Recursive Feature Addition starts
+every model from its top sensor alone) is grown a level at a time
+instead.  Its column is sorted once per tree.  A split falls between two
+distinct values, so every node is a contiguous range of sorted rows that
+holds whole groups of equal values: the range is a sort of the node's
+rows, and a level needs no partition and no sort.  A prefix table of
+class counts over the sorted rows gives each node's T and each row's occ
+within its node, and one vectorized pass per level scores every
+candidate of every growing node with the same int64 sums and float64
+divisions as the node scan, so g, the first maximum, the thresholds and
+the leaves are bit-equal to the node-by-node tree.  One feature draws no
+feature subset, so the rng is never consumed.  Regression keeps the node
+scan: its float sums follow each node's own sort order, which a level
+pass does not reproduce.
+
+A threshold is the midpoint of the two values it separates, or the lower
+value where the midpoint rounds onto the upper one (_threshold), so it
+always routes the rows the scan counted.
+
 A tree's feature importance is its mean decrease in impurity: each split's
 impurity decrease, weighted by its node's share of the root's samples,
 summed per feature.
@@ -35,6 +54,7 @@ from .errors import (
     EmptyInputError,
     EmptyNodeError,
     InvalidValueError,
+    LabelOutOfRangeError,
     ModelFormatError,
     NonFiniteInputError,
 )
@@ -222,8 +242,19 @@ def _scan(cols: np.ndarray, yy: np.ndarray, min_leaf: int, counts: np.ndarray | 
     g[~valid] = -np.inf  # equal neighbours, or fewer than min_leaf rows a side
     best = int(g.argmax())  # first maximum: lowest feature row, then threshold
     row, pos = divmod(best, n - 1)
-    threshold = (xs[row, pos] + xs[row, pos + 1]) / 2
-    return float(g[row, pos]), row, pos, float(threshold)
+    return float(g[row, pos]), row, pos, _threshold(float(xs[row, pos]), float(xs[row, pos + 1]))
+
+
+def _threshold(lo: float, hi: float) -> float:
+    """The split threshold between adjacent distinct values lo < hi.
+
+    lo/2 + hi/2 is bit-equal to (lo + hi)/2 for normal doubles but cannot
+    overflow.  Between adjacent doubles, or subnormals, it can round onto
+    hi; then lo is used.  lo <= t < hi makes _route send left exactly the
+    rows <= lo, the left_count the scan recorded.
+    """
+    t = lo / 2 + hi / 2
+    return t if lo <= t < hi else lo
 
 
 def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
@@ -231,6 +262,115 @@ def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
     if m is None or m >= n_features:
         return np.arange(n_features)  # no draw: full-feature trees ignore the rng
     return np.sort(rng.choice(n_features, size=m, replace=False))
+
+
+def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> Internal | Leaf:
+    """Root of the classification tree on the one feature col, grown a
+    level at a time over col sorted once (the module docstring says why
+    it is the tree the node-by-node grower makes)."""
+    n, k = col.size, n_classes
+    order = col.argsort()
+    xs, ys = col.take(order), y.take(order)
+    # prefix[j, c]: rows of class c among the j smallest; a node [a, b)
+    # of sorted rows has class counts prefix[b] - prefix[a].
+    prefix = np.zeros((n + 1, k), dtype=np.int64)
+    prefix[np.arange(1, n + 1), ys] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    flat = prefix.ravel()
+    occ = flat.take(np.arange(0, n * k, k) + ys)  # earlier rows of each row's class
+    tie = xs[:-1] == xs[1:]  # no threshold between sorted rows j and j + 1
+
+    placeholder = root = Leaf(n_samples=n)
+    # The level's nodes as sorted-row ranges [a, b), each with the parent
+    # and the side it hangs on (None for the root).
+    a, b = np.array([0]), np.array([n])
+    slots: list[tuple[Internal | None, str]] = [(None, "root")]
+    depth = 0
+    while slots:
+        counts = prefix.take(b, axis=0) - prefix.take(a, axis=0)
+        sizes = b - a
+        sq = (counts * counts).sum(axis=1)
+        g_parent = sq / sizes
+        grow = (counts.max(axis=1) < sizes) & (sizes >= 2 * cfg.min_leaf)
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            grow[:] = False
+        best_g = np.full(sizes.size, -np.inf)
+        best_r = np.zeros(sizes.size, dtype=np.intp)
+        if grow.any():
+            # Candidate r puts sorted rows [a, r] left; a node's last row
+            # is no candidate, so both sides are non-empty.
+            ga, gb = a[grow], b[grow]
+            lens = gb - ga - 1
+            starts = np.cumsum(lens) - lens
+            owner = np.repeat(np.arange(ga.size), lens)  # each candidate's node
+            first = ga.take(owner)
+            r = np.arange(lens.sum()) - starts.take(owner) + first
+            c = ys.take(r)
+
+            def seg_cumsum(v):  # cumulative sums that restart at each node
+                cum = v.cumsum()
+                return cum - (cum - v).take(starts).take(owner)
+
+            # The module docstring's identities in exact int64, where a
+            # row's occ within its node is occ[r] - prefix[a, c].
+            s_left = seg_cumsum(2 * (occ.take(r) - flat.take(first * k + c)) + 1)
+            cross = seg_cumsum(counts[grow].ravel().take(owner * k + c))
+            s_right = sq[grow].take(owner) - 2 * cross + s_left
+            n_left = r - first + 1
+            n_right = gb.take(owner) - r - 1
+            g = s_left / n_left + s_right / n_right
+            g[tie.take(r) | (n_left < cfg.min_leaf) | (n_right < cfg.min_leaf)] = -np.inf
+            node_best = np.maximum.reduceat(g, starts)
+            hits = np.where(g == node_best.take(owner), np.arange(g.size), g.size)
+            best_g[grow] = node_best
+            best_r[grow] = r.take(np.minimum.reduceat(hits, starts))  # first maximum
+
+        # Per-node fields as whole-level arrays, with the same float64
+        # operations as fit_tree's best_split and make_leaf.
+        split = best_g > g_parent  # strict: a split must lower the impurity
+        # The right child's first sorted row: xs[cut - 1] <= threshold <
+        # xs[cut], so the children hold exactly the rows _route sends them.
+        cut = best_r + 1
+        gain = best_g - g_parent
+        fields = zip(
+            slots,
+            split.tolist(),
+            a.tolist(),
+            cut.tolist(),
+            b.tolist(),
+            gain.tolist(),
+            (gain / sizes).tolist(),
+            counts / sizes[:, None],
+        )
+        next_a: list[int] = []
+        next_b: list[int] = []
+        next_slots: list[tuple[Internal | None, str]] = []
+        for (parent, side), is_split, lo, mid, hi, node_gain, decrease, dist in fields:
+            node: Internal | Leaf
+            if is_split:
+                candidate = SplitCandidate(
+                    feature_index=0,
+                    threshold=_threshold(float(xs[mid - 1]), float(xs[mid])),
+                    impurity_decrease=decrease,
+                    gain=node_gain,
+                    left_count=mid - lo,
+                    right_count=hi - mid,
+                )
+                node = Internal(split=candidate, left=placeholder, right=placeholder)
+                next_a += [lo, mid]
+                next_b += [mid, hi]
+                next_slots += [(node, "left"), (node, "right")]
+            else:
+                node = Leaf(n_samples=hi - lo, distribution=dist)
+            if parent is None:
+                root = node
+            elif side == "left":
+                parent.left = node
+            else:
+                parent.right = node
+        a, b, slots = np.array(next_a, dtype=np.intp), np.array(next_b, dtype=np.intp), next_slots
+        depth += 1
+    return root
 
 
 def fit_tree(
@@ -242,9 +382,14 @@ def fit_tree(
 ) -> DecisionTree:
     """Grow one tree by greedy top-down search.
 
+    A classification tree on a one-column x grows level by level over the
+    column sorted once; any other tree grows node by node.  Both give the
+    same tree, node for node (see the module docstring).
+
     Args:
         x: (n, f) feature matrix, finite.
-        y: class ids (classification) or real targets (regression).
+        y: n class ids in [0, n_classes) (classification) or n finite
+            real targets (regression).
         cfg: growth limits.
         rng_seed: drives per-node feature subsampling only.
         n_classes: class count for classification; inferred from y if None.
@@ -252,6 +397,12 @@ def fit_tree(
     Returns:
         DecisionTree.  All-constant features yield a single-leaf tree
         rather than an error.
+
+    Raises:
+        DimensionMismatchError: y is not one value per row of x.
+        LabelOutOfRangeError: a class id outside [0, n_classes); the
+            message names the first such row.
+        NonFiniteInputError: x, or a regression target, is NaN or Inf.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -261,15 +412,25 @@ def fit_tree(
         raise EmptyInputError(f"need at least 2 rows to fit a tree, got {n}")
     if not np.isfinite(x).all():
         raise NonFiniteInputError("training matrix contains NaN or Inf")
-    x = np.asfortranarray(x)  # _route reads whole columns
-    xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     classify = cfg.task == CLASSIFICATION
+    y = np.asarray(y, dtype=np.int64 if classify else np.float64)
+    if y.shape != (n,):
+        raise DimensionMismatchError(f"x has {n} rows but y has shape {y.shape}")
     if classify:
-        y = np.asarray(y, dtype=np.int64)
         if n_classes is None:
             n_classes = int(y.max()) + 1
-    else:
-        y = np.asarray(y, dtype=np.float64)
+        bad = (y < 0) | (y >= n_classes)
+        if bad.any():
+            row = int(bad.argmax())
+            raise LabelOutOfRangeError(f"label {int(y[row])} at row {row} is outside [0, {n_classes})")
+    elif not np.isfinite(y).all():
+        row = int((~np.isfinite(y)).argmax())
+        raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
+    x = np.asfortranarray(x)  # _route reads whole columns
+    if classify and n_features == 1:
+        root = _grow_levels(x[:, 0], y, n_classes, cfg)
+        return DecisionTree(root=root, n_features=1, config=cfg, n_classes=n_classes)
+    xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     rng = np.random.default_rng(rng_seed)
 
     def make_leaf(size: int, yy: np.ndarray, counts: np.ndarray | None) -> Leaf:

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from fddsense.errors import (
     DimensionMismatchError,
     EmptyInputError,
     EmptyNodeError,
+    LabelOutOfRangeError,
     ModelFormatError,
     NonFiniteInputError,
 )
 from fddsense import trees
+from fddsense.fileio import canonical_json
 from fddsense.trees import (
     DecisionTree,
     Internal,
@@ -131,6 +134,108 @@ class TestFitAgainstOracle:
         assert first.gain == one_block.gain
         last = fit_tree(x[:, 1:], y, cfg, n_classes=3).root.split
         assert (last.feature_index, last.threshold) == (7, one_block.threshold)
+
+
+class TestOneColumnGrowth:
+    def test_level_growth_matches_node_growth(self):
+        """A one-column classification tree grows level by level; the same
+        column twice grows node by node, and feature 0 wins every tie, so
+        both must give the same nodes."""
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            n = int(rng.integers(2, 401))
+            k = int(rng.integers(2, 8))
+            # Few distinct values give ties and duplicated rows.
+            distinct = int(rng.integers(1, n + 1))
+            x = rng.integers(0, distinct, size=(n, 1)) * rng.choice([1.0, 0.37, -2.5e-3])
+            y = rng.integers(0, k, size=n)
+            if case % 17 == 0:
+                x[:] = 3.0  # a constant column
+            if case % 13 == 0:
+                y[:] = k - 1  # a single class
+            if case % 5 == 1:
+                y = (np.abs(x[:, 0]) * 7).astype(int) % k  # labels that follow x
+            cfg = TreeConfig(max_depth=[None, 0, 1, 3, 12][case % 5], min_leaf=int(rng.integers(1, 8)))
+            level = tree_to_dict(fit_tree(x, y, cfg, n_classes=k))
+            node = tree_to_dict(fit_tree(np.hstack([x, x]), y, cfg, n_classes=k))
+            assert level["nodes"] == node["nodes"], case
+
+
+def assert_counts_route(tree, x):
+    """Every split sends its recorded left_count training rows left, and
+    every leaf gets its n_samples rows."""
+    stack = [(tree.root, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            assert rows.size == node.n_samples > 0
+            continue
+        goes_left = x[rows, node.split.feature_index] <= node.split.threshold
+        assert goes_left.sum() == node.split.left_count
+        assert rows.size - goes_left.sum() == node.split.right_count
+        stack += [(node.left, rows[goes_left]), (node.right, rows[~goes_left])]
+
+
+TINY = np.nextafter(0.0, 1.0)
+HARD_VALUES = {
+    # Midpoints of these neighbours round onto the upper value.
+    "adjacent doubles": 1.0 + np.arange(10) * 2.0**-52,
+    "subnormals": np.arange(-4, 6) * TINY,
+    # (lo + hi) / 2 of these neighbours overflows to inf.
+    "near the largest double": np.concatenate(
+        [-np.linspace(1.79e308, 1.6e308, 5), np.linspace(1.6e308, 1.79e308, 5)]
+    ),
+}
+
+
+class TestThresholds:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("task", ["classification", "regression_on_gradients"])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("values", sorted(HARD_VALUES))
+    def test_every_threshold_routes_its_counts(self, values, width, task):
+        """Alternating labels make every gap a split, so an unlimited tree
+        isolates all ten rows: one column grows level by level, two grow
+        node by node."""
+        x = np.tile(HARD_VALUES[values][:, None], (1, width))
+        y = np.arange(10) % 2
+        tree = fit_tree(x, y if task == "classification" else y * 1.0, TreeConfig(task=task))
+        assert_counts_route(tree, x)
+        assert sum(isinstance(node, Leaf) for node in walk(tree.root)) == 10
+        for node in walk(tree.root):
+            if isinstance(node, Internal):
+                assert np.isfinite(node.split.threshold)
+        assert tree_from_dict(json.loads(canonical_json(tree_to_dict(tree)))).n_features == width
+
+    def test_midpoint_is_unchanged_for_normal_doubles(self):
+        rng = np.random.default_rng(13)
+        lo = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, size=1000)
+        hi = lo + np.abs(lo) * rng.random(1000) + 1e-300
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            assert trees._threshold(a, b) == (a + b) / 2
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_classification_labels(self, width):
+        x = np.arange(12.0).reshape(-1, 1).repeat(width, axis=1)
+        with pytest.raises(DimensionMismatchError, match="12 rows"):
+            fit_tree(x, np.zeros(11, dtype=int), TreeConfig())
+        with pytest.raises(LabelOutOfRangeError, match="label -1 at row 4"):
+            fit_tree(x, np.array([0, 1, 0, 1, -1] + [0] * 7), TreeConfig())
+        with pytest.raises(LabelOutOfRangeError, match=r"label 3 at row 2 is outside \[0, 2\)"):
+            fit_tree(x, np.array([0, 1, 3] + [0] * 9), TreeConfig(), n_classes=2)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_regression_targets(self, width):
+        x = np.arange(12.0).reshape(-1, 1).repeat(width, axis=1)
+        cfg = TreeConfig(task="regression_on_gradients")
+        with pytest.raises(DimensionMismatchError, match="12 rows"):
+            fit_tree(x, np.zeros((12, 2)), cfg)
+        target = np.zeros(12)
+        target[7] = np.inf
+        with pytest.raises(NonFiniteInputError, match="row 7"):
+            fit_tree(x, target, cfg)
 
 
 class TestGrowthControls:
