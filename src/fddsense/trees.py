@@ -267,7 +267,8 @@ def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
 def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> Internal | Leaf:
     """Root of the classification tree on the one feature col, grown a
     level at a time over col sorted once (the module docstring says why
-    it is the tree the node-by-node grower makes)."""
+    it is the tree the node-by-node grower makes).  Its prefix table
+    holds (n + 1) * n_classes int64 counts."""
     n, k = col.size, n_classes
     order = col.argsort()
     xs, ys = col.take(order), y.take(order)
