@@ -24,6 +24,7 @@ from .errors import (
     SingleClassError,
     UnknownSensorError,
 )
+from .fileio import _non_integer_row
 
 LABEL_COLUMN = "class"
 
@@ -148,11 +149,15 @@ class Dataset:
 
     def __post_init__(self):
         values = _freeze(np.asarray(self.values, dtype=np.float64))
-        labels = _freeze(np.asarray(self.labels, dtype=np.int64))
+        labels = np.asarray(self.labels)
         if values.ndim != 2:
             raise InvalidValueError("values must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != values.shape[0]:
             raise InvalidValueError("labels length must equal the number of rows")
+        row = _non_integer_row(labels)
+        if row is not None:
+            raise InvalidValueError(f"label {float(labels[row])!r} at row {row} is not an integer")
+        labels = _freeze(np.asarray(labels, dtype=np.int64))
         if values.shape[1] != len(self.schema):
             raise InvalidValueError("column count must equal schema length")
         if values.size and not np.isfinite(values).all():

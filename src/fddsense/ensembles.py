@@ -24,7 +24,6 @@ from .dataset import FAULT_CLASSES, Dataset
 from .errors import (
     DimensionMismatchError,
     InvalidValueError,
-    LabelOutOfRangeError,
     ModelFormatError,
     SchemaMismatchError,
     SingleClassError,
@@ -37,6 +36,7 @@ from .trees import (
     REGRESSION,
     DecisionTree,
     TreeConfig,
+    _class_ids,
     _field,
     _tree_config,
     fit_tree,
@@ -146,7 +146,8 @@ def fit_ensemble(
 
     Args:
         x: (n, f) feature matrix with columns matching feature_names.
-        y: int class ids in [0, n_classes).
+        y: integer class ids in [0, n_classes); any other label is a
+            LabelOutOfRangeError that names its row.
         cfg: ensemble recipe.
         master_seed: root of all derived per-tree seeds.
         feature_names: column symbols, stored for schema checks.
@@ -159,7 +160,7 @@ def fit_ensemble(
         for bagging, regression on gradients for boosting.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"x {x.shape} and y {y.shape} disagree on the row count"
@@ -168,14 +169,7 @@ def fit_ensemble(
         raise DimensionMismatchError(
             f"{x.shape[1]} columns but {len(feature_names)} feature names"
         )
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    out_of_range = (y < 0) | (y >= n_classes)
-    if out_of_range.any():
-        row = int(np.flatnonzero(out_of_range)[0])
-        raise LabelOutOfRangeError(
-            f"label {int(y[row])} at row {row} is outside [0, {n_classes})"
-        )
+    y, n_classes = _class_ids(y, n_classes)
     if np.unique(y).size < 2:
         raise SingleClassError("training labels contain a single class")
     feature_names = tuple(feature_names)
@@ -235,7 +229,9 @@ def predict_scores(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
 
     Bagging returns averaged leaf distributions (or vote fractions under
     hard_vote); boosting returns softmax probabilities of the additive
-    scores.  Rows sum to 1 either way.
+    scores.  Rows sum to 1 either way.  The trees' leaf outputs are
+    combined by _combine, which the robustness scenarios also use, so a
+    scenario scores bit-equal to predict_scores on its perturbed rows.
 
     x may have any memory layout.  It is copied to column-major
     (Fortran) order at most once here, not once per tree, and
@@ -246,21 +242,27 @@ def predict_scores(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionMismatchError("prediction input must be a 2-D matrix")
     x = np.asfortranarray(x)
+    return _combine(model, x.shape[0], (tree.predict_batch(x) for tree in model.trees))
+
+
+def _combine(model: EnsembleModel, n: int, outputs) -> np.ndarray:
+    """(n, K) scores from outputs, which yields each tree's leaf outputs
+    for the n rows in model.trees order: the one combiner of
+    predict_scores and the robustness scenarios."""
     if model.config.method == BAGGING:
         if model.config.hard_vote:
-            votes = np.zeros((x.shape[0], model.n_classes), dtype=np.float64)
-            for tree in model.trees:
-                picks = np.argmax(tree.predict_batch(x), axis=1)
-                votes[np.arange(x.shape[0]), picks] += 1.0
+            votes = np.zeros((n, model.n_classes), dtype=np.float64)
+            for out in outputs:
+                votes[np.arange(n), np.argmax(out, axis=1)] += 1.0
             return votes / len(model.trees)
-        total = np.zeros((x.shape[0], model.n_classes), dtype=np.float64)
-        for tree in model.trees:
-            total += tree.predict_batch(x)
+        total = np.zeros((n, model.n_classes), dtype=np.float64)
+        for out in outputs:
+            total += out
         return total / len(model.trees)
-    scores = np.tile(model.base_scores, (x.shape[0], 1))
-    for flat_index, tree in enumerate(model.trees):
+    scores = np.tile(model.base_scores, (n, 1))
+    for flat_index, out in enumerate(outputs):
         k = flat_index % model.n_classes
-        scores[:, k] += model.config.learning_rate * tree.predict_batch(x)
+        scores[:, k] += model.config.learning_rate * out
     return _softmax(scores)
 
 
@@ -297,12 +299,23 @@ def rank_features(model: EnsembleModel) -> list[tuple[str, float]]:
 def evaluate(model: EnsembleModel, data: Dataset) -> ClassReport:
     """Score the model on a labelled dataset with matching schema."""
     model.check_schema(data.symbols)
-    predicted = predict_batch(model, data.values)
+    return _report(model, data.labels, predict_batch(model, data.values))
+
+
+def _rescore(model: EnsembleModel, labels: np.ndarray, outputs) -> ClassReport:
+    """evaluate's report for rows with these labels, from each tree's
+    leaf outputs for those rows (as _combine takes them)."""
+    scores = _combine(model, labels.size, outputs)
+    return _report(model, labels, np.argmax(scores, axis=1).astype(np.int64))
+
+
+def _report(model: EnsembleModel, labels: np.ndarray, predicted: np.ndarray) -> ClassReport:
+    """evaluate's report of predicted class ids against labels."""
     if model.n_classes == len(FAULT_CLASSES):
         names = tuple(fc.name for fc in FAULT_CLASSES)
     else:
         names = tuple(f"class_{k}" for k in range(model.n_classes))
-    return build_report(data.labels, predicted, names)
+    return build_report(labels, predicted, names)
 
 
 def model_to_dict(model: EnsembleModel) -> dict:

@@ -80,7 +80,8 @@ class LengthMismatchError(FddError):
 
 
 class LabelOutOfRangeError(FddError):
-    """A label value is negative or >= the declared class count."""
+    """A label value is not an integer, or is negative or >= the declared
+    class count."""
 
 
 class EmptyMatrixError(FddError):

@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -37,6 +39,16 @@ def _of_kind(kind: type, value) -> bool:
         number = numbers.Integral if kind is int else numbers.Real
         return isinstance(value, number) and abs(value) <= _FLOAT_MAX
     return isinstance(value, kind)
+
+
+def _non_integer_row(labels: np.ndarray) -> int | None:
+    """Index of the first of the 1-D labels that is not an integer in the
+    int64 range (NaN and Inf included), or None.  Labels of an integer or
+    bool dtype have none."""
+    if labels.dtype.kind != "f":
+        return None
+    whole = (labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)
+    return None if whole.all() else int(whole.argmin())
 
 
 def canonical_json(payload) -> str:

@@ -19,6 +19,7 @@ from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
 from .fileio import _csv_rows
 from .metrics import ClassReport
 from .seeding import derive_seed
+from .trees import _leaf_boxes, _reach
 
 AWGN = "awgn"
 FAILURE = "failure"
@@ -159,8 +160,67 @@ class RobustnessReport:
         return _csv_rows([{**baseline, **record["baseline"]}] + record["scenarios"])
 
 
+class _CleanRoutes:
+    """A clean test set routed once through every tree of a model: one
+    leaf number per tree and row, leaves numbered in preorder.
+
+    A scenario changes one column.  A row keeps its clean leaf exactly
+    when its new value lies in the interval that the leaf's path admits
+    on that column (trees._leaf_boxes), so only the rows outside it are
+    routed again, from the root, through the routing loop trees._reach.
+    """
+
+    def __init__(self, trees, xf: np.ndarray):
+        n = xf.shape[0]
+        # Per tree: (root, leaf number by id(leaf), leaf outputs, lo, hi).
+        self.trees = []
+        for tree in trees:
+            leaves, lo, hi = _leaf_boxes(tree)
+            number = {id(leaf): j for j, leaf in enumerate(leaves)}
+            table = np.array([leaf.value if tree.n_classes is None else leaf.distribution for leaf in leaves])
+            self.trees.append((tree.root, number, table, lo, hi))
+        widest = max(len(number) for _, number, *_ in self.trees)
+        self.ids = np.empty((len(trees), n), dtype=np.min_scalar_type(widest - 1))
+        for (root, number, *_), ids in zip(self.trees, self.ids):
+            for leaf, idx in _reach(xf, root, np.arange(n)):
+                ids[idx] = number[id(leaf)]
+
+    def outputs(self, xf: np.ndarray, column: int):
+        """Yield each tree's leaf outputs for the rows of xf, which equal
+        the clean rows outside column, in tree order."""
+        values = xf[:, column]
+        ids = np.empty(values.size, dtype=np.intp)  # reused by every tree
+        for (root, number, table, lo, hi), clean in zip(self.trees, self.ids):
+            ids[:] = clean
+            stays = (lo[column].take(clean) < values) & (values <= hi[column].take(clean))
+            for leaf, idx in _reach(xf, root, (~stays).nonzero()[0]):
+                ids[idx] = number[id(leaf)]
+            yield table.take(ids, axis=0)
+
+
+def _scenario(model, routes: _CleanRoutes, test: Dataset, spec: NoiseSpec, seed: int) -> ScenarioResult:
+    """One scenario scored from the clean routes.  Its perturbed copy of
+    test is released on return, before the next scenario makes its own."""
+    from .ensembles import _rescore
+
+    if spec.mode == AWGN:
+        perturbed, measured = inject_awgn(test, spec.sensor, spec.snr_db, derive_seed(seed, spec.label()))
+    else:
+        perturbed, measured = fail_sensor(test, spec.sensor)
+    outputs = routes.outputs(perturbed.values, test.sensor_index(spec.sensor))
+    report = _rescore(model, test.labels, outputs)
+    return ScenarioResult(spec=spec, measured_snr_db=measured, macro_f1=report.macro_f1, accuracy=report.accuracy)
+
+
 def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
     """Score a model on the clean test set and under each degradation.
+
+    The baseline is evaluate(model, test).  The clean rows are then
+    routed once more, into one leaf number per tree and row
+    (_CleanRoutes), and each scenario re-routes only the rows whose
+    perturbed value leaves their leaf's interval.  The leaf outputs are
+    combined as predict_scores combines them, in the same tree order, so
+    every scenario scores bit-equal to evaluate(model, perturbed).
 
     Each scenario draws its noise from a seed derived from (seed, its own
     label), so reordering or removing scenarios never changes another
@@ -169,21 +229,6 @@ def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
     from .ensembles import evaluate
 
     baseline = evaluate(model, test)
-    results = []
-    for spec in specs:
-        if spec.mode == AWGN:
-            perturbed, measured = inject_awgn(
-                test, spec.sensor, spec.snr_db, derive_seed(seed, spec.label())
-            )
-        else:
-            perturbed, measured = fail_sensor(test, spec.sensor)
-        report = evaluate(model, perturbed)
-        results.append(
-            ScenarioResult(
-                spec=spec,
-                measured_snr_db=measured,
-                macro_f1=report.macro_f1,
-                accuracy=report.accuracy,
-            )
-        )
-    return RobustnessReport(baseline=baseline, scenarios=tuple(results))
+    routes = _CleanRoutes(model.trees, test.values)
+    results = tuple(_scenario(model, routes, test, spec, seed) for spec in specs)
+    return RobustnessReport(baseline=baseline, scenarios=results)

@@ -58,7 +58,7 @@ from .errors import (
     ModelFormatError,
     NonFiniteInputError,
 )
-from .fileio import _of_kind
+from .fileio import _non_integer_row, _of_kind
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression_on_gradients"
@@ -140,7 +140,9 @@ class DecisionTree:
         values, is routed without a copy; any other layout is copied to
         column-major once per call, and a caller that predicts with many
         trees should convert x first.  Every call checks that x is
-        finite, so an ensemble checks its input once per tree.
+        finite, so predict_scores checks its input once per tree.  The
+        robustness scenarios route rows of a Dataset, finite by
+        construction, through the same loop (_reach) without this check.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
@@ -150,24 +152,14 @@ class DecisionTree:
         if x.size and not np.isfinite(x).all():
             raise NonFiniteInputError("prediction input contains NaN or Inf")
         x = np.asfortranarray(x)
-        n = x.shape[0]
         classify = self.n_classes is not None
         # Each row records its leaf's id; one take at the end gathers the
         # leaf outputs for all rows.
-        leaf_ids = np.empty(n, dtype=np.intp)
+        leaf_ids = np.empty(x.shape[0], dtype=np.intp)
         outputs: list = []
-        stack: list[tuple[Internal | Leaf, np.ndarray]] = [(self.root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if isinstance(node, Leaf):
-                leaf_ids[idx] = len(outputs)
-                outputs.append(node.distribution if classify else node.value)
-                continue
-            left, right = _route(x, idx, node.split.feature_index, node.split.threshold)
-            stack.append((node.left, left))
-            stack.append((node.right, right))
+        for leaf, idx in _reach(x, self.root, np.arange(x.shape[0])):
+            leaf_ids[idx] = len(outputs)
+            outputs.append(leaf.distribution if classify else leaf.value)
         table = np.array(outputs, dtype=np.float64)
         if classify:
             table = table.reshape(len(outputs), self.n_classes)
@@ -177,12 +169,66 @@ class DecisionTree:
 def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
     """(left, right) split of the row indices idx at feature <= threshold.
 
-    The one routing rule shared by fit_tree and predict_batch.  xf must be
-    column-major so that the feature's column is contiguous and take reads
-    it without striding across rows.  Both halves keep the order of idx.
+    The one routing rule shared by fit_tree and the routing loop _reach.
+    xf must be column-major so that the feature's column is contiguous and
+    take reads it without striding across rows.  Both halves keep the
+    order of idx.
     """
     goes_left = xf[:, feature].take(idx) <= threshold
     return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
+
+
+def _reach(xf: np.ndarray, root: Internal | Leaf, idx: np.ndarray):
+    """Yield (leaf, the rows of idx that reach it) for every leaf that
+    rows idx of the column-major xf reach from root.
+
+    The one routing loop, shared by predict_batch and the robustness
+    scenarios' re-routing; each split applies _route.
+    """
+    stack: list[tuple[Internal | Leaf, np.ndarray]] = [(root, idx)]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if isinstance(node, Leaf):
+            yield node, idx
+            continue
+        left, right = _route(xf, idx, node.split.feature_index, node.split.threshold)
+        stack.append((node.left, left))
+        stack.append((node.right, right))
+
+
+def _leaf_boxes(tree: DecisionTree) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
+    """(leaves, lo, hi): the tree's leaves in preorder, and for every
+    feature f and leaf j the interval (lo[f, j], hi[f, j]] of values of
+    f that the splits on f along the leaf's path admit.
+
+    lo is the largest threshold at which the path turns right on f, hi
+    the smallest at which it turns left (-inf and inf where it turns
+    neither way).  So a row that reaches leaf j still reaches it after
+    its feature f alone changes to v exactly when lo[f, j] < v <=
+    hi[f, j], which is _route's <= rule.  lo and hi are (n_features,
+    n_leaves) arrays.
+    """
+    leaves: list[Leaf] = []
+    los: list[np.ndarray] = []
+    his: list[np.ndarray] = []
+    unbounded = np.full(tree.n_features, np.inf)
+    stack: list[tuple[Internal | Leaf, np.ndarray, np.ndarray]] = [(tree.root, -unbounded, unbounded)]
+    while stack:  # preorder; children share their parent's untouched bound
+        node, lo, hi = stack.pop()
+        if isinstance(node, Leaf):
+            leaves.append(node)
+            los.append(lo)
+            his.append(hi)
+            continue
+        f, t = node.split.feature_index, node.split.threshold
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[f] = min(hi[f], t)
+        right_lo[f] = max(lo[f], t)
+        stack.append((node.right, right_lo, hi))
+        stack.append((node.left, lo, left_hi))
+    return leaves, np.stack(los, axis=1), np.stack(his, axis=1)
 
 
 def gini_impurity(class_counts) -> float:
@@ -374,6 +420,27 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
     return root
 
 
+def _class_ids(y: np.ndarray, n_classes: int | None) -> tuple[np.ndarray, int]:
+    """(y as int64 class ids, the class count): n_classes, or the largest
+    id + 1 if it is None.
+
+    Raises:
+        LabelOutOfRangeError: a label that is not an integer, or that lies
+            outside [0, n_classes); the message names the first such row.
+    """
+    row = _non_integer_row(y)
+    if row is not None:
+        raise LabelOutOfRangeError(f"label {float(y[row])!r} at row {row} is not an integer")
+    y = y.astype(np.int64, copy=False)
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    bad = (y < 0) | (y >= n_classes)
+    if bad.any():
+        row = int(bad.argmax())
+        raise LabelOutOfRangeError(f"label {int(y[row])} at row {row} is outside [0, {n_classes})")
+    return y, n_classes
+
+
 def fit_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -401,8 +468,9 @@ def fit_tree(
 
     Raises:
         DimensionMismatchError: y is not one value per row of x.
-        LabelOutOfRangeError: a class id outside [0, n_classes); the
-            message names the first such row.
+        LabelOutOfRangeError: a label that is not an integer, or a class
+            id outside [0, n_classes); the message names the first such
+            row.
         NonFiniteInputError: x, or a regression target, is NaN or Inf.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -414,19 +482,16 @@ def fit_tree(
     if not np.isfinite(x).all():
         raise NonFiniteInputError("training matrix contains NaN or Inf")
     classify = cfg.task == CLASSIFICATION
-    y = np.asarray(y, dtype=np.int64 if classify else np.float64)
+    y = np.asarray(y)
     if y.shape != (n,):
         raise DimensionMismatchError(f"x has {n} rows but y has shape {y.shape}")
     if classify:
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-        bad = (y < 0) | (y >= n_classes)
-        if bad.any():
-            row = int(bad.argmax())
-            raise LabelOutOfRangeError(f"label {int(y[row])} at row {row} is outside [0, {n_classes})")
-    elif not np.isfinite(y).all():
-        row = int((~np.isfinite(y)).argmax())
-        raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
+        y, n_classes = _class_ids(y, n_classes)
+    else:
+        y = y.astype(np.float64, copy=False)
+        if not np.isfinite(y).all():
+            row = int((~np.isfinite(y)).argmax())
+            raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
     x = np.asfortranarray(x)  # _route reads whole columns
     if classify and n_features == 1:
         root = _grow_levels(x[:, 0], y, n_classes, cfg)

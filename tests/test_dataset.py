@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import zlib
 
@@ -21,6 +22,7 @@ from fddsense.errors import (
     DegenerateFractionError,
     EmptyDatasetError,
     FddError,
+    InvalidValueError,
     MalformedRowError,
     SchemaMismatchError,
     SingleClassError,
@@ -77,6 +79,20 @@ class TestDatasetType:
             Dataset(INSTALLED_SENSORS[:2], np.zeros((2, 2)), np.array([0, -1]))
         with pytest.raises(ValueError):
             Dataset(INSTALLED_SENSORS[:2], np.full((2, 2), np.nan), np.array([0, 1]))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0.5, 1.7], "label 0.5 at row 0"), ([1.0, 1.25], "label 1.25 at row 1"),
+         ([0.0, np.nan], "label nan at row 1"), ([np.inf, 1.0], "label inf at row 0"),
+         ([0.0, 2.0**63], "label 9.223372036854776e+18 at row 1")],
+    )
+    def test_non_integer_labels_are_rejected(self, labels, message):
+        with pytest.raises(InvalidValueError, match=re.escape(f"{message} is not an integer")):
+            Dataset(INSTALLED_SENSORS[:1], [[1.0], [2.0]], labels)
+
+    def test_whole_float_labels_are_class_ids(self):
+        d = Dataset(INSTALLED_SENSORS[:1], [[1.0], [2.0]], [1.0, 2.0])
+        assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 2]
 
     def test_validation_errors_are_fdd_errors(self):
         for values, labels in (

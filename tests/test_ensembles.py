@@ -296,6 +296,13 @@ class TestInputValidation:
         with pytest.raises(LabelOutOfRangeError, match="label -1 at row 5"):
             fit_ensemble(d.values, labels, EnsembleConfig(n_trees=2), 0, d.symbols)
 
+    @pytest.mark.parametrize("method", ["bagging", "boosting"])
+    def test_non_integer_label_rejected_before_growing(self, method, monkeypatch):
+        monkeypatch.setattr(ensembles, "fit_tree", _no_tree_expected)
+        cfg = EnsembleConfig(method=method, n_trees=2)
+        with pytest.raises(LabelOutOfRangeError, match="label 0.2 at row 0 is not an integer"):
+            fit_ensemble(np.arange(4.0)[:, None], [0.2, 0.9, 1.5, 1.99], cfg, 0, ("T_C",))
+
     def test_evaluate_checks_schema(self):
         d = training_data()
         cfg = EnsembleConfig(n_trees=2, tree=TreeConfig(max_depth=3))

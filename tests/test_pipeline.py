@@ -410,8 +410,10 @@ class TestRunPipeline:
         steps = len(result.trace.steps)
         assert calls["fit_ensemble"] == 1 + steps
         # RFA scores each step clean and noisy; run_scenarios scores the
-        # baseline and each scenario.  The pipeline itself scores nothing.
-        assert calls["evaluate"] == 2 * steps + 1 + len(result.robustness.scenarios)
+        # baseline, and its scenarios from the baseline's rows routed once
+        # (not through evaluate).  The pipeline itself scores nothing.
+        assert result.robustness.scenarios
+        assert calls["evaluate"] == 2 * steps + 1
         assert result.report is result.robustness.baseline
 
     def test_every_fit_of_a_study_gets_n_threads(self, tmp_path, monkeypatch):

@@ -4,13 +4,15 @@ import re
 import numpy as np
 import pytest
 
+from fddsense import robustness
 from fddsense.dataset import Dataset
-from fddsense.ensembles import EnsembleConfig, fit_ensemble
+from fddsense.ensembles import EnsembleConfig, evaluate, fit_ensemble
 from fddsense.errors import EmptyVectorError, FddError, UnknownSensorError, ZeroSignalError
 from fddsense.robustness import (
     AWGN,
     FAILURE,
     NoiseSpec,
+    ScenarioResult,
     awgn_for,
     fail_sensor,
     inject_awgn,
@@ -18,6 +20,7 @@ from fddsense.robustness import (
     run_scenarios,
     signal_power,
 )
+from fddsense.seeding import derive_seed
 from fddsense.simgen import GeneratorConfig, generate_dataset
 from fddsense.trees import TreeConfig
 
@@ -194,3 +197,114 @@ class TestScenarios:
         assert (row.macro_f1, row.accuracy) == (report.baseline.macro_f1, report.baseline.accuracy)
         assert report.to_json_dict()["scenarios"][0]["measured_snr_db"] is None
         assert report.to_csv_rows()[2][3] == ""
+
+
+# Sensors of _differential_tables: three generated columns, then a column
+# of +-1 (every threshold on it is 0.0, where a dead sensor reads), a
+# constant column that no split can use, and an all-zero column (zero
+# power, so noise leaves it unchanged).
+SENSORS = ("T_FI", "W1", "W2", "W3", "M1", "M2")
+SIGNED, UNUSED, SILENT = "W3", "M1", "M2"
+
+MODELS = {
+    "bagging": EnsembleConfig(n_trees=6, tree=TreeConfig(min_leaf=2)),
+    "bagging-subsample": EnsembleConfig(n_trees=6, tree=TreeConfig(max_depth=8, feature_subsample=2)),
+    "hard-vote": EnsembleConfig(n_trees=6, tree=TreeConfig(max_depth=6), hard_vote=True),
+    "boosting": EnsembleConfig(method="boosting", n_trees=5, tree=TreeConfig(max_depth=6)),
+    "one-leaf": EnsembleConfig(n_trees=3, tree=TreeConfig(max_depth=0)),
+    "one-leaf-boosting": EnsembleConfig(method="boosting", n_trees=2, tree=TreeConfig(max_depth=0)),
+}
+
+
+def _differential_tables(seed=6):
+    """(train, test) of 1,500 generated rows each, on SENSORS."""
+    tables = []
+    for part in (0, 1):
+        d = generate_dataset(GeneratorConfig(n_rows=1500), seed + part)
+        d = d.select_sensors([d.sensor_index(s) for s in SENSORS])
+        values = d.values.copy()
+        flip = np.random.default_rng(seed + part).random(d.n_rows) < 0.2
+        values[:, 3] = np.where((d.labels % 2 == 0) ^ flip, 1.0, -1.0)
+        values[:, 4] = 5.0
+        values[:, 5] = 0.0
+        tables.append(Dataset(d.schema, values, d.labels))
+    return tables
+
+
+def _model_and_test(name):
+    train, test = _differential_tables()
+    return fit_ensemble(train.values, train.labels, MODELS[name], 3, train.symbols), test
+
+
+def _full_rescore(model, test, spec, seed):
+    """The scenario scored by perturbing test and calling evaluate."""
+    if spec.mode == AWGN:
+        perturbed, measured = inject_awgn(test, spec.sensor, spec.snr_db, derive_seed(seed, spec.label()))
+    else:
+        perturbed, measured = fail_sensor(test, spec.sensor)
+    report = evaluate(model, perturbed)
+    return ScenarioResult(spec, measured, report.macro_f1, report.accuracy)
+
+
+@pytest.fixture
+def rerouted(monkeypatch):
+    """The row indices of every call to the routing loop that
+    run_scenarios makes, in call order."""
+    calls = []
+    real = robustness._reach
+
+    def spy(xf, root, idx):
+        calls.append(idx)
+        return real(xf, root, idx)
+
+    monkeypatch.setattr(robustness, "_reach", spy)
+    return calls
+
+
+class TestScenariosMatchFullRescoring:
+    """run_scenarios re-routes only the rows that leave their clean leaf;
+    every result must equal perturbing the whole test set and calling
+    evaluate on it."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_scenario_equals_evaluate_on_its_perturbed_rows(self, name):
+        model, test = _model_and_test(name)
+        specs = [NoiseSpec(s, AWGN, level) for s in SENSORS for level in (20.0, 3.0, 0.0, -5.0)]
+        specs += [NoiseSpec(s, FAILURE) for s in SENSORS]
+        report = run_scenarios(model, test, specs, seed=17)
+        assert report.baseline.macro_f1 == evaluate(model, test).macro_f1
+        for spec, row in zip(specs, report.scenarios, strict=True):
+            full = _full_rescore(model, test, spec, 17)
+            assert (row.spec, row.macro_f1, row.accuracy) == (full.spec, full.macro_f1, full.accuracy)
+            same_snr = row.measured_snr_db == full.measured_snr_db
+            assert same_snr or math.isnan(row.measured_snr_db) and math.isnan(full.measured_snr_db)
+        if MODELS[name].tree.max_depth == 0:  # one leaf per tree: nothing moves
+            assert {(r.macro_f1, r.accuracy) for r in report.scenarios} == {
+                (report.baseline.macro_f1, report.baseline.accuracy)
+            }
+
+    def test_rows_on_their_leafs_upper_threshold_are_not_routed_again(self, rerouted):
+        """A dead signed sensor reads 0.0, the threshold of every split on
+        it: rows that read -1 went left at each of those splits and stay
+        in their leaf, and only rows that read +1 are routed again."""
+        model, test = _model_and_test("bagging")
+        spec = NoiseSpec(SIGNED, FAILURE)
+        (row,) = run_scenarios(model, test, [spec], seed=0).scenarios
+        full = _full_rescore(model, test, spec, 0)
+        assert (row.macro_f1, row.accuracy) == (full.macro_f1, full.accuracy)
+        n_trees = len(model.trees)
+        assert [idx.size for idx in rerouted[:n_trees]] == [test.n_rows] * n_trees  # the clean routing
+        assert len(rerouted) == 2 * n_trees
+        moved = np.concatenate(rerouted[n_trees:])
+        signed = test.values[:, test.sensor_index(SIGNED)]
+        assert moved.size and np.all(signed.take(moved) == 1.0)
+
+    def test_a_column_no_split_reads_moves_no_row(self, rerouted):
+        model, test = _model_and_test("bagging")
+        specs = [NoiseSpec(UNUSED, AWGN, 0.0), NoiseSpec(UNUSED, FAILURE), NoiseSpec(SILENT, AWGN, 3.0)]
+        report = run_scenarios(model, test, specs, seed=0)
+        n_trees = len(model.trees)
+        assert [idx.size for idx in rerouted[n_trees:]] == [0] * n_trees * len(specs)
+        assert math.isnan(report.scenarios[2].measured_snr_db)  # zero power: no noise to add
+        for row in report.scenarios:
+            assert (row.macro_f1, row.accuracy) == (report.baseline.macro_f1, report.baseline.accuracy)

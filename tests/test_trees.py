@@ -227,6 +227,15 @@ class TestLabelChecks:
             fit_tree(x, np.array([0, 1, 3] + [0] * 9), TreeConfig(), n_classes=2)
 
     @pytest.mark.parametrize("width", [1, 2])
+    def test_non_integer_labels_are_rejected_not_truncated(self, width):
+        x = np.arange(4.0).reshape(-1, 1).repeat(width, axis=1)
+        with pytest.raises(LabelOutOfRangeError, match="label 0.2 at row 0 is not an integer"):
+            fit_tree(x, [0.2, 0.9, 1.5, 1.99], TreeConfig())
+        with pytest.raises(LabelOutOfRangeError, match="label nan at row 2 is not an integer"):
+            fit_tree(x, [0.0, 1.0, np.nan, 1.0], TreeConfig())
+        assert fit_tree(x, [0.0, 1.0, 1.0, 0.0], TreeConfig()).n_classes == 2
+
+    @pytest.mark.parametrize("width", [1, 2])
     def test_regression_targets(self, width):
         x = np.arange(12.0).reshape(-1, 1).repeat(width, axis=1)
         cfg = TreeConfig(task="regression_on_gradients")
