@@ -15,6 +15,7 @@ order.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -37,8 +38,6 @@ from .trees import (
     DecisionTree,
     TreeConfig,
     _class_ids,
-    _field,
-    _tree_config,
     fit_tree,
     tree_from_dict,
     tree_importance_contributions,
@@ -48,7 +47,7 @@ from .trees import (
 BAGGING = "bagging"
 BOOSTING = "boosting"
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -339,6 +338,26 @@ def model_to_dict(model: EnsembleModel) -> dict:
     }
 
 
+def _field(spec: dict, key: str, where: str, kind: type = float, low: float = -math.inf):
+    """spec[key] if it is of kind (a finite float, an int or a bool) and
+    >= low; else a ModelFormatError naming where and key."""
+    value = spec[key]
+    if not _of_kind(kind, value) or value < low:
+        expected = {int: "an integer", float: "a finite number", bool: "a boolean"}[kind]
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise ModelFormatError(f"{where}: {key} must be {expected}{bound}, got {value!r}")
+    return value
+
+
+def _tree_config(spec: dict, where: str) -> TreeConfig:
+    """TreeConfig(**spec) once its count fields are integers: TreeConfig
+    checks only their ranges, and 3.0 == 3 would pass a config comparison."""
+    for key, low in (("max_depth", 0), ("min_leaf", 1), ("feature_subsample", 1)):
+        if key == "min_leaf" or spec[key] is not None:
+            _field(spec, key, where, int, low)
+    return TreeConfig(**spec)
+
+
 def model_from_dict(payload: dict) -> EnsembleModel:
     """Inverse of model_to_dict.  The whole model is checked here, so that
     a model that loads also predicts.
@@ -346,14 +365,15 @@ def model_from_dict(payload: dict) -> EnsembleModel:
     Raises:
         ModelFormatError: a format_version other than MODEL_FORMAT_VERSION,
             a missing, wrong-typed or out-of-range field, a fingerprint that
-            does not match feature_names, or a tree that does not fit the
-            model: its feature count, class count, task, config or the tree
-            count (n_trees for bagging, n_trees * n_classes for boosting).
+            does not match feature_names, a tree_config task that is not the
+            method's, a tree count other than n_trees (bagging) or n_trees *
+            n_classes (boosting), or a tree that tree_from_dict rejects,
+            named trees[i].
     """
     try:
         version = payload["format_version"]
         if version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format_version {version!r}")
+            raise ModelFormatError(f"unsupported model format_version {version!r}: retrain the model")
         names = payload["feature_names"]
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
             raise ModelFormatError("feature_names must be a non-empty list of strings")
@@ -370,6 +390,9 @@ def model_from_dict(payload: dict) -> EnsembleModel:
             hard_vote=_field(payload, "hard_vote", "model", bool),
         )
         boosting = cfg.method == BOOSTING
+        task = REGRESSION if boosting else CLASSIFICATION
+        if cfg.tree.task != task:
+            raise ModelFormatError(f"tree_config: {cfg.method} grows {task} trees, got task {cfg.tree.task!r}")
         base = payload["base_scores"]
         if not boosting and base is not None:
             raise ModelFormatError("base_scores must be null for bagging")
@@ -384,19 +407,9 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         trees = []
         for i, item in enumerate(items):
             try:
-                tree = tree_from_dict(item)
+                trees.append(tree_from_dict(item, cfg.tree, len(names), None if boosting else n_classes))
             except ModelFormatError as exc:
                 raise ModelFormatError(f"trees[{i}]: {exc}") from exc
-            if tree.config != cfg.tree:
-                raise ModelFormatError(f"trees[{i}]: config differs from tree_config")
-            if tree.n_features != len(names):
-                raise ModelFormatError(
-                    f"trees[{i}]: n_features {tree.n_features} but {len(names)} feature_names"
-                )
-            if tree.n_classes != (None if boosting else n_classes):
-                task = REGRESSION if boosting else f"{CLASSIFICATION} with {n_classes} classes"
-                raise ModelFormatError(f"trees[{i}]: {cfg.method} needs {task} trees")
-            trees.append(tree)
         return EnsembleModel(
             config=cfg,
             trees=trees,

@@ -426,7 +426,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         paths = {
             "config": out_dir / "config.json",
             "model": out_dir / "model.json",
-            "importance": out_dir / "importance.json",
             **_write_pair(out_dir, "rfa_trace", trace),
             **_write_pair(out_dir, "robustness", robustness),
             **_write_pair(out_dir, "class_report", report),
@@ -434,8 +433,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         }
         write_json(paths["config"], cfg.to_json_dict())
         write_json(paths["model"], model_to_dict(trace.model))
-        # "mode" names the one importance measure; kept so the format stays.
-        write_json(paths["importance"], {"mode": "impurity", "ranking": trace.to_json_dict()["ranking"]})
         atomic_write_text(paths["chart"], _chart_svg(trace))
         (out_dir / "error.json").unlink(missing_ok=True)
     except Exception as exc:

@@ -110,6 +110,9 @@ def generate_dataset(cfg: GeneratorConfig, seed: int) -> Dataset:
     counts = _exact_label_counts(cfg.n_rows, cfg.class_proportions)
     labels = rng.permutation(np.repeat(np.arange(n_classes, dtype=np.int64), counts))
 
-    values = _BASELINE + _SHIFT_TABLE[labels]
-    values += rng.normal(0.0, 1.0, (cfg.n_rows, len(INSTALLED_SENSORS))) * _NOISE_SD
+    values = _SHIFT_TABLE.T.take(labels, axis=1).T  # column-major: Dataset adopts it as is
+    values += _BASELINE  # IEEE addition commutes: bit-equal to baseline + shift
+    noise = rng.normal(0.0, 1.0, (cfg.n_rows, len(INSTALLED_SENSORS)))
+    noise *= _NOISE_SD
+    values += noise
     return Dataset(INSTALLED_SENSORS, values, labels)

@@ -45,7 +45,7 @@ summed per feature.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,30 +91,32 @@ class TreeConfig:
 
 @dataclass(frozen=True)
 class SplitCandidate:
-    """An accepted split: routing rule plus its recorded quality numbers.
+    """An accepted split: its routing rule, its impurity decrease and the
+    count of training rows it splits.
 
-    impurity_decrease is the node-local decrease (Gini for classification,
-    per-sample variance for regression); gain is the same quantity scaled
-    by the node's sample count, i.e. the total reduction in the objective.
+    impurity_decrease is the node-local decrease: Gini for
+    classification, per-sample variance for regression.
     """
 
     feature_index: int
     threshold: float
     impurity_decrease: float
-    gain: float
-    left_count: int
-    right_count: int
-
-    @property
-    def n_samples(self) -> int:
-        return self.left_count + self.right_count
+    n_samples: int
 
 
 @dataclass
 class Leaf:
+    """A leaf's n_samples training rows: their class counts, whose shares
+    are its distribution, or their mean target (regression)."""
+
     n_samples: int
-    distribution: np.ndarray | None = None  # classification: probs over K classes
+    counts: np.ndarray | None = None  # classification: int64 count per class
     value: float | None = None  # regression: mean target
+    distribution: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.counts is not None:
+            self.distribution = self.counts / self.n_samples
 
 
 @dataclass
@@ -307,7 +309,9 @@ def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
     m = cfg.feature_subsample
     if m is None or m >= n_features:
         return np.arange(n_features)  # no draw: full-feature trees ignore the rng
-    return np.sort(rng.choice(n_features, size=m, replace=False))
+    picked = rng.choice(n_features, size=m, replace=False)
+    picked.sort()
+    return picked
 
 
 def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> Internal | Leaf:
@@ -378,37 +382,29 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
         # The right child's first sorted row: xs[cut - 1] <= threshold <
         # xs[cut], so the children hold exactly the rows _route sends them.
         cut = best_r + 1
-        gain = best_g - g_parent
         fields = zip(
             slots,
             split.tolist(),
             a.tolist(),
             cut.tolist(),
             b.tolist(),
-            gain.tolist(),
-            (gain / sizes).tolist(),
-            counts / sizes[:, None],
+            ((best_g - g_parent) / sizes).tolist(),
+            counts,
         )
         next_a: list[int] = []
         next_b: list[int] = []
         next_slots: list[tuple[Internal | None, str]] = []
-        for (parent, side), is_split, lo, mid, hi, node_gain, decrease, dist in fields:
+        for (parent, side), is_split, lo, mid, hi, decrease, node_counts in fields:
             node: Internal | Leaf
             if is_split:
-                candidate = SplitCandidate(
-                    feature_index=0,
-                    threshold=_threshold(float(xs[mid - 1]), float(xs[mid])),
-                    impurity_decrease=decrease,
-                    gain=node_gain,
-                    left_count=mid - lo,
-                    right_count=hi - mid,
-                )
+                threshold = _threshold(float(xs[mid - 1]), float(xs[mid]))
+                candidate = SplitCandidate(0, threshold, impurity_decrease=decrease, n_samples=hi - lo)
                 node = Internal(split=candidate, left=placeholder, right=placeholder)
                 next_a += [lo, mid]
                 next_b += [mid, hi]
                 next_slots += [(node, "left"), (node, "right")]
             else:
-                node = Leaf(n_samples=hi - lo, distribution=dist)
+                node = Leaf(n_samples=hi - lo, counts=node_counts)
             if parent is None:
                 root = node
             elif side == "left":
@@ -501,12 +497,12 @@ def fit_tree(
 
     def make_leaf(size: int, yy: np.ndarray, counts: np.ndarray | None) -> Leaf:
         if classify:
-            return Leaf(n_samples=size, distribution=counts / size)
-        return Leaf(n_samples=size, value=float(yy.mean()))
+            return Leaf(n_samples=size, counts=counts)
+        return Leaf(n_samples=size, value=float(yy.sum() / size))  # yy.mean(), bit for bit
 
     def best_split(idx: np.ndarray, yy: np.ndarray, counts: np.ndarray | None) -> SplitCandidate | None:
         if classify:
-            g_parent = float(np.sum(counts * counts)) / idx.size
+            g_parent = float((counts * counts).sum()) / idx.size
         else:
             s = float(yy.sum())
             g_parent = s * s / idx.size
@@ -519,18 +515,10 @@ def fit_tree(
             cols = xt.take(block[:, None] * n + idx)
             g, row, pos, threshold = _scan(cols, yy, cfg.min_leaf, counts)
             if g > best_g:  # strict: an earlier block wins ties
-                best_g, best = g, (int(block[row]), threshold, pos + 1)
+                best_g, best = g, (int(block[row]), threshold)
         if best is None:
             return None
-        feature, threshold, left_count = best
-        return SplitCandidate(
-            feature_index=feature,
-            threshold=threshold,
-            impurity_decrease=(best_g - g_parent) / idx.size,
-            gain=best_g - g_parent,
-            left_count=left_count,
-            right_count=idx.size - left_count,
-        )
+        return SplitCandidate(*best, impurity_decrease=(best_g - g_parent) / idx.size, n_samples=idx.size)
 
     placeholder = Leaf(n_samples=n)
     tree = DecisionTree(
@@ -552,7 +540,7 @@ def fit_tree(
         # scan and the leaf; a node holds at least min_leaf >= 1 rows.
         yy = y.take(idx)
         counts = np.bincount(yy, minlength=n_classes).astype(np.int64) if classify else None
-        pure = counts.max() == idx.size if classify else yy.min() == yy.max()
+        pure = counts.max() == idx.size if classify else np.minimum.reduce(yy) == np.maximum.reduce(yy)
         depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
         grow = not (pure or depth_capped or idx.size < 2 * cfg.min_leaf)
         split = best_split(idx, yy, counts) if grow else None
@@ -605,133 +593,131 @@ def tree_importance_contributions(tree: DecisionTree) -> np.ndarray:
     return out
 
 
+# A tree's arrays in the model file, by task.
+_TREE_KEYS = {
+    CLASSIFICATION: {"feature", "threshold", "impurity_decrease", "counts"},
+    REGRESSION: {"feature", "threshold", "impurity_decrease", "value", "n_samples"},
+}
+
+# Row counts stay below 2**53: exact in float64, and no int64 sum of a
+# leaf's counts overflows.
+_MAX_ROWS = 2**53
+
+
 def tree_to_dict(tree: DecisionTree) -> dict:
-    """JSON-ready encoding of a tree: its nodes as one flat list in
-    preorder, where a split names its two children by list index."""
-    nodes: list[dict] = []
-    # (node, the encoded parent, the parent's key for this node)
-    stack: list[tuple[Internal | Leaf, dict | None, str]] = [(tree.root, None, "")]
+    """JSON-ready encoding of a tree as arrays over its nodes in preorder:
+    feature per node (-1 for a leaf; a split's left child is the next
+    node), threshold and impurity_decrease per split, and per leaf its
+    class counts (classification) or value and n_samples (regression).
+    The model stores the config, n_features and n_classes once."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    decrease: list[float] = []
+    leaves: list[Leaf] = []
+    stack = [tree.root]
     while stack:
-        node, parent, side = stack.pop()
-        if parent is not None:
-            parent[side] = len(nodes)
+        node = stack.pop()
         if isinstance(node, Leaf):
-            payload: dict = {"kind": "leaf", "n_samples": node.n_samples}
-            if node.distribution is not None:
-                payload["distribution"] = [float(p) for p in node.distribution]
-            else:
-                payload["value"] = node.value
+            feature.append(-1)
+            leaves.append(node)
         else:
-            payload = {
-                "kind": "split",
-                "feature": node.split.feature_index,
-                "threshold": node.split.threshold,
-                "impurity_decrease": node.split.impurity_decrease,
-                "gain": node.split.gain,
-                "left_count": node.split.left_count,
-                "right_count": node.split.right_count,
-            }
-            stack.append((node.right, payload, "right"))
-            stack.append((node.left, payload, "left"))
-        nodes.append(payload)
-    return {
-        "n_features": tree.n_features,
-        "n_classes": tree.n_classes,
-        "config": asdict(tree.config),
-        "nodes": nodes,
-    }
+            feature.append(node.split.feature_index)
+            threshold.append(node.split.threshold)
+            decrease.append(node.split.impurity_decrease)
+            stack += [node.right, node.left]
+    payload = {"feature": feature, "threshold": threshold, "impurity_decrease": decrease}
+    if tree.n_classes is None:
+        payload["value"] = [leaf.value for leaf in leaves]
+        payload["n_samples"] = [leaf.n_samples for leaf in leaves]
+    else:
+        payload["counts"] = [leaf.counts.tolist() for leaf in leaves]
+    return payload
 
 
-def _field(spec: dict, key: str, where: str, kind: type = float, low: float = -math.inf):
-    """spec[key] if it is of kind (a finite float, an int or a bool) and
-    >= low; else a ModelFormatError naming where and key."""
-    value = spec[key]
-    if not _of_kind(kind, value) or value < low:
-        expected = {int: "an integer", float: "a finite number", bool: "a boolean"}[kind]
-        bound = "" if low == -math.inf else f" >= {low}"
-        raise ModelFormatError(f"{where}: {key} must be {expected}{bound}, got {value!r}")
-    return value
+def _numbers(values, kind: type, key: str, nodes: np.ndarray, low=-math.inf, high=math.inf) -> np.ndarray:
+    """values, a JSON list of one entry per node of nodes, as an int64
+    (kind int) or float64 (kind float) array.  A ModelFormatError names
+    the node of the first entry that is not an integer (a bool is none)
+    or not a finite number, or that lies outside [low, high)."""
+    if not isinstance(values, list) or len(values) != nodes.size:
+        got = len(values) if isinstance(values, list) else type(values).__name__
+        raise ModelFormatError(f"{key} must list {nodes.size} numbers, got {got}")
+    try:
+        if not set(map(type, values)) <= {int, kind}:
+            raise TypeError
+        array = np.array(values, dtype=np.int64 if kind is int else np.float64)
+    except (TypeError, OverflowError):  # NaN marks each entry that numpy cannot hold
+        limit = 2**63 if kind is int else math.inf
+        array = np.array([v if _of_kind(kind, v) and abs(v) < limit else np.nan for v in values])
+    bad = ~(np.isfinite(array) & (array >= low) & (array < high))
+    if bad.any():
+        j = int(bad.argmax())
+        expected = f"an integer in [{low}, {high})" if kind is int else "a finite number"
+        raise ModelFormatError(f"node {nodes[j]}: {key} must be {expected}, got {values[j]!r}")
+    return array
 
 
-def _tree_config(spec: dict, where: str) -> TreeConfig:
-    """TreeConfig(**spec) once its count fields are integers: TreeConfig
-    checks only their ranges, and 3.0 == 3 would pass a config comparison."""
-    for key, low in (("max_depth", 0), ("min_leaf", 1), ("feature_subsample", 1)):
-        if key == "min_leaf" or spec[key] is not None:
-            _field(spec, key, where, int, low)
-    return TreeConfig(**spec)
-
-
-def tree_from_dict(payload: dict) -> DecisionTree:
-    """Inverse of tree_to_dict.  Every node is checked here, so that a tree
-    that decodes also predicts.
+def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes: int | None) -> DecisionTree:
+    """Inverse of tree_to_dict, given the facts the model stores once
+    (n_classes is None for regression).  Each array is checked whole, so
+    a tree that decodes also predicts, and the nodes are built in one
+    backward pass.
 
     Raises:
-        ModelFormatError: a missing or wrong-typed field, a feature index
-            outside [0, n_features), a leaf that does not hold n_classes
-            probabilities, or a child index that is out of range, does not
-            come after its parent, or is used twice.  The message names the
-            node.
+        ModelFormatError: keys other than the task's arrays, a feature
+            outside [-1, n_features), a split/leaf sequence that is not
+            one full binary tree, an array without one entry per split
+            or per leaf, a number that is not finite, a count row that
+            is not n_classes non-negative integers with a positive sum,
+            or an n_samples below 1.  It names the first bad node.
     """
-    where = "tree"
-    try:
-        cfg = _tree_config(payload["config"], "config")
-        n_features = _field(payload, "n_features", "tree", int, 1)
-        if cfg.task == CLASSIFICATION:
-            n_classes = _field(payload, "n_classes", "tree", int, 2)
-        elif payload["n_classes"] is not None:
-            raise ModelFormatError("tree: a regression tree has n_classes null")
+    keys = _TREE_KEYS[config.task]
+    if not isinstance(payload, dict) or payload.keys() != keys:
+        got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+        raise ModelFormatError(f"a {config.task} tree holds the arrays {sorted(keys)}, got {got}")
+    values = payload["feature"]
+    if not isinstance(values, list) or not values:
+        raise ModelFormatError("feature must be a non-empty list")
+    feature = _numbers(values, int, "feature", np.arange(len(values)), -1, n_features)
+    # +1 per split and -1 per leaf: the sums over one full binary tree in
+    # preorder stay >= 0 until its last node, where they reach -1.
+    is_leaf = feature < 0
+    ends = np.flatnonzero(np.where(is_leaf, -1, 1).cumsum() < 0)
+    if ends.size == 0:
+        raise ModelFormatError(f"node {feature.size - 1}: the tree ends inside a split, before all its leaves")
+    if ends[0] != feature.size - 1:
+        raise ModelFormatError(f"node {ends[0] + 1} is no node's child: the tree ends at node {ends[0]}")
+    splits, leaves = np.flatnonzero(~is_leaf), np.flatnonzero(is_leaf)
+    threshold = _numbers(payload["threshold"], float, "threshold", splits)
+    decrease = _numbers(payload["impurity_decrease"], float, "impurity_decrease", splits)
+    if n_classes is None:
+        value = _numbers(payload["value"], float, "value", leaves)
+        sizes = _numbers(payload["n_samples"], int, "n_samples", leaves, 1, _MAX_ROWS)
+        made = [Leaf(n_samples=n, value=v) for n, v in zip(sizes.tolist(), value.tolist())]
+    else:
+        rows = payload["counts"]
+        if not isinstance(rows, list) or len(rows) != leaves.size:
+            raise ModelFormatError(f"counts must list {leaves.size} rows, one per leaf")
+        for j, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n_classes:
+                raise ModelFormatError(f"node {leaves[j]}: counts must list {n_classes} class counts, got {row!r}")
+        flat = [c for row in rows for c in row]
+        counts = _numbers(flat, int, "counts", leaves.repeat(n_classes), 0, _MAX_ROWS).reshape(-1, n_classes)
+        sizes = counts.sum(axis=1)
+        if not sizes.all():
+            raise ModelFormatError(f"node {leaves[sizes.argmin()]}: counts hold no training row")
+        made = [Leaf(n_samples=n, counts=row) for n, row in zip(sizes.tolist(), counts)]
+    # Backward over the preorder: a split's subtrees are the last two
+    # built, its left one on top.  Each entry is (subtree, its rows).
+    built: list[tuple[Internal | Leaf, int]] = []
+    leaf_nodes = reversed(made)
+    rules = zip(*(reversed(column.tolist()) for column in (feature.take(splits), threshold, decrease)))
+    for leaf_here in is_leaf[::-1].tolist():
+        if leaf_here:
+            leaf = next(leaf_nodes)
+            built.append((leaf, leaf.n_samples))
         else:
-            n_classes = None
-        specs = payload["nodes"]
-        if not isinstance(specs, list) or not specs:
-            raise ModelFormatError("tree: nodes must be a non-empty list")
-        # Children come after their parent, so a walk from the last node
-        # to the first builds every child before its parent.
-        nodes: list = [None] * len(specs)
-        is_child = [False] * len(specs)
-        for i in range(len(specs) - 1, -1, -1):
-            spec, where = specs[i], f"node {i}"
-            kind = spec["kind"]
-            if kind == "split":
-                feature = _field(spec, "feature", where, int, 0)
-                if feature >= n_features:
-                    raise ModelFormatError(f"{where}: feature {feature} is outside [0, {n_features})")
-                children = [_field(spec, side, where, int, i + 1) for side in ("left", "right")]
-                for side, child in zip(("left", "right"), children):
-                    if child >= len(specs) or is_child[child]:
-                        raise ModelFormatError(f"{where}: {side} child {child} is out of range or used twice")
-                    is_child[child] = True
-                split = SplitCandidate(
-                    feature_index=feature,
-                    threshold=_field(spec, "threshold", where),
-                    impurity_decrease=_field(spec, "impurity_decrease", where),
-                    gain=_field(spec, "gain", where),
-                    left_count=_field(spec, "left_count", where, int, 1),
-                    right_count=_field(spec, "right_count", where, int, 1),
-                )
-                nodes[i] = Internal(split=split, left=nodes[children[0]], right=nodes[children[1]])
-            elif kind != "leaf":
-                raise ModelFormatError(f"{where}: kind must be \"split\" or \"leaf\", got {kind!r}")
-            elif n_classes is None:
-                nodes[i] = Leaf(
-                    n_samples=_field(spec, "n_samples", where, int, 1),
-                    value=_field(spec, "value", where),
-                )
-            else:
-                dist = spec["distribution"]
-                if not (
-                    isinstance(dist, list)
-                    and len(dist) == n_classes
-                    and all(_of_kind(float, p) for p in dist)
-                ):
-                    raise ModelFormatError(f"{where}: distribution must list {n_classes} finite numbers")
-                nodes[i] = Leaf(
-                    n_samples=_field(spec, "n_samples", where, int, 1),
-                    distribution=np.asarray(dist, dtype=np.float64),
-                )
-        if False in is_child[1:]:
-            raise ModelFormatError(f"node {is_child.index(False, 1)} is no node's child")
-    except (KeyError, TypeError, InvalidValueError) as exc:
-        raise ModelFormatError(f"{where}: missing or malformed field: {exc!r}") from exc
-    return DecisionTree(root=nodes[0], n_features=n_features, config=cfg, n_classes=n_classes)
+            (left, n_left), (right, n_right) = built.pop(), built.pop()
+            split = SplitCandidate(*next(rules), n_samples=n_left + n_right)
+            built.append((Internal(split=split, left=left, right=right), split.n_samples))
+    return DecisionTree(root=built[0][0], n_features=n_features, config=config, n_classes=n_classes)

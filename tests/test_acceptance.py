@@ -83,7 +83,7 @@ def test_criterion_1_exact_splitter_matches_oracle(capsys):
 
 
 def _leaf(n):
-    return Leaf(n_samples=n, distribution=np.array([1.0, 0.0]))
+    return Leaf(n_samples=n, counts=np.array([n, 0]))
 
 
 def _tree(root):
@@ -107,10 +107,10 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
             [
                 _tree(
                     Internal(
-                        split=SplitCandidate(0, 2.0, 0.18, 1.8, 4, 6),
+                        split=SplitCandidate(0, 2.0, 0.18, 10),
                         left=_leaf(4),
                         right=Internal(
-                            split=SplitCandidate(1, 0.5, 0.2, 1.2, 3, 3),
+                            split=SplitCandidate(1, 0.5, 0.2, 6),
                             left=_leaf(3),
                             right=_leaf(3),
                         ),
@@ -118,9 +118,9 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
                 ),
                 _tree(
                     Internal(
-                        split=SplitCandidate(1, 1.0, 0.3, 3.0, 5, 5),
+                        split=SplitCandidate(1, 1.0, 0.3, 10),
                         left=Internal(
-                            split=SplitCandidate(0, 4.0, 0.1, 0.5, 2, 3),
+                            split=SplitCandidate(0, 4.0, 0.1, 5),
                             left=_leaf(2),
                             right=_leaf(3),
                         ),
@@ -138,16 +138,16 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
             [
                 _tree(
                     Internal(
-                        split=SplitCandidate(0, 1.0, 0.5, 5.0, 5, 5),
+                        split=SplitCandidate(0, 1.0, 0.5, 10),
                         left=_leaf(5),
                         right=_leaf(5),
                     )
                 ),
                 _tree(
                     Internal(
-                        split=SplitCandidate(0, 2.0, 0.25, 2.5, 4, 6),
+                        split=SplitCandidate(0, 2.0, 0.25, 10),
                         left=Internal(
-                            split=SplitCandidate(0, 0.5, 0.2, 0.8, 2, 2),
+                            split=SplitCandidate(0, 0.5, 0.2, 4),
                             left=_leaf(2),
                             right=_leaf(2),
                         ),

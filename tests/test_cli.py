@@ -52,7 +52,7 @@ class TestTrainCommand:
         assert result.exit_code == 0
         assert "training macro-F1" in result.output
         payload = json.loads(model_path.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert len(payload["trees"]) == 5
 
     def test_missing_data_fails_cleanly(self, tmp_path):

@@ -44,7 +44,7 @@ from fddsense.trees import (
 
 
 def _leaf(n):
-    return Leaf(n_samples=n, distribution=np.array([1.0, 0.0]))
+    return Leaf(n_samples=n, counts=np.array([n, 0]))
 
 
 def _tree(root):
@@ -65,18 +65,18 @@ def hand_model_a():
     Tree 2: f1 at the root, f0 on the left child (5 of 10 rows)."""
     t1 = _tree(
         Internal(
-            split=SplitCandidate(0, 2.0, 0.18, 1.8, 4, 6),
+            split=SplitCandidate(0, 2.0, 0.18, 10),
             left=_leaf(4),
             right=Internal(
-                split=SplitCandidate(1, 0.5, 0.2, 1.2, 3, 3), left=_leaf(3), right=_leaf(3)
+                split=SplitCandidate(1, 0.5, 0.2, 6), left=_leaf(3), right=_leaf(3)
             ),
         )
     )
     t2 = _tree(
         Internal(
-            split=SplitCandidate(1, 1.0, 0.3, 3.0, 5, 5),
+            split=SplitCandidate(1, 1.0, 0.3, 10),
             left=Internal(
-                split=SplitCandidate(0, 4.0, 0.1, 0.5, 2, 3), left=_leaf(2), right=_leaf(3)
+                split=SplitCandidate(0, 4.0, 0.1, 5), left=_leaf(2), right=_leaf(3)
             ),
             right=_leaf(5),
         )
@@ -87,13 +87,13 @@ def hand_model_a():
 def hand_model_b():
     """Both trees split only f0; tree 2 splits it twice."""
     t1 = _tree(
-        Internal(split=SplitCandidate(0, 1.0, 0.5, 5.0, 5, 5), left=_leaf(5), right=_leaf(5))
+        Internal(split=SplitCandidate(0, 1.0, 0.5, 10), left=_leaf(5), right=_leaf(5))
     )
     t2 = _tree(
         Internal(
-            split=SplitCandidate(0, 2.0, 0.25, 2.5, 4, 6),
+            split=SplitCandidate(0, 2.0, 0.25, 10),
             left=Internal(
-                split=SplitCandidate(0, 0.5, 0.2, 0.8, 2, 2), left=_leaf(2), right=_leaf(2)
+                split=SplitCandidate(0, 0.5, 0.2, 4), left=_leaf(2), right=_leaf(2)
             ),
             right=_leaf(6),
         )
@@ -119,14 +119,14 @@ class TestHandComputedImportance:
             [
                 _tree(
                     Internal(
-                        split=SplitCandidate(0, 1.0, 0.2, 2.0, 5, 5),
+                        split=SplitCandidate(0, 1.0, 0.2, 10),
                         left=_leaf(5),
                         right=_leaf(5),
                     )
                 ),
                 _tree(
                     Internal(
-                        split=SplitCandidate(1, 1.0, 0.2, 2.0, 5, 5),
+                        split=SplitCandidate(1, 1.0, 0.2, 10),
                         left=_leaf(5),
                         right=_leaf(5),
                     )
@@ -424,15 +424,23 @@ def field_paths(node, path=()):
 
 # (method, path of the field, its bad value, a part of the error message)
 BAD_MODELS = [
-    ("bagging", ("trees", 0, "nodes", 0, "feature"), -1, "trees[0]: node 0: feature"),
-    ("bagging", ("trees", 1, "nodes", 0, "feature"), 99, "trees[1]: node 0: feature 99 is outside [0, 4)"),
-    ("bagging", ("trees", 0, "nodes", 0, "left"), 0, "trees[0]: node 0: left"),
-    ("bagging", ("trees", 0, "nodes", 0, "right"), 10**6, "trees[0]: node 0: right child"),
-    ("bagging", ("trees", 0, "nodes", 0, "threshold"), "0.5", "trees[0]: node 0: threshold"),
-    ("bagging", ("trees", 0, "nodes", 0, "threshold"), float("nan"), "trees[0]: node 0: threshold"),
-    ("bagging", ("n_classes",), 8, "bagging needs classification with 8 classes"),
-    ("bagging", ("trees", 0, "n_classes"), 8, "distribution must list 8"),
-    ("bagging", ("trees", 0, "n_features"), 5, "trees[0]: n_features 5 but 4 feature_names"),
+    ("bagging", ("trees", 0, "feature", 0), -2, "trees[0]: node 0: feature must be an integer in [-1, 4)"),
+    ("bagging", ("trees", 1, "feature", 0), 99, "trees[1]: node 0: feature must be an integer in [-1, 4), got 99"),
+    ("bagging", ("trees", 0, "feature"), [0], "trees[0]: node 0: the tree ends inside a split"),
+    ("bagging", ("trees", 0, "feature"), [-1, -1], "trees[0]: node 1 is no node's child"),
+    ("bagging", ("trees", 0, "threshold", 0), "0.5", "trees[0]: node 0: threshold"),
+    ("bagging", ("trees", 0, "threshold", 0), float("nan"), "trees[0]: node 0: threshold"),
+    ("bagging", ("trees", 0, "threshold"), [], "trees[0]: threshold must list"),
+    ("bagging", ("trees", 1, "impurity_decrease", 0), float("inf"), "trees[1]: node 0: impurity_decrease"),
+    ("bagging", ("trees", 0, "counts", 0), [1] * 8, "counts must list 7 class counts"),
+    ("bagging", ("trees", 0, "counts", 0, 6), -1, "counts must be an integer in [0,"),
+    ("bagging", ("trees", 0, "counts", 0, 6), 0.5, "counts must be an integer"),
+    ("bagging", ("trees", 0, "counts", 0), [0] * 7, "counts hold no training row"),
+    ("bagging", ("trees", 0, "gain"), [], "trees[0]: a classification tree holds the arrays"),
+    # The per-tree copies of the model's facts that format 2 stored.
+    ("bagging", ("trees", 0, "n_classes"), 8, "trees[0]: a classification tree holds the arrays"),
+    ("bagging", ("trees", 0, "n_features"), 5, "trees[0]: a classification tree holds the arrays"),
+    ("bagging", ("n_classes",), 8, "counts must list 8 class counts"),
     ("bagging", ("fingerprint",), "0" * 16, "fingerprint"),
     ("bagging", ("feature_names", 0), "T_XX", "fingerprint"),
     ("bagging", ("feature_names",), "T_FI", "feature_names"),
@@ -442,6 +450,9 @@ BAD_MODELS = [
     ("boosting", ("base_scores", 0), float("inf"), "base_scores"),
     ("bagging", ("base_scores",), [0.0] * 7, "base_scores"),
     ("boosting", ("n_classes",), 6, "base_scores"),
+    ("boosting", ("trees", 3, "value", 0), float("nan"), "trees[3]: node"),
+    ("boosting", ("trees", 3, "n_samples", 0), 0, "trees[3]: node"),
+    ("boosting", ("trees", 3, "counts"), [[1, 0]], "trees[3]: a regression_on_gradients tree holds the arrays"),
     ("bagging", ("method",), "stacking", "unknown ensemble method"),
     ("bagging", ("n_trees",), 0, "n_trees must be >= 1"),
     ("bagging", ("n_trees",), 2.0, "n_trees"),
@@ -449,14 +460,13 @@ BAD_MODELS = [
     ("bagging", ("learning_rate",), float("nan"), "learning_rate"),
     ("bagging", ("hard_vote",), "no", "hard_vote"),
     ("bagging", ("tree_config", "min_leaf"), 0, "min_leaf"),
-    ("bagging", ("tree_config", "max_depth"), 4, "trees[0]: config differs"),
-    ("bagging", ("trees", 1, "config", "task"), "regression_on_gradients", "trees[1]"),
-    ("boosting", ("trees", 3, "config", "task"), "classification", "trees[3]"),
+    ("bagging", ("tree_config", "task"), "regression_on_gradients", "tree_config: bagging grows classification"),
+    ("boosting", ("tree_config", "task"), "classification", "tree_config: boosting grows regression_on_gradients"),
     ("bagging", ("master_seed",), "3", "master_seed"),
     # 2.0 == 2 and True == 1: equal values of the wrong type.
+    ("bagging", ("tree_config", "max_depth"), 3.0, "tree_config: max_depth must be an integer"),
     ("boosting", ("tree_config", "max_depth"), 2.0, "tree_config: max_depth must be an integer"),
     ("boosting", ("tree_config", "min_leaf"), True, "tree_config: min_leaf must be an integer"),
-    ("bagging", ("trees", 0, "config", "max_depth"), 3.0, "trees[0]: config: max_depth"),
 ]
 
 
@@ -480,6 +490,15 @@ class TestLoaderChecks:
         payload = model_to_dict(hand_model_a())
         payload["format_version"] = 1
         with pytest.raises(ModelFormatError, match="format_version 1"):
+            model_from_dict(payload)
+
+    def test_format_2_rejected(self):
+        """A format-2 model (per-tree node lists) fails on its version,
+        before any tree is read."""
+        payload = model_to_dict(hand_model_a())
+        payload["format_version"] = 2
+        payload["trees"] = [{"n_features": 2, "n_classes": 2, "config": {}, "nodes": []}] * 2
+        with pytest.raises(ModelFormatError, match="format_version 2: retrain"):
             model_from_dict(payload)
 
     @pytest.mark.parametrize("method", ["bagging", "boosting"])

@@ -1,4 +1,4 @@
-"""Committed SHA-256 hashes of CLI artifacts.
+"""Committed SHA-256 hashes of CLI and study artifacts.
 
 Reruns of one build compare equal by construction; these hashes also
 catch a change that moves the bytes of an artifact from one commit to
@@ -12,12 +12,20 @@ import pytest
 from click.testing import CliRunner
 
 from fddsense.cli import main
+from fddsense.pipeline import parse_config, run_pipeline
 
 # model -> extra `fddsense train` flags
 MODELS = {
     "bagging": [],
     "hard-vote": ["--hard-vote"],
     "boosting": ["--method", "boosting"],
+}
+
+# model -> SHA-256 of the model.json of `fddsense train --trees 5`
+TRAINED = {
+    "bagging": "7f38c99f4e780842b5a65f38e924c0bfab447899f504c8c41d38669fb62ec067",
+    "hard-vote": "d374191cc07c283dd87f7fc3ec87a4ff846241287e7edd4f19c157753307e41a",
+    "boosting": "7bd267c7c1387a8db9fa58d351633e9ce719bb56cd6600790991e4a6592e6ff8",
 }
 
 # model -> artifact of `fddsense robustness --fail-sensor --out` -> SHA-256
@@ -36,6 +44,42 @@ GOLDEN = {
     },
 }
 
+# study -> run_pipeline overrides, on 3,000 generated rows with seed 1
+STUDIES = {
+    "bagging": {"n_trees": 5},
+    "boosting": {"method": "boosting", "n_trees": 2},
+}
+
+# study -> artifact of run_pipeline -> SHA-256
+STUDY_GOLDEN = {
+    "bagging": {
+        "class_report.csv": "6036a8d5966865cd72533acc954ad430c45eaf312038699078828bfca3aa3e21",
+        "class_report.json": "333aee75b1ae47a41297dda03f221a56d4e238035c8cedff94ebac5d02c3dd90",
+        "config.json": "7dc0674f2bf62d89c0aad328af155cdcc9468b12e0ae4273c6caf5f9c6ce469e",
+        "model.json": "0e73ad6c22f1d87708e24ca8b64ac0fde2bc20d6213e7e93fc2741a7c7eba654",
+        "rfa_curves.svg": "21edeef65333dcb39a3012e20ad9116e68e342a51176b94a02028945776921cf",
+        "rfa_trace.csv": "e3a51830232352505c6181914d64308617e10b999bf94ffaf5aa2fa2b3fefa8f",
+        "rfa_trace.json": "d01948bdfe7e58e63508d154824406245f166702a0a9ac55a75b56471dd232ad",
+        "robustness.csv": "42ac562a3109dbc52f276dd5358e878be16c3a6e8c254326bccd0ddf0df3c5b5",
+        "robustness.json": "bd33c39a42c9ed451d2256feb01ed6e0772db3c4f19ad2f552d606d5b65edf6e",
+    },
+    "boosting": {
+        "class_report.csv": "2396b4d5f934ca956879951ee84d91b4bc00ae8f6b8a7e5bd5ba4a0b544e5b23",
+        "class_report.json": "b56ec0359f94e9329a493f64ddf577e2877241710161f1c9c939fee9ba44a04f",
+        "config.json": "74a9a29e1bc8de8c76cfa5683fafad30e84529b65a982f07890f09e42ec1e8e3",
+        "model.json": "79487c31950c2d507bb0469bf1af37873e73e73c40ee08b4b3859b746b03a43f",
+        "rfa_curves.svg": "1a9aa80a64a7413ad942bf010e6f7061c65cc1968ef33aa99d587f6392c7771d",
+        "rfa_trace.csv": "0158468e47a7ce72f07b584dd96b7464ab99afe1d00f4912165e05cee7c0cace",
+        "rfa_trace.json": "53bcf88406d704c4045a050d796b974eec9f120a921bbf1e19b30f7093afa702",
+        "robustness.csv": "fa696bbd48bc32b8104587cc69163e31c2fd08d484410645f30cb80ac5377fe9",
+        "robustness.json": "8453aada4e808a1456e607e3931cfd733f7723f182628156dd17d3273c764911",
+    },
+}
+
+
+def digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
 
 def invoke(*args):
     result = CliRunner().invoke(main, [str(a) for a in args], catch_exceptions=False)
@@ -52,11 +96,31 @@ def tables(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def trained(tables, tmp_path_factory):
+    """model -> the model.json that `fddsense train` wrote for it."""
+    root = tmp_path_factory.mktemp("trained")
+    paths = {}
+    for model, flags in MODELS.items():
+        paths[model] = root / f"{model}.json"
+        invoke("train", "--data", tables[0], "--trees", 5, "--model-out", paths[model], *flags)
+    return paths
+
+
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_robustness_artifacts_match_their_golden_hashes(tables, tmp_path, model):
-    train_csv, score_csv = tables
-    model_json, out = tmp_path / "model.json", tmp_path / "out"
-    invoke("train", "--data", train_csv, "--trees", 5, "--model-out", model_json, *MODELS[model])
-    invoke("robustness", "--model", model_json, "--data", score_csv, "--fail-sensor", "--out", out)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert digests == GOLDEN[model]
+def test_trained_models_match_their_golden_hashes(trained, model):
+    assert hashlib.sha256(trained[model].read_bytes()).hexdigest() == TRAINED[model]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_robustness_artifacts_match_their_golden_hashes(tables, trained, tmp_path, model):
+    out = tmp_path / "out"
+    invoke("robustness", "--model", trained[model], "--data", tables[1], "--fail-sensor", "--out", out)
+    assert digests(out) == GOLDEN[model]
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_study_artifacts_match_their_golden_hashes(tmp_path, study):
+    overrides = {"seed": 1, "generator": {"n_rows": 3000}, "out_dir": str(tmp_path), **STUDIES[study]}
+    run_pipeline(parse_config(None, overrides))
+    assert digests(tmp_path) == STUDY_GOLDEN[study]

@@ -292,7 +292,6 @@ class TestRunPipeline:
         assert names == {
             "config.json",
             "model.json",
-            "importance.json",
             "rfa_trace.json",
             "rfa_trace.csv",
             "robustness.json",
@@ -304,9 +303,8 @@ class TestRunPipeline:
         echo = json.loads((result.out_dir / "config.json").read_text())
         assert echo["seed"] == 5
         assert echo["data"]["generator"]["n_rows"] == 2500
-        importance = json.loads((result.out_dir / "importance.json").read_text())
-        assert len(importance["ranking"]) == 40
         trace = json.loads((result.out_dir / "rfa_trace.json").read_text())
+        assert len(trace["ranking"]) == 40
         assert trace["selected"] == list(result.trace.selected)
         svg = (result.out_dir / "rfa_curves.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg and "threshold" in svg

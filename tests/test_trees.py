@@ -131,7 +131,7 @@ class TestFitAgainstOracle:
         one_block = fit_tree(x[:, :1], y, cfg, n_classes=3).root.split
         first = fit_tree(x, y, cfg, n_classes=3).root.split
         assert (first.feature_index, first.threshold) == (0, one_block.threshold)
-        assert first.gain == one_block.gain
+        assert first.impurity_decrease == one_block.impurity_decrease
         last = fit_tree(x[:, 1:], y, cfg, n_classes=3).root.split
         assert (last.feature_index, last.threshold) == (7, one_block.threshold)
 
@@ -156,23 +156,28 @@ class TestOneColumnGrowth:
             if case % 5 == 1:
                 y = (np.abs(x[:, 0]) * 7).astype(int) % k  # labels that follow x
             cfg = TreeConfig(max_depth=[None, 0, 1, 3, 12][case % 5], min_leaf=int(rng.integers(1, 8)))
-            level = tree_to_dict(fit_tree(x, y, cfg, n_classes=k))
-            node = tree_to_dict(fit_tree(np.hstack([x, x]), y, cfg, n_classes=k))
-            assert level["nodes"] == node["nodes"], case
+            level = fit_tree(x, y, cfg, n_classes=k)
+            node = fit_tree(np.hstack([x, x]), y, cfg, n_classes=k)
+            assert tree_to_dict(level) == tree_to_dict(node), case
+            assert all_splits(level.root) == all_splits(node.root), case
+
+
+def all_splits(node):
+    """The node's splits in preorder, n_samples included."""
+    return [n.split for n in walk(node) if isinstance(n, Internal)]
 
 
 def assert_counts_route(tree, x):
-    """Every split sends its recorded left_count training rows left, and
-    every leaf gets its n_samples rows."""
+    """Every split gets its recorded n_samples training rows, and every
+    leaf its n_samples rows."""
     stack = [(tree.root, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if isinstance(node, Leaf):
             assert rows.size == node.n_samples > 0
             continue
+        assert rows.size == node.split.n_samples
         goes_left = x[rows, node.split.feature_index] <= node.split.threshold
-        assert goes_left.sum() == node.split.left_count
-        assert rows.size - goes_left.sum() == node.split.right_count
         stack += [(node.left, rows[goes_left]), (node.right, rows[~goes_left])]
 
 
@@ -205,7 +210,8 @@ class TestThresholds:
         for node in walk(tree.root):
             if isinstance(node, Internal):
                 assert np.isfinite(node.split.threshold)
-        assert tree_from_dict(json.loads(canonical_json(tree_to_dict(tree)))).n_features == width
+        clone = tree_from_dict(json.loads(canonical_json(tree_to_dict(tree))), tree.config, width, tree.n_classes)
+        assert np.array_equal(clone.predict_batch(x), tree.predict_batch(x))
 
     def test_midpoint_is_unchanged_for_normal_doubles(self):
         rng = np.random.default_rng(13)
@@ -413,14 +419,14 @@ class TestPrediction:
 
 def hand_tree():
     """Root on feature 0 (10 rows), right child on feature 1 (6 rows)."""
-    leaf = lambda n: Leaf(n_samples=n, distribution=np.array([1.0, 0.0]))
+    leaf = lambda n: Leaf(n_samples=n, counts=np.array([n, 0]))
     child = Internal(
-        split=SplitCandidate(1, 0.5, 0.2, 1.2, 3, 3),
+        split=SplitCandidate(1, 0.5, 0.2, 6),
         left=leaf(3),
         right=leaf(3),
     )
     root = Internal(
-        split=SplitCandidate(0, 2.0, 0.18, 1.8, 4, 6),
+        split=SplitCandidate(0, 2.0, 0.18, 10),
         left=leaf(4),
         right=child,
     )
@@ -446,27 +452,36 @@ class TestSerialization:
         y = (x[:, 0] * x[:, 1] > 0).astype(int)
         tree = fit_tree(x, y, TreeConfig(max_depth=5, min_leaf=2))
         payload = tree_to_dict(tree)
-        clone = tree_from_dict(payload)
+        clone = tree_from_dict(payload, tree.config, 3, 2)
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
         assert tree_to_dict(clone) == payload
+        assert all_splits(clone.root) == all_splits(tree.root)
+        assert np.array_equal(tree_importance_contributions(clone), tree_importance_contributions(tree))
 
     def test_regression_roundtrip(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(60, 2))
         cfg = TreeConfig(task="regression_on_gradients", max_depth=3)
         tree = fit_tree(x, x[:, 0] * 2.0, cfg)
-        clone = tree_from_dict(tree_to_dict(tree))
+        clone = tree_from_dict(tree_to_dict(tree), cfg, 2, None)
         assert clone.n_classes is None
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
+        assert all_splits(clone.root) == all_splits(tree.root)
 
     def test_nodes_are_a_flat_preorder_list(self):
-        nodes = tree_to_dict(hand_tree())["nodes"]
-        assert [node["kind"] for node in nodes] == ["split", "leaf", "split", "leaf", "leaf"]
-        assert [(node["feature"], node["left"], node["right"]) for node in nodes if node["kind"] == "split"] == [
-            (0, 1, 2),
-            (1, 3, 4),
-        ]
-        assert [node["n_samples"] for node in nodes if node["kind"] == "leaf"] == [4, 3, 3]
+        """One feature per node in preorder (-1 for a leaf), one threshold
+        and impurity decrease per split, one count row per leaf."""
+        assert tree_to_dict(hand_tree()) == {
+            "feature": [0, -1, 1, -1, -1],
+            "threshold": [2.0, 0.5],
+            "impurity_decrease": [0.18, 0.2],
+            "counts": [[4, 0], [3, 0], [3, 0]],
+        }
+
+    def test_split_sizes_and_distributions_come_from_the_counts(self):
+        clone = tree_from_dict(tree_to_dict(hand_tree()), TreeConfig(), 2, 2)
+        assert [split.n_samples for split in all_splits(clone.root)] == [10, 6]
+        assert [list(n.distribution) for n in walk(clone.root) if isinstance(n, Leaf)] == [[1.0, 0.0]] * 3
 
 
 class TestDeepTree:
@@ -489,14 +504,22 @@ class TestDeepTree:
         assert path.read_text() == model_json_text(clone)
 
 
-def corrupt(payload, index, key, value):
-    """A deep copy of a tree payload with nodes[index][key] set to value
-    (deleted when value is DELETE)."""
+def corrupt(payload, node, key, value):
+    """A deep copy of a tree payload with node's entry of the array key set
+    to value (removed when value is DELETE).  feature has an entry per
+    node, threshold and impurity_decrease one per split, and the leaf
+    arrays one per leaf."""
     payload = copy.deepcopy(payload)
-    if value is DELETE:
-        del payload["nodes"][index][key]
+    feature = payload["feature"]
+    if key == "feature":
+        position = node
     else:
-        payload["nodes"][index][key] = value
+        per_leaf = key not in ("threshold", "impurity_decrease")
+        position = [j for j, f in enumerate(feature) if (f < 0) == per_leaf].index(node)
+    if value is DELETE:
+        del payload[key][position]
+    else:
+        payload[key][position] = value
     return payload
 
 
@@ -507,41 +530,46 @@ class _Delete:
 
 DELETE = _Delete()
 
+NAN = float("nan")
 
-# (node index, field, its bad value or DELETE, a part of the error message)
+# (node index, array, the node's bad entry or DELETE, a part of the error
+# message) for hand_tree, whose nodes 0 and 2 split
 BAD_NODES = [
-    (0, "feature", -1, "node 0: feature"),
-    (2, "feature", 2, "node 2: feature 2 is outside [0, 2)"),
-    (0, "feature", 1.0, "node 0: feature"),
-    (0, "feature", True, "node 0: feature"),
-    (0, "left", 0, "node 0: left"),
-    (2, "right", 1, "node 2: right"),
-    (0, "right", 5, "node 0: right child 5 is out of range"),
-    (0, "right", 1, "node 0: right child 1"),
-    (0, "left", "1", "node 0: left"),
-    (0, "threshold", float("nan"), "node 0: threshold"),
-    (0, "threshold", float("inf"), "node 0: threshold"),
-    (0, "threshold", "2.0", "node 0: threshold"),
-    (0, "threshold", None, "node 0: threshold"),
-    (0, "gain", "x", "node 0: gain"),
-    (0, "left_count", 0, "node 0: left_count"),
-    (1, "distribution", [1.0], "node 1: distribution"),
-    (1, "distribution", [1.0, 0.0, 0.0], "node 1: distribution"),
-    (1, "distribution", [1.0, float("nan")], "node 1: distribution"),
-    (1, "distribution", "ab", "node 1: distribution"),
-    (1, "n_samples", 0, "node 1: n_samples"),
-    (1, "kind", "branch", "node 1: kind"),
-    (0, "threshold", DELETE, "node 0: missing or malformed field: KeyError('threshold')"),
-    (3, "kind", DELETE, "node 3: missing or malformed field: KeyError('kind')"),
+    (0, "feature", -2, "node 0: feature must be an integer in [-1, 2), got -2"),
+    (2, "feature", 2, "node 2: feature must be an integer in [-1, 2), got 2"),
+    (0, "feature", 1.0, "node 0: feature must be an integer"),
+    (0, "feature", True, "node 0: feature must be an integer"),
+    (0, "feature", "0", "node 0: feature must be an integer"),
+    (0, "feature", -1, "node 1 is no node's child: the tree ends at node 0"),
+    (1, "feature", 0, "node 4: the tree ends inside a split"),
+    (0, "threshold", NAN, "node 0: threshold must be a finite number"),
+    (0, "threshold", float("inf"), "node 0: threshold must be a finite number"),
+    (0, "threshold", "2.0", "node 0: threshold must be a finite number"),
+    (0, "threshold", None, "node 0: threshold must be a finite number"),
+    (0, "threshold", DELETE, "threshold must list 2 numbers, got 1"),
+    (2, "impurity_decrease", -float("inf"), "node 2: impurity_decrease must be a finite number"),
+    (1, "counts", [1], "node 1: counts must list 2 class counts"),
+    (1, "counts", [1, 0, 0], "node 1: counts must list 2 class counts"),
+    (1, "counts", "ab", "node 1: counts must list 2 class counts"),
+    (4, "counts", [1, NAN], "node 4: counts must be an integer"),
+    (1, "counts", [4, -1], "node 1: counts must be an integer in [0, 9007199254740992), got -1"),
+    (3, "counts", [2.5, 1], "node 3: counts must be an integer"),
+    (3, "counts", [3.0, 0], "node 3: counts must be an integer"),
+    (4, "counts", [False, 3], "node 4: counts must be an integer"),
+    (3, "counts", [0, 0], "node 3: counts hold no training row"),
+    (1, "counts", DELETE, "counts must list 3 rows, one per leaf"),
 ]
 
 
 class TestDecodeChecks:
-    """tree_from_dict rejects every node that could not be routed or read,
-    with a ModelFormatError naming the node."""
+    """tree_from_dict rejects every tree that could not be routed or read,
+    with a ModelFormatError naming the node where there is one."""
 
     def setup_method(self):
-        self.payload = tree_to_dict(hand_tree())  # splits at nodes 0 and 2
+        self.payload = tree_to_dict(hand_tree())
+
+    def decode(self, payload, n_classes=2):
+        return tree_from_dict(payload, TreeConfig(), 2, n_classes)
 
     @pytest.mark.parametrize(
         "index, key, value, message",
@@ -550,14 +578,15 @@ class TestDecodeChecks:
     )
     def test_bad_node_rejected(self, index, key, value, message):
         with pytest.raises(ModelFormatError) as info:
-            tree_from_dict(corrupt(self.payload, index, key, value))
+            self.decode(corrupt(self.payload, index, key, value))
         assert message in str(info.value)
 
     def test_orphan_node_rejected(self):
         payload = copy.deepcopy(self.payload)
-        payload["nodes"].append({"kind": "leaf", "n_samples": 1, "distribution": [1.0, 0.0]})
+        payload["feature"].append(-1)
+        payload["counts"].append([1, 0])
         with pytest.raises(ModelFormatError, match="node 5 is no node's child"):
-            tree_from_dict(payload)
+            self.decode(payload)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -573,19 +602,56 @@ class TestDecodeChecks:
         ],
     )
     def test_bad_tree_field_rejected(self, key, value):
+        """The model stores config, n_features and n_classes once, and a
+        tree is arrays, not a node list: a tree that still carries one of
+        these per-tree fields is rejected, whatever its value."""
         payload = copy.deepcopy(self.payload)
         payload[key] = value
-        with pytest.raises(ModelFormatError):
-            tree_from_dict(payload)
+        with pytest.raises(ModelFormatError, match="a classification tree holds the arrays"):
+            self.decode(payload)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("feature", [], "feature must be a non-empty list", id="empty-feature"),
+            pytest.param("feature", {}, "feature must be a non-empty list", id="feature-dict"),
+            pytest.param("threshold", {}, "threshold must list 2 numbers, got dict", id="threshold-dict"),
+            pytest.param("threshold", [2.0, 0.5, 1.0], "threshold must list 2 numbers, got 3", id="extra-threshold"),
+            pytest.param("counts", None, "counts must list 3 rows", id="counts-None"),
+            pytest.param("gain", [1.8, 1.2], "a classification tree holds the arrays", id="gain-array"),
+            pytest.param("value", [0.5, 0.5, 0.5], "a classification tree holds the arrays", id="value-array"),
+            pytest.param("counts", DELETE, "a classification tree holds the arrays", id="counts-missing"),
+        ],
+    )
+    def test_bad_tree_array_rejected(self, key, value, message):
+        payload = copy.deepcopy(self.payload)
+        if value is DELETE:
+            del payload[key]
+        else:
+            payload[key] = value
+        with pytest.raises(ModelFormatError, match=message):
+            self.decode(payload)
+
+    def test_model_facts_bound_the_arrays(self):
+        """The model's feature and class counts are the bounds: the same
+        arrays fail under one feature or three classes."""
+        with pytest.raises(ModelFormatError, match=r"node 2: feature must be an integer in \[-1, 1\)"):
+            tree_from_dict(self.payload, TreeConfig(), 1, 2)
+        with pytest.raises(ModelFormatError, match="node 1: counts must list 3 class counts"):
+            self.decode(self.payload, n_classes=3)
 
     def test_regression_tree_needs_null_classes_and_finite_values(self):
+        """A regression tree holds a value and n_samples per leaf, and no
+        class counts."""
         rng = np.random.default_rng(43)
         x = rng.normal(size=(40, 2))
         cfg = TreeConfig(task="regression_on_gradients", max_depth=2)
         payload = tree_to_dict(fit_tree(x, x[:, 0], cfg))
-        leaf = next(i for i, node in enumerate(payload["nodes"]) if node["kind"] == "leaf")
-        with pytest.raises(ModelFormatError, match=f"node {leaf}: value"):
-            tree_from_dict(corrupt(payload, leaf, "value", float("inf")))
-        payload["n_classes"] = 2
-        with pytest.raises(ModelFormatError, match="n_classes null"):
-            tree_from_dict(payload)
+        leaf = payload["feature"].index(-1)
+        with pytest.raises(ModelFormatError, match=f"node {leaf}: value must be a finite number"):
+            tree_from_dict(corrupt(payload, leaf, "value", float("inf")), cfg, 2, None)
+        with pytest.raises(ModelFormatError, match=rf"node {leaf}: n_samples must be an integer in \[1,"):
+            tree_from_dict(corrupt(payload, leaf, "n_samples", 0), cfg, 2, None)
+        payload["counts"] = [[1, 0]] * len(payload["value"])
+        with pytest.raises(ModelFormatError, match="a regression_on_gradients tree holds the arrays"):
+            tree_from_dict(payload, cfg, 2, None)
