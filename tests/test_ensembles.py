@@ -393,12 +393,13 @@ def small_models():
 
 def with_field(payload, path, value):
     """A deep copy of payload with the field at path (a tuple of keys and
-    indices) set to value, or deleted when value is DELETE."""
+    indices) set to value, or deleted when value is DELETE.  A dict missing
+    on the way is added."""
     payload = json.loads(json.dumps(payload))
     *parents, last = path
     node = payload
     for key in parents:
-        node = node[key]
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     if value is DELETE:
         del node[last]
     else:
@@ -440,6 +441,7 @@ BAD_MODELS = [
     # The per-tree copies of the model's facts that format 2 stored.
     ("bagging", ("trees", 0, "n_classes"), 8, "trees[0]: a classification tree holds the arrays"),
     ("bagging", ("trees", 0, "n_features"), 5, "trees[0]: a classification tree holds the arrays"),
+    ("bagging", ("trees", 0, "config", "max_depth"), 3.0, "trees[0]: a classification tree holds the arrays"),
     ("bagging", ("n_classes",), 8, "counts must list 8 class counts"),
     ("bagging", ("fingerprint",), "0" * 16, "fingerprint"),
     ("bagging", ("feature_names", 0), "T_XX", "fingerprint"),

@@ -508,10 +508,15 @@ def corrupt(payload, node, key, value):
     """A deep copy of a tree payload with node's entry of the array key set
     to value (removed when value is DELETE).  feature has an entry per
     node, threshold and impurity_decrease one per split, and the leaf
-    arrays one per leaf."""
+    arrays one per leaf.  A key the format does not store, such as the
+    child index left of format 2, is added as an array with an entry per
+    node."""
     payload = copy.deepcopy(payload)
     feature = payload["feature"]
-    if key == "feature":
+    if key not in payload:
+        payload[key] = [None] * len(feature)
+        position = node
+    elif key == "feature":
         position = node
     else:
         per_leaf = key not in ("threshold", "impurity_decrease")
@@ -542,6 +547,7 @@ BAD_NODES = [
     (0, "feature", "0", "node 0: feature must be an integer"),
     (0, "feature", -1, "node 1 is no node's child: the tree ends at node 0"),
     (1, "feature", 0, "node 4: the tree ends inside a split"),
+    (0, "left", 0, "a classification tree holds the arrays"),
     (0, "threshold", NAN, "node 0: threshold must be a finite number"),
     (0, "threshold", float("inf"), "node 0: threshold must be a finite number"),
     (0, "threshold", "2.0", "node 0: threshold must be a finite number"),
