@@ -7,8 +7,10 @@ feature addition (selection.run_rfa), and probes the model of the
 addition's last step, which was trained on exactly the selected set,
 against noise and a dead top sensor.  Every stage draws its randomness
 from a seed derived from (master seed, stage name), so a run is one pure
-function of (config, seed) and its artifact files are byte-identical
-across repeats, platforms, and thread counts.
+function of (config, seed), and on one machine its artifact files are
+byte-identical across repeats and thread counts.  Boosting's artifacts
+can differ between CPUs: np.exp and np.log, which its softmax and priors
+call, differ in their last bits between SIMD levels.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .ensembles import BAGGING, BOOSTING, EnsembleConfig, model_to_dict
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
-from .errors import ConfigParseError, InvalidValueError
+from .errors import BadProportionsError, ConfigParseError, InvalidValueError
 from .fileio import _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
 from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, _snr_ratio, run_scenarios
@@ -232,6 +234,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
     if env_out:
         merged["out_dir"] = env_out
 
+    from_file: dict = {}
     if path is not None:
         try:
             loaded = _read_json(path, ConfigParseError, f"config file {path}")
@@ -239,16 +242,27 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
             raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError(f"config file {path} must hold a JSON object")
-        _merge(loaded, "", {key.path: key for key in _SCHEMA}, merged, "config")
+        _merge(loaded, "", {key.path: key for key in _SCHEMA}, from_file, "config")
 
     given = {name: value for name, value in (overrides or {}).items() if value is not None}
-    _merge(given, "", {key.field: key for key in _SCHEMA}, merged, "override")
+    from_overrides: dict = {}
+    _merge(given, "", {key.field: key for key in _SCHEMA}, from_overrides, "override")
+    merged.update(from_file)
+    merged.update(from_overrides)
 
     fields = {name: value for name, value in merged.items() if "." not in name}
-    for outer, cls in (("generator", GeneratorConfig), ("rfa", RfaConfig)):
-        prefix = outer + "."
-        fields[outer] = cls(**{n[len(prefix):]: v for n, v in merged.items() if n.startswith(prefix)})
-    return PipelineConfig(**fields)
+    # A range error starts with the attribute's name; one the file set is
+    # renamed to its key as the file spells it.
+    file_set = from_file.keys() - from_overrides.keys()
+    spelled = {key.field.split(".")[-1]: key.path for key in _SCHEMA if key.field in file_set}
+    try:
+        for outer, cls in (("generator", GeneratorConfig), ("rfa", RfaConfig)):
+            prefix = outer + "."
+            fields[outer] = cls(**{n[len(prefix):]: v for n, v in merged.items() if n.startswith(prefix)})
+        return PipelineConfig(**fields)
+    except (InvalidValueError, BadProportionsError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise type(exc)(f"{spelled.get(name, name)} {rest}") from exc
 
 
 @dataclass(frozen=True)

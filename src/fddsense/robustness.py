@@ -172,30 +172,24 @@ class _CleanRoutes:
 
     def __init__(self, trees, xf: np.ndarray):
         n = xf.shape[0]
-        # Per tree: (root, leaf number by id(leaf), leaf outputs, lo, hi).
-        self.trees = []
-        for tree in trees:
-            leaves, lo, hi = _leaf_boxes(tree)
-            number = {id(leaf): j for j, leaf in enumerate(leaves)}
-            table = np.array([leaf.value if tree.n_classes is None else leaf.distribution for leaf in leaves])
-            self.trees.append((tree.root, number, table, lo, hi))
-        widest = max(len(number) for _, number, *_ in self.trees)
+        self.trees = [(tree, *_leaf_boxes(tree)) for tree in trees]  # (tree, lo, hi)
+        widest = max(tree.n_samples.size for tree in trees)
         self.ids = np.empty((len(trees), n), dtype=np.min_scalar_type(widest - 1))
-        for (root, number, *_), ids in zip(self.trees, self.ids):
-            for leaf, idx in _reach(xf, root, np.arange(n)):
-                ids[idx] = number[id(leaf)]
+        for tree, ids in zip(trees, self.ids):
+            for leaf, idx in _reach(xf, tree, np.arange(n)):
+                ids[idx] = leaf
 
     def outputs(self, xf: np.ndarray, column: int):
         """Yield each tree's leaf outputs for the rows of xf, which equal
         the clean rows outside column, in tree order."""
         values = xf[:, column]
         ids = np.empty(values.size, dtype=np.intp)  # reused by every tree
-        for (root, number, table, lo, hi), clean in zip(self.trees, self.ids):
+        for (tree, lo, hi), clean in zip(self.trees, self.ids):
             ids[:] = clean
             stays = (lo[column].take(clean) < values) & (values <= hi[column].take(clean))
-            for leaf, idx in _reach(xf, root, (~stays).nonzero()[0]):
-                ids[idx] = number[id(leaf)]
-            yield table.take(ids, axis=0)
+            for leaf, idx in _reach(xf, tree, (~stays).nonzero()[0]):
+                ids[idx] = leaf
+            yield tree.output.take(ids, axis=0)
 
 
 def _scenario(model, routes: _CleanRoutes, test: Dataset, spec: NoiseSpec, seed: int) -> ScenarioResult:

@@ -73,12 +73,12 @@ class GeneratorConfig:
         props = tuple(float(p) for p in self.class_proportions)
         if len(props) != n_classes:
             raise BadProportionsError(
-                f"need {n_classes} class proportions, got {len(props)}"
+                f"class_proportions must list {n_classes} numbers, got {len(props)}"
             )
         if any(p < 0 or not math.isfinite(p) for p in props):
-            raise BadProportionsError("class proportions must be finite and >= 0")
+            raise BadProportionsError("class_proportions must be finite and >= 0")
         if abs(sum(props) - 1.0) > 1e-9:
-            raise BadProportionsError(f"class proportions sum to {sum(props)!r}, not 1")
+            raise BadProportionsError(f"class_proportions sum to {sum(props)!r}, not 1")
         object.__setattr__(self, "class_proportions", props)
 
 

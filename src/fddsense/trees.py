@@ -1,5 +1,10 @@
 """Binary CART trees for multiclass classification and gradient regression.
 
+A tree is the arrays its model file stores, over its nodes in preorder
+(DecisionTree).  The node grower appends to them as it pops nodes in
+preorder, the level grower below reorders its level-order nodes once,
+and routing, importance and the model codec read them.
+
 Split finding ranks candidates by the sufficient statistic
 g = sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (classification)
 or g = (sum_left y)^2/n_left + (sum_right y)^2/n_right (regression), both of
@@ -89,49 +94,38 @@ class TreeConfig:
             raise InvalidValueError(f"unknown task {self.task!r}")
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """An accepted split: its routing rule, its impurity decrease and the
-    count of training rows it splits.
-
-    impurity_decrease is the node-local decrease: Gini for
-    classification, per-sample variance for regression.
+@dataclass(eq=False)
+class DecisionTree:
+    """The arrays of tree_to_dict, over the nodes in preorder (a split's
+    left child is the next node): feature per node (-1 for a leaf),
+    threshold and impurity_decrease per split (Gini or per-sample
+    variance), and n_samples and value per leaf (its class counts, or
+    its mean target).  Derived from them: right, each split's right
+    child; number, each node's split or leaf number; and output, each
+    leaf's class shares or value.
     """
 
-    feature_index: int
-    threshold: float
-    impurity_decrease: float
-    n_samples: int
-
-
-@dataclass
-class Leaf:
-    """A leaf's n_samples training rows: their class counts, whose shares
-    are its distribution, or their mean target (regression)."""
-
-    n_samples: int
-    counts: np.ndarray | None = None  # classification: int64 count per class
-    value: float | None = None  # regression: mean target
-    distribution: np.ndarray | None = field(init=False, default=None, repr=False)
+    feature: np.ndarray
+    threshold: np.ndarray
+    impurity_decrease: np.ndarray
+    n_samples: np.ndarray
+    value: np.ndarray
+    n_features: int
+    n_classes: int | None = None  # None for regression trees
+    right: np.ndarray = field(init=False, repr=False)
+    number: np.ndarray = field(init=False, repr=False)
+    output: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.counts is not None:
-            self.distribution = self.counts / self.n_samples
+        is_leaf = self.feature < 0
+        self.right = _subtree_ends(self.feature)[np.flatnonzero(~is_leaf) + 1] + 1
+        self.number = np.where(is_leaf, is_leaf.cumsum(), (~is_leaf).cumsum()) - 1
+        self.output = self.value if self.n_classes is None else self.value / self.n_samples[:, None]
 
-
-@dataclass
-class Internal:
-    split: SplitCandidate
-    left: "Internal | Leaf"
-    right: "Internal | Leaf"
-
-
-@dataclass
-class DecisionTree:
-    root: Internal | Leaf
-    n_features: int
-    config: TreeConfig
-    n_classes: int | None = None  # None for regression trees
+    @property
+    def root(self):
+        """A read-only node view of the root, for code that walks nodes."""
+        return _node_view(self, 0)
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Leaf outputs for a matrix of rows: (n, K) distributions for
@@ -154,18 +148,44 @@ class DecisionTree:
         if x.size and not np.isfinite(x).all():
             raise NonFiniteInputError("prediction input contains NaN or Inf")
         x = np.asfortranarray(x)
-        classify = self.n_classes is not None
-        # Each row records its leaf's id; one take at the end gathers the
-        # leaf outputs for all rows.
-        leaf_ids = np.empty(x.shape[0], dtype=np.intp)
-        outputs: list = []
-        for leaf, idx in _reach(x, self.root, np.arange(x.shape[0])):
-            leaf_ids[idx] = len(outputs)
-            outputs.append(leaf.distribution if classify else leaf.value)
-        table = np.array(outputs, dtype=np.float64)
-        if classify:
-            table = table.reshape(len(outputs), self.n_classes)
-        return table.take(leaf_ids, axis=0)
+        leaf = np.empty(x.shape[0], dtype=np.intp)
+        for j, idx in _reach(x, self, np.arange(x.shape[0])):
+            leaf[idx] = j
+        return self.output.take(leaf, axis=0)
+
+
+def _subtree_ends(feature: np.ndarray) -> np.ndarray:
+    """The last node of each node's subtree, for a preorder feature array.
+
+    Counting +1 per split and -1 per leaf, a subtree's running count
+    never falls below the count before its first node until its last
+    node, where it falls one below.  So node i's subtree ends at the
+    first j >= i whose count is one below the count before i: with the
+    nodes keyed by (count, position), one sorted search finds every j.
+    """
+    n = feature.size
+    step = np.where(feature < 0, -1, 1)
+    count = step.cumsum()
+    key = np.sort((count + 1) * n + np.arange(n))
+    return key[key.searchsorted((count - step) * n + np.arange(n))] % n
+
+
+class _SplitView:
+    """A split in DecisionTree.root's view: its split number and children.
+    A leaf's view is a bare object, which has none of them."""
+
+    __slots__ = ("_tree", "_node")
+
+    def __init__(self, tree: DecisionTree, node: int):
+        self._tree, self._node = tree, node
+
+    split = property(lambda self: int(self._tree.number[self._node]))
+    left = property(lambda self: _node_view(self._tree, self._node + 1))
+    right = property(lambda self: _node_view(self._tree, int(self._tree.right[self.split])))
+
+
+def _node_view(tree: DecisionTree, node: int):
+    return object() if tree.feature[node] < 0 else _SplitView(tree, node)
 
 
 def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
@@ -180,30 +200,31 @@ def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
     return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
 
 
-def _reach(xf: np.ndarray, root: Internal | Leaf, idx: np.ndarray):
-    """Yield (leaf, the rows of idx that reach it) for every leaf that
-    rows idx of the column-major xf reach from root.
+def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray):
+    """Yield (leaf number, the rows of idx that reach it) for every leaf
+    that rows idx of the column-major xf reach from the tree's root.
 
     The one routing loop, shared by predict_batch and the robustness
     scenarios' re-routing; each split applies _route.
     """
-    stack: list[tuple[Internal | Leaf, np.ndarray]] = [(root, idx)]
+    stack = [(0, idx)]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if isinstance(node, Leaf):
-            yield node, idx
+        j = tree.number[node]
+        if tree.feature[node] < 0:
+            yield j, idx
             continue
-        left, right = _route(xf, idx, node.split.feature_index, node.split.threshold)
-        stack.append((node.left, left))
-        stack.append((node.right, right))
+        left, right = _route(xf, idx, tree.feature[node], tree.threshold[j])
+        stack.append((tree.right[j], right))
+        stack.append((node + 1, left))
 
 
-def _leaf_boxes(tree: DecisionTree) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
-    """(leaves, lo, hi): the tree's leaves in preorder, and for every
-    feature f and leaf j the interval (lo[f, j], hi[f, j]] of values of
-    f that the splits on f along the leaf's path admit.
+def _leaf_boxes(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): for every feature f and leaf j the interval (lo[f, j],
+    hi[f, j]] of values of f that the splits on f along the leaf's path
+    admit.
 
     lo is the largest threshold at which the path turns right on f, hi
     the smallest at which it turns left (-inf and inf where it turns
@@ -212,25 +233,25 @@ def _leaf_boxes(tree: DecisionTree) -> tuple[list[Leaf], np.ndarray, np.ndarray]
     hi[f, j], which is _route's <= rule.  lo and hi are (n_features,
     n_leaves) arrays.
     """
-    leaves: list[Leaf] = []
     los: list[np.ndarray] = []
     his: list[np.ndarray] = []
     unbounded = np.full(tree.n_features, np.inf)
-    stack: list[tuple[Internal | Leaf, np.ndarray, np.ndarray]] = [(tree.root, -unbounded, unbounded)]
+    stack = [(0, -unbounded, unbounded)]
     while stack:  # preorder; children share their parent's untouched bound
         node, lo, hi = stack.pop()
-        if isinstance(node, Leaf):
-            leaves.append(node)
+        f = tree.feature[node]
+        if f < 0:
             los.append(lo)
             his.append(hi)
             continue
-        f, t = node.split.feature_index, node.split.threshold
+        j = tree.number[node]
+        t = tree.threshold[j]
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[f] = min(hi[f], t)
         right_lo[f] = max(lo[f], t)
-        stack.append((node.right, right_lo, hi))
-        stack.append((node.left, lo, left_hi))
-    return leaves, np.stack(los, axis=1), np.stack(his, axis=1)
+        stack.append((tree.right[j], right_lo, hi))
+        stack.append((node + 1, lo, left_hi))
+    return np.stack(los, axis=1), np.stack(his, axis=1)
 
 
 def gini_impurity(class_counts) -> float:
@@ -314,11 +335,11 @@ def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
     return picked
 
 
-def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> Internal | Leaf:
-    """Root of the classification tree on the one feature col, grown a
-    level at a time over col sorted once (the module docstring says why
-    it is the tree the node-by-node grower makes).  Its prefix table
-    holds (n + 1) * n_classes int64 counts."""
+def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> DecisionTree:
+    """The classification tree on the one feature col, grown a level at a
+    time over col sorted once (the module docstring says why it is the
+    tree the node-by-node grower makes).  Its prefix table holds (n + 1)
+    * n_classes int64 counts."""
     n, k = col.size, n_classes
     order = col.argsort()
     xs, ys = col.take(order), y.take(order)
@@ -331,13 +352,15 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
     occ = flat.take(np.arange(0, n * k, k) + ys)  # earlier rows of each row's class
     tie = xs[:-1] == xs[1:]  # no threshold between sorted rows j and j + 1
 
-    placeholder = root = Leaf(n_samples=n)
-    # The level's nodes as sorted-row ranges [a, b), each with the parent
-    # and the side it hangs on (None for the root).
+    # The level's nodes as sorted-row ranges [a, b).  A split's children
+    # are the next level's nodes, in the order of their parents, so in
+    # level order the children of the s-th split are nodes 2s + 1 and
+    # 2s + 2.
     a, b = np.array([0]), np.array([n])
-    slots: list[tuple[Internal | None, str]] = [(None, "root")]
+    levels: list[tuple] = []
+    thresholds: list[float] = []
     depth = 0
-    while slots:
+    while a.size:
         counts = prefix.take(b, axis=0) - prefix.take(a, axis=0)
         sizes = b - a
         sq = (counts * counts).sum(axis=1)
@@ -376,44 +399,35 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
             best_g[grow] = node_best
             best_r[grow] = r.take(np.minimum.reduceat(hits, starts))  # first maximum
 
-        # Per-node fields as whole-level arrays, with the same float64
-        # operations as fit_tree's best_split and make_leaf.
+        # The level's fields, with the same float64 operations as
+        # fit_tree's best_split and leaves.
         split = best_g > g_parent  # strict: a split must lower the impurity
         # The right child's first sorted row: xs[cut - 1] <= threshold <
         # xs[cut], so the children hold exactly the rows _route sends them.
-        cut = best_r + 1
-        fields = zip(
-            slots,
-            split.tolist(),
-            a.tolist(),
-            cut.tolist(),
-            b.tolist(),
-            ((best_g - g_parent) / sizes).tolist(),
-            counts,
-        )
-        next_a: list[int] = []
-        next_b: list[int] = []
-        next_slots: list[tuple[Internal | None, str]] = []
-        for (parent, side), is_split, lo, mid, hi, decrease, node_counts in fields:
-            node: Internal | Leaf
-            if is_split:
-                threshold = _threshold(float(xs[mid - 1]), float(xs[mid]))
-                candidate = SplitCandidate(0, threshold, impurity_decrease=decrease, n_samples=hi - lo)
-                node = Internal(split=candidate, left=placeholder, right=placeholder)
-                next_a += [lo, mid]
-                next_b += [mid, hi]
-                next_slots += [(node, "left"), (node, "right")]
-            else:
-                node = Leaf(n_samples=hi - lo, counts=node_counts)
-            if parent is None:
-                root = node
-            elif side == "left":
-                parent.left = node
-            else:
-                parent.right = node
-        a, b, slots = np.array(next_a, dtype=np.intp), np.array(next_b, dtype=np.intp), next_slots
+        cut = (best_r + 1)[split]
+        thresholds += [_threshold(float(xs[mid - 1]), float(xs[mid])) for mid in cut.tolist()]
+        levels.append((split, (best_g - g_parent) / sizes, sizes, counts))
+        a, b = np.stack([a[split], cut], axis=1).ravel(), np.stack([cut, b[split]], axis=1).ravel()
         depth += 1
-    return root
+
+    # Level order to preorder, in one stack pass.
+    is_split, decrease, sizes, counts = (np.concatenate(column) for column in zip(*levels))
+    rank = is_split.cumsum() - 1  # a split's number in level order
+    splits_at, ranks = is_split.tolist(), rank.tolist()
+    preorder, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if splits_at[node]:
+            stack += [2 * ranks[node] + 2, 2 * ranks[node] + 1]
+    nodes = np.array(preorder)
+    at_split = is_split.take(nodes)
+    splits, leaves = nodes[at_split], nodes[~at_split]
+    threshold = np.array(thresholds).take(rank.take(splits))
+    return DecisionTree(
+        np.where(at_split, 0, -1), threshold, decrease.take(splits), sizes.take(leaves), counts[leaves],
+        n_features=1, n_classes=n_classes,
+    )
 
 
 def _class_ids(y: np.ndarray, n_classes: int | None) -> tuple[np.ndarray, int]:
@@ -490,17 +504,13 @@ def fit_tree(
             raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
     x = np.asfortranarray(x)  # _route reads whole columns
     if classify and n_features == 1:
-        root = _grow_levels(x[:, 0], y, n_classes, cfg)
-        return DecisionTree(root=root, n_features=1, config=cfg, n_classes=n_classes)
+        return _grow_levels(x[:, 0], y, n_classes, cfg)
     xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     rng = np.random.default_rng(rng_seed)
 
-    def make_leaf(size: int, yy: np.ndarray, counts: np.ndarray | None) -> Leaf:
-        if classify:
-            return Leaf(n_samples=size, counts=counts)
-        return Leaf(n_samples=size, value=float(yy.sum() / size))  # yy.mean(), bit for bit
-
-    def best_split(idx: np.ndarray, yy: np.ndarray, counts: np.ndarray | None) -> SplitCandidate | None:
+    def best_split(idx: np.ndarray, yy: np.ndarray, counts: np.ndarray | None):
+        """(feature, threshold, impurity decrease) of the node's best
+        split, or None."""
         if classify:
             g_parent = float((counts * counts).sum()) / idx.size
         else:
@@ -518,24 +528,19 @@ def fit_tree(
                 best_g, best = g, (int(block[row]), threshold)
         if best is None:
             return None
-        return SplitCandidate(*best, impurity_decrease=(best_g - g_parent) / idx.size, n_samples=idx.size)
+        return (*best, (best_g - g_parent) / idx.size)
 
-    placeholder = Leaf(n_samples=n)
-    tree = DecisionTree(
-        root=placeholder,
-        n_features=n_features,
-        config=cfg,
-        n_classes=n_classes if classify else None,
-    )
-
-    # Explicit preorder stack: (row indices, depth, parent, side). Children
-    # are pushed right-then-left so the rng is consumed left subtree first.
-    stack: list[tuple[np.ndarray, int, Internal | None, str]] = [
-        (np.arange(n), 0, None, "root")
-    ]
+    # The tree's arrays, appended in preorder: an explicit stack of (row
+    # indices, depth), children pushed right-then-left, so the left
+    # subtree comes first and consumes the rng first.
+    feature: list[int] = []
+    threshold: list[float] = []
+    decrease: list[float] = []
+    n_samples: list[int] = []
+    value: list = []
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), 0)]
     while stack:
-        idx, depth, parent, side = stack.pop()
-        node: Internal | Leaf
+        idx, depth = stack.pop()
         # One gather of the node's labels serves the purity test, the
         # scan and the leaf; a node holds at least min_leaf >= 1 rows.
         yy = y.take(idx)
@@ -545,19 +550,19 @@ def fit_tree(
         grow = not (pure or depth_capped or idx.size < 2 * cfg.min_leaf)
         split = best_split(idx, yy, counts) if grow else None
         if split is None:
-            node = make_leaf(idx.size, yy, counts)
+            feature.append(-1)
+            n_samples.append(idx.size)
+            value.append(counts if classify else float(yy.sum() / idx.size))  # yy.mean(), bit for bit
         else:
-            node = Internal(split=split, left=placeholder, right=placeholder)
-            left, right = _route(x, idx, split.feature_index, split.threshold)
-            stack.append((right, depth + 1, node, "right"))
-            stack.append((left, depth + 1, node, "left"))
-        if parent is None:
-            tree.root = node
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
-    return tree
+            f, t, d = split
+            feature.append(f)
+            threshold.append(t)
+            decrease.append(d)
+            left, right = _route(x, idx, f, t)
+            stack.append((right, depth + 1))
+            stack.append((left, depth + 1))
+    arrays = (np.array(column) for column in (feature, threshold, decrease, n_samples, value))
+    return DecisionTree(*arrays, n_features, n_classes if classify else None)
 
 
 def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
@@ -569,28 +574,31 @@ def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
         )
     if not np.isfinite(row).all():
         raise NonFiniteInputError("prediction row contains NaN or Inf")
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if row[node.split.feature_index] <= node.split.threshold else node.right
+    node = 0
+    while tree.feature[node] >= 0:
+        j = tree.number[node]
+        node = node + 1 if row[tree.feature[node]] <= tree.threshold[j] else tree.right[j]
     if tree.n_classes is not None:
-        return node.distribution.copy()
-    return node.value
+        return tree.output[tree.number[node]].copy()
+    return float(tree.output[tree.number[node]])
+
+
+def _split_rows(tree: DecisionTree) -> np.ndarray:
+    """Each split's training rows, in preorder: the rows of the leaves of
+    its subtree, which are numbered from the leaves before the split to
+    the leaf that ends the subtree."""
+    splits = np.flatnonzero(tree.feature >= 0)
+    rows = np.concatenate([[0], tree.n_samples.cumsum()])
+    last = tree.number.take(_subtree_ends(tree.feature).take(splits))
+    return rows.take(last + 1) - rows.take(splits - tree.number.take(splits))
 
 
 def tree_importance_contributions(tree: DecisionTree) -> np.ndarray:
     """Per-feature sums of the tree's split impurity decreases, each
-    scaled by its node's share of the root's samples."""
-    out = np.zeros(tree.n_features, dtype=np.float64)
-    if isinstance(tree.root, Leaf):
-        return out
-    root_n = tree.root.split.n_samples
-    stack = [tree.root]
-    while stack:  # preorder, so the sums add up in a fixed order
-        node = stack.pop()
-        split = node.split
-        out[split.feature_index] += split.impurity_decrease * (split.n_samples / root_n)
-        stack += [child for child in (node.right, node.left) if isinstance(child, Internal)]
-    return out
+    scaled by its node's share of the root's samples, added in preorder."""
+    weights = tree.impurity_decrease * (_split_rows(tree) / tree.n_samples.sum())
+    out = np.bincount(tree.feature[tree.feature >= 0], weights, minlength=tree.n_features)
+    return out.astype(np.float64, copy=False)  # bincount of no split is int
 
 
 # A tree's arrays in the model file, by task.
@@ -605,32 +613,19 @@ _MAX_ROWS = 2**53
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
-    """JSON-ready encoding of a tree as arrays over its nodes in preorder:
-    feature per node (-1 for a leaf; a split's left child is the next
-    node), threshold and impurity_decrease per split, and per leaf its
-    class counts (classification) or value and n_samples (regression).
-    The model stores the config, n_features and n_classes once."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    decrease: list[float] = []
-    leaves: list[Leaf] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            feature.append(-1)
-            leaves.append(node)
-        else:
-            feature.append(node.split.feature_index)
-            threshold.append(node.split.threshold)
-            decrease.append(node.split.impurity_decrease)
-            stack += [node.right, node.left]
-    payload = {"feature": feature, "threshold": threshold, "impurity_decrease": decrease}
+    """JSON-ready encoding of a tree: its arrays, except that a
+    classification tree stores its class counts and not their sums.  The
+    model stores the config, n_features and n_classes once."""
+    payload = {
+        "feature": tree.feature.tolist(),
+        "threshold": tree.threshold.tolist(),
+        "impurity_decrease": tree.impurity_decrease.tolist(),
+    }
     if tree.n_classes is None:
-        payload["value"] = [leaf.value for leaf in leaves]
-        payload["n_samples"] = [leaf.n_samples for leaf in leaves]
+        payload["value"] = tree.value.tolist()
+        payload["n_samples"] = tree.n_samples.tolist()
     else:
-        payload["counts"] = [leaf.counts.tolist() for leaf in leaves]
+        payload["counts"] = tree.value.tolist()
     return payload
 
 
@@ -660,8 +655,7 @@ def _numbers(values, kind: type, key: str, nodes: np.ndarray, low=-math.inf, hig
 def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes: int | None) -> DecisionTree:
     """Inverse of tree_to_dict, given the facts the model stores once
     (n_classes is None for regression).  Each array is checked whole, so
-    a tree that decodes also predicts, and the nodes are built in one
-    backward pass.
+    a tree that decodes also predicts.
 
     Raises:
         ModelFormatError: keys other than the task's arrays, a feature
@@ -693,7 +687,6 @@ def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes
     if n_classes is None:
         value = _numbers(payload["value"], float, "value", leaves)
         sizes = _numbers(payload["n_samples"], int, "n_samples", leaves, 1, _MAX_ROWS)
-        made = [Leaf(n_samples=n, value=v) for n, v in zip(sizes.tolist(), value.tolist())]
     else:
         rows = payload["counts"]
         if not isinstance(rows, list) or len(rows) != leaves.size:
@@ -702,22 +695,8 @@ def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes
             if not isinstance(row, list) or len(row) != n_classes:
                 raise ModelFormatError(f"node {leaves[j]}: counts must list {n_classes} class counts, got {row!r}")
         flat = [c for row in rows for c in row]
-        counts = _numbers(flat, int, "counts", leaves.repeat(n_classes), 0, _MAX_ROWS).reshape(-1, n_classes)
-        sizes = counts.sum(axis=1)
+        value = _numbers(flat, int, "counts", leaves.repeat(n_classes), 0, _MAX_ROWS).reshape(-1, n_classes)
+        sizes = value.sum(axis=1)
         if not sizes.all():
             raise ModelFormatError(f"node {leaves[sizes.argmin()]}: counts hold no training row")
-        made = [Leaf(n_samples=n, counts=row) for n, row in zip(sizes.tolist(), counts)]
-    # Backward over the preorder: a split's subtrees are the last two
-    # built, its left one on top.  Each entry is (subtree, its rows).
-    built: list[tuple[Internal | Leaf, int]] = []
-    leaf_nodes = reversed(made)
-    rules = zip(*(reversed(column.tolist()) for column in (feature.take(splits), threshold, decrease)))
-    for leaf_here in is_leaf[::-1].tolist():
-        if leaf_here:
-            leaf = next(leaf_nodes)
-            built.append((leaf, leaf.n_samples))
-        else:
-            (left, n_left), (right, n_right) = built.pop(), built.pop()
-            split = SplitCandidate(*next(rules), n_samples=n_left + n_right)
-            built.append((Internal(split=split, left=left, right=right), split.n_samples))
-    return DecisionTree(root=built[0][0], n_features=n_features, config=config, n_classes=n_classes)
+    return DecisionTree(feature, threshold, decrease, sizes, value, n_features, n_classes)

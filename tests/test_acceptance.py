@@ -25,15 +25,7 @@ from fddsense.pipeline import parse_config, run_pipeline
 from fddsense.robustness import awgn_for, signal_power
 from fddsense.seeding import derive_seed
 from fddsense.simgen import GeneratorConfig, generate_dataset
-from fddsense.trees import (
-    DecisionTree,
-    Internal,
-    Leaf,
-    SplitCandidate,
-    TreeConfig,
-    fit_tree,
-    gini_impurity,
-)
+from fddsense.trees import TreeConfig, fit_tree, gini_impurity, tree_from_dict
 
 from oracle_trees import oracle_fit, random_case
 
@@ -51,16 +43,17 @@ def verdict(capsys, number, title):
         print(f"PASS: criterion {number} - {title}")
 
 
-def same_tree(node, ref):
+def same_tree(tree, ref, node=0):
+    """The subtree of tree at node equals the oracle tree ref."""
+    j = tree.number[node]
     if ref["kind"] == "leaf":
-        assert isinstance(node, Leaf)
-        assert list(node.distribution) == ref["distribution"]
+        assert tree.feature[node] == -1
+        assert list(tree.output[j]) == ref["distribution"]
     else:
-        assert isinstance(node, Internal)
-        assert node.split.feature_index == ref["feature"]
-        assert node.split.threshold == ref["threshold"]
-        same_tree(node.left, ref["left"])
-        same_tree(node.right, ref["right"])
+        assert tree.feature[node] == ref["feature"]
+        assert tree.threshold[j] == ref["threshold"]
+        same_tree(tree, ref["left"], node + 1)
+        same_tree(tree, ref["right"], tree.right[j])
 
 
 def test_criterion_1_exact_splitter_matches_oracle(capsys):
@@ -78,16 +71,20 @@ def test_criterion_1_exact_splitter_matches_oracle(capsys):
             cfg = TreeConfig(max_depth=max_depth, min_leaf=min_leaf)
             tree = fit_tree(np.array(rows), np.array(labels), cfg, n_classes=3)
             ref = oracle_fit(rows, labels, max_depth=max_depth, min_leaf=min_leaf, n_classes=3)
-            same_tree(tree.root, ref)
+            same_tree(tree, ref)
         assert time.perf_counter() - start < 5.0
 
 
-def _leaf(n):
-    return Leaf(n_samples=n, counts=np.array([n, 0]))
-
-
-def _tree(root):
-    return DecisionTree(root=root, n_features=2, config=TreeConfig(), n_classes=2)
+def _tree(feature, threshold, impurity_decrease, leaves):
+    """A two-feature tree from its model-file arrays; a leaf of n rows
+    holds n rows of class 0."""
+    payload = {
+        "feature": feature,
+        "threshold": threshold,
+        "impurity_decrease": impurity_decrease,
+        "counts": [[n, 0] for n in leaves],
+    }
+    return tree_from_dict(payload, TreeConfig(), 2, 2)
 
 
 def _model(trees):
@@ -105,28 +102,8 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
         # child; tree 2 splits f1 at the root then f0 on its 5-row left child.
         model_a = _model(
             [
-                _tree(
-                    Internal(
-                        split=SplitCandidate(0, 2.0, 0.18, 10),
-                        left=_leaf(4),
-                        right=Internal(
-                            split=SplitCandidate(1, 0.5, 0.2, 6),
-                            left=_leaf(3),
-                            right=_leaf(3),
-                        ),
-                    )
-                ),
-                _tree(
-                    Internal(
-                        split=SplitCandidate(1, 1.0, 0.3, 10),
-                        left=Internal(
-                            split=SplitCandidate(0, 4.0, 0.1, 5),
-                            left=_leaf(2),
-                            right=_leaf(3),
-                        ),
-                        right=_leaf(5),
-                    )
-                ),
+                _tree([0, -1, 1, -1, -1], [2.0, 0.5], [0.18, 0.2], [4, 3, 3]),
+                _tree([1, 0, -1, -1, -1], [1.0, 4.0], [0.3, 0.1], [2, 3, 5]),
             ]
         )
         out = feature_importance(model_a)
@@ -136,24 +113,8 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
         # Model B: both trees split only f0, the second twice.
         model_b = _model(
             [
-                _tree(
-                    Internal(
-                        split=SplitCandidate(0, 1.0, 0.5, 10),
-                        left=_leaf(5),
-                        right=_leaf(5),
-                    )
-                ),
-                _tree(
-                    Internal(
-                        split=SplitCandidate(0, 2.0, 0.25, 10),
-                        left=Internal(
-                            split=SplitCandidate(0, 0.5, 0.2, 4),
-                            left=_leaf(2),
-                            right=_leaf(2),
-                        ),
-                        right=_leaf(6),
-                    )
-                ),
+                _tree([0, -1, -1], [1.0], [0.5], [5, 5]),
+                _tree([0, 0, -1, -1, -1], [2.0, 0.5], [0.25, 0.2], [2, 2, 6]),
             ]
         )
         out = feature_importance(model_b)
@@ -171,14 +132,7 @@ def test_criterion_2_importance_matches_hand_calculations(capsys):
             master_seed=5,
             feature_names=d.symbols,
         )
-        splits = 0
-        for tree in boosted.trees:
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Internal):
-                    splits += 1
-                    stack += [node.left, node.right]
+        splits = sum(int((tree.feature >= 0).sum()) for tree in boosted.trees)
         assert splits >= 1
         boosted_importance = feature_importance(boosted)
         assert np.isfinite(boosted_importance).all()

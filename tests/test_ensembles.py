@@ -33,22 +33,24 @@ from fddsense.errors import (
 from fddsense.fileio import canonical_json
 from fddsense.simgen import GeneratorConfig, generate_dataset
 from fddsense.trees import (
-    DecisionTree,
-    Internal,
-    Leaf,
-    SplitCandidate,
+    REGRESSION,
     TreeConfig,
     fit_tree,
     gini_impurity,
+    tree_from_dict,
 )
 
 
-def _leaf(n):
-    return Leaf(n_samples=n, counts=np.array([n, 0]))
-
-
-def _tree(root):
-    return DecisionTree(root=root, n_features=2, config=TreeConfig(), n_classes=2)
+def _tree(feature, threshold, impurity_decrease, leaves):
+    """A two-feature tree from its model-file arrays; a leaf of n rows
+    holds n rows of class 0."""
+    payload = {
+        "feature": feature,
+        "threshold": threshold,
+        "impurity_decrease": impurity_decrease,
+        "counts": [[n, 0] for n in leaves],
+    }
+    return tree_from_dict(payload, TreeConfig(), 2, 2)
 
 
 def _model(trees):
@@ -63,41 +65,15 @@ def _model(trees):
 def hand_model_a():
     """Tree 1: f0 at the root, f1 on the right child (6 of 10 rows).
     Tree 2: f1 at the root, f0 on the left child (5 of 10 rows)."""
-    t1 = _tree(
-        Internal(
-            split=SplitCandidate(0, 2.0, 0.18, 10),
-            left=_leaf(4),
-            right=Internal(
-                split=SplitCandidate(1, 0.5, 0.2, 6), left=_leaf(3), right=_leaf(3)
-            ),
-        )
-    )
-    t2 = _tree(
-        Internal(
-            split=SplitCandidate(1, 1.0, 0.3, 10),
-            left=Internal(
-                split=SplitCandidate(0, 4.0, 0.1, 5), left=_leaf(2), right=_leaf(3)
-            ),
-            right=_leaf(5),
-        )
-    )
+    t1 = _tree([0, -1, 1, -1, -1], [2.0, 0.5], [0.18, 0.2], [4, 3, 3])
+    t2 = _tree([1, 0, -1, -1, -1], [1.0, 4.0], [0.3, 0.1], [2, 3, 5])
     return _model([t1, t2])
 
 
 def hand_model_b():
     """Both trees split only f0; tree 2 splits it twice."""
-    t1 = _tree(
-        Internal(split=SplitCandidate(0, 1.0, 0.5, 10), left=_leaf(5), right=_leaf(5))
-    )
-    t2 = _tree(
-        Internal(
-            split=SplitCandidate(0, 2.0, 0.25, 10),
-            left=Internal(
-                split=SplitCandidate(0, 0.5, 0.2, 4), left=_leaf(2), right=_leaf(2)
-            ),
-            right=_leaf(6),
-        )
-    )
+    t1 = _tree([0, -1, -1], [1.0], [0.5], [5, 5])
+    t2 = _tree([0, 0, -1, -1, -1], [2.0, 0.5], [0.25, 0.2], [2, 2, 6])
     return _model([t1, t2])
 
 
@@ -115,24 +91,7 @@ class TestHandComputedImportance:
     def test_rank_features_orders_and_breaks_ties_by_schema(self):
         ranked = rank_features(hand_model_a())
         assert [s for s, _ in ranked] == ["b", "a"]
-        stump = _model(
-            [
-                _tree(
-                    Internal(
-                        split=SplitCandidate(0, 1.0, 0.2, 10),
-                        left=_leaf(5),
-                        right=_leaf(5),
-                    )
-                ),
-                _tree(
-                    Internal(
-                        split=SplitCandidate(1, 1.0, 0.2, 10),
-                        left=_leaf(5),
-                        right=_leaf(5),
-                    )
-                ),
-            ]
-        )
+        stump = _model([_tree([0, -1, -1], [1.0], [0.2], [5, 5]), _tree([1, -1, -1], [1.0], [0.2], [5, 5])])
         assert [s for s, _ in rank_features(stump)] == ["a", "b"]
 
     def test_unknown_mode_rejected(self):
@@ -347,7 +306,7 @@ class TestSerialization:
         d = training_data(n=300)
         cfg = EnsembleConfig(method=method, n_trees=2, tree=TreeConfig(max_depth=3))
         model = fit_ensemble(d.values, d.labels, cfg, 9, d.symbols)
-        assert all(tree.config == model.config.tree for tree in model.trees)
+        assert all((tree.n_classes is None) == (model.config.tree.task == REGRESSION) for tree in model.trees)
         assert model_from_dict(model_to_dict(model)).config == model.config
 
     def test_unknown_version_rejected(self):

@@ -9,7 +9,7 @@ import pytest
 from fddsense import ensembles, pipeline
 from fddsense.dataset import split_train_test, undersample_majority, write_csv
 from fddsense.ensembles import fit_ensemble, load_model, model_json_text
-from fddsense.errors import ConfigParseError, FddError, InvalidValueError
+from fddsense.errors import BadProportionsError, ConfigParseError, FddError, InvalidValueError
 from fddsense.pipeline import (
     _SCHEMA,
     OUT_DIR_ENV,
@@ -162,6 +162,42 @@ class TestParseConfig:
         file.write_text(json.dumps(payload))
         with pytest.raises(InvalidValueError, match=key):
             parse_config(str(file), None)
+
+    @pytest.mark.parametrize(
+        "key, value, rest",
+        [
+            ("data.generator.n_rows", 0, {}),
+            ("data.generator.class_proportions", [1.0], {}),
+            ("data.generator.class_proportions", [-0.5, 1.5, 0, 0, 0, 0, 0], {}),
+            ("data.generator.class_proportions", [0.5] * 7, {}),
+            ("train_fraction", 1.0, {}),
+            ("ensemble.n_trees", 0, {}),
+            ("ensemble.max_depth", -1, {}),
+            ("ensemble.min_leaf", 0, {}),
+            ("ensemble.feature_subsample", 0, {}),
+            ("ensemble.learning_rate", 1.5, {"method": "boosting"}),
+            ("rfa.threshold", 0.0, {}),
+            ("rfa.max_sensors", 0, {}),
+            ("n_threads", 0, {}),
+        ],
+    )
+    def test_range_error_names_the_key_as_the_file_spells_it(self, tmp_path, key, value, rest):
+        """A value of the right type but out of range is rejected with the
+        dotted key of the file, also where the check lies in the settings
+        of one stage.  The same value from an override keeps the settings'
+        own name for it."""
+        file = tmp_path / "cfg.json"
+        payload = nested(key, value)
+        payload.setdefault("ensemble", {}).update(rest)
+        file.write_text(json.dumps(payload))
+        with pytest.raises((InvalidValueError, BadProportionsError)) as info:
+            parse_config(str(file), None)
+        assert str(info.value).startswith(key + " "), str(info.value)
+        *_, name = key.split(".")
+        override = next(k for k in _SCHEMA if k.path == key).field
+        with pytest.raises((InvalidValueError, BadProportionsError)) as info:
+            parse_config(None, {**nested(override, value), **rest})
+        assert str(info.value).startswith(name + " "), str(info.value)
 
     def test_bad_value_types_rejected(self):
         with pytest.raises(InvalidValueError):

@@ -253,9 +253,9 @@ def rerouted(monkeypatch):
     calls = []
     real = robustness._reach
 
-    def spy(xf, root, idx):
+    def spy(xf, tree, idx):
         calls.append(idx)
-        return real(xf, root, idx)
+        return real(xf, tree, idx)
 
     monkeypatch.setattr(robustness, "_reach", spy)
     return calls

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from fddsense.ensembles import (
     EnsembleConfig,
     fit_ensemble,
     load_model,
+    model_from_dict,
     model_json_text,
+    model_to_dict,
     predict_batch,
     predict_scores,
     save_model,
@@ -24,10 +28,6 @@ from fddsense.errors import (
 from fddsense import trees
 from fddsense.fileio import canonical_json
 from fddsense.trees import (
-    DecisionTree,
-    Internal,
-    Leaf,
-    SplitCandidate,
     TreeConfig,
     fit_tree,
     gini_impurity,
@@ -46,26 +46,26 @@ from oracle_trees import (
 )
 
 
-def assert_same_tree(node, ref):
+def assert_same_tree(tree, ref, node=0):
+    """The subtree of tree at node equals the oracle tree ref."""
+    j = tree.number[node]
     if ref["kind"] == "leaf":
-        assert isinstance(node, Leaf)
+        assert tree.feature[node] == -1
         if "value" in ref:
-            assert node.value == ref["value"]
+            assert tree.output[j] == ref["value"]
         else:
-            assert list(node.distribution) == ref["distribution"]
+            assert list(tree.output[j]) == ref["distribution"]
     else:
-        assert isinstance(node, Internal)
-        assert node.split.feature_index == ref["feature"]
-        assert node.split.threshold == ref["threshold"]
-        assert_same_tree(node.left, ref["left"])
-        assert_same_tree(node.right, ref["right"])
+        assert tree.feature[node] == ref["feature"]
+        assert tree.threshold[j] == ref["threshold"]
+        assert_same_tree(tree, ref["left"], node + 1)
+        assert_same_tree(tree, ref["right"], tree.right[j])
 
 
-def walk(node):
-    yield node
-    if isinstance(node, Internal):
-        yield from walk(node.left)
-        yield from walk(node.right)
+def same_tree(a, b):
+    """a and b hold the same arrays, bit for bit."""
+    keys = ("feature", "threshold", "impurity_decrease", "n_samples", "value", "right", "number", "output")
+    return all(np.array_equal(getattr(a, key), getattr(b, key)) for key in keys)
 
 
 class TestGini:
@@ -99,13 +99,9 @@ class TestFitAgainstOracle:
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         tree = fit_tree(x, y, TreeConfig())
-        root = tree.root
-        assert isinstance(root, Internal)
-        assert root.split.feature_index == 0
-        assert 1.0 < root.split.threshold < 10.0
-        assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
-        assert list(root.left.distribution) == [1.0, 0.0]
-        assert list(root.right.distribution) == [0.0, 1.0]
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert 1.0 < tree.threshold[0] < 10.0
+        assert tree.output.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_matches_bruteforce_randomized(self):
         rng = np.random.default_rng(2024)
@@ -116,7 +112,7 @@ class TestFitAgainstOracle:
             cfg = TreeConfig(max_depth=max_depth, min_leaf=min_leaf)
             tree = fit_tree(np.array(rows), np.array(labels), cfg, n_classes=3)
             ref = oracle_fit(rows, labels, max_depth=max_depth, min_leaf=min_leaf, n_classes=3)
-            assert_same_tree(tree.root, ref)
+            assert_same_tree(tree, ref)
 
     def test_scan_blocks_keep_the_lowest_feature_on_ties(self):
         """A stump over more features than one scan block holds: the
@@ -128,12 +124,17 @@ class TestFitAgainstOracle:
         x = rng.normal(size=(n, 9))
         x[:, 0] = x[:, 8] = y + rng.normal(0.0, 0.6, size=n)
         cfg = TreeConfig(max_depth=1)
-        one_block = fit_tree(x[:, :1], y, cfg, n_classes=3).root.split
-        first = fit_tree(x, y, cfg, n_classes=3).root.split
-        assert (first.feature_index, first.threshold) == (0, one_block.threshold)
-        assert first.impurity_decrease == one_block.impurity_decrease
-        last = fit_tree(x[:, 1:], y, cfg, n_classes=3).root.split
-        assert (last.feature_index, last.threshold) == (7, one_block.threshold)
+        one_block = root_split(fit_tree(x[:, :1], y, cfg, n_classes=3))
+        first = root_split(fit_tree(x, y, cfg, n_classes=3))
+        assert first == (0, one_block[1], one_block[2])
+        last = root_split(fit_tree(x[:, 1:], y, cfg, n_classes=3))
+        assert last[:2] == (7, one_block[1])
+
+
+def root_split(tree):
+    """(feature, threshold, impurity decrease) of the root, a split."""
+    assert tree.feature[0] >= 0
+    return int(tree.feature[0]), tree.threshold[0], tree.impurity_decrease[0]
 
 
 class TestOneColumnGrowth:
@@ -159,26 +160,30 @@ class TestOneColumnGrowth:
             level = fit_tree(x, y, cfg, n_classes=k)
             node = fit_tree(np.hstack([x, x]), y, cfg, n_classes=k)
             assert tree_to_dict(level) == tree_to_dict(node), case
-            assert all_splits(level.root) == all_splits(node.root), case
+            assert same_tree(level, node), case
 
 
-def all_splits(node):
-    """The node's splits in preorder, n_samples included."""
-    return [n.split for n in walk(node) if isinstance(n, Internal)]
+def all_splits(tree):
+    """The tree's splits in preorder: (feature, threshold, impurity
+    decrease, training rows)."""
+    columns = (tree.feature[tree.feature >= 0], tree.threshold, tree.impurity_decrease, trees._split_rows(tree))
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def assert_counts_route(tree, x):
-    """Every split gets its recorded n_samples training rows, and every
-    leaf its n_samples rows."""
-    stack = [(tree.root, np.arange(x.shape[0]))]
+    """Every split gets its n_samples training rows, and every leaf its
+    n_samples rows."""
+    split_rows = trees._split_rows(tree)
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            assert rows.size == node.n_samples > 0
+        j = tree.number[node]
+        if tree.feature[node] < 0:
+            assert rows.size == tree.n_samples[j] > 0
             continue
-        assert rows.size == node.split.n_samples
-        goes_left = x[rows, node.split.feature_index] <= node.split.threshold
-        stack += [(node.left, rows[goes_left]), (node.right, rows[~goes_left])]
+        assert rows.size == split_rows[j]
+        goes_left = x[rows, tree.feature[node]] <= tree.threshold[j]
+        stack += [(node + 1, rows[goes_left]), (tree.right[j], rows[~goes_left])]
 
 
 TINY = np.nextafter(0.0, 1.0)
@@ -206,11 +211,10 @@ class TestThresholds:
         y = np.arange(10) % 2
         tree = fit_tree(x, y if task == "classification" else y * 1.0, TreeConfig(task=task))
         assert_counts_route(tree, x)
-        assert sum(isinstance(node, Leaf) for node in walk(tree.root)) == 10
-        for node in walk(tree.root):
-            if isinstance(node, Internal):
-                assert np.isfinite(node.split.threshold)
-        clone = tree_from_dict(json.loads(canonical_json(tree_to_dict(tree))), tree.config, width, tree.n_classes)
+        assert (tree.feature < 0).sum() == 10
+        assert np.isfinite(tree.threshold).all()
+        payload = json.loads(canonical_json(tree_to_dict(tree)))
+        clone = tree_from_dict(payload, TreeConfig(task=task), width, tree.n_classes)
         assert np.array_equal(clone.predict_batch(x), tree.predict_batch(x))
 
     def test_midpoint_is_unchanged_for_normal_doubles(self):
@@ -261,34 +265,32 @@ class TestGrowthControls:
 
     def test_min_leaf_respected(self):
         tree = fit_tree(self.x, self.y, TreeConfig(min_leaf=17))
-        for node in walk(tree.root):
-            if isinstance(node, Leaf):
-                assert node.n_samples >= 17
+        assert (tree.n_samples >= 17).all()
 
     def test_max_depth_respected(self):
         tree = fit_tree(self.x, self.y, TreeConfig(max_depth=2))
 
         def depth(node):
-            if isinstance(node, Leaf):
+            if tree.feature[node] < 0:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(node + 1), depth(tree.right[tree.number[node]]))
 
-        assert depth(tree.root) <= 2
+        assert depth(0) <= 2
 
     def test_max_depth_zero_is_a_stump(self):
         tree = fit_tree(self.x, self.y, TreeConfig(max_depth=0))
-        assert isinstance(tree.root, Leaf)
+        assert tree.feature.tolist() == [-1]
 
     def test_pure_labels_give_single_leaf(self):
         tree = fit_tree(self.x, np.zeros(200, dtype=int), TreeConfig(), n_classes=2)
-        assert isinstance(tree.root, Leaf)
-        assert list(tree.root.distribution) == [1.0, 0.0]
+        assert tree.feature.tolist() == [-1]
+        assert tree.output.tolist() == [[1.0, 0.0]]
 
     def test_constant_features_give_single_leaf(self):
         x = np.full((30, 2), 7.5)
         y = np.arange(30) % 2
         tree = fit_tree(x, y, TreeConfig())
-        assert isinstance(tree.root, Leaf)
+        assert tree.feature.tolist() == [-1]
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -337,7 +339,7 @@ class TestRegressionTask:
             cfg = TreeConfig(task="regression_on_gradients", max_depth=max_depth, min_leaf=min_leaf)
             tree = fit_tree(np.array(rows), np.array(targets), cfg)
             ref = oracle_fit_regression(rows, targets, max_depth=max_depth, min_leaf=min_leaf)
-            assert_same_tree(tree.root, ref)
+            assert_same_tree(tree, ref)
 
     def test_reduces_sse(self):
         rng = np.random.default_rng(21)
@@ -355,16 +357,16 @@ class TestRegressionTask:
         x = rng.normal(size=(50, 2))
         cfg = TreeConfig(task="regression_on_gradients")
         tree = fit_tree(x, np.full(50, 3.25), cfg)
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.value == 3.25
+        assert tree.feature.tolist() == [-1]
+        assert tree.output.tolist() == [3.25]
 
     def test_leaf_value_is_mean(self):
         x = np.array([[0.0], [0.0], [10.0], [10.0]])
         target = np.array([1.0, 2.0, 10.0, 14.0])
         cfg = TreeConfig(task="regression_on_gradients", max_depth=1)
         tree = fit_tree(x, target, cfg)
-        assert tree.root.left.value == 1.5
-        assert tree.root.right.value == 12.0
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.output.tolist() == [1.5, 12.0]
 
 
 class TestPrediction:
@@ -419,18 +421,13 @@ class TestPrediction:
 
 def hand_tree():
     """Root on feature 0 (10 rows), right child on feature 1 (6 rows)."""
-    leaf = lambda n: Leaf(n_samples=n, counts=np.array([n, 0]))
-    child = Internal(
-        split=SplitCandidate(1, 0.5, 0.2, 6),
-        left=leaf(3),
-        right=leaf(3),
-    )
-    root = Internal(
-        split=SplitCandidate(0, 2.0, 0.18, 10),
-        left=leaf(4),
-        right=child,
-    )
-    return DecisionTree(root=root, n_features=2, config=TreeConfig(), n_classes=2)
+    payload = {
+        "feature": [0, -1, 1, -1, -1],
+        "threshold": [2.0, 0.5],
+        "impurity_decrease": [0.18, 0.2],
+        "counts": [[4, 0], [3, 0], [3, 0]],
+    }
+    return tree_from_dict(payload, TreeConfig(), 2, 2)
 
 
 class TestImportanceContributions:
@@ -452,10 +449,10 @@ class TestSerialization:
         y = (x[:, 0] * x[:, 1] > 0).astype(int)
         tree = fit_tree(x, y, TreeConfig(max_depth=5, min_leaf=2))
         payload = tree_to_dict(tree)
-        clone = tree_from_dict(payload, tree.config, 3, 2)
+        clone = tree_from_dict(payload, TreeConfig(), 3, 2)
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
         assert tree_to_dict(clone) == payload
-        assert all_splits(clone.root) == all_splits(tree.root)
+        assert all_splits(clone) == all_splits(tree)
         assert np.array_equal(tree_importance_contributions(clone), tree_importance_contributions(tree))
 
     def test_regression_roundtrip(self):
@@ -466,7 +463,7 @@ class TestSerialization:
         clone = tree_from_dict(tree_to_dict(tree), cfg, 2, None)
         assert clone.n_classes is None
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
-        assert all_splits(clone.root) == all_splits(tree.root)
+        assert all_splits(clone) == all_splits(tree)
 
     def test_nodes_are_a_flat_preorder_list(self):
         """One feature per node in preorder (-1 for a leaf), one threshold
@@ -480,8 +477,8 @@ class TestSerialization:
 
     def test_split_sizes_and_distributions_come_from_the_counts(self):
         clone = tree_from_dict(tree_to_dict(hand_tree()), TreeConfig(), 2, 2)
-        assert [split.n_samples for split in all_splits(clone.root)] == [10, 6]
-        assert [list(n.distribution) for n in walk(clone.root) if isinstance(n, Leaf)] == [[1.0, 0.0]] * 3
+        assert trees._split_rows(clone).tolist() == [10, 6]
+        assert clone.output.tolist() == [[1.0, 0.0]] * 3
 
 
 class TestDeepTree:
@@ -492,9 +489,9 @@ class TestDeepTree:
         y = np.arange(2500) % 2
         cfg = EnsembleConfig(n_trees=1, tree=TreeConfig(max_depth=None, min_leaf=1), bootstrap=False)
         model = fit_ensemble(x, y, cfg, 0, ("s0",))
-        node, depth = model.trees[0].root, 0
-        while isinstance(node, Internal):
-            node, depth = node.right, depth + 1
+        tree, node, depth = model.trees[0], 0, 0
+        while tree.feature[node] >= 0:
+            node, depth = tree.right[tree.number[node]], depth + 1
         assert depth == 2499
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -502,6 +499,50 @@ class TestDeepTree:
         assert np.array_equal(predict_scores(clone, x), predict_scores(model, x))
         assert np.array_equal(predict_batch(clone, x), y)
         assert path.read_text() == model_json_text(clone)
+
+
+def bench_tree_counts():
+    """_tree_counts of bench/spans.py, which counts the benchmark's
+    trees.nodes, trees.splits and trees.leaves by walking tree.root."""
+    spec = importlib.util.spec_from_file_location("spans", Path(__file__).parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans._tree_counts
+
+
+class TestRootView:
+    """tree.root is a read-only node view, kept for the benchmark's walk."""
+
+    def four_trees(self):
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(300, 3))
+        y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
+        boosted = fit_ensemble(x, y, EnsembleConfig(method="boosting", n_trees=1), 3, ("a", "b", "c"))
+        bagged = fit_ensemble(x, y, EnsembleConfig(n_trees=1, tree=TreeConfig(max_depth=6)), 4, ("a", "b", "c"))
+        return {
+            "node by node": fit_tree(x, y, TreeConfig(max_depth=5)),
+            "one column, level by level": fit_tree(x[:, :1], y, TreeConfig(max_depth=5)),
+            "boosting regression": boosted.trees[0],
+            "reloaded": model_from_dict(json.loads(canonical_json(model_to_dict(bagged)))).trees[0],
+        }
+
+    def test_benchmark_walk_finds_the_splits_and_leaves_of_feature(self):
+        tree_counts = bench_tree_counts()
+        for name, tree in self.four_trees().items():
+            splits = int((tree.feature >= 0).sum())
+            assert splits >= 2, name
+            assert tree_counts(tree) == {"splits": splits, "leaves": tree.feature.size - splits, "nodes": tree.feature.size}, name
+            # The same walk visits every split once, in preorder, and
+            # reads each split's children off the arrays.
+            seen, stack = [], [tree.root]
+            while stack:
+                node = stack.pop()
+                if hasattr(node, "split"):
+                    seen.append(node.split)
+                    stack += [node.right, node.left]
+                else:
+                    assert not hasattr(node, "left") and not hasattr(node, "right"), name
+            assert seen == list(range(splits)), name
 
 
 def corrupt(payload, node, key, value):
