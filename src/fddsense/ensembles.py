@@ -72,7 +72,7 @@ class EnsembleConfig:
             raise InvalidValueError(f"unknown ensemble method {self.method!r}")
         if self.n_trees < 1:
             raise InvalidValueError("n_trees must be >= 1")
-        if self.method == BOOSTING and not (0.0 < self.learning_rate <= 1.0):
+        if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidValueError("learning_rate must be in (0, 1]")
         if self.method == BOOSTING and self.hard_vote:
             raise InvalidValueError("hard_vote applies to bagging only")
@@ -310,11 +310,16 @@ def _rescore(model: EnsembleModel, labels: np.ndarray, outputs) -> ClassReport:
 
 def _report(model: EnsembleModel, labels: np.ndarray, predicted: np.ndarray) -> ClassReport:
     """evaluate's report of predicted class ids against labels."""
-    if model.n_classes == len(FAULT_CLASSES):
-        names = tuple(fc.name for fc in FAULT_CLASSES)
+    if model.n_classes <= len(FAULT_CLASSES):
+        names = tuple(fc.name for fc in FAULT_CLASSES[: model.n_classes])
     else:
         names = tuple(f"class_{k}" for k in range(model.n_classes))
     return build_report(labels, predicted, names)
+
+
+# The keys model_to_dict writes, the only ones model_from_dict accepts.
+_MODEL_KEYS = {"format_version", "method", "n_trees", "bootstrap", "learning_rate", "hard_vote", "tree_config",
+               "n_classes", "feature_names", "fingerprint", "master_seed", "base_scores", "trees"}
 
 
 def model_to_dict(model: EnsembleModel) -> dict:
@@ -364,16 +369,20 @@ def model_from_dict(payload: dict) -> EnsembleModel:
 
     Raises:
         ModelFormatError: a format_version other than MODEL_FORMAT_VERSION,
-            a missing, wrong-typed or out-of-range field, a fingerprint that
-            does not match feature_names, a tree_config task that is not the
-            method's, a tree count other than n_trees (bagging) or n_trees *
-            n_classes (boosting), or a tree that tree_from_dict rejects,
-            named trees[i].
+            a key that model_to_dict does not write, a missing, wrong-typed
+            or out-of-range field, a fingerprint that does not match
+            feature_names, a tree_config task that is not the method's, a
+            tree count other than n_trees (bagging) or n_trees * n_classes
+            (boosting), or a tree that tree_from_dict rejects, named
+            trees[i].
     """
     try:
         version = payload["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format_version {version!r}: retrain the model")
+        unknown = sorted(map(str, payload.keys() - _MODEL_KEYS))
+        if unknown:
+            raise ModelFormatError(f"unknown model key(s) {unknown}")
         names = payload["feature_names"]
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
             raise ModelFormatError("feature_names must be a non-empty list of strings")
@@ -407,7 +416,7 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         trees = []
         for i, item in enumerate(items):
             try:
-                trees.append(tree_from_dict(item, cfg.tree, len(names), None if boosting else n_classes))
+                trees.append(tree_from_dict(item, len(names), None if boosting else n_classes))
             except ModelFormatError as exc:
                 raise ModelFormatError(f"trees[{i}]: {exc}") from exc
         return EnsembleModel(

@@ -176,8 +176,7 @@ class _CleanRoutes:
         widest = max(tree.n_samples.size for tree in trees)
         self.ids = np.empty((len(trees), n), dtype=np.min_scalar_type(widest - 1))
         for tree, ids in zip(trees, self.ids):
-            for leaf, idx in _reach(xf, tree, np.arange(n)):
-                ids[idx] = leaf
+            _reach(xf, tree, np.arange(n), ids)
 
     def outputs(self, xf: np.ndarray, column: int):
         """Yield each tree's leaf outputs for the rows of xf, which equal
@@ -187,8 +186,7 @@ class _CleanRoutes:
         for (tree, lo, hi), clean in zip(self.trees, self.ids):
             ids[:] = clean
             stays = (lo[column].take(clean) < values) & (values <= hi[column].take(clean))
-            for leaf, idx in _reach(xf, tree, (~stays).nonzero()[0]):
-                ids[idx] = leaf
+            _reach(xf, tree, (~stays).nonzero()[0], ids)
             yield tree.output.take(ids, axis=0)
 
 

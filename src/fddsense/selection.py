@@ -2,16 +2,17 @@
 
 Sensors are ranked once, by the importance scores of a model trained on
 the full sensor set.  Then, for k = 1, 2, ..., a fresh ensemble is trained
-on only the top k sensors and scored on the test set twice: clean, and
-with white noise injected into the single top-ranked sensor.  The loop
-stops at the first k whose clean macro-F1 reaches the threshold, which
-yields the smallest ranked prefix that is good enough, plus a record of
-how exposed each prefix is to noise on its most important member.
+on only the top k sensors and scored on the test set by a one-scenario
+robustness run: clean, and with white noise on the top-ranked sensor.
+The loop stops at the first k whose clean macro-F1 reaches the threshold,
+which yields the smallest ranked prefix that is good enough, plus a
+record of how exposed each prefix is to noise on its most important
+member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dataset import Dataset
 from .ensembles import EnsembleModel
@@ -79,15 +80,7 @@ class RfaTrace:
                 {"sensor": s, "importance": v}
                 for s, v in zip(self.ranking, self.importances)
             ],
-            "steps": [
-                {
-                    "sensor_count": s.sensor_count,
-                    "added_sensor": s.added_sensor,
-                    "clean_f1": s.clean_f1,
-                    "noisy_f1": s.noisy_f1,
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
 
     def to_csv_rows(self) -> list[list[str]]:
@@ -107,9 +100,10 @@ def run_rfa(
 
     The ranking model and every per-prefix model are trained with the same
     recipe and master_seed, so the only thing that changes between fits is
-    the sensor set.  The noise probe always targets the globally top-ranked
-    sensor (which every prefix contains) and draws its noise from a seed
-    derived from (master_seed, step), so traces are reproducible.
+    the sensor set.  Each step is scored by run_scenarios, with one AWGN
+    scenario on the globally top-ranked sensor (which every prefix
+    contains) and the seed derive_seed(master_seed, "rfa-noise", step), so
+    the probe has the robustness stage's scorer and noise-seed rule.
 
     Args:
         train/test: datasets sharing one schema.
@@ -124,8 +118,8 @@ def run_rfa(
         threshold_met is False when the loop exhausted its sensor budget
         without reaching the threshold.
     """
-    from .ensembles import evaluate, fit_ensemble, rank_features
-    from .robustness import inject_awgn
+    from .ensembles import fit_ensemble, rank_features
+    from .robustness import AWGN, NoiseSpec, run_scenarios
 
     if train.schema != test.schema:
         raise InvalidValueError("train and test schemas differ")
@@ -148,7 +142,7 @@ def run_rfa(
 
     ranked_symbols = tuple(s for s, _ in ranking)
     importances = tuple(v for _, v in ranking)
-    top_sensor = ranked_symbols[0]
+    probe = [NoiseSpec(ranked_symbols[0], AWGN, rfa_cfg.noise_snr_db)]
     limit = len(ranked_symbols)
     if rfa_cfg.max_sensors is not None:
         limit = min(limit, rfa_cfg.max_sensors)
@@ -158,15 +152,10 @@ def run_rfa(
     for k in range(1, limit + 1):
         subset = [train.sensor_index(s) for s in ranked_symbols[:k]]
         model = fit(train.select_sensors(subset))
-        test_k = test.select_sensors(subset)
-        clean = evaluate(model, test_k).macro_f1
-        probe, _ = inject_awgn(
-            test_k, top_sensor, rfa_cfg.noise_snr_db, derive_seed(master_seed, "rfa-noise", k)
-        )
-        noisy = evaluate(model, probe).macro_f1
-        steps.append(
-            RfaStep(sensor_count=k, added_sensor=ranked_symbols[k - 1], clean_f1=clean, noisy_f1=noisy)
-        )
+        report = run_scenarios(model, test.select_sensors(subset), probe, derive_seed(master_seed, "rfa-noise", k))
+        clean = report.baseline.macro_f1
+        (noisy,) = report.scenarios
+        steps.append(RfaStep(k, ranked_symbols[k - 1], clean, noisy.macro_f1))
         if clean >= rfa_cfg.threshold:
             threshold_met = True
             break

@@ -149,8 +149,7 @@ class DecisionTree:
             raise NonFiniteInputError("prediction input contains NaN or Inf")
         x = np.asfortranarray(x)
         leaf = np.empty(x.shape[0], dtype=np.intp)
-        for j, idx in _reach(x, self, np.arange(x.shape[0])):
-            leaf[idx] = j
+        _reach(x, self, np.arange(x.shape[0]), leaf)
         return self.output.take(leaf, axis=0)
 
 
@@ -200,9 +199,9 @@ def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
     return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
 
 
-def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray):
-    """Yield (leaf number, the rows of idx that reach it) for every leaf
-    that rows idx of the column-major xf reach from the tree's root.
+def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray) -> None:
+    """Route rows idx of the column-major xf from the tree's root and
+    write each row's leaf number into out at its row index.
 
     The one routing loop, shared by predict_batch and the robustness
     scenarios' re-routing; each split applies _route.
@@ -214,7 +213,7 @@ def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray):
             continue
         j = tree.number[node]
         if tree.feature[node] < 0:
-            yield j, idx
+            out[idx] = j
             continue
         left, right = _route(xf, idx, tree.feature[node], tree.threshold[j])
         stack.append((tree.right[j], right))
@@ -652,7 +651,7 @@ def _numbers(values, kind: type, key: str, nodes: np.ndarray, low=-math.inf, hig
     return array
 
 
-def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes: int | None) -> DecisionTree:
+def tree_from_dict(payload: dict, n_features: int, n_classes: int | None) -> DecisionTree:
     """Inverse of tree_to_dict, given the facts the model stores once
     (n_classes is None for regression).  Each array is checked whole, so
     a tree that decodes also predicts.
@@ -665,10 +664,11 @@ def tree_from_dict(payload: dict, config: TreeConfig, n_features: int, n_classes
             is not n_classes non-negative integers with a positive sum,
             or an n_samples below 1.  It names the first bad node.
     """
-    keys = _TREE_KEYS[config.task]
+    task = REGRESSION if n_classes is None else CLASSIFICATION
+    keys = _TREE_KEYS[task]
     if not isinstance(payload, dict) or payload.keys() != keys:
         got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-        raise ModelFormatError(f"a {config.task} tree holds the arrays {sorted(keys)}, got {got}")
+        raise ModelFormatError(f"a {task} tree holds the arrays {sorted(keys)}, got {got}")
     values = payload["feature"]
     if not isinstance(values, list) or not values:
         raise ModelFormatError("feature must be a non-empty list")

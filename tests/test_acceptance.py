@@ -84,7 +84,7 @@ def _tree(feature, threshold, impurity_decrease, leaves):
         "impurity_decrease": impurity_decrease,
         "counts": [[n, 0] for n in leaves],
     }
-    return tree_from_dict(payload, TreeConfig(), 2, 2)
+    return tree_from_dict(payload, 2, 2)
 
 
 def _model(trees):

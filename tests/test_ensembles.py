@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def _tree(feature, threshold, impurity_decrease, leaves):
         "impurity_decrease": impurity_decrease,
         "counts": [[n, 0] for n in leaves],
     }
-    return tree_from_dict(payload, TreeConfig(), 2, 2)
+    return tree_from_dict(payload, 2, 2)
 
 
 def _model(trees):
@@ -211,6 +213,8 @@ class TestBoosting:
             EnsembleConfig(method="boosting", learning_rate=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(method="boosting", learning_rate=1.5)
+        with pytest.raises(ValueError, match=re.escape("learning_rate must be in (0, 1]")):
+            EnsembleConfig(method="bagging", learning_rate=5.0)
         with pytest.raises(ValueError):
             EnsembleConfig(method="boosting", hard_vote=True)
         with pytest.raises(ValueError):
@@ -274,6 +278,19 @@ class TestInputValidation:
         with pytest.raises(SchemaMismatchError):
             evaluate(model, shuffled)
         assert other.symbols == d.symbols  # selecting all columns keeps names
+
+    @pytest.mark.parametrize("n_classes", [2, 6, 7, 8])
+    def test_report_names_fault_classes_up_to_seven(self, n_classes):
+        """A model of K <= 7 classes names them as the first K fault
+        classes; only a model of more classes than faults uses class_k."""
+        x = np.arange(40.0).reshape(20, 2)
+        y = np.arange(20) % 2
+        model = fit_ensemble(x, y, EnsembleConfig(n_trees=1), 0, ("T_C", "T_FO"), n_classes=n_classes)
+        names = ensembles._report(model, y, y).class_names
+        if n_classes <= len(FAULT_CLASSES):
+            assert names == tuple(fc.name for fc in FAULT_CLASSES[:n_classes])
+        else:
+            assert names == tuple(f"class_{k}" for k in range(n_classes))
 
 
 class TestSerialization:
@@ -347,7 +364,8 @@ def small_models():
         3,
         d.symbols,
     )
-    return d, {"bagging": bagging, "boosting": boosting}
+    hard_vote = replace(bagging, config=replace(bagging.config, hard_vote=True))
+    return d, {"bagging": bagging, "hard-vote": hard_vote, "boosting": boosting}
 
 
 def with_field(payload, path, value):
@@ -419,6 +437,10 @@ BAD_MODELS = [
     ("bagging", ("n_trees",), 2.0, "n_trees"),
     ("boosting", ("learning_rate",), 0.0, "learning_rate"),
     ("bagging", ("learning_rate",), float("nan"), "learning_rate"),
+    # Bagging ignores the learning rate but still checks its range (on the
+    # hard-vote model, which keeps this case's id apart from the NaN case's).
+    ("hard-vote", ("learning_rate",), 5.0, "learning_rate must be in (0, 1]"),
+    ("bagging", ("extra",), 1, "unknown model key(s) ['extra']"),
     ("bagging", ("hard_vote",), "no", "hard_vote"),
     ("bagging", ("tree_config", "min_leaf"), 0, "min_leaf"),
     ("bagging", ("tree_config", "task"), "regression_on_gradients", "tree_config: bagging grows classification"),

@@ -57,9 +57,9 @@ STUDY_GOLDEN = {
         "class_report.json": "333aee75b1ae47a41297dda03f221a56d4e238035c8cedff94ebac5d02c3dd90",
         "config.json": "7dc0674f2bf62d89c0aad328af155cdcc9468b12e0ae4273c6caf5f9c6ce469e",
         "model.json": "0e73ad6c22f1d87708e24ca8b64ac0fde2bc20d6213e7e93fc2741a7c7eba654",
-        "rfa_curves.svg": "21edeef65333dcb39a3012e20ad9116e68e342a51176b94a02028945776921cf",
-        "rfa_trace.csv": "e3a51830232352505c6181914d64308617e10b999bf94ffaf5aa2fa2b3fefa8f",
-        "rfa_trace.json": "d01948bdfe7e58e63508d154824406245f166702a0a9ac55a75b56471dd232ad",
+        "rfa_curves.svg": "a517bd070c02488d1f43baa3cc4e9e28297cc92554ea1f75b44ecce03fbc2f1a",
+        "rfa_trace.csv": "42cd07edc0941d0cd03f3c658b1d216599337bdaf68c9c2a2b1db6b811e6ffea",
+        "rfa_trace.json": "8187a4e592683c2d88fd7fa098eaf9a48f1ba74ddb4fc714d0c39eecac9c2d28",
         "robustness.csv": "42ac562a3109dbc52f276dd5358e878be16c3a6e8c254326bccd0ddf0df3c5b5",
         "robustness.json": "bd33c39a42c9ed451d2256feb01ed6e0772db3c4f19ad2f552d606d5b65edf6e",
     },
@@ -68,9 +68,9 @@ STUDY_GOLDEN = {
         "class_report.json": "b56ec0359f94e9329a493f64ddf577e2877241710161f1c9c939fee9ba44a04f",
         "config.json": "74a9a29e1bc8de8c76cfa5683fafad30e84529b65a982f07890f09e42ec1e8e3",
         "model.json": "79487c31950c2d507bb0469bf1af37873e73e73c40ee08b4b3859b746b03a43f",
-        "rfa_curves.svg": "1a9aa80a64a7413ad942bf010e6f7061c65cc1968ef33aa99d587f6392c7771d",
-        "rfa_trace.csv": "0158468e47a7ce72f07b584dd96b7464ab99afe1d00f4912165e05cee7c0cace",
-        "rfa_trace.json": "53bcf88406d704c4045a050d796b974eec9f120a921bbf1e19b30f7093afa702",
+        "rfa_curves.svg": "18eeee355212889d90a1381cfdfc4a712e9919be9c99db2d74207eb5015b105f",
+        "rfa_trace.csv": "8391b0c276ab1deda9e7659f16256964334a47d511ebd04e6c08c9221f39fd86",
+        "rfa_trace.json": "dcc9327a8d366e676314859cf3968a5366550e0b64ebbeb529640aad3021026a",
         "robustness.csv": "fa696bbd48bc32b8104587cc69163e31c2fd08d484410645f30cb80ac5377fe9",
         "robustness.json": "8453aada4e808a1456e607e3931cfd733f7723f182628156dd17d3273c764911",
     },

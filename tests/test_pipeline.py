@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fddsense import ensembles, pipeline
-from fddsense.dataset import split_train_test, undersample_majority, write_csv
+from fddsense.dataset import FAULT_CLASSES, split_train_test, undersample_majority, write_csv
 from fddsense.ensembles import fit_ensemble, load_model, model_json_text
 from fddsense.errors import BadProportionsError, ConfigParseError, FddError, InvalidValueError
 from fddsense.pipeline import (
@@ -179,6 +180,7 @@ class TestParseConfig:
             ("rfa.threshold", 0.0, {}),
             ("rfa.max_sensors", 0, {}),
             ("n_threads", 0, {}),
+            ("ensemble.learning_rate", 5.0, {}),
         ],
     )
     def test_range_error_names_the_key_as_the_file_spells_it(self, tmp_path, key, value, rest):
@@ -321,6 +323,21 @@ class TestParseConfig:
 
 
 class TestRunPipeline:
+    def test_a_study_without_the_last_class_names_its_classes_as_faults(self, tmp_path):
+        """Generated data with no row of class 6 gives a 6-class model, and
+        the class reports name its classes as the first six fault classes."""
+        proportions = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0]
+        generator = {"n_rows": 2500, "class_proportions": proportions}
+        overrides = {**SMALL, "generator": generator, "rfa": {"max_sensors": 2}, "out_dir": str(tmp_path)}
+        result = run_pipeline(parse_config(None, overrides))
+        names = [fc.name for fc in FAULT_CLASSES[:6]]
+        assert result.trace.model.n_classes == 6
+        report = json.loads((tmp_path / "class_report.json").read_text())
+        assert [c["name"] for c in report["classes"]] == names
+        with open(tmp_path / "class_report.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows[1:]] == names + ["macro"]
+
     def test_artifacts_written_and_consistent(self, tmp_path):
         cfg = parse_config(None, {**SMALL, "seed": 5, "out_dir": str(tmp_path / "out")})
         result = run_pipeline(cfg)
@@ -443,11 +460,12 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         steps = len(result.trace.steps)
         assert calls["fit_ensemble"] == 1 + steps
-        # RFA scores each step clean and noisy; run_scenarios scores the
-        # baseline, and its scenarios from the baseline's rows routed once
-        # (not through evaluate).  The pipeline itself scores nothing.
+        # Each RFA step and the robustness stage call run_scenarios, which
+        # scores its baseline with evaluate and its scenarios from the
+        # baseline's rows routed once (not through evaluate).  The
+        # pipeline itself scores nothing.
         assert result.robustness.scenarios
-        assert calls["evaluate"] == 2 * steps + 1
+        assert calls["evaluate"] == steps + 1
         assert result.report is result.robustness.baseline
 
     def test_every_fit_of_a_study_gets_n_threads(self, tmp_path, monkeypatch):

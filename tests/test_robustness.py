@@ -253,9 +253,9 @@ def rerouted(monkeypatch):
     calls = []
     real = robustness._reach
 
-    def spy(xf, tree, idx):
+    def spy(xf, tree, idx, out):
         calls.append(idx)
-        return real(xf, tree, idx)
+        real(xf, tree, idx, out)
 
     monkeypatch.setattr(robustness, "_reach", spy)
     return calls

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fddsense.dataset import split_train_test, undersample_majority
-from fddsense.ensembles import EnsembleConfig
+from fddsense.ensembles import BOOSTING, EnsembleConfig, evaluate
 from fddsense.errors import InvalidValueError
+from fddsense.robustness import AWGN, NoiseSpec, inject_awgn
+from fddsense.seeding import derive_seed
 from fddsense.selection import RfaConfig, run_rfa
 from fddsense.simgen import GeneratorConfig, generate_dataset
 from fddsense.trees import TreeConfig
@@ -70,6 +72,27 @@ class TestRfaLoop:
         # the time that sensor is load-bearing.
         final = trace.steps[-1]
         assert final.noisy_f1 < final.clean_f1
+
+    @pytest.mark.parametrize(
+        "ens",
+        [ENS, EnsembleConfig(method=BOOSTING, n_trees=2, tree=TreeConfig(max_depth=6, min_leaf=3))],
+        ids=["bagging", "boosting"],
+    )
+    def test_step_scores_as_a_one_scenario_robustness_run(self, ens):
+        """A step's clean score is evaluate on the selected test columns,
+        and its noisy score is evaluate after the robustness stage's AWGN
+        on the top sensor, with that stage's seed rule under the step's
+        own seed."""
+        train, test = study_data()
+        cfg = RfaConfig(threshold=0.95, max_sensors=3, noise_snr_db=1.0)
+        trace = run_rfa(train, test, ens, 42, cfg)
+        final = trace.steps[-1]
+        test_sel = test.select_sensors([test.sensor_index(s) for s in trace.selected])
+        assert final.clean_f1 == evaluate(trace.model, test_sel).macro_f1
+        spec = NoiseSpec(trace.ranking[0], AWGN, cfg.noise_snr_db)
+        seed = derive_seed(derive_seed(42, "rfa-noise", final.sensor_count), spec.label())
+        noisy, _ = inject_awgn(test_sel, spec.sensor, spec.snr_db, seed)
+        assert final.noisy_f1 == evaluate(trace.model, noisy).macro_f1
 
     def test_deterministic(self):
         train, test = study_data()

@@ -214,7 +214,7 @@ class TestThresholds:
         assert (tree.feature < 0).sum() == 10
         assert np.isfinite(tree.threshold).all()
         payload = json.loads(canonical_json(tree_to_dict(tree)))
-        clone = tree_from_dict(payload, TreeConfig(task=task), width, tree.n_classes)
+        clone = tree_from_dict(payload, width, tree.n_classes)
         assert np.array_equal(clone.predict_batch(x), tree.predict_batch(x))
 
     def test_midpoint_is_unchanged_for_normal_doubles(self):
@@ -427,7 +427,7 @@ def hand_tree():
         "impurity_decrease": [0.18, 0.2],
         "counts": [[4, 0], [3, 0], [3, 0]],
     }
-    return tree_from_dict(payload, TreeConfig(), 2, 2)
+    return tree_from_dict(payload, 2, 2)
 
 
 class TestImportanceContributions:
@@ -449,7 +449,7 @@ class TestSerialization:
         y = (x[:, 0] * x[:, 1] > 0).astype(int)
         tree = fit_tree(x, y, TreeConfig(max_depth=5, min_leaf=2))
         payload = tree_to_dict(tree)
-        clone = tree_from_dict(payload, TreeConfig(), 3, 2)
+        clone = tree_from_dict(payload, 3, 2)
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
         assert tree_to_dict(clone) == payload
         assert all_splits(clone) == all_splits(tree)
@@ -460,7 +460,7 @@ class TestSerialization:
         x = rng.normal(size=(60, 2))
         cfg = TreeConfig(task="regression_on_gradients", max_depth=3)
         tree = fit_tree(x, x[:, 0] * 2.0, cfg)
-        clone = tree_from_dict(tree_to_dict(tree), cfg, 2, None)
+        clone = tree_from_dict(tree_to_dict(tree), 2, None)
         assert clone.n_classes is None
         assert np.array_equal(tree.predict_batch(x), clone.predict_batch(x))
         assert all_splits(clone) == all_splits(tree)
@@ -476,7 +476,7 @@ class TestSerialization:
         }
 
     def test_split_sizes_and_distributions_come_from_the_counts(self):
-        clone = tree_from_dict(tree_to_dict(hand_tree()), TreeConfig(), 2, 2)
+        clone = tree_from_dict(tree_to_dict(hand_tree()), 2, 2)
         assert trees._split_rows(clone).tolist() == [10, 6]
         assert clone.output.tolist() == [[1.0, 0.0]] * 3
 
@@ -616,7 +616,7 @@ class TestDecodeChecks:
         self.payload = tree_to_dict(hand_tree())
 
     def decode(self, payload, n_classes=2):
-        return tree_from_dict(payload, TreeConfig(), 2, n_classes)
+        return tree_from_dict(payload, 2, n_classes)
 
     @pytest.mark.parametrize(
         "index, key, value, message",
@@ -683,7 +683,7 @@ class TestDecodeChecks:
         """The model's feature and class counts are the bounds: the same
         arrays fail under one feature or three classes."""
         with pytest.raises(ModelFormatError, match=r"node 2: feature must be an integer in \[-1, 1\)"):
-            tree_from_dict(self.payload, TreeConfig(), 1, 2)
+            tree_from_dict(self.payload, 1, 2)
         with pytest.raises(ModelFormatError, match="node 1: counts must list 3 class counts"):
             self.decode(self.payload, n_classes=3)
 
@@ -696,9 +696,9 @@ class TestDecodeChecks:
         payload = tree_to_dict(fit_tree(x, x[:, 0], cfg))
         leaf = payload["feature"].index(-1)
         with pytest.raises(ModelFormatError, match=f"node {leaf}: value must be a finite number"):
-            tree_from_dict(corrupt(payload, leaf, "value", float("inf")), cfg, 2, None)
+            tree_from_dict(corrupt(payload, leaf, "value", float("inf")), 2, None)
         with pytest.raises(ModelFormatError, match=rf"node {leaf}: n_samples must be an integer in \[1,"):
-            tree_from_dict(corrupt(payload, leaf, "n_samples", 0), cfg, 2, None)
+            tree_from_dict(corrupt(payload, leaf, "n_samples", 0), 2, None)
         payload["counts"] = [[1, 0]] * len(payload["value"])
         with pytest.raises(ModelFormatError, match="a regression_on_gradients tree holds the arrays"):
-            tree_from_dict(payload, cfg, 2, None)
+            tree_from_dict(payload, 2, None)
