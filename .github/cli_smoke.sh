@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# CLI smoke run through the installed fddsense entry point, in the current
+# directory: a model saved and loaded again, and the robustness scenarios,
+# on a bagging and a boosting model; then a small study, whose saved model
+# goes through the loader again, and a Recursive Feature Addition run.
+# Last, a config file with an out-of-range value must fail with one Error
+# line that names its key, exit 1 and print no traceback.
+#
+#   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
+set -euo pipefail
+
+fddsense simgen --rows 3000 --seed 4 --out d.csv
+for flags in "" "--method boosting"; do
+  rm -rf r
+  fddsense train --data d.csv --trees 5 --model-out m.json $flags
+  fddsense importance --model m.json --top 3
+  fddsense robustness --model m.json --data d.csv --fail-sensor --out r
+  test -f r/robustness.json
+done
+fddsense pipeline --rows 3000 --trees 3 --out p
+fddsense importance --model p/model.json --top 3
+fddsense rfa --data d.csv --trees 3 --max-sensors 3
+echo '{"ensemble": {"learning_rate": 5.0}}' > bad.json
+status=0
+fddsense pipeline --config bad.json > bad.txt 2>&1 || status=$?
+cat bad.txt
+test "$status" -eq 1
+test "$(wc -l < bad.txt)" -eq 1
+grep -q '^Error: InvalidValueError: ensemble.learning_rate' bad.txt
+if grep -q Traceback bad.txt; then exit 1; fi

@@ -57,20 +57,21 @@ def canonical_json(payload) -> str:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+        if isinstance(exc, OSError) and exc.filename is not None:
             # The temp file is ours; the caller named path.
             raise OSError(exc.errno, exc.strerror, str(path)) from None
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 

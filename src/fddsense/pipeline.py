@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .dataset import Dataset, load_dataset, split_train_test, undersample_majority
-from .ensembles import BAGGING, BOOSTING, EnsembleConfig, model_to_dict
+from .ensembles import BAGGING, BOOSTING, EnsembleConfig, save_model
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
@@ -446,7 +446,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             "chart": out_dir / "rfa_curves.svg",
         }
         write_json(paths["config"], cfg.to_json_dict())
-        write_json(paths["model"], model_to_dict(trace.model))
+        save_model(trace.model, paths["model"])
         atomic_write_text(paths["chart"], _chart_svg(trace))
         (out_dir / "error.json").unlink(missing_ok=True)
     except Exception as exc:

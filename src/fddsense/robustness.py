@@ -19,7 +19,7 @@ from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
 from .fileio import _csv_rows
 from .metrics import ClassReport
 from .seeding import derive_seed
-from .trees import _leaf_boxes, _reach
+from .trees import _leaf_intervals, _reach
 
 AWGN = "awgn"
 FAILURE = "failure"
@@ -166,13 +166,16 @@ class _CleanRoutes:
 
     A scenario changes one column.  A row keeps its clean leaf exactly
     when its new value lies in the interval that the leaf's path admits
-    on that column (trees._leaf_boxes), so only the rows outside it are
-    routed again, from the root, through the routing loop trees._reach.
+    on that column (trees._leaf_intervals), so only the rows outside it
+    are routed again, from the root, through the routing loop
+    trees._reach.  A column's intervals are computed the first time a
+    scenario perturbs it, and kept for later scenarios on it.
     """
 
     def __init__(self, trees, xf: np.ndarray):
         n = xf.shape[0]
-        self.trees = [(tree, *_leaf_boxes(tree)) for tree in trees]  # (tree, lo, hi)
+        self.trees = trees
+        self.intervals = {}  # column -> one (lo, hi) per tree
         widest = max(tree.n_samples.size for tree in trees)
         self.ids = np.empty((len(trees), n), dtype=np.min_scalar_type(widest - 1))
         for tree, ids in zip(trees, self.ids):
@@ -181,11 +184,13 @@ class _CleanRoutes:
     def outputs(self, xf: np.ndarray, column: int):
         """Yield each tree's leaf outputs for the rows of xf, which equal
         the clean rows outside column, in tree order."""
+        if column not in self.intervals:
+            self.intervals[column] = [_leaf_intervals(tree, column) for tree in self.trees]
         values = xf[:, column]
         ids = np.empty(values.size, dtype=np.intp)  # reused by every tree
-        for (tree, lo, hi), clean in zip(self.trees, self.ids):
+        for tree, (lo, hi), clean in zip(self.trees, self.intervals[column], self.ids):
             ids[:] = clean
-            stays = (lo[column].take(clean) < values) & (values <= hi[column].take(clean))
+            stays = (lo.take(clean) < values) & (values <= hi.take(clean))
             _reach(xf, tree, (~stays).nonzero()[0], ids)
             yield tree.output.take(ids, axis=0)
 
@@ -208,11 +213,13 @@ def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
     """Score a model on the clean test set and under each degradation.
 
     The baseline is evaluate(model, test).  The clean rows are then
-    routed once more, into one leaf number per tree and row
+    routed a second time, into one leaf number per tree and row
     (_CleanRoutes), and each scenario re-routes only the rows whose
-    perturbed value leaves their leaf's interval.  The leaf outputs are
-    combined as predict_scores combines them, in the same tree order, so
-    every scenario scores bit-equal to evaluate(model, perturbed).
+    perturbed value leaves their leaf's interval on the perturbed
+    column; intervals are computed for perturbed columns only.  The leaf
+    outputs are combined as predict_scores combines them, in the same
+    tree order, so every scenario scores bit-equal to evaluate(model,
+    perturbed).
 
     Each scenario draws its noise from a seed derived from (seed, its own
     label), so reordering or removing scenarios never changes another

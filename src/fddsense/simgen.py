@@ -105,6 +105,8 @@ def generate_dataset(cfg: GeneratorConfig, seed: int) -> Dataset:
         Dataset with exactly cfg.n_rows rows whose class counts follow the
         proportions by largest-remainder rounding, in shuffled row order.
     """
+    if seed < 0:
+        raise InvalidValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_classes = len(FAULT_CLASSES)
     counts = _exact_label_counts(cfg.n_rows, cfg.class_proportions)

@@ -220,37 +220,34 @@ def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray)
         stack.append((node + 1, left))
 
 
-def _leaf_boxes(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): for every feature f and leaf j the interval (lo[f, j],
-    hi[f, j]] of values of f that the splits on f along the leaf's path
-    admit.
+def _leaf_spans(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, middle, end) per split, in preorder: the split's subtree
+    holds leaves first to end - 1 (leaves numbered in preorder), and its
+    right subtree starts at leaf middle."""
+    splits = np.flatnonzero(tree.feature >= 0)
+    past = tree.number.take(_subtree_ends(tree.feature)) + 1  # one past each subtree's last leaf
+    return splits - tree.number.take(splits), past.take(splits + 1), past.take(splits)
 
-    lo is the largest threshold at which the path turns right on f, hi
-    the smallest at which it turns left (-inf and inf where it turns
-    neither way).  So a row that reaches leaf j still reaches it after
-    its feature f alone changes to v exactly when lo[f, j] < v <=
-    hi[f, j], which is _route's <= rule.  lo and hi are (n_features,
-    n_leaves) arrays.
+
+def _leaf_intervals(tree: DecisionTree, feature: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): for every leaf j the interval (lo[j], hi[j]] of values of
+    feature that the splits on it along the leaf's path admit.
+
+    lo is the largest threshold at which the path turns right on the
+    feature, hi the smallest at which it turns left (-inf and inf where
+    it turns neither way).  So a row that reaches leaf j still reaches it
+    after this feature alone changes to v exactly when lo[j] < v <=
+    hi[j], which is _route's <= rule.  Each split on the feature bounds
+    the contiguous leaf ranges of its two subtrees (_leaf_spans).
     """
-    los: list[np.ndarray] = []
-    his: list[np.ndarray] = []
-    unbounded = np.full(tree.n_features, np.inf)
-    stack = [(0, -unbounded, unbounded)]
-    while stack:  # preorder; children share their parent's untouched bound
-        node, lo, hi = stack.pop()
-        f = tree.feature[node]
-        if f < 0:
-            los.append(lo)
-            his.append(hi)
-            continue
-        j = tree.number[node]
-        t = tree.threshold[j]
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[f] = min(hi[f], t)
-        right_lo[f] = max(lo[f], t)
-        stack.append((tree.right[j], right_lo, hi))
-        stack.append((node + 1, lo, left_hi))
-    return np.stack(los, axis=1), np.stack(his, axis=1)
+    lo = np.full(tree.n_samples.size, -np.inf)
+    hi = np.full(tree.n_samples.size, np.inf)
+    on = np.flatnonzero(tree.feature[tree.feature >= 0] == feature)
+    spans = (span.take(on).tolist() for span in _leaf_spans(tree))
+    for first, middle, end, t in zip(*spans, tree.threshold.take(on).tolist()):
+        np.minimum(hi[first:middle], t, out=hi[first:middle])
+        np.maximum(lo[middle:end], t, out=lo[middle:end])
+    return lo, hi
 
 
 def gini_impurity(class_counts) -> float:
@@ -584,12 +581,10 @@ def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
 
 def _split_rows(tree: DecisionTree) -> np.ndarray:
     """Each split's training rows, in preorder: the rows of the leaves of
-    its subtree, which are numbered from the leaves before the split to
-    the leaf that ends the subtree."""
-    splits = np.flatnonzero(tree.feature >= 0)
+    its subtree (_leaf_spans)."""
+    first, _, end = _leaf_spans(tree)
     rows = np.concatenate([[0], tree.n_samples.cumsum()])
-    last = tree.number.take(_subtree_ends(tree.feature).take(splits))
-    return rows.take(last + 1) - rows.take(splits - tree.number.take(splits))
+    return rows.take(end) - rows.take(first)
 
 
 def tree_importance_contributions(tree: DecisionTree) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -132,6 +133,19 @@ class TestTrainCommand:
             f"Error: IsADirectoryError: [Errno 21] Is a directory: '{model_dir}'"
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "models"]
+
+    def test_model_out_in_a_missing_directory_names_it(self, tmp_path):
+        """The temp file cannot be made there, and the error still names
+        the path given."""
+        data = make_csv(tmp_path, n_rows=200)
+        model_out = tmp_path / "missing" / "m.json"
+        result = invoke("train", "--data", str(data), "--model-out", str(model_out), "--trees", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileNotFoundError: [Errno 2] No such file or directory: '{model_out}'"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
 
 class TestImportanceCommand:
     def test_prints_ranking(self, tmp_path):
@@ -431,3 +445,80 @@ class TestPipelineCommand:
         result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code != 0
         assert "InvalidValueError" in result.output
+
+
+# Edge values for every flag that takes a value: "missing" names a file
+# that does not exist and "directory" an existing directory.
+EDGE_VALUES = ("negative", "zero", "nan", "huge", "empty", "missing", "directory")
+VALUE_FLAGS = [
+    (name, param.opts[0])
+    for name, command in main.commands.items()
+    for param in command.params
+    if isinstance(param, click.Option) and not param.is_flag
+]
+# Flags that take a value run as usual at these edges: any name is an
+# output path (a file output cannot be "" or a directory), any integer a
+# seed of a derived stream (the generator's own seed must be >= 0), an SNR
+# may be at or below 0 dB, max depth 0 grows stumps, and an empty feature
+# subsample means all features.
+ANY_FILE_NAME = {"negative", "zero", "nan", "huge", "missing"}
+ACCEPTED = {
+    ("pipeline", "--seed"): {"negative", "zero"},
+    ("pipeline", "--out"): set(EDGE_VALUES),
+    ("pipeline", "--snr"): {"negative", "zero"},
+    ("simgen", "--out"): ANY_FILE_NAME,
+    ("simgen", "--seed"): {"zero"},
+    ("train", "--model-out"): ANY_FILE_NAME,
+    ("train", "--seed"): {"negative", "zero"},
+    ("train", "--max-depth"): {"zero"},
+    ("train", "--feature-subsample"): {"empty"},
+    ("rfa", "--seed"): {"negative", "zero"},
+    ("rfa", "--snr-probe"): {"negative", "zero"},
+    ("rfa", "--out"): set(EDGE_VALUES),
+    ("rfa", "--max-depth"): {"zero"},
+    ("rfa", "--feature-subsample"): {"empty"},
+    ("robustness", "--snr"): {"negative", "zero"},
+    ("robustness", "--seed"): {"negative", "zero"},
+    ("robustness", "--out"): set(EDGE_VALUES),
+}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 600-row CSV and a 2-tree model trained on it."""
+    root = tmp_path_factory.mktemp("edge")
+    data = make_csv(root, n_rows=600)
+    model = root / "model.json"
+    assert invoke("train", "--data", str(data), "--model-out", str(model), "--trees", "2").exit_code == 0
+    return data, model
+
+
+class TestEdgeValues:
+    """Each command's flags at edge values: a rejected value exits 1 or 2
+    with one Error line, and no value raises an uncaught exception."""
+
+    @pytest.mark.parametrize("kind", EDGE_VALUES)
+    @pytest.mark.parametrize("command, flag", VALUE_FLAGS, ids=[f"{c}-{f}" for c, f in VALUE_FLAGS])
+    def test_flag_at_edge_value(self, tmp_path, monkeypatch, small_inputs, command, flag, kind):
+        data, model = small_inputs
+        monkeypatch.chdir(tmp_path)  # relative output names land here
+        (tmp_path / "adir").mkdir()
+        value = {
+            "negative": "-1", "zero": "0", "nan": "nan", "huge": "1e999", "empty": "",
+            "missing": str(tmp_path / "missing.json"), "directory": str(tmp_path / "adir"),
+        }[kind]
+        base = {
+            "pipeline": ["--data", str(data), "--trees", "2", "--out", "p"],
+            "simgen": ["--out", "s.csv", "--rows", "600"],
+            "train": ["--data", str(data), "--trees", "2", "--model-out", "m.json"],
+            "importance": ["--model", str(model)],
+            "rfa": ["--data", str(data), "--trees", "2"],
+            "robustness": ["--model", str(model), "--data", str(data)],
+        }[command]
+        result = invoke(command, *base, flag, value)  # the last value of a flag wins
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        if kind in ACCEPTED.get((command, flag), ()):
+            assert (result.exit_code, errors) == (0, []), result.output
+        else:
+            assert result.exit_code in (1, 2), result.output
+            assert len(errors) == 1, result.output

@@ -398,7 +398,7 @@ class TestRunPipeline:
             ("split", "split_train_test"),
             ("selection", "run_rfa"),
             ("robustness", "run_scenarios"),
-            ("artifacts", "model_to_dict"),
+            ("artifacts", "save_model"),
         ],
     )
     def test_error_artifact_names_each_stage(self, tmp_path, monkeypatch, stage, target):

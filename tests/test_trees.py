@@ -510,25 +510,29 @@ def bench_tree_counts():
     return spans._tree_counts
 
 
+def four_trees():
+    """A tree of each kind that the growers and the loader make.  Column
+    "d" is constant, so no split of the multi-column trees tests it."""
+    rng = np.random.default_rng(51)
+    x = np.hstack([rng.normal(size=(300, 3)), np.zeros((300, 1))])
+    y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
+    names = ("a", "b", "c", "d")
+    boosted = fit_ensemble(x, y, EnsembleConfig(method="boosting", n_trees=1), 3, names)
+    bagged = fit_ensemble(x, y, EnsembleConfig(n_trees=1, tree=TreeConfig(max_depth=6)), 4, names)
+    return {
+        "node by node": fit_tree(x, y, TreeConfig(max_depth=5)),
+        "one column, level by level": fit_tree(x[:, :1], y, TreeConfig(max_depth=5)),
+        "boosting regression": boosted.trees[0],
+        "reloaded": model_from_dict(json.loads(canonical_json(model_to_dict(bagged)))).trees[0],
+    }
+
+
 class TestRootView:
     """tree.root is a read-only node view, kept for the benchmark's walk."""
 
-    def four_trees(self):
-        rng = np.random.default_rng(51)
-        x = rng.normal(size=(300, 3))
-        y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
-        boosted = fit_ensemble(x, y, EnsembleConfig(method="boosting", n_trees=1), 3, ("a", "b", "c"))
-        bagged = fit_ensemble(x, y, EnsembleConfig(n_trees=1, tree=TreeConfig(max_depth=6)), 4, ("a", "b", "c"))
-        return {
-            "node by node": fit_tree(x, y, TreeConfig(max_depth=5)),
-            "one column, level by level": fit_tree(x[:, :1], y, TreeConfig(max_depth=5)),
-            "boosting regression": boosted.trees[0],
-            "reloaded": model_from_dict(json.loads(canonical_json(model_to_dict(bagged)))).trees[0],
-        }
-
     def test_benchmark_walk_finds_the_splits_and_leaves_of_feature(self):
         tree_counts = bench_tree_counts()
-        for name, tree in self.four_trees().items():
+        for name, tree in four_trees().items():
             splits = int((tree.feature >= 0).sum())
             assert splits >= 2, name
             assert tree_counts(tree) == {"splits": splits, "leaves": tree.feature.size - splits, "nodes": tree.feature.size}, name
@@ -543,6 +547,59 @@ class TestRootView:
                 else:
                     assert not hasattr(node, "left") and not hasattr(node, "right"), name
             assert seen == list(range(splits)), name
+
+
+def preorder_walk(tree):
+    """(paths, spans) by a recursive descent over the preorder feature
+    array alone: each leaf's root-to-leaf path of (feature, threshold,
+    went left) per split on the way, leaves in preorder; and each split's
+    [first leaf, first leaf of its right subtree, one past its last leaf],
+    splits in preorder."""
+    paths, spans = [], []
+
+    def visit(node, path):  # returns the node after the subtree
+        if tree.feature[node] < 0:
+            paths.append(path)
+            return node + 1
+        j = len(spans)
+        spans.append([len(paths)])
+        split = (int(tree.feature[node]), float(tree.threshold[j]))
+        right = visit(node + 1, path + ((*split, True),))
+        spans[j].append(len(paths))
+        after = visit(right, path + ((*split, False),))
+        spans[j].append(len(paths))
+        return after
+
+    assert visit(0, ()) == tree.feature.size
+    return paths, spans
+
+
+class TestLeafSpans:
+    """The leaf spans and per-feature leaf intervals equal a walk of
+    every root-to-leaf path."""
+
+    def test_spans_are_each_splits_leaves(self):
+        for name, tree in four_trees().items():
+            _, spans = preorder_walk(tree)
+            assert len(spans) >= 2, name
+            assert np.column_stack(trees._leaf_spans(tree)).tolist() == spans, name
+
+    def test_intervals_are_each_paths_bounds(self):
+        for name, tree in four_trees().items():
+            paths, _ = preorder_walk(tree)
+            for f in range(tree.n_features):
+                lo, hi = trees._leaf_intervals(tree, f)
+                want_lo = [max([t for g, t, left in p if g == f and not left], default=-np.inf) for p in paths]
+                want_hi = [min([t for g, t, left in p if g == f and left], default=np.inf) for p in paths]
+                assert lo.tolist() == want_lo and hi.tolist() == want_hi, (name, f)
+
+    def test_a_feature_no_split_tests_admits_every_value(self):
+        for name, tree in four_trees().items():
+            if tree.n_features == 1:
+                continue
+            assert 3 not in tree.feature, name  # column "d" is constant
+            lo, hi = trees._leaf_intervals(tree, 3)
+            assert np.all(lo == -np.inf) and np.all(hi == np.inf), name
 
 
 def corrupt(payload, node, key, value):
