@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI smoke run through the installed fddsense entry point, in the current
 # directory: a model saved and loaded again, and the robustness scenarios,
-# on a bagging and a boosting model; then a small study, whose saved model
+# on a bagging and a boosting model, and the scenarios on a table of more
+# than one 8,192-row load block; then a small study, whose saved model
 # goes through the loader again, and a Recursive Feature Addition run.
 # Last, a config file with an out-of-range value must fail with one Error
 # line that names its key, exit 1 and print no traceback.
@@ -17,6 +18,9 @@ for flags in "" "--method boosting"; do
   fddsense robustness --model m.json --data d.csv --fail-sensor --out r
   test -f r/robustness.json
 done
+fddsense simgen --rows 9000 --seed 5 --out big.csv
+fddsense robustness --model m.json --data big.csv --fail-sensor --out rb
+test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
 fddsense rfa --data d.csv --trees 3 --max-sensors 3

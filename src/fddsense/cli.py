@@ -35,6 +35,16 @@ def _fail(exc: Exception) -> "click.ClickException":
     return click.ClickException(f"{type(exc).__name__}: {exc}")
 
 
+class _Path(click.Path):
+    """A path flag's value.  An empty value is rejected: Path("") is the
+    working directory, which no flag means."""
+
+    def convert(self, value, param, ctx):
+        if value == "":
+            self.fail("the path is empty", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 def _parse_snr_list(text: str) -> tuple[float, ...]:
     try:
         levels = tuple(float(part) for part in text.split(",") if part.strip() != "")
@@ -89,10 +99,10 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--data", "data_path", type=click.Path(), default=None, help="Input CSV; omit to use the generator.")
+@click.option("--config", "config_path", type=_Path(), default=None, help="JSON config file.")
+@click.option("--data", "data_path", type=_Path(), default=None, help="Input CSV; omit to use the generator.")
 @click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--out", "out_dir", type=click.Path(), default=None, help="Artifact directory.")
+@click.option("--out", "out_dir", type=_Path(), default=None, help="Artifact directory.")
 @click.option("--rows", type=int, default=None, help="Generator row count.")
 @click.option("--trees", type=int, default=None)
 @click.option("--threshold", type=float, default=None, help="Clean macro-F1 stopping threshold.")
@@ -133,7 +143,7 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
 
 
 @main.command()
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Destination CSV.")
+@click.option("--out", "out_path", type=_Path(), required=True, help="Destination CSV.")
 @click.option("--rows", type=int, default=GeneratorConfig.n_rows, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def simgen(out_path, rows, seed):
@@ -147,8 +157,8 @@ def simgen(out_path, rows, seed):
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(), required=True)
-@click.option("--model-out", type=click.Path(), default="model.json", show_default=True)
+@click.option("--data", "data_path", type=_Path(), required=True)
+@click.option("--model-out", type=_Path(), default="model.json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_with_ensemble_options
 def train(data_path, model_out, seed, **ensemble_fields):
@@ -169,7 +179,7 @@ def train(data_path, model_out, seed, **ensemble_fields):
 
 
 @main.command()
-@click.option("--model", "model_path", type=click.Path(), required=True)
+@click.option("--model", "model_path", type=_Path(), required=True)
 @click.option("--top", type=click.IntRange(min=1), default=None, help="Show only the top N sensors.")
 def importance(model_path, top):
     """Print a model's per-sensor importance ranking."""
@@ -186,13 +196,13 @@ def importance(model_path, top):
 
 
 @main.command()
-@click.option("--data", "data_path", type=click.Path(), required=True)
+@click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=RfaConfig.threshold, show_default=True)
 @click.option("--max-sensors", type=int, default=None)
 @click.option("--snr-probe", type=float, default=RfaConfig.noise_snr_db, show_default=True, help="SNR of the per-step noise probe (dB).")
 @click.option("--train-fraction", type=float, default=PipelineConfig.train_fraction, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), default=None, help="Write trace artifacts here.")
+@click.option("--out", "out_dir", type=_Path(), default=None, help="Write trace artifacts here.")
 @_with_ensemble_options
 def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_dir, **ensemble_fields):
     """Rank sensors, then grow the smallest set meeting the threshold.
@@ -223,13 +233,13 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
 
 
 @main.command()
-@click.option("--model", "model_path", type=click.Path(), required=True)
-@click.option("--data", "data_path", type=click.Path(), required=True)
+@click.option("--model", "model_path", type=_Path(), required=True)
+@click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
 @click.option("--snr", default=",".join(f"{v:g}" for v in DEFAULT_SNR_LEVELS), show_default=True, help="Comma-separated SNR levels in dB.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), default=None, help="Write robustness artifacts here.")
+@click.option("--out", "out_dir", type=_Path(), default=None, help="Write robustness artifacts here.")
 def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     """Score a saved model under noise and dead-sensor scenarios."""
     levels = _parse_snr_list(snr)

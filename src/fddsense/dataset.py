@@ -10,6 +10,7 @@ returned Dataset is immutable.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,10 @@ class Dataset:
 
     values is column-major (Fortran order): each sensor's column is one
     contiguous block.  Trees are fitted and rows routed a column at a
-    time, and a degradation study rewrites one column, so every consumer
-    reads this layout without a copy.  The builders here gather straight
-    into it, and any other input is copied to it once.
+    time, and a degradation study builds a new column for one sensor and
+    reads the others in place, so every consumer reads this layout
+    without a copy.  The builders here, the CSV loader included, write
+    straight into it, and any other input is copied to it once.
 
     A values array that is already float64 and column-major (and a
     labels array that is already int64) is adopted, not copied, and made
@@ -239,14 +241,16 @@ def _class_id(cell: str) -> int:
 def load_dataset(path) -> Dataset:
     """Load a CSV sensor table into a Dataset.
 
-    NumPy's C reader parses the file as it streams past.  It takes a file
-    only whole: a valid header, then rows that each hold a plain finite
-    number per sensor and a class id last.  Any other file (a blank line,
-    a quote, a cell only Python's float() reads, non-finite values, bytes
-    that are not UTF-8, no data rows) is read again by a per-cell loop
-    over the csv module, which accepts what it accepts and is the one
-    place that reports errors.  So both readers give the same Dataset or
-    the same error.
+    A first pass counts the lines, and NumPy's C reader then parses them
+    a block of rows at a time straight into the column-major matrix, so
+    the table is held once, never also as a row-major copy.  The C reader
+    takes a file only whole: a valid header, then rows that each hold a
+    plain finite number per sensor and a class id last.  Any other file
+    (a blank line, a quote, a cell only Python's float() reads, non-finite
+    values, bytes that are not UTF-8, no data rows) is read again by a
+    per-cell loop over the csv module, which accepts what it accepts and
+    is the one place that reports errors.  So both readers give the same
+    Dataset or the same error.
 
     Args:
         path: CSV file with a header row of installed sensor symbols plus a
@@ -268,40 +272,48 @@ def load_dataset(path) -> Dataset:
     return loaded if loaded is not None else _load_cells(path)
 
 
+_LOAD_BLOCK_ROWS = 8192
+
+
 def _load_fast(path) -> Dataset | None:
-    """The file parsed by np.loadtxt, or None when load_dataset must read
-    it cell by cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The file parsed by np.loadtxt a block of rows at a time, straight
+    into the column-major matrix, or None when load_dataset must read it
+    cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        # loadtxt skips the blank lines that the per-cell reader rejects,
+        # and warns when it does so within max_rows or finds no row.
+        warnings.simplefilter("error", UserWarning)
         try:
+            # The lines that loadtxt will be given, split as it splits them.
+            n_rows = sum(1 for _ in fh) - 1
+            fh.seek(0)
             header = fh.readline().rstrip("\r\n").split(",")
             schema = _parse_header(header)
-            first = fh.readline()
-            # loadtxt skips blank lines and warns when it finds no row.
-            if not first.rstrip("\r\n"):
+            if n_rows < 1:
                 return None
-            n_lines = 1
-
-            def lines():
-                nonlocal n_lines
-                yield first
-                for line in fh:
-                    n_lines += 1
-                    yield line
-
-            table = np.loadtxt(
-                lines(),
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-                converters={len(header) - 1: _class_id},
-            )
-        except (ValueError, SchemaMismatchError):  # UnicodeDecodeError is a ValueError
+            values = np.empty((n_rows, len(schema)), order="F")
+            labels = np.empty(n_rows, dtype=np.int64)
+            lines = (line for line in fh)
+            for start in range(0, n_rows, _LOAD_BLOCK_ROWS):
+                block = np.loadtxt(
+                    lines,
+                    delimiter=",",
+                    comments=None,
+                    ndmin=2,
+                    max_rows=_LOAD_BLOCK_ROWS,
+                    converters={len(header) - 1: _class_id},
+                )
+                stop = min(start + _LOAD_BLOCK_ROWS, n_rows)
+                if block.shape != (stop - start, len(header)):
+                    return None
+                values[start:stop] = block[:, :-1]
+                labels[start:stop] = block[:, -1]
+                del block  # freed before loadtxt parses the next one
+                if not np.isfinite(values[start:stop]).all():
+                    return None
+        except (ValueError, SchemaMismatchError, UserWarning):  # UnicodeDecodeError is a ValueError
             return None
-    # loadtxt skips the blank lines that the per-cell reader rejects, so
-    # a row count short of the line count means the file has one.
-    if table.shape != (n_lines, len(header)) or not np.isfinite(table).all():
-        return None
-    return Dataset(schema, table[:, :-1], table[:, -1].astype(np.int64))
+    return Dataset(schema, values, labels)
 
 
 def _load_cells(path) -> Dataset:

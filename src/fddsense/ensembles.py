@@ -249,14 +249,18 @@ def _combine(model: EnsembleModel, n: int, outputs) -> np.ndarray:
     for the n rows in model.trees order: the one combiner of
     predict_scores and the robustness scenarios."""
     if model.config.method == BAGGING:
+        # Each tree's (n, K) outputs are dropped before the next tree's
+        # are made, so two of them are never held at once.
         if model.config.hard_vote:
             votes = np.zeros((n, model.n_classes), dtype=np.float64)
             for out in outputs:
                 votes[np.arange(n), np.argmax(out, axis=1)] += 1.0
+                del out
             return votes / len(model.trees)
         total = np.zeros((n, model.n_classes), dtype=np.float64)
         for out in outputs:
             total += out
+            del out
         return total / len(model.trees)
     scores = np.tile(model.base_scores, (n, 1))
     for flat_index, out in enumerate(outputs):

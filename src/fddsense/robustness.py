@@ -168,8 +168,9 @@ class _CleanRoutes:
     when its new value lies in the interval that the leaf's path admits
     on that column (trees._leaf_intervals), so only the rows outside it
     are routed again, from the root, through the routing loop
-    trees._reach.  A column's intervals are computed the first time a
-    scenario perturbs it, and kept for later scenarios on it.
+    trees._reach, which reads the new column wherever a split tests it.
+    A column's intervals are computed the first time a scenario perturbs
+    it, and kept for later scenarios on it.
     """
 
     def __init__(self, trees, xf: np.ndarray):
@@ -181,30 +182,33 @@ class _CleanRoutes:
         for tree, ids in zip(trees, self.ids):
             _reach(xf, tree, np.arange(n), ids)
 
-    def outputs(self, xf: np.ndarray, column: int):
-        """Yield each tree's leaf outputs for the rows of xf, which equal
-        the clean rows outside column, in tree order."""
+    def outputs(self, xf: np.ndarray, column: int, values: np.ndarray):
+        """Yield each tree's leaf outputs, in tree order, for the clean
+        rows xf with column replaced by values."""
         if column not in self.intervals:
             self.intervals[column] = [_leaf_intervals(tree, column) for tree in self.trees]
-        values = xf[:, column]
         ids = np.empty(values.size, dtype=np.intp)  # reused by every tree
         for tree, (lo, hi), clean in zip(self.trees, self.intervals[column], self.ids):
             ids[:] = clean
             stays = (lo.take(clean) < values) & (values <= hi.take(clean))
-            _reach(xf, tree, (~stays).nonzero()[0], ids)
+            _reach(xf, tree, (~stays).nonzero()[0], ids, column, values)
             yield tree.output.take(ids, axis=0)
 
 
 def _scenario(model, routes: _CleanRoutes, test: Dataset, spec: NoiseSpec, seed: int) -> ScenarioResult:
-    """One scenario scored from the clean routes.  Its perturbed copy of
-    test is released on return, before the next scenario makes its own."""
+    """One scenario scored from the clean routes.  Only the perturbed
+    sensor's column is built: the degradation is applied to a one-column
+    Dataset of it, which also checks the new values are finite, and the
+    clean matrix is never copied."""
     from .ensembles import _rescore
 
+    column = test.sensor_index(spec.sensor)
+    single = test.select_sensors([column])
     if spec.mode == AWGN:
-        perturbed, measured = inject_awgn(test, spec.sensor, spec.snr_db, derive_seed(seed, spec.label()))
+        perturbed, measured = inject_awgn(single, spec.sensor, spec.snr_db, derive_seed(seed, spec.label()))
     else:
-        perturbed, measured = fail_sensor(test, spec.sensor)
-    outputs = routes.outputs(perturbed.values, test.sensor_index(spec.sensor))
+        perturbed, measured = fail_sensor(single, spec.sensor)
+    outputs = routes.outputs(test.values, column, perturbed.values[:, 0])
     report = _rescore(model, test.labels, outputs)
     return ScenarioResult(spec=spec, measured_snr_db=measured, macro_f1=report.macro_f1, accuracy=report.accuracy)
 
@@ -214,12 +218,14 @@ def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
 
     The baseline is evaluate(model, test).  The clean rows are then
     routed a second time, into one leaf number per tree and row
-    (_CleanRoutes), and each scenario re-routes only the rows whose
-    perturbed value leaves their leaf's interval on the perturbed
-    column; intervals are computed for perturbed columns only.  The leaf
-    outputs are combined as predict_scores combines them, in the same
-    tree order, so every scenario scores bit-equal to evaluate(model,
-    perturbed).
+    (_CleanRoutes).  Each scenario builds only its sensor's perturbed
+    column, never a copy of the test matrix, and re-routes only the rows
+    whose new value leaves their leaf's interval on that column;
+    intervals are computed for perturbed columns only.  The leaf outputs
+    are combined as predict_scores combines them, in the same tree
+    order, so every scenario scores bit-equal to evaluate(model,
+    perturbed), with perturbed the whole test set with that column
+    changed.
 
     Each scenario draws its noise from a seed derived from (seed, its own
     label), so reordering or removing scenarios never changes another

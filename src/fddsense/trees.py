@@ -187,24 +187,29 @@ def _node_view(tree: DecisionTree, node: int):
     return object() if tree.feature[node] < 0 else _SplitView(tree, node)
 
 
-def _route(xf: np.ndarray, idx: np.ndarray, feature: int, threshold: float):
-    """(left, right) split of the row indices idx at feature <= threshold.
+def _route(col: np.ndarray, idx: np.ndarray, threshold: float):
+    """(left, right) split of the row indices idx at col <= threshold.
 
     The one routing rule shared by fit_tree and the routing loop _reach.
-    xf must be column-major so that the feature's column is contiguous and
-    take reads it without striding across rows.  Both halves keep the
-    order of idx.
+    col is the split feature's column, contiguous (a column of a
+    column-major matrix), so take reads it without striding across rows.
+    Both halves keep the order of idx.
     """
-    goes_left = xf[:, feature].take(idx) <= threshold
+    goes_left = col.take(idx) <= threshold
     return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
 
 
-def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray) -> None:
+def _reach(
+    xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray, column: int = -1, values=None
+) -> None:
     """Route rows idx of the column-major xf from the tree's root and
     write each row's leaf number into out at its row index.
 
-    The one routing loop, shared by predict_batch and the robustness
-    scenarios' re-routing; each split applies _route.
+    Where a split tests feature column, the rows read values (one per row
+    of xf) in place of that column of xf, so a scenario routes rows with
+    one sensor changed without a changed copy of the matrix.  The one
+    routing loop, shared by predict_batch and the robustness scenarios'
+    re-routing; each split applies _route.
     """
     stack = [(0, idx)]
     while stack:
@@ -212,10 +217,11 @@ def _reach(xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray)
         if idx.size == 0:
             continue
         j = tree.number[node]
-        if tree.feature[node] < 0:
+        f = tree.feature[node]
+        if f < 0:
             out[idx] = j
             continue
-        left, right = _route(xf, idx, tree.feature[node], tree.threshold[j])
+        left, right = _route(values if f == column else xf[:, f], idx, tree.threshold[j])
         stack.append((tree.right[j], right))
         stack.append((node + 1, left))
 
@@ -554,7 +560,7 @@ def fit_tree(
             feature.append(f)
             threshold.append(t)
             decrease.append(d)
-            left, right = _route(x, idx, f, t)
+            left, right = _route(x[:, f], idx, t)
             stack.append((right, depth + 1))
             stack.append((left, depth + 1))
     arrays = (np.array(column) for column in (feature, threshold, decrease, n_samples, value))

@@ -456,15 +456,21 @@ VALUE_FLAGS = [
     for param in command.params
     if isinstance(param, click.Option) and not param.is_flag
 ]
-# Flags that take a value run as usual at these edges: any name is an
-# output path (a file output cannot be "" or a directory), any integer a
+# Flags that take a value run as usual at these edges: any name but "" is
+# an output path (a file output cannot be a directory), any integer a
 # seed of a derived stream (the generator's own seed must be >= 0), an SNR
 # may be at or below 0 dB, max depth 0 grows stumps, and an empty feature
 # subsample means all features.
+PATH_FLAGS = [
+    (name, param.opts[0])
+    for name, command in main.commands.items()
+    for param in command.params
+    if isinstance(param, click.Option) and isinstance(param.type, click.Path)
+]
 ANY_FILE_NAME = {"negative", "zero", "nan", "huge", "missing"}
 ACCEPTED = {
     ("pipeline", "--seed"): {"negative", "zero"},
-    ("pipeline", "--out"): set(EDGE_VALUES),
+    ("pipeline", "--out"): set(EDGE_VALUES) - {"empty"},
     ("pipeline", "--snr"): {"negative", "zero"},
     ("simgen", "--out"): ANY_FILE_NAME,
     ("simgen", "--seed"): {"zero"},
@@ -474,12 +480,12 @@ ACCEPTED = {
     ("train", "--feature-subsample"): {"empty"},
     ("rfa", "--seed"): {"negative", "zero"},
     ("rfa", "--snr-probe"): {"negative", "zero"},
-    ("rfa", "--out"): set(EDGE_VALUES),
+    ("rfa", "--out"): set(EDGE_VALUES) - {"empty"},
     ("rfa", "--max-depth"): {"zero"},
     ("rfa", "--feature-subsample"): {"empty"},
     ("robustness", "--snr"): {"negative", "zero"},
     ("robustness", "--seed"): {"negative", "zero"},
-    ("robustness", "--out"): set(EDGE_VALUES),
+    ("robustness", "--out"): set(EDGE_VALUES) - {"empty"},
 }
 
 
@@ -500,25 +506,39 @@ class TestEdgeValues:
     @pytest.mark.parametrize("kind", EDGE_VALUES)
     @pytest.mark.parametrize("command, flag", VALUE_FLAGS, ids=[f"{c}-{f}" for c, f in VALUE_FLAGS])
     def test_flag_at_edge_value(self, tmp_path, monkeypatch, small_inputs, command, flag, kind):
-        data, model = small_inputs
         monkeypatch.chdir(tmp_path)  # relative output names land here
         (tmp_path / "adir").mkdir()
         value = {
             "negative": "-1", "zero": "0", "nan": "nan", "huge": "1e999", "empty": "",
             "missing": str(tmp_path / "missing.json"), "directory": str(tmp_path / "adir"),
         }[kind]
-        base = {
-            "pipeline": ["--data", str(data), "--trees", "2", "--out", "p"],
-            "simgen": ["--out", "s.csv", "--rows", "600"],
-            "train": ["--data", str(data), "--trees", "2", "--model-out", "m.json"],
-            "importance": ["--model", str(model)],
-            "rfa": ["--data", str(data), "--trees", "2"],
-            "robustness": ["--model", str(model), "--data", str(data)],
-        }[command]
-        result = invoke(command, *base, flag, value)  # the last value of a flag wins
+        result = invoke(command, *_base_args(command, *small_inputs), flag, value)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         if kind in ACCEPTED.get((command, flag), ()):
             assert (result.exit_code, errors) == (0, []), result.output
         else:
             assert result.exit_code in (1, 2), result.output
             assert len(errors) == 1, result.output
+
+    @pytest.mark.parametrize("command, flag", PATH_FLAGS, ids=[f"{c}-{f}" for c, f in PATH_FLAGS])
+    def test_empty_path_is_rejected_by_name(self, tmp_path, monkeypatch, small_inputs, command, flag):
+        """Path("") is the working directory, which no path flag means."""
+        monkeypatch.chdir(tmp_path)
+        result = invoke(command, *_base_args(command, *small_inputs), flag, "")
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert result.exit_code == 2
+        assert errors == [f"Error: Invalid value for '{flag}': the path is empty"]
+        assert list(tmp_path.iterdir()) == []
+
+
+def _base_args(command, data, model):
+    """Arguments that make command run on small_inputs, before the flag
+    under test; the last value of a flag wins."""
+    return {
+        "pipeline": ["--data", str(data), "--trees", "2", "--out", "p"],
+        "simgen": ["--out", "s.csv", "--rows", "600"],
+        "train": ["--data", str(data), "--trees", "2", "--model-out", "m.json"],
+        "importance": ["--model", str(model)],
+        "rfa": ["--data", str(data), "--trees", "2"],
+        "robustness": ["--model", str(model), "--data", str(data)],
+    }[command]

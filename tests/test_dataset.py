@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fddsense.dataset import (
+    _LOAD_BLOCK_ROWS,
     FAULT_CLASSES,
     INSTALLED_SENSOR_INDEX,
     INSTALLED_SENSORS,
@@ -28,8 +29,10 @@ from fddsense.errors import (
     SingleClassError,
     UnknownSensorError,
 )
-from fddsense.robustness import fail_sensor, inject_awgn
+from fddsense.ensembles import EnsembleConfig, fit_ensemble
+from fddsense.robustness import AWGN, FAILURE, NoiseSpec, fail_sensor, inject_awgn, run_scenarios
 from fddsense.simgen import GeneratorConfig, generate_dataset
+from fddsense.trees import TreeConfig
 
 
 def small_dataset(n=60, seed=0):
@@ -414,6 +417,25 @@ _EDGE_FILES = {
 }
 
 
+def _rows(n_rows: int) -> list[bytes]:
+    return [f"{i / 8},{-i / 3!r},{i % 7}".encode() for i in range(n_rows)]
+
+
+def _block_file(rows: list[bytes], newline: bytes = b"\n") -> bytes:
+    return newline.join([_HEADER.rstrip(b"\n"), *rows, b""])
+
+
+# Files around _load_fast's block of rows: which block a row falls in
+# must not change the table or the error.
+_EDGE_FILES |= {
+    "one-block": (_block_file(_rows(_LOAD_BLOCK_ROWS)), True),
+    "one-block-and-a-row": (_block_file(_rows(_LOAD_BLOCK_ROWS + 1)), True),
+    "cr-over-one-block": (_block_file(_rows(_LOAD_BLOCK_ROWS + 3), b"\r"), True),
+    "blank-line-after-one-block": (_block_file([*_rows(_LOAD_BLOCK_ROWS), b"", *_rows(3)]), False),
+    "bad-cell-in-second-block": (_block_file([*_rows(_LOAD_BLOCK_ROWS + 2), b"1.5,2.5x,0", *_rows(2)]), False),
+}
+
+
 class TestFastCsvPath:
     """load_dataset parses with np.loadtxt and falls back to the per-cell
     reader; both must give the same table or the same error."""
@@ -477,6 +499,26 @@ class TestColumnMajorValues:
         assert {name: _column_major(b) for name, b in built.items()} == dict.fromkeys(built, True)
         assert np.array_equal(built["take_rows"].values, d.values[rows])
         assert np.array_equal(built["select_sensors"].values, d.values[:, [5, 0, 33]])
+
+    def test_scenarios_copy_no_matrix(self):
+        """Each scenario builds its sensor's column, not a perturbed copy
+        of the test matrix."""
+        d = small_dataset(n=20_000, seed=2)
+        cfg = EnsembleConfig(n_trees=3, tree=TreeConfig(max_depth=6))
+        model = fit_ensemble(d.values[:2_000], d.labels[:2_000], cfg, 1, d.symbols, n_classes=7)
+        roots = sorted({d.symbols[tree.feature[0]] for tree in model.trees})
+        specs = [NoiseSpec(s, AWGN, 3.0) for s in roots] + [NoiseSpec(s, FAILURE) for s in roots]
+        assert _peak_bytes(lambda: run_scenarios(model, d, specs, seed=0)) < 0.5 * d.values.nbytes
+
+    def test_loading_fills_one_matrix(self, tmp_path):
+        """The CSV is parsed a block of rows at a time into the
+        column-major matrix, not into a row-major table that is then
+        copied."""
+        d = small_dataset(n=20_000, seed=2)
+        path = tmp_path / "data.csv"
+        write_csv(d, path)
+        assert _load_fast(path) is not None
+        assert _peak_bytes(lambda: load_dataset(path)) < 1.5 * d.values.nbytes
 
     def test_gathers_copy_the_matrix_once(self):
         d = small_dataset(n=20_000, seed=2)

@@ -253,9 +253,9 @@ def rerouted(monkeypatch):
     calls = []
     real = robustness._reach
 
-    def spy(xf, tree, idx, out):
+    def spy(xf, tree, idx, out, column=-1, values=None):
         calls.append(idx)
-        real(xf, tree, idx, out)
+        real(xf, tree, idx, out, column, values)
 
     monkeypatch.setattr(robustness, "_reach", spy)
     return calls
