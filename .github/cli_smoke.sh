@@ -4,8 +4,8 @@
 # on a bagging and a boosting model, and the scenarios on a table of more
 # than one 8,192-row load block; then a small study, whose saved model
 # goes through the loader again, and a Recursive Feature Addition run.
-# Last, a config file with an out-of-range value must fail with one Error
-# line that names its key, exit 1 and print no traceback.
+# Last, each config file with a bad value must fail with one Error line
+# that names its key, exit 1 and print no traceback.
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
@@ -24,11 +24,17 @@ test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
 fddsense rfa --data d.csv --trees 3 --max-sensors 3
-echo '{"ensemble": {"learning_rate": 5.0}}' > bad.json
-status=0
-fddsense pipeline --config bad.json > bad.txt 2>&1 || status=$?
-cat bad.txt
-test "$status" -eq 1
-test "$(wc -l < bad.txt)" -eq 1
-grep -q '^Error: InvalidValueError: ensemble.learning_rate' bad.txt
-if grep -q Traceback bad.txt; then exit 1; fi
+while read -r key config; do
+  echo "$config" > bad.json
+  status=0
+  fddsense pipeline --config bad.json > bad.txt 2>&1 || status=$?
+  cat bad.txt
+  test "$status" -eq 1
+  test "$(wc -l < bad.txt)" -eq 1
+  test "$(cut -d ' ' -f 1-3 bad.txt)" = "Error: InvalidValueError: $key"
+  if grep -q Traceback bad.txt; then exit 1; fi
+done <<'CONFIGS'
+n_threads {"n_threads": 2}
+rfa.max_sensors {"rfa": {"max_sensors": 2.5}}
+ensemble.learning_rate {"ensemble": {"learning_rate": 5.0}}
+CONFIGS

@@ -109,9 +109,8 @@ def main():
 @click.option("--train-fraction", type=float, default=None)
 @click.option("--snr", default=None, help="Comma-separated SNR levels in dB, e.g. 10,3,0.")
 @click.option("--no-failure", is_flag=True, help="Skip the dead-sensor scenario.")
-@click.option("--threads", type=int, default=None)
 def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
-             train_fraction, snr, no_failure, threads):
+             train_fraction, snr, no_failure):
     """Run the full study and write all artifacts."""
     overrides = {
         "data_path": data_path,
@@ -119,7 +118,6 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
         "out_dir": out_dir,
         "n_trees": trees,
         "train_fraction": train_fraction,
-        "n_threads": threads,
         "generator": None if rows is None else {"n_rows": rows},
         "rfa": None if threshold is None else {"threshold": threshold},
         "snr_levels": None if snr is None else _parse_snr_list(snr),

@@ -8,15 +8,12 @@ log-prior scores; it is first-order only, with a plain learning rate and
 no per-leaf regularisation.
 
 Every tree's randomness is derived from (master_seed, tree position), so
-training is reproducible and independent of thread count and completion
-order.
+training is reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -29,7 +26,7 @@ from .errors import (
     SchemaMismatchError,
     SingleClassError,
 )
-from .fileio import _of_kind, _read_json, canonical_json, write_json
+from .fileio import _check_kind, _of_kind, _read_json, canonical_json, write_json
 from .metrics import ClassReport, build_report
 from .seeding import derive_seed
 from .trees import (
@@ -70,6 +67,11 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.method not in (BAGGING, BOOSTING):
             raise InvalidValueError(f"unknown ensemble method {self.method!r}")
+        _check_kind("n_trees", self.n_trees, int)
+        _check_kind("tree", self.tree, TreeConfig)
+        _check_kind("bootstrap", self.bootstrap, bool)
+        _check_kind("learning_rate", self.learning_rate, float)
+        _check_kind("hard_vote", self.hard_vote, bool)
         if self.n_trees < 1:
             raise InvalidValueError("n_trees must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -119,8 +121,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _fit_bagged_tree(args) -> DecisionTree:
-    x, y, cfg, master_seed, index, n_classes = args
+def _fit_bagged_tree(x, y, cfg: EnsembleConfig, master_seed: int, index: int, n_classes: int) -> DecisionTree:
     if cfg.bootstrap:
         rng = np.random.default_rng(derive_seed(master_seed, index, "bootstrap"))
         rows = rng.integers(0, x.shape[0], size=x.shape[0])
@@ -139,7 +140,6 @@ def fit_ensemble(
     master_seed: int,
     feature_names: tuple[str, ...],
     n_classes: int | None = None,
-    n_threads: int = 1,
 ) -> EnsembleModel:
     """Train an ensemble on (x, y).
 
@@ -151,7 +151,6 @@ def fit_ensemble(
         master_seed: root of all derived per-tree seeds.
         feature_names: column symbols, stored for schema checks.
         n_classes: class count; inferred from y when None.
-        n_threads: bagging parallelism; results do not depend on it.
 
     Returns:
         EnsembleModel ready for prediction and importance queries.  Its
@@ -176,23 +175,16 @@ def fit_ensemble(
     cfg = replace(cfg, tree=replace(cfg.tree, task=task))
 
     if cfg.method == BAGGING:
-        jobs = [(x, y, cfg, master_seed, i, n_classes) for i in range(cfg.n_trees)]
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                trees = list(pool.map(_fit_bagged_tree, jobs))
-        else:
-            trees = [_fit_bagged_tree(job) for job in jobs]
         return EnsembleModel(
             config=cfg,
-            trees=trees,
+            trees=[_fit_bagged_tree(x, y, cfg, master_seed, i, n_classes) for i in range(cfg.n_trees)],
             n_classes=n_classes,
             feature_names=feature_names,
             master_seed=master_seed,
         )
 
     # Boosting: additive softmax model, one regression tree per class per
-    # round, fitted to residuals onehot - p.  Rounds are inherently
-    # sequential, so n_threads is ignored here.
+    # round, fitted to residuals onehot - p.
     x = np.asfortranarray(x)  # once for every fit_tree and predict_batch below
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     priors = np.where(counts > 0, counts, 0.5) / y.shape[0]
@@ -347,26 +339,6 @@ def model_to_dict(model: EnsembleModel) -> dict:
     }
 
 
-def _field(spec: dict, key: str, where: str, kind: type = float, low: float = -math.inf):
-    """spec[key] if it is of kind (a finite float, an int or a bool) and
-    >= low; else a ModelFormatError naming where and key."""
-    value = spec[key]
-    if not _of_kind(kind, value) or value < low:
-        expected = {int: "an integer", float: "a finite number", bool: "a boolean"}[kind]
-        bound = "" if low == -math.inf else f" >= {low}"
-        raise ModelFormatError(f"{where}: {key} must be {expected}{bound}, got {value!r}")
-    return value
-
-
-def _tree_config(spec: dict, where: str) -> TreeConfig:
-    """TreeConfig(**spec) once its count fields are integers: TreeConfig
-    checks only their ranges, and 3.0 == 3 would pass a config comparison."""
-    for key, low in (("max_depth", 0), ("min_leaf", 1), ("feature_subsample", 1)):
-        if key == "min_leaf" or spec[key] is not None:
-            _field(spec, key, where, int, low)
-    return TreeConfig(**spec)
-
-
 def model_from_dict(payload: dict) -> EnsembleModel:
     """Inverse of model_to_dict.  The whole model is checked here, so that
     a model that loads also predicts.
@@ -393,14 +365,23 @@ def model_from_dict(payload: dict) -> EnsembleModel:
         names = tuple(names)
         if payload["fingerprint"] != schema_fingerprint(names):
             raise ModelFormatError("fingerprint does not match feature_names")
-        n_classes = _field(payload, "n_classes", "model", int, 2)
+        n_classes, master_seed = payload["n_classes"], payload["master_seed"]
+        _check_kind("n_classes", n_classes, int)
+        _check_kind("master_seed", master_seed, int)
+        if n_classes < 2:
+            raise ModelFormatError(f"model: n_classes must be >= 2, got {n_classes}")
+        try:
+            tree_cfg = TreeConfig(**payload["tree_config"])
+        except InvalidValueError as exc:
+            raise ModelFormatError(f"tree_config: {exc}") from exc
+        # EnsembleConfig checks the type and range of each of its fields.
         cfg = EnsembleConfig(
             method=payload["method"],
-            n_trees=_field(payload, "n_trees", "model", int),
-            tree=_tree_config(payload["tree_config"], "tree_config"),
-            bootstrap=_field(payload, "bootstrap", "model", bool),
-            learning_rate=_field(payload, "learning_rate", "model", float),
-            hard_vote=_field(payload, "hard_vote", "model", bool),
+            n_trees=payload["n_trees"],
+            tree=tree_cfg,
+            bootstrap=payload["bootstrap"],
+            learning_rate=payload["learning_rate"],
+            hard_vote=payload["hard_vote"],
         )
         boosting = cfg.method == BOOSTING
         task = REGRESSION if boosting else CLASSIFICATION
@@ -429,9 +410,11 @@ def model_from_dict(payload: dict) -> EnsembleModel:
             n_classes=n_classes,
             feature_names=names,
             base_scores=None if base is None else np.asarray(base, dtype=np.float64),
-            master_seed=_field(payload, "master_seed", "model", int),
+            master_seed=master_seed,
         )
-    except (KeyError, TypeError, InvalidValueError) as exc:
+    except InvalidValueError as exc:  # a field of the model itself
+        raise ModelFormatError(f"model: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc!r}") from exc
 
 

@@ -19,15 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidValueError
 
 _FLOAT_MAX = sys.float_info.max
 
 
 def _of_kind(kind: type, value) -> bool:
-    """Whether a value read from JSON is of kind: int (an integer, not a
-    bool), float (a number, an integer too), bool or str.  Numbers must be
-    finite floats: Python's json reads NaN, Infinity and 1e400 (as inf),
-    and integers of any size."""
+    """Whether a value, read from JSON or set on a config, is of kind: int
+    (an integer, not a bool), float (a number, an integer too), bool or
+    str.  Numbers must be finite floats: Python's json reads NaN, Infinity
+    and 1e400 (as inf), and integers of any size."""
     # Exact builtin types first: a model file holds thousands of numbers,
     # and the abstract types are slow to check.
     exact = type(value)
@@ -39,6 +40,16 @@ def _of_kind(kind: type, value) -> bool:
         number = numbers.Integral if kind is int else numbers.Real
         return isinstance(value, number) and abs(value) <= _FLOAT_MAX
     return isinstance(value, kind)
+
+
+def _check_kind(name: str, value, kind: type, optional: bool = False) -> None:
+    """Raise an InvalidValueError whose message starts with name, unless
+    value is of kind (as _of_kind has it, or an instance of a class kind)
+    or, if optional, None."""
+    if not (_of_kind(kind, value) or (optional and value is None)):
+        names = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
+        expected = names.get(kind) or f"a {kind.__name__}"
+        raise InvalidValueError(f"{name} must be {expected}{' or None' if optional else ''}, got {value!r}")
 
 
 def _non_integer_row(labels: np.ndarray) -> int | None:

@@ -8,9 +8,9 @@ addition's last step, which was trained on exactly the selected set,
 against noise and a dead top sensor.  Every stage draws its randomness
 from a seed derived from (master seed, stage name), so a run is one pure
 function of (config, seed), and on one machine its artifact files are
-byte-identical across repeats and thread counts.  Boosting's artifacts
-can differ between CPUs: np.exp and np.log, which its softmax and priors
-call, differ in their last bits between SIMD levels.
+byte-identical across repeats.  Boosting's artifacts can differ between
+CPUs: np.exp and np.log, which its softmax and priors call, differ in
+their last bits between SIMD levels.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ensembles import BAGGING, BOOSTING, EnsembleConfig, save_model
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
 from .errors import BadProportionsError, ConfigParseError, InvalidValueError
-from .fileio import _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
+from .fileio import _check_kind, _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
 from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, _snr_ratio, run_scenarios
 from .seeding import derive_seed
@@ -79,9 +79,10 @@ _SCHEMA = (
     _Key("rfa.noise_snr_db", "rfa.noise_snr_db", (float,)),
     _Key("robustness.snr_db", "snr_levels", (list,)),
     _Key("robustness.include_failure", "include_failure", (bool,)),
-    # Placement and parallelism cannot affect results, so the echo leaves
-    # them out and stays byte-stable across destinations and thread counts.
+    # Placement cannot affect results, so the echo leaves it out and stays
+    # byte-stable across destinations.
     _Key("out_dir", "out_dir", (str,), echo=False),
+    # 1 only; kept for the benchmark's study overrides, ROADMAP item 2 deletes both.
     _Key("n_threads", "n_threads", (int,), echo=False),
 )
 
@@ -162,10 +163,12 @@ class PipelineConfig:
         for key in _SCHEMA:
             if "." not in key.field:
                 _checked(key, getattr(self, key.field), key.field)
+        _check_kind("generator", self.generator, GeneratorConfig)
+        _check_kind("rfa", self.rfa, RfaConfig)
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.n_threads < 1:
-            raise InvalidValueError("n_threads must be >= 1")
+        if self.n_threads != 1:
+            raise InvalidValueError(f"n_threads must be 1: every fit runs on one thread, got {self.n_threads}")
         object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
         snr_keys = {"robustness.snr_db": self.snr_levels, "rfa.noise_snr_db": [self.rfa.noise_snr_db]}
         for name, levels in snr_keys.items():
@@ -198,8 +201,8 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
-        """Echo of the study parameters: every schema key but out_dir and
-        n_threads, nested as in the config file."""
+        """Echo of the study parameters: every schema key whose row has
+        echo set, nested as in the config file."""
         echo: dict = {}
         for key in _SCHEMA:
             if key.echo:
@@ -392,8 +395,7 @@ def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> tuple[Dataset,
     train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
 
     enter("selection")
-    trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"),
-                    cfg.rfa, n_threads=cfg.n_threads)
+    trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
     return test, trace
 
 

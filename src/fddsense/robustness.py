@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
-from .fileio import _csv_rows
+from .fileio import _check_kind, _csv_rows
 from .metrics import ClassReport
 from .seeding import derive_seed
 from .trees import _leaf_intervals, _reach
@@ -34,7 +34,9 @@ class NoiseSpec:
     snr_db: float | None = None
 
     def __post_init__(self):
+        _check_kind("sensor", self.sensor, str)
         if self.mode == AWGN:
+            _check_kind("snr_db", self.snr_db, float)
             if _snr_ratio(self.snr_db) is None:
                 raise InvalidValueError(f"awgn mode needs an snr_db whose power ratio "
                                         f"10^(snr_db/10) is a finite positive float, got {self.snr_db!r}")

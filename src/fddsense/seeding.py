@@ -2,7 +2,7 @@
 
 All randomness in the library flows from numpy Generators seeded through
 derive_seed, so any component's output depends only on its master seed and
-its position in the pipeline, never on execution order or thread count.
+its position in the pipeline, never on execution order.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from .dataset import Dataset
 from .ensembles import EnsembleModel
 from .errors import EmptyRankingError, InvalidValueError
-from .fileio import _csv_rows
+from .fileio import _check_kind, _csv_rows
 from .seeding import derive_seed
 
 
@@ -35,6 +35,9 @@ class RfaConfig:
     noise_snr_db: float = 3.0
 
     def __post_init__(self):
+        _check_kind("threshold", self.threshold, float)
+        _check_kind("max_sensors", self.max_sensors, int, optional=True)
+        _check_kind("noise_snr_db", self.noise_snr_db, float)
         if not 0.0 < self.threshold <= 1.0:
             raise InvalidValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.max_sensors is not None and self.max_sensors < 1:
@@ -93,7 +96,6 @@ def run_rfa(
     ensemble_cfg,
     master_seed: int,
     rfa_cfg: RfaConfig,
-    n_threads: int = 1,
 ) -> RfaTrace:
     """Rank sensors on an all-sensor model, then grow the set one ranked
     sensor at a time.
@@ -110,8 +112,6 @@ def run_rfa(
         ensemble_cfg: recipe used for the ranking model and every refit.
         master_seed: root seed for all model fits.
         rfa_cfg: stopping rule and probe level.
-        n_threads: bagging parallelism of every fit; results do not
-            depend on it.
 
     Returns:
         RfaTrace, carrying the ranking and the last step's model.
@@ -133,7 +133,6 @@ def run_rfa(
             master_seed,
             data.symbols,
             n_classes=n_classes,
-            n_threads=n_threads,
         )
 
     ranking = rank_features(fit(train))

@@ -19,13 +19,13 @@ heavily imbalanced mix with the non-faulty class near 46 percent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FAULT_CLASSES, INSTALLED_SENSORS, Dataset
 from .errors import BadProportionsError, InvalidValueError
+from .fileio import _check_kind, _of_kind
 
 DEFAULT_PROPORTIONS = (0.456, 0.091, 0.089, 0.091, 0.091, 0.091, 0.091)
 
@@ -68,15 +68,15 @@ class GeneratorConfig:
 
     def __post_init__(self):
         n_classes = len(FAULT_CLASSES)
+        _check_kind("n_rows", self.n_rows, int)
         if self.n_rows < 1:
             raise InvalidValueError(f"n_rows must be >= 1, got {self.n_rows}")
-        props = tuple(float(p) for p in self.class_proportions)
-        if len(props) != n_classes:
-            raise BadProportionsError(
-                f"class_proportions must list {n_classes} numbers, got {len(props)}"
-            )
-        if any(p < 0 or not math.isfinite(p) for p in props):
+        props = self.class_proportions
+        if not isinstance(props, (list, tuple, np.ndarray)) or len(props) != n_classes:
+            raise BadProportionsError(f"class_proportions must list {n_classes} numbers, got {props!r}")
+        if not all(_of_kind(float, p) and p >= 0 for p in props):
             raise BadProportionsError("class_proportions must be finite and >= 0")
+        props = tuple(map(float, props))
         if abs(sum(props) - 1.0) > 1e-9:
             raise BadProportionsError(f"class_proportions sum to {sum(props)!r}, not 1")
         object.__setattr__(self, "class_proportions", props)

@@ -63,7 +63,7 @@ from .errors import (
     ModelFormatError,
     NonFiniteInputError,
 )
-from .fileio import _non_integer_row, _of_kind
+from .fileio import _check_kind, _non_integer_row, _of_kind
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression_on_gradients"
@@ -84,6 +84,9 @@ class TreeConfig:
     task: str = CLASSIFICATION
 
     def __post_init__(self):
+        _check_kind("max_depth", self.max_depth, int, optional=True)
+        _check_kind("min_leaf", self.min_leaf, int)
+        _check_kind("feature_subsample", self.feature_subsample, int, optional=True)
         if self.max_depth is not None and self.max_depth < 0:
             raise InvalidValueError("max_depth must be >= 0 or None")
         if self.min_leaf < 1:

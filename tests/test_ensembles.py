@@ -33,6 +33,9 @@ from fddsense.errors import (
     SingleClassError,
 )
 from fddsense.fileio import canonical_json
+from fddsense.pipeline import PipelineConfig
+from fddsense.robustness import NoiseSpec
+from fddsense.selection import RfaConfig, run_rfa
 from fddsense.simgen import GeneratorConfig, generate_dataset
 from fddsense.trees import (
     REGRESSION,
@@ -134,13 +137,6 @@ class TestBagging:
         c = fit_ensemble(d.values, d.labels, cfg, 8, d.symbols)
         assert canonical_json(model_to_dict(a)) == canonical_json(model_to_dict(b))
         assert canonical_json(model_to_dict(a)) != canonical_json(model_to_dict(c))
-
-    def test_thread_count_does_not_change_model(self):
-        d = training_data()
-        cfg = EnsembleConfig(n_trees=6, tree=TreeConfig(max_depth=5, feature_subsample=2))
-        one = fit_ensemble(d.values, d.labels, cfg, 7, d.symbols, n_threads=1)
-        four = fit_ensemble(d.values, d.labels, cfg, 7, d.symbols, n_threads=4)
-        assert canonical_json(model_to_dict(one)) == canonical_json(model_to_dict(four))
 
     def test_soft_scores_sum_to_one(self):
         d = training_data()
@@ -529,3 +525,43 @@ class TestFddErrors:
                 assert isinstance(exc, InvalidValueError), name
             else:
                 pytest.fail(f"{name}: no error")
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            pytest.param("min_leaf", lambda: TreeConfig(min_leaf=2.5), id="min_leaf-2.5"),
+            pytest.param("min_leaf", lambda: TreeConfig(min_leaf=True), id="min_leaf-True"),
+            pytest.param("max_depth", lambda: TreeConfig(max_depth=2.5), id="max_depth-2.5"),
+            pytest.param("feature_subsample", lambda: TreeConfig(feature_subsample=1.5), id="feature_subsample-1.5"),
+            pytest.param("n_trees", lambda: EnsembleConfig(n_trees=2.5), id="n_trees-2.5"),
+            pytest.param("n_trees", lambda: EnsembleConfig(n_trees=True), id="n_trees-True"),
+            pytest.param("tree", lambda: EnsembleConfig(tree={"max_depth": 3}), id="tree-dict"),
+            pytest.param("bootstrap", lambda: EnsembleConfig(bootstrap="no"), id="bootstrap-str"),
+            pytest.param("learning_rate", lambda: EnsembleConfig(learning_rate="0.3"), id="learning_rate-str"),
+            pytest.param("hard_vote", lambda: EnsembleConfig(hard_vote="no"), id="hard_vote-str"),
+            pytest.param("max_sensors", lambda: RfaConfig(max_sensors=2.5), id="max_sensors-2.5"),
+            pytest.param("threshold", lambda: RfaConfig(threshold="0.9"), id="threshold-str"),
+            pytest.param("n_rows", lambda: GeneratorConfig(n_rows=2.5), id="n_rows-2.5"),
+            pytest.param("snr_db", lambda: NoiseSpec("T_C", "awgn", True), id="snr_db-True"),
+            pytest.param("sensor", lambda: NoiseSpec(5, "failure"), id="sensor-int"),
+            pytest.param("generator", lambda: PipelineConfig(generator={}), id="generator-dict"),
+            pytest.param("rfa", lambda: PipelineConfig(rfa={}), id="rfa-dict"),
+        ],
+    )
+    def test_wrong_typed_config_field_is_rejected_by_name(self, name, build):
+        """A config built in code with a field of the wrong type fails when
+        it is built, with an InvalidValueError that starts with the field's
+        name: not with a TypeError where it is used, and not by a silent
+        coercion."""
+        with pytest.raises(InvalidValueError) as info:
+            config = build()
+            d = training_data()
+            if isinstance(config, TreeConfig):
+                fit_tree(d.values, d.labels, config)
+            elif isinstance(config, EnsembleConfig):
+                fit_ensemble(d.values, d.labels, config, 1, d.symbols)
+            elif isinstance(config, RfaConfig):
+                run_rfa(d, d, EnsembleConfig(n_trees=2), 1, config)
+            elif isinstance(config, GeneratorConfig):
+                generate_dataset(config, 1)
+        assert str(info.value).startswith(name + " must be "), str(info.value)

@@ -1,5 +1,4 @@
 import csv
-import inspect
 import json
 import re
 from pathlib import Path
@@ -181,6 +180,7 @@ class TestParseConfig:
             ("rfa.max_sensors", 0, {}),
             ("n_threads", 0, {}),
             ("ensemble.learning_rate", 5.0, {}),
+            ("n_threads", 2, {}),
         ],
     )
     def test_range_error_names_the_key_as_the_file_spells_it(self, tmp_path, key, value, rest):
@@ -467,24 +467,6 @@ class TestRunPipeline:
         assert result.robustness.scenarios
         assert calls["evaluate"] == steps + 1
         assert result.report is result.robustness.baseline
-
-    def test_every_fit_of_a_study_gets_n_threads(self, tmp_path, monkeypatch):
-        real = ensembles.fit_ensemble
-        threads = []
-
-        def recording(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            threads.append(bound.arguments["n_threads"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ensembles, "fit_ensemble", recording)
-        cfg = parse_config(
-            None, {**SMALL, "seed": 4, "n_threads": 3, "out_dir": str(tmp_path / "out")}
-        )
-        result = run_pipeline(cfg)
-        # The ranking fit, then one fit per RFA step.
-        assert threads == [cfg.n_threads] * (1 + len(result.trace.steps))
 
     @pytest.mark.parametrize(
         "ensemble", [{}, {"method": "boosting", "n_trees": 2}], ids=["bagging", "boosting"]

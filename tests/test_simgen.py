@@ -106,6 +106,13 @@ class TestValidation:
         with pytest.raises(BadProportionsError):
             GeneratorConfig(class_proportions=bad)
 
+    @pytest.mark.parametrize(
+        "bad", [("1.0",) + (0.0,) * 6, (True,) + (0.0,) * 6, 1.0], ids=["str", "bool", "not-a-list"]
+    )
+    def test_non_number_proportions_rejected(self, bad):
+        with pytest.raises(BadProportionsError, match="^class_proportions"):
+            GeneratorConfig(class_proportions=bad)
+
     def test_default_proportions_valid(self):
         assert abs(sum(DEFAULT_PROPORTIONS) - 1.0) <= 1e-12
 
