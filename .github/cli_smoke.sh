@@ -36,5 +36,8 @@ while read -r key config; do
 done <<'CONFIGS'
 n_threads {"n_threads": 2}
 rfa.max_sensors {"rfa": {"max_sensors": 2.5}}
+ensemble.method {"ensemble": {"method": 1}}
+ensemble.max_depth {"ensemble": {"max_depth": 2.0}}
+data.path {"data": {"path": ""}}
 ensemble.learning_rate {"ensemble": {"learning_rate": 5.0}}
 CONFIGS

@@ -16,6 +16,8 @@ import click
 
 from .dataset import load_dataset, write_csv
 from .ensembles import (
+    BAGGING,
+    BOOSTING,
     evaluate,
     fit_ensemble,
     load_model,
@@ -25,14 +27,16 @@ from .ensembles import (
 from .errors import FddError
 from .fileio import atomic_write_text
 from .pipeline import DEFAULT_SNR_LEVELS, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _probe, _select, _write_pair
+from .pipeline import _probe, _select, _with_fields, _write_pair
 from .seeding import derive_seed
 from .selection import RfaConfig
 from .simgen import GeneratorConfig, generate_dataset
 
 
 def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(f"{type(exc).__name__}: {exc}")
+    # numpy's failed allocation raises a private subclass of MemoryError.
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return click.ClickException(f"{name}: {exc}")
 
 
 class _Path(click.Path):
@@ -75,20 +79,22 @@ def _feature_subsample(ctx, param, text):
 
 
 def _with_ensemble_options(fn):
-    """Add one flag per "ensemble" config key, defaulting as PipelineConfig."""
+    """Add one flag per "ensemble" config key, defaulting as PipelineConfig
+    and typed as its default."""
+    defaults = PipelineConfig().to_json_dict()["ensemble"]
     for key in reversed([k for k in _SCHEMA if k.path.startswith("ensemble.")]):
         flag = "--trees" if key.field == "n_trees" else "--" + key.field.replace("_", "-")
-        default = getattr(PipelineConfig, key.field)
+        default = defaults[key.path.removeprefix("ensemble.")]
         kwargs = {"default": default, "show_default": True, "help": _HELP.get(key.field)}
-        if key.kinds == (bool,):
+        if isinstance(default, bool):
             kwargs["is_flag"] = True
             flag += f"/--no-{flag[2:]}" if default else ""
         elif key.field == "feature_subsample":
             kwargs["callback"] = _feature_subsample
-        elif all(isinstance(kind, str) for kind in key.kinds):
-            kwargs["type"] = click.Choice(key.kinds)
+        elif key.field == "method":
+            kwargs["type"] = click.Choice((BAGGING, BOOSTING))
         else:
-            kwargs["type"] = key.kinds[0]
+            kwargs["type"] = type(default)
         fn = click.option(flag, key.field, **kwargs)(fn)
     return fn
 
@@ -126,7 +132,7 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
     try:
         cfg = parse_config(config_path, overrides)
         result = run_pipeline(cfg)
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     trace = result.trace
     click.echo(
@@ -149,7 +155,7 @@ def simgen(out_path, rows, seed):
     try:
         data = generate_dataset(GeneratorConfig(n_rows=rows), seed)
         write_csv(data, out_path)
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     click.echo(f"wrote {data.n_rows} rows x {data.n_sensors} sensors to {out_path}")
 
@@ -163,13 +169,13 @@ def train(data_path, model_out, seed, **ensemble_fields):
     """Fit an ensemble on a CSV and save it as JSON."""
     try:
         data = load_dataset(data_path)
-        cfg = PipelineConfig(**ensemble_fields).ensemble_config(data.n_sensors)
+        cfg = _with_fields(PipelineConfig(), ensemble_fields).ensemble_config(data.n_sensors)
         model = fit_ensemble(
             data.values, data.labels, cfg, derive_seed(seed, "model"), data.symbols
         )
         report = evaluate(model, data)
         save_model(model, model_out)
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     click.echo(f"trained {cfg.method} on {data.n_rows} rows x {data.n_sensors} sensors")
     click.echo(f"training macro-F1: {report.macro_f1:.4f}")
@@ -184,7 +190,7 @@ def importance(model_path, top):
     try:
         model = load_model(model_path)
         ranking = rank_features(model)
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     if top is not None:
         ranking = ranking[:top]
@@ -209,15 +215,15 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
     the trace is the pipeline's for the same CSV, seed and flags."""
     try:
         rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, noise_snr_db=snr_probe)
-        cfg = PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
-                             rfa=rfa_cfg, **ensemble_fields)
+        cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
+                                          rfa=rfa_cfg), ensemble_fields)
         _, trace = _select(cfg, lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             _write_pair(out, "rfa_trace", trace)
             atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     for step in trace.steps:
         click.echo(
@@ -251,7 +257,7 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             _write_pair(out, "robustness", report)
-    except (FddError, OSError) as exc:
+    except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     click.echo(f"baseline: macro-F1 {report.baseline.macro_f1:.4f}")
     for row in report.scenarios:

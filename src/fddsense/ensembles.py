@@ -32,6 +32,7 @@ from .seeding import derive_seed
 from .trees import (
     CLASSIFICATION,
     REGRESSION,
+    SQRT,
     DecisionTree,
     TreeConfig,
     _class_ids,
@@ -66,7 +67,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.method not in (BAGGING, BOOSTING):
-            raise InvalidValueError(f"unknown ensemble method {self.method!r}")
+            raise InvalidValueError(f'method is an unknown ensemble method: {self.method!r}; expected "bagging" or "boosting"')
         _check_kind("n_trees", self.n_trees, int)
         _check_kind("tree", self.tree, TreeConfig)
         _check_kind("bootstrap", self.bootstrap, bool)
@@ -374,6 +375,8 @@ def model_from_dict(payload: dict) -> EnsembleModel:
             tree_cfg = TreeConfig(**payload["tree_config"])
         except InvalidValueError as exc:
             raise ModelFormatError(f"tree_config: {exc}") from exc
+        if tree_cfg.feature_subsample == SQRT:
+            raise ModelFormatError('tree_config: feature_subsample "sqrt" is unresolved: a model stores a count or null')
         # EnsembleConfig checks the type and range of each of its fields.
         cfg = EnsembleConfig(
             method=payload["method"],

@@ -108,12 +108,6 @@ class UnknownSensorError(FddError):
     """Named sensor does not exist in the dataset schema."""
 
 
-# -- simgen ----------------------------------------------------------------
-
-class BadProportionsError(FddError):
-    """Class proportions are malformed or do not sum to 1."""
-
-
 # -- configuration ----------------------------------------------------------
 
 class ConfigParseError(FddError):
@@ -122,3 +116,9 @@ class ConfigParseError(FddError):
 
 class InvalidValueError(FddError, ValueError):
     """A config field violates its constraint; message names both."""
+
+
+# -- simgen ----------------------------------------------------------------
+
+class BadProportionsError(InvalidValueError):
+    """Class proportions are malformed or do not sum to 1."""

@@ -15,27 +15,26 @@ their last bits between SIMD levels.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .dataset import Dataset, load_dataset, split_train_test, undersample_majority
-from .ensembles import BAGGING, BOOSTING, EnsembleConfig, save_model
+from .ensembles import EnsembleConfig, save_model
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
-from .errors import BadProportionsError, ConfigParseError, InvalidValueError
+from .errors import ConfigParseError, InvalidValueError
 from .fileio import _check_kind, _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
 from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, _snr_ratio, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
-from .trees import TreeConfig
+from .trees import SQRT, TreeConfig
 
 OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
 
@@ -43,80 +42,75 @@ DEFAULT_SNR_LEVELS = (10.0, 3.0, 0.0)
 
 
 class _Key(NamedTuple):
-    """One config key: its dotted place in the config file (path), the
-    dotted PipelineConfig attribute it sets, also its override name
-    (field), the values it accepts (kinds: int, float, which takes an int
-    too, bool, str, None for null, list for a list of numbers, or a
-    literal string; numbers must be finite) and whether config.json
-    echoes it."""
+    """One config key: its dotted place in the config file (path), its
+    override name (field) and whether config.json echoes it.  A field is
+    the dotted PipelineConfig attribute the key sets, except that an
+    ensemble key's is the name of its EnsembleConfig or TreeConfig field
+    (_ATTRIBUTES)."""
 
     path: str
     field: str
-    kinds: tuple
     echo: bool = True
 
 
-# The config schema.  Defaults live on PipelineConfig, GeneratorConfig
-# and RfaConfig; the parser, the config.json echo and the CLI's ensemble
-# flags all read this table.
+# The config schema.  Defaults live on PipelineConfig and the configs it
+# nests, each of which checks the type and range of its own fields; the
+# parser, the config.json echo and the CLI's ensemble flags read this
+# table.
 _SCHEMA = (
-    _Key("seed", "seed", (int,)),
-    _Key("data.path", "data_path", (str, None)),
-    _Key("data.generator.n_rows", "generator.n_rows", (int,)),
-    _Key("data.generator.class_proportions", "generator.class_proportions", (list,)),
-    _Key("train_fraction", "train_fraction", (float,)),
-    _Key("undersample", "undersample", (bool,)),
-    _Key("ensemble.method", "method", (BAGGING, BOOSTING)),
-    _Key("ensemble.n_trees", "n_trees", (int,)),
-    _Key("ensemble.max_depth", "max_depth", (int, None)),
-    _Key("ensemble.min_leaf", "min_leaf", (int,)),
-    _Key("ensemble.feature_subsample", "feature_subsample", (int, "sqrt", None)),
-    _Key("ensemble.bootstrap", "bootstrap", (bool,)),
-    _Key("ensemble.learning_rate", "learning_rate", (float,)),
-    _Key("ensemble.hard_vote", "hard_vote", (bool,)),
-    _Key("rfa.threshold", "rfa.threshold", (float,)),
-    _Key("rfa.max_sensors", "rfa.max_sensors", (int, None)),
-    _Key("rfa.noise_snr_db", "rfa.noise_snr_db", (float,)),
-    _Key("robustness.snr_db", "snr_levels", (list,)),
-    _Key("robustness.include_failure", "include_failure", (bool,)),
+    _Key("seed", "seed"),
+    _Key("data.path", "data_path"),
+    _Key("data.generator.n_rows", "generator.n_rows"),
+    _Key("data.generator.class_proportions", "generator.class_proportions"),
+    _Key("train_fraction", "train_fraction"),
+    _Key("undersample", "undersample"),
+    _Key("ensemble.method", "method"),
+    _Key("ensemble.n_trees", "n_trees"),
+    _Key("ensemble.max_depth", "max_depth"),
+    _Key("ensemble.min_leaf", "min_leaf"),
+    _Key("ensemble.feature_subsample", "feature_subsample"),
+    _Key("ensemble.bootstrap", "bootstrap"),
+    _Key("ensemble.learning_rate", "learning_rate"),
+    _Key("ensemble.hard_vote", "hard_vote"),
+    _Key("rfa.threshold", "rfa.threshold"),
+    _Key("rfa.max_sensors", "rfa.max_sensors"),
+    _Key("rfa.noise_snr_db", "rfa.noise_snr_db"),
+    _Key("robustness.snr_db", "snr_levels"),
+    _Key("robustness.include_failure", "include_failure"),
     # Placement cannot affect results, so the echo leaves it out and stays
     # byte-stable across destinations.
-    _Key("out_dir", "out_dir", (str,), echo=False),
+    _Key("out_dir", "out_dir", echo=False),
     # 1 only; kept for the benchmark's study overrides, ROADMAP item 2 deletes both.
-    _Key("n_threads", "n_threads", (int,), echo=False),
+    _Key("n_threads", "n_threads", echo=False),
 )
 
-_JSON_NAMES = {
-    int: "integer",
-    float: "finite number",
-    bool: "boolean",
-    str: "string",
-    list: "list of finite numbers",
-}
+
+# The dotted PipelineConfig attribute of each ensemble key's field; any
+# other field is its own attribute.
+_ATTRIBUTES = {**{name: "ensemble." + name for name in EnsembleConfig.__dataclass_fields__},
+               **{name: "ensemble.tree." + name for name in TreeConfig.__dataclass_fields__}}
 
 
-def _accepts(kind, value) -> bool:
-    if kind is None:
-        return value is None
-    if isinstance(kind, str):
-        return isinstance(value, str) and value == kind
-    if kind is list:
-        return isinstance(value, (list, tuple)) and all(_of_kind(float, v) for v in value)
-    return _of_kind(kind, value)
+def _replaced(config, values: dict):
+    """config with values, keyed by dotted attribute, set.  Each nested
+    config that changes is built anew, so it checks its own fields."""
+    own = {name: value for name, value in values.items() if "." not in name}
+    for outer in dict.fromkeys(name.split(".")[0] for name in values if "." in name):
+        prefix = outer + "."
+        inner = {name[len(prefix):]: value for name, value in values.items() if name.startswith(prefix)}
+        own[outer] = _replaced(getattr(config, outer), inner)
+    return replace(config, **own)
 
 
-def _checked(key: _Key, value, name: str):
-    """value, if key accepts it; else an InvalidValueError naming name."""
-    if not any(_accepts(kind, value) for kind in key.kinds):
-        expected = " or ".join(_JSON_NAMES.get(k) or json.dumps(k) for k in key.kinds)
-        raise InvalidValueError(f"{name} must be {expected}, got {value!r}")
-    return value
+def _with_fields(config: PipelineConfig, fields: dict) -> PipelineConfig:
+    """config with fields, keyed by schema field, set."""
+    return _replaced(config, {_ATTRIBUTES.get(name, name): value for name, value in fields.items()})
 
 
 def _merge(section, prefix: str, keys: dict, merged: dict, source: str) -> None:
-    """Check the dict section found at the dotted prefix against keys (the
-    schema by file path or by field) and store its values in merged by
-    field.  Unknown keys are rejected, not ignored."""
+    """Store the values of the dict section found at the dotted prefix in
+    merged by field, looking each up in keys (the schema by file path or
+    by field).  Unknown keys are rejected, not ignored."""
     if not isinstance(section, dict):
         raise InvalidValueError(f"{prefix[:-1]} must be an object, got {section!r}")
     names = {name[len(prefix):].split(".")[0] for name in keys if name.startswith(prefix)}
@@ -128,7 +122,7 @@ def _merge(section, prefix: str, keys: dict, merged: dict, source: str) -> None:
         if key is None:
             _merge(value, prefix + name + ".", keys, merged, source)
         else:
-            merged[key.field] = _checked(key, value, prefix + name)
+            merged[key.field] = value
 
 
 @dataclass(frozen=True)
@@ -136,8 +130,9 @@ class PipelineConfig:
     """Fully resolved settings for one run.
 
     data_path of None means the built-in generator supplies the data.
-    feature_subsample accepts an int, None (all features), or "sqrt"
-    (square root of the full sensor count, resolved once per run).
+    The ensemble's feature_subsample may be "sqrt", which ensemble_config
+    resolves.  Each field is type-checked once, by the dataclass that
+    holds it.
     """
 
     seed: int = 0
@@ -145,14 +140,9 @@ class PipelineConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     train_fraction: float = 0.75
     undersample: bool = True
-    method: str = BAGGING
-    n_trees: int = 25
-    max_depth: int | None = 12
-    min_leaf: int = 5
-    feature_subsample: int | str | None = "sqrt"
-    bootstrap: bool = True
-    learning_rate: float = 0.3
-    hard_vote: bool = False
+    ensemble: EnsembleConfig = EnsembleConfig(
+        n_trees=25, tree=TreeConfig(max_depth=12, min_leaf=5, feature_subsample=SQRT)
+    )
     rfa: RfaConfig = field(default_factory=RfaConfig)
     snr_levels: tuple[float, ...] = DEFAULT_SNR_LEVELS
     include_failure: bool = True
@@ -160,15 +150,20 @@ class PipelineConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        for key in _SCHEMA:
-            if "." not in key.field:
-                _checked(key, getattr(self, key.field), key.field)
-        _check_kind("generator", self.generator, GeneratorConfig)
-        _check_kind("rfa", self.rfa, RfaConfig)
+        kinds = {"seed": int, "generator": GeneratorConfig, "train_fraction": float, "undersample": bool,
+                 "ensemble": EnsembleConfig, "rfa": RfaConfig, "include_failure": bool, "out_dir": str,
+                 "n_threads": int}
+        for name, kind in kinds.items():
+            _check_kind(name, getattr(self, name), kind)
+        _check_kind("data_path", self.data_path, str, optional=True)
+        if self.data_path == "":
+            raise InvalidValueError("data_path must not be empty: leave it out, or null, to use the generator")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads != 1:
             raise InvalidValueError(f"n_threads must be 1: every fit runs on one thread, got {self.n_threads}")
+        if not isinstance(self.snr_levels, (list, tuple)) or not all(_of_kind(float, v) for v in self.snr_levels):
+            raise InvalidValueError(f"snr_levels must be a list of finite numbers, got {self.snr_levels!r}")
         object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
         snr_keys = {"robustness.snr_db": self.snr_levels, "rfa.noise_snr_db": [self.rfa.noise_snr_db]}
         for name, levels in snr_keys.items():
@@ -177,28 +172,14 @@ class PipelineConfig:
                     raise InvalidValueError(
                         f"{name} {level!r} is out of range: 10^(snr/10) must be a finite positive float"
                     )
-        # Build the ensemble recipe once now, so that a bad ensemble setting
-        # fails in parse_config rather than at stage selection.  The sensor count
-        # only resolves "sqrt", and no check depends on it.
-        self.ensemble_config(n_sensors=1)
 
     def ensemble_config(self, n_sensors: int) -> EnsembleConfig:
-        subsample = self.feature_subsample
-        if subsample == "sqrt":
-            subsample = max(1, int(math.isqrt(n_sensors)))
-        tree = TreeConfig(
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-            feature_subsample=subsample,
-        )
-        return EnsembleConfig(
-            method=self.method,
-            n_trees=self.n_trees,
-            tree=tree,
-            bootstrap=self.bootstrap,
-            learning_rate=self.learning_rate,
-            hard_vote=self.hard_vote,
-        )
+        """The ensemble recipe, with a feature_subsample of "sqrt" resolved
+        on n_sensors, the run's full sensor count."""
+        tree = self.ensemble.tree
+        if tree.feature_subsample != SQRT:
+            return self.ensemble
+        return replace(self.ensemble, tree=replace(tree, feature_subsample=max(1, math.isqrt(n_sensors))))
 
     def to_json_dict(self) -> dict:
         """Echo of the study parameters: every schema key whose row has
@@ -210,7 +191,7 @@ class PipelineConfig:
                 node = echo
                 for section in sections:
                     node = node.setdefault(section, {})
-                value = attrgetter(key.field)(self)
+                value = attrgetter(_ATTRIBUTES.get(key.field, key.field))(self)
                 node[leaf] = list(value) if isinstance(value, tuple) else value
         return echo
 
@@ -220,11 +201,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 
     Precedence, lowest to highest: built-in defaults, the FDDSENSE_OUT_DIR
     environment variable (output directory only), the JSON config file,
-    then explicit overrides (CLI flags).  Overrides are keyed by
-    PipelineConfig field; generator and rfa take a dict of their fields,
-    merged into the file's, and a None override is ignored.  Unknown keys
-    anywhere are rejected rather than ignored, and every value must have
-    its key's type.
+    then explicit overrides (CLI flags).  Overrides are keyed by schema
+    field: a PipelineConfig field, an ensemble key's own name (n_trees,
+    max_depth, ...), or generator and rfa with a dict of their fields,
+    merged into the file's; a None override is ignored.  Unknown keys
+    anywhere are rejected rather than ignored.  Each value is checked by
+    the config dataclass that holds it, and an error a file value causes
+    names its dotted key as the file spells it.
 
     Raises:
         ConfigParseError: file unreadable or not valid UTF-8 JSON (the
@@ -253,17 +236,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
     merged.update(from_file)
     merged.update(from_overrides)
 
-    fields = {name: value for name, value in merged.items() if "." not in name}
-    # A range error starts with the attribute's name; one the file set is
+    # An error starts with the attribute's name; one the file set is
     # renamed to its key as the file spells it.
     file_set = from_file.keys() - from_overrides.keys()
     spelled = {key.field.split(".")[-1]: key.path for key in _SCHEMA if key.field in file_set}
     try:
-        for outer, cls in (("generator", GeneratorConfig), ("rfa", RfaConfig)):
-            prefix = outer + "."
-            fields[outer] = cls(**{n[len(prefix):]: v for n, v in merged.items() if n.startswith(prefix)})
-        return PipelineConfig(**fields)
-    except (InvalidValueError, BadProportionsError) as exc:
+        return _with_fields(PipelineConfig(), merged)
+    except InvalidValueError as exc:
         name, _, rest = str(exc).partition(" ")
         raise type(exc)(f"{spelled.get(name, name)} {rest}") from exc
 
@@ -383,7 +362,11 @@ def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> tuple[Dataset,
     trace).  enter is called with each stage's name as the stage starts."""
     enter("data")
     if cfg.data_path is not None:
-        data = load_dataset(cfg.data_path)
+        try:
+            data = load_dataset(cfg.data_path)
+        except OSError as exc:
+            # The errno keeps the subclass, such as FileNotFoundError.
+            raise OSError(exc.errno, f"data.path: {exc.strerror}", exc.filename) from exc
     else:
         data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
 

@@ -67,6 +67,7 @@ from .fileio import _check_kind, _non_integer_row, _of_kind
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression_on_gradients"
+SQRT = "sqrt"
 
 
 @dataclass(frozen=True)
@@ -75,23 +76,26 @@ class TreeConfig:
 
     feature_subsample is the size of the random feature subset drawn at
     every node; None means all features, and a value larger than the
-    available feature count is clamped to it.
+    available feature count is clamped to it.  "sqrt" stands for the
+    square root of a study's full sensor count: a study config holds it,
+    PipelineConfig.ensemble_config resolves it, and fit_tree rejects it.
     """
 
     max_depth: int | None = None
     min_leaf: int = 1
-    feature_subsample: int | None = None
+    feature_subsample: int | str | None = None
     task: str = CLASSIFICATION
 
     def __post_init__(self):
         _check_kind("max_depth", self.max_depth, int, optional=True)
         _check_kind("min_leaf", self.min_leaf, int)
-        _check_kind("feature_subsample", self.feature_subsample, int, optional=True)
+        if self.feature_subsample != SQRT:
+            _check_kind("feature_subsample", self.feature_subsample, int, optional=True)
         if self.max_depth is not None and self.max_depth < 0:
             raise InvalidValueError("max_depth must be >= 0 or None")
         if self.min_leaf < 1:
             raise InvalidValueError("min_leaf must be >= 1")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
+        if self.feature_subsample not in (None, SQRT) and self.feature_subsample < 1:
             raise InvalidValueError("feature_subsample must be >= 1 or None")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise InvalidValueError(f"unknown task {self.task!r}")
@@ -487,7 +491,10 @@ def fit_tree(
             id outside [0, n_classes); the message names the first such
             row.
         NonFiniteInputError: x, or a regression target, is NaN or Inf.
+        InvalidValueError: cfg.feature_subsample is "sqrt", unresolved.
     """
+    if cfg.feature_subsample == SQRT:
+        raise InvalidValueError('feature_subsample "sqrt" must be resolved to a count before a tree is grown')
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidValueError("x must be a 2-D matrix")

@@ -4,6 +4,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from fddsense import cli
 from fddsense.cli import main
 from fddsense.dataset import Dataset, load_dataset, write_csv
 from fddsense.simgen import GeneratorConfig, generate_dataset
@@ -40,6 +41,32 @@ class TestSimgenCommand:
         invoke("simgen", "--out", str(a), "--rows", "60", "--seed", "9")
         invoke("simgen", "--out", str(b), "--rows", "60", "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's MemoryError subclass of a failed allocation."""
+
+
+class TestMemoryError:
+    """A legal input too large for memory ends in one Error line naming
+    MemoryError, not a traceback.  The allocation is faked."""
+
+    @pytest.mark.parametrize(
+        "command, target, args",
+        [("simgen", "generate_dataset", ["--out", "s.csv", "--rows", "1000000000"]),
+         ("pipeline", "run_pipeline", ["--rows", "1000000000", "--out", "p"])],
+        ids=["simgen", "pipeline"],
+    )
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, command, target, args):
+        def exhausted(*_args, **_kwargs):
+            raise _ArrayMemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(cli, target, exhausted)
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, [command, *args])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: MemoryError: Unable to allocate 298. GiB for an array"]
+        assert "Traceback" not in result.output
 
 
 class TestTrainCommand:

@@ -446,6 +446,7 @@ BAD_MODELS = [
     ("bagging", ("tree_config", "max_depth"), 3.0, "tree_config: max_depth must be an integer"),
     ("boosting", ("tree_config", "max_depth"), 2.0, "tree_config: max_depth must be an integer"),
     ("boosting", ("tree_config", "min_leaf"), True, "tree_config: min_leaf must be an integer"),
+    ("bagging", ("tree_config", "feature_subsample"), "sqrt", 'tree_config: feature_subsample "sqrt" is unresolved'),
 ]
 
 
@@ -546,6 +547,7 @@ class TestFddErrors:
             pytest.param("sensor", lambda: NoiseSpec(5, "failure"), id="sensor-int"),
             pytest.param("generator", lambda: PipelineConfig(generator={}), id="generator-dict"),
             pytest.param("rfa", lambda: PipelineConfig(rfa={}), id="rfa-dict"),
+            pytest.param("ensemble", lambda: PipelineConfig(ensemble={}), id="ensemble-dict"),
         ],
     )
     def test_wrong_typed_config_field_is_rejected_by_name(self, name, build):

@@ -8,7 +8,7 @@ import pytest
 
 from fddsense import ensembles, pipeline
 from fddsense.dataset import FAULT_CLASSES, split_train_test, undersample_majority, write_csv
-from fddsense.ensembles import fit_ensemble, load_model, model_json_text
+from fddsense.ensembles import EnsembleConfig, fit_ensemble, load_model, model_json_text
 from fddsense.errors import BadProportionsError, ConfigParseError, FddError, InvalidValueError
 from fddsense.pipeline import (
     _SCHEMA,
@@ -20,6 +20,7 @@ from fddsense.pipeline import (
 from fddsense.seeding import derive_seed
 from fddsense.selection import RfaConfig
 from fddsense.simgen import GeneratorConfig, generate_dataset
+from fddsense.trees import TreeConfig
 
 SMALL = {"generator": {"n_rows": 2500}, "n_trees": 10}
 
@@ -31,9 +32,37 @@ def nested(dotted, value):
     return value
 
 
+# The JSON values each schema key takes: int, float (which takes an int
+# too), bool, str, None for null, list for a list of numbers, or a
+# literal string.
+KINDS = {
+    "seed": (int,),
+    "data.path": (str, None),
+    "data.generator.n_rows": (int,),
+    "data.generator.class_proportions": (list,),
+    "train_fraction": (float,),
+    "undersample": (bool,),
+    "ensemble.method": ("bagging", "boosting"),
+    "ensemble.n_trees": (int,),
+    "ensemble.max_depth": (int, None),
+    "ensemble.min_leaf": (int,),
+    "ensemble.feature_subsample": (int, "sqrt", None),
+    "ensemble.bootstrap": (bool,),
+    "ensemble.learning_rate": (float,),
+    "ensemble.hard_vote": (bool,),
+    "rfa.threshold": (float,),
+    "rfa.max_sensors": (int, None),
+    "rfa.noise_snr_db": (float,),
+    "robustness.snr_db": (list,),
+    "robustness.include_failure": (bool,),
+    "out_dir": (str,),
+    "n_threads": (int,),
+}
+
+
 def wrong_values(key):
     """Values of the wrong JSON type for one schema key."""
-    kinds = key.kinds
+    kinds = KINDS[key.path]
     candidates = [
         (True, bool in kinds),
         (1, int in kinds or float in kinds),
@@ -83,7 +112,7 @@ class TestParseConfig:
         cfg = parse_config(str(file), None)
         assert cfg.seed == 9
         assert cfg.generator.n_rows == 500
-        assert cfg.n_trees == 4 and cfg.max_depth == 3
+        assert cfg.ensemble.n_trees == 4 and cfg.ensemble.tree.max_depth == 3
         assert cfg.rfa.threshold == 0.9 and cfg.rfa.max_sensors == 5
         assert cfg.snr_levels == (6.0, 3.0)
         assert cfg.include_failure is False
@@ -140,11 +169,14 @@ class TestParseConfig:
         assert cfg.snr_levels == (3000.0, -3000.0)
 
     def test_feature_subsample_forms(self):
-        assert PipelineConfig(feature_subsample="sqrt").ensemble_config(40).tree.feature_subsample == 6
-        assert PipelineConfig(feature_subsample=None).ensemble_config(40).tree.feature_subsample is None
-        assert PipelineConfig(feature_subsample=4).ensemble_config(40).tree.feature_subsample == 4
+        def study(subsample):
+            return PipelineConfig(ensemble=EnsembleConfig(tree=TreeConfig(feature_subsample=subsample)))
+
+        assert study("sqrt").ensemble_config(40).tree.feature_subsample == 6
+        assert study(None).ensemble_config(40).tree.feature_subsample is None
+        assert study(4).ensemble_config(40).tree.feature_subsample == 4
         with pytest.raises(InvalidValueError):
-            PipelineConfig(feature_subsample="log2")
+            study("log2")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -201,13 +233,25 @@ class TestParseConfig:
             parse_config(None, {**nested(override, value), **rest})
         assert str(info.value).startswith(name + " "), str(info.value)
 
+    def test_empty_data_path_is_rejected_by_name(self, tmp_path):
+        """Path("") is the working directory, which data.path never means."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"data": {"path": ""}}))
+        with pytest.raises(InvalidValueError, match=r"^data\.path must not be empty"):
+            parse_config(str(file), None)
+        with pytest.raises(InvalidValueError, match="^data_path must not be empty"):
+            parse_config(None, {"data_path": ""})
+
     def test_bad_value_types_rejected(self):
         with pytest.raises(InvalidValueError):
             parse_config(None, {"bogus_key": 3})
 
     @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
     def test_wrong_typed_values_rejected(self, tmp_path, key):
+        """A file's value is named by its dotted key, an override's by the
+        name its settings give it (as for a range error)."""
         file = tmp_path / "cfg.json"
+        name = key.field.split(".")[-1]
         for value in wrong_values(key):
             file.write_text(json.dumps(nested(key.path, value)))
             with pytest.raises(FddError) as info:
@@ -217,17 +261,17 @@ class TestParseConfig:
                 continue  # a None override means "not given"
             with pytest.raises(FddError) as info:
                 parse_config(None, nested(key.field, value))
-            assert key.field in str(info.value), value
+            assert name in str(info.value), value
 
     @pytest.mark.parametrize(
         "key",
-        [key for key in _SCHEMA if {int, float, list} & set(key.kinds)],
+        [key for key in _SCHEMA if {int, float, list} & set(KINDS[key.path])],
         ids=lambda key: key.path,
     )
     def test_non_finite_numbers_rejected(self, tmp_path, key):
         file = tmp_path / "cfg.json"
         for number in (float("nan"), float("inf"), float("-inf"), "1e400"):
-            value = [number] if list in key.kinds else number
+            value = [number] if list in KINDS[key.path] else number
             # json.dumps writes NaN, Infinity and -Infinity, which json.loads
             # reads back; the literal 1e400 reads as inf.
             file.write_text(json.dumps(nested(key.path, value)).replace('"1e400"', "1e400"))
@@ -235,7 +279,7 @@ class TestParseConfig:
                 parse_config(str(file), None)
             if number == "1e400":
                 continue
-            with pytest.raises(InvalidValueError, match=re.escape(key.field)):
+            with pytest.raises(InvalidValueError, match=re.escape(key.field.split(".")[-1])):
                 parse_config(None, nested(key.field, value))
 
     @pytest.mark.parametrize(
@@ -290,13 +334,13 @@ class TestParseConfig:
             generator=GeneratorConfig(n_rows=900, class_proportions=(0.4,) + (0.1,) * 6),
             train_fraction=0.6,
             undersample=False,
-            method="boosting",
-            n_trees=3,
-            max_depth=None,
-            min_leaf=2,
-            feature_subsample=None,
-            bootstrap=False,
-            learning_rate=0.5,
+            ensemble=EnsembleConfig(
+                method="boosting",
+                n_trees=3,
+                tree=TreeConfig(max_depth=None, min_leaf=2, feature_subsample=None),
+                bootstrap=False,
+                learning_rate=0.5,
+            ),
             rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0),
             snr_levels=(5.0,),
             include_failure=False,
@@ -320,6 +364,100 @@ class TestParseConfig:
                     assert whole[name] == value, name
 
         assert_within(json.loads(block), echo)
+
+
+# A small valid study that sets every schema key; out_dir is set per test.
+FUZZ_BASE = {
+    "seed": 1,
+    "data": {"path": None, "generator": {"n_rows": 400, "class_proportions": [0.4] + [0.1] * 6}},
+    "train_fraction": 0.75,
+    "undersample": True,
+    "ensemble": {
+        "method": "bagging", "n_trees": 3, "max_depth": 6, "min_leaf": 5, "feature_subsample": "sqrt",
+        "bootstrap": True, "learning_rate": 0.3, "hard_vote": False,
+    },
+    "rfa": {"threshold": 0.9, "max_sensors": 3, "noise_snr_db": 3.0},
+    "robustness": {"snr_db": [10, 0], "include_failure": True},
+    "n_threads": 1,
+}
+
+# Per schema key: (values of a JSON type it does not take, values of its
+# type that are out of its range).  data.path and out_dir take any
+# non-empty string, so no string is tried on them: the one would name a
+# missing file, the other a directory to write.
+FUZZ_VALUES = {
+    "seed": (["1", 1.5, True], []),
+    "data.path": ([1, True, ["plant.csv"]], []),
+    "data.generator.n_rows": (["400", 400.5, True], [0, -1]),
+    "data.generator.class_proportions": (["even", 1.0, [True] * 7], [[1.0], [-0.5, 1.5, 0, 0, 0, 0, 0], [0.5] * 7]),
+    "train_fraction": (["0.5", True], [0.0, 1.0, -0.5]),
+    "undersample": (["no", 1, 0.0], []),
+    "ensemble.method": ([1, True, ["bagging"]], ["forest", "Bagging"]),
+    "ensemble.n_trees": (["3", 3.0, True], [0, -1]),
+    "ensemble.max_depth": (["6", 6.0, True], [-1]),
+    "ensemble.min_leaf": (["5", 5.5, True], [0]),
+    "ensemble.feature_subsample": (["log2", 2.5, True], [0]),
+    "ensemble.bootstrap": (["no", 1], []),
+    "ensemble.learning_rate": (["0.3", True], [0.0, 1.5]),
+    "ensemble.hard_vote": (["yes", 0], []),
+    "rfa.threshold": (["0.9", True], [0.0, 1.01]),
+    "rfa.max_sensors": (["3", 2.5, True], [0]),
+    "rfa.noise_snr_db": (["3", True], [4000, -4000]),
+    "robustness.snr_db": ([10, "10", [True], ["10"]], [[4000], [3, -4000]]),
+    "robustness.include_failure": (["yes", 1], []),
+    "out_dir": ([1, True, ["out"]], []),
+    "n_threads": (["1", 1.0, True], [0, 2]),
+}
+
+
+def _fuzz_cases(path):
+    """(config file payload, the dotted key its error must name) for each
+    one-key mutation of FUZZ_BASE at path."""
+    wrong_type, out_of_range = FUZZ_VALUES[path]
+    *sections, leaf = path.split(".")
+    deep = {"a": {"b": {"c": 1}}}
+    edits = [(leaf, value, path) for value in wrong_type + out_of_range + [None, float("nan"), deep]]
+    sibling = ".".join(sections + ["bogus_key"])
+    edits.append(("bogus_key", 1, sibling))
+    for leaf_name, value, named in edits:
+        payload = json.loads(json.dumps(FUZZ_BASE))
+        node = payload
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf_name] = value
+        yield payload, named
+    if sections:
+        payload = json.loads(json.dumps(FUZZ_BASE))
+        node = payload
+        for section in sections[:-1]:
+            node = node[section]
+        node[sections[-1]] = 5
+        yield payload, ".".join(sections)
+
+
+class TestConfigFuzz:
+    def test_fuzz_values_cover_the_schema(self):
+        assert set(FUZZ_VALUES) == {key.path for key in _SCHEMA}
+
+    @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
+    def test_one_bad_key_is_rejected_by_name_or_runs(self, tmp_path, key):
+        """Each one-key mutation of a valid file (a wrong JSON type, null, an
+        out-of-range value, a NaN literal, an object three levels deep, an
+        unknown sibling key or a non-object section) is rejected by
+        parse_config with an FddError that names the dotted key, or runs to
+        the end."""
+        file = tmp_path / "cfg.json"
+        for index, (payload, named) in enumerate(_fuzz_cases(key.path)):
+            payload.setdefault("out_dir", str(tmp_path / f"out{index}"))
+            text = json.dumps(payload)
+            file.write_text(text)
+            try:
+                cfg = parse_config(str(file), None)
+            except FddError as exc:
+                assert named in str(exc), text
+                continue
+            result = run_pipeline(cfg)
+            assert (result.out_dir / "config.json").exists(), text
 
 
 class TestRunPipeline:
@@ -389,6 +527,21 @@ class TestRunPipeline:
         payload = json.loads((out / "error.json").read_text())
         assert payload["stage"] == "data"
         assert payload["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize(
+        "name, error", [("missing.csv", FileNotFoundError), ("adir", IsADirectoryError)]
+    )
+    def test_unreadable_data_path_is_named(self, tmp_path, name, error):
+        """An OSError of the data stage's load names data.path and keeps
+        its type, and error.json names the stage."""
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "out"
+        cfg = parse_config(None, {"data_path": str(tmp_path / name), "out_dir": str(out)})
+        with pytest.raises(error, match="data.path: "):
+            run_pipeline(cfg)
+        payload = json.loads((out / "error.json").read_text())
+        assert (payload["stage"], payload["error"]) == ("data", error.__name__)
+        assert "data.path: " in payload["message"]
 
     @pytest.mark.parametrize(
         "stage, target",

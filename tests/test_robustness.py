@@ -216,13 +216,17 @@ MODELS = {
 }
 
 
-def _differential_tables(seed=6):
-    """(train, test) of 1,500 generated rows each, on SENSORS."""
+def _differential_tables(seed=6, step=None):
+    """(train, test) of 1,500 generated rows each, on SENSORS; with step,
+    every reading is rounded to a multiple of it, as a plant logger
+    writes them, so that many rows tie at each split's values."""
     tables = []
     for part in (0, 1):
         d = generate_dataset(GeneratorConfig(n_rows=1500), seed + part)
         d = d.select_sensors([d.sensor_index(s) for s in SENSORS])
         values = d.values.copy()
+        if step is not None:
+            values = np.round(values / step) * step
         flip = np.random.default_rng(seed + part).random(d.n_rows) < 0.2
         values[:, 3] = np.where((d.labels % 2 == 0) ^ flip, 1.0, -1.0)
         values[:, 4] = 5.0
@@ -231,8 +235,8 @@ def _differential_tables(seed=6):
     return tables
 
 
-def _model_and_test(name):
-    train, test = _differential_tables()
+def _model_and_test(name, step=None):
+    train, test = _differential_tables(step=step)
     return fit_ensemble(train.values, train.labels, MODELS[name], 3, train.symbols), test
 
 
@@ -261,6 +265,24 @@ def rerouted(monkeypatch):
     return calls
 
 
+def _check_every_scenario(name, model, test):
+    """Every AWGN level and the failure on each of SENSORS, scored by
+    run_scenarios, equal _full_rescore."""
+    specs = [NoiseSpec(s, AWGN, level) for s in SENSORS for level in (20.0, 3.0, 0.0, -5.0)]
+    specs += [NoiseSpec(s, FAILURE) for s in SENSORS]
+    report = run_scenarios(model, test, specs, seed=17)
+    assert report.baseline.macro_f1 == evaluate(model, test).macro_f1
+    for spec, row in zip(specs, report.scenarios, strict=True):
+        full = _full_rescore(model, test, spec, 17)
+        assert (row.spec, row.macro_f1, row.accuracy) == (full.spec, full.macro_f1, full.accuracy)
+        same_snr = row.measured_snr_db == full.measured_snr_db
+        assert same_snr or math.isnan(row.measured_snr_db) and math.isnan(full.measured_snr_db)
+    if MODELS[name].tree.max_depth == 0:  # one leaf per tree: nothing moves
+        assert {(r.macro_f1, r.accuracy) for r in report.scenarios} == {
+            (report.baseline.macro_f1, report.baseline.accuracy)
+        }
+
+
 class TestScenariosMatchFullRescoring:
     """run_scenarios re-routes only the rows that leave their clean leaf;
     every result must equal perturbing the whole test set and calling
@@ -268,20 +290,12 @@ class TestScenariosMatchFullRescoring:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_scenario_equals_evaluate_on_its_perturbed_rows(self, name):
-        model, test = _model_and_test(name)
-        specs = [NoiseSpec(s, AWGN, level) for s in SENSORS for level in (20.0, 3.0, 0.0, -5.0)]
-        specs += [NoiseSpec(s, FAILURE) for s in SENSORS]
-        report = run_scenarios(model, test, specs, seed=17)
-        assert report.baseline.macro_f1 == evaluate(model, test).macro_f1
-        for spec, row in zip(specs, report.scenarios, strict=True):
-            full = _full_rescore(model, test, spec, 17)
-            assert (row.spec, row.macro_f1, row.accuracy) == (full.spec, full.macro_f1, full.accuracy)
-            same_snr = row.measured_snr_db == full.measured_snr_db
-            assert same_snr or math.isnan(row.measured_snr_db) and math.isnan(full.measured_snr_db)
-        if MODELS[name].tree.max_depth == 0:  # one leaf per tree: nothing moves
-            assert {(r.macro_f1, r.accuracy) for r in report.scenarios} == {
-                (report.baseline.macro_f1, report.baseline.accuracy)
-            }
+        _check_every_scenario(name, *_model_and_test(name))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    def test_every_scenario_equals_evaluate_on_logger_rounded_rows(self, name, step):
+        _check_every_scenario(name, *_model_and_test(name, step))
 
     def test_rows_on_their_leafs_upper_threshold_are_not_routed_again(self, rerouted):
         """A dead signed sensor reads 0.0, the threshold of every split on

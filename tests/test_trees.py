@@ -21,6 +21,7 @@ from fddsense.errors import (
     DimensionMismatchError,
     EmptyInputError,
     EmptyNodeError,
+    InvalidValueError,
     LabelOutOfRangeError,
     ModelFormatError,
     NonFiniteInputError,
@@ -327,6 +328,15 @@ class TestFeatureSubsampling:
         a = fit_tree(x, y, cfg, rng_seed=1)
         b = fit_tree(x, y, cfg, rng_seed=2)
         assert tree_to_dict(a) == tree_to_dict(b)
+
+    def test_unresolved_sqrt_is_rejected(self):
+        """"sqrt" is a study's setting for the square root of its full
+        sensor count; only the study knows that count, so a tree cannot
+        resolve it from its own columns."""
+        x = np.arange(20.0).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        with pytest.raises(InvalidValueError, match='feature_subsample "sqrt"'):
+            fit_tree(x, y, TreeConfig(feature_subsample="sqrt"))
 
 
 class TestRegressionTask:
