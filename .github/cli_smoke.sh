@@ -23,7 +23,7 @@ fddsense robustness --model m.json --data big.csv --fail-sensor --out rb
 test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
-fddsense rfa --data d.csv --trees 3 --max-sensors 3
+fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
 while read -r key config; do
   echo "$config" > bad.json
   status=0
@@ -39,5 +39,6 @@ rfa.max_sensors {"rfa": {"max_sensors": 2.5}}
 ensemble.method {"ensemble": {"method": 1}}
 ensemble.max_depth {"ensemble": {"max_depth": 2.0}}
 data.path {"data": {"path": ""}}
+robustness.snr_db {"robustness": {"snr_db": [3, 3]}}
 ensemble.learning_rate {"ensemble": {"learning_rate": 5.0}}
 CONFIGS

@@ -26,8 +26,9 @@ from .ensembles import (
 )
 from .errors import FddError
 from .fileio import atomic_write_text
-from .pipeline import DEFAULT_SNR_LEVELS, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _probe, _select, _with_fields, _write_pair
+from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
+from .pipeline import _select, _with_fields, _write_pair
+from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig
 from .simgen import GeneratorConfig, generate_dataset
@@ -56,7 +57,12 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
         raise click.BadParameter(f"expected comma-separated numbers, got {text!r}")
     if not levels or any(not math.isfinite(v) for v in levels):
         raise click.BadParameter(f"expected finite SNR values, got {text!r}")
+    if len(set(levels)) < len(levels):
+        raise click.BadParameter(f"expected distinct SNR values, got {text!r}")
     return levels
+
+
+_SNR_DEFAULT = ",".join(f"{v:g}" for v in RfaConfig.snr_levels)
 
 
 _HELP = {
@@ -125,10 +131,13 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
         "n_trees": trees,
         "train_fraction": train_fraction,
         "generator": None if rows is None else {"n_rows": rows},
-        "rfa": None if threshold is None else {"threshold": threshold},
+    }
+    rfa_fields = {
+        "threshold": threshold,
         "snr_levels": None if snr is None else _parse_snr_list(snr),
         "include_failure": False if no_failure else None,
     }
+    overrides["rfa"] = {name: value for name, value in rfa_fields.items() if value is not None}
     try:
         cfg = parse_config(config_path, overrides)
         result = run_pipeline(cfg)
@@ -204,20 +213,21 @@ def importance(model_path, top):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=RfaConfig.threshold, show_default=True)
 @click.option("--max-sensors", type=int, default=None)
-@click.option("--snr-probe", type=float, default=RfaConfig.noise_snr_db, show_default=True, help="SNR of the per-step noise probe (dB).")
+@click.option("--snr", default=_SNR_DEFAULT, show_default=True, help="Comma-separated SNR levels in dB of each step's scenarios.")
 @click.option("--train-fraction", type=float, default=PipelineConfig.train_fraction, show_default=True)
 @click.option("--out", "out_dir", type=_Path(), default=None, help="Write trace artifacts here.")
 @_with_ensemble_options
-def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_dir, **ensemble_fields):
+def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, **ensemble_fields):
     """Rank sensors, then grow the smallest set meeting the threshold.
 
     Runs the pipeline's data, rebalance, split and selection stages, so
     the trace is the pipeline's for the same CSV, seed and flags."""
+    levels = _parse_snr_list(snr)
     try:
-        rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, noise_snr_db=snr_probe)
+        rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=levels)
         cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
                                           rfa=rfa_cfg), ensemble_fields)
-        _, trace = _select(cfg, lambda stage: None)
+        trace = _select(cfg, lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -225,11 +235,10 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
             atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
     except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
+    labels = [row.spec.label() for row in trace.robustness.scenarios]
     for step in trace.steps:
-        click.echo(
-            f"k={step.sensor_count:2d} +{step.added_sensor:<8s} "
-            f"clean={step.clean_f1:.4f} noisy={step.noisy_f1:.4f}"
-        )
+        noisy = "".join(f" {label}={f1:.4f}" for label, f1 in zip(labels, step.noisy_f1))
+        click.echo(f"k={step.sensor_count:2d} +{step.added_sensor:<8s} clean={step.clean_f1:.4f}{noisy}")
     click.echo(f"threshold {trace.threshold:g} met: {trace.threshold_met}")
     click.echo("selected: " + ", ".join(trace.selected))
     if out_dir is not None:
@@ -240,7 +249,7 @@ def rfa(data_path, seed, threshold, max_sensors, snr_probe, train_fraction, out_
 @click.option("--model", "model_path", type=_Path(), required=True)
 @click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
-@click.option("--snr", default=",".join(f"{v:g}" for v in DEFAULT_SNR_LEVELS), show_default=True, help="Comma-separated SNR levels in dB.")
+@click.option("--snr", default=_SNR_DEFAULT, show_default=True, help="Comma-separated SNR levels in dB.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=_Path(), default=None, help="Write robustness artifacts here.")
@@ -252,7 +261,10 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
         data = load_dataset(data_path)
         if sensor is None:
             sensor = rank_features(model)[0][0]
-        report = _probe(model, data, sensor, levels, fail_sensor, derive_seed(seed, "robustness"))
+        if data.symbols != model.feature_names:
+            data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
+        specs = _specs(sensor, levels, fail_sensor)
+        report = run_scenarios(model, data, specs, derive_seed(seed, "robustness"))
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)

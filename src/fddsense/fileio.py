@@ -15,6 +15,7 @@ import numbers
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -113,11 +114,20 @@ def _csv_rows(records: list[dict]) -> list[list[str]]:
 
 def _read_json(path: str | Path, error: type, what: str):
     """The JSON value in the file at path.  OSError propagates; a file
-    that is not UTF-8 JSON, or that nests too deep to parse, raises error
-    with a message that starts with what."""
+    that is not UTF-8 JSON, that repeats a key in one object, or that
+    nests too deep to parse, raises error with a message that starts with
+    what."""
+
+    def unique(pairs: list) -> dict:
+        record = dict(pairs)
+        if len(record) < len(pairs):
+            repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+            raise error(f"{what} repeats the key {repeated!r} in one object")
+        return record
+
     raw = Path(path).read_bytes()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8, a huge integer, deep nesting

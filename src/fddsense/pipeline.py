@@ -1,11 +1,12 @@
 """End-to-end study runner: data to ranked sensors to robustness artifacts.
 
-One run goes through the stages data, rebalance, split, selection,
-robustness and artifacts: it loads (or generates) a dataset, rebalances
-it, splits it, ranks all sensors and shrinks the sensor set by recursive
-feature addition (selection.run_rfa), and probes the model of the
-addition's last step, which was trained on exactly the selected set,
-against noise and a dead top sensor.  Every stage draws its randomness
+One run goes through the stages data, rebalance, split, selection and
+artifacts: it loads (or generates) a dataset, rebalances it, splits it,
+ranks all sensors and shrinks the sensor set by recursive feature
+addition (selection.run_rfa), which scores every step's model against
+noise and a dead top sensor.  The last step's model, trained on exactly
+the selected set, is the study's model, and its scenario run is the
+study's robustness report.  Every stage draws its randomness
 from a seed derived from (master seed, stage name), so a run is one pure
 function of (config, seed), and on one machine its artifact files are
 byte-identical across repeats.  Boosting's artifacts can differ between
@@ -22,23 +23,21 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .dataset import Dataset, load_dataset, split_train_test, undersample_majority
+from .dataset import load_dataset, split_train_test, undersample_majority
 from .ensembles import EnsembleConfig, save_model
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
 from .ensembles import fit_ensemble  # noqa: F401
 from .errors import ConfigParseError, InvalidValueError
-from .fileio import _check_kind, _of_kind, _read_json, atomic_write_text, write_csv_rows, write_json
+from .fileio import _check_kind, _read_json, atomic_write_text, write_csv_rows, write_json
 from .metrics import ClassReport
-from .robustness import AWGN, FAILURE, NoiseSpec, RobustnessReport, _snr_ratio, run_scenarios
+from .robustness import RobustnessReport
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
 from .simgen import GeneratorConfig, generate_dataset
 from .trees import SQRT, TreeConfig
 
 OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
-
-DEFAULT_SNR_LEVELS = (10.0, 3.0, 0.0)
 
 
 class _Key(NamedTuple):
@@ -74,9 +73,8 @@ _SCHEMA = (
     _Key("ensemble.hard_vote", "hard_vote"),
     _Key("rfa.threshold", "rfa.threshold"),
     _Key("rfa.max_sensors", "rfa.max_sensors"),
-    _Key("rfa.noise_snr_db", "rfa.noise_snr_db"),
-    _Key("robustness.snr_db", "snr_levels"),
-    _Key("robustness.include_failure", "include_failure"),
+    _Key("robustness.snr_db", "rfa.snr_levels"),
+    _Key("robustness.include_failure", "rfa.include_failure"),
     # Placement cannot affect results, so the echo leaves it out and stays
     # byte-stable across destinations.
     _Key("out_dir", "out_dir", echo=False),
@@ -144,15 +142,12 @@ class PipelineConfig:
         n_trees=25, tree=TreeConfig(max_depth=12, min_leaf=5, feature_subsample=SQRT)
     )
     rfa: RfaConfig = field(default_factory=RfaConfig)
-    snr_levels: tuple[float, ...] = DEFAULT_SNR_LEVELS
-    include_failure: bool = True
     out_dir: str = "fdd-out"
     n_threads: int = 1
 
     def __post_init__(self):
         kinds = {"seed": int, "generator": GeneratorConfig, "train_fraction": float, "undersample": bool,
-                 "ensemble": EnsembleConfig, "rfa": RfaConfig, "include_failure": bool, "out_dir": str,
-                 "n_threads": int}
+                 "ensemble": EnsembleConfig, "rfa": RfaConfig, "out_dir": str, "n_threads": int}
         for name, kind in kinds.items():
             _check_kind(name, getattr(self, name), kind)
         _check_kind("data_path", self.data_path, str, optional=True)
@@ -162,16 +157,6 @@ class PipelineConfig:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads != 1:
             raise InvalidValueError(f"n_threads must be 1: every fit runs on one thread, got {self.n_threads}")
-        if not isinstance(self.snr_levels, (list, tuple)) or not all(_of_kind(float, v) for v in self.snr_levels):
-            raise InvalidValueError(f"snr_levels must be a list of finite numbers, got {self.snr_levels!r}")
-        object.__setattr__(self, "snr_levels", tuple(float(v) for v in self.snr_levels))
-        snr_keys = {"robustness.snr_db": self.snr_levels, "rfa.noise_snr_db": [self.rfa.noise_snr_db]}
-        for name, levels in snr_keys.items():
-            for level in levels:
-                if _snr_ratio(level) is None:
-                    raise InvalidValueError(
-                        f"{name} {level!r} is out of range: 10^(snr/10) must be a finite positive float"
-                    )
 
     def ensemble_config(self, n_sensors: int) -> EnsembleConfig:
         """The ensemble recipe, with a feature_subsample of "sqrt" resolved
@@ -251,8 +236,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 class PipelineResult:
     """Everything a run produced, plus where the artifacts were written.
 
-    trace holds the sensor ranking and the final model (trace.model);
-    report is that model's clean test report, robustness.baseline.
+    trace holds the sensor ranking, the final model (trace.model) and
+    that model's scenario run, robustness (trace.robustness); report is
+    its clean test report, robustness.baseline.
     """
 
     config: PipelineConfig
@@ -263,13 +249,18 @@ class PipelineResult:
     artifact_paths: dict[str, Path]
 
 
+# Scenario curve colours, reused in turn past the sixth scenario.
+_SCENARIO_COLORS = ("#f59e0b", "#dc2626", "#7c3aed", "#0891b2", "#db2777", "#65a30d")
+
+
 def _chart_svg(trace: RfaTrace) -> str:
-    """Line chart of clean and noise-probed macro-F1 versus sensor count."""
+    """Line chart of macro-F1 versus sensor count: clean, and one dashed
+    curve per scenario of the trace."""
     width, height = 640, 400
     left, right, top, bottom = 58, 16, 18, 46
     plot_w, plot_h = width - left - right, height - top - bottom
-    counts = [s.sensor_count for s in trace.steps]
-    xmax = max(counts) if counts else 1
+    base = top + plot_h
+    xmax = trace.steps[-1].sensor_count
 
     def x_at(k: float) -> float:
         return left + plot_w * (k - 1) / max(xmax - 1, 1)
@@ -277,89 +268,55 @@ def _chart_svg(trace: RfaTrace) -> str:
     def y_at(f: float) -> float:
         return top + plot_h * (1.0 - f)
 
+    def line(x1, y1, x2, y2, color="#374151", stroke=1, dash=None):
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                     f'stroke="{color}" stroke-width="{stroke}"{dash_attr}/>')
+
+    def text(x, y, body, color="#374151", anchor="middle", extra=""):
+        parts.append(f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" fill="{color}"{extra}>{body}</text>')
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for tick in range(0, 11, 2):
-        f = tick / 10.0
-        y = y_at(f)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" '
-            f'stroke="#e5e7eb" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" fill="#374151">{f:.1f}</text>'
-        )
-    x_step = max(1, (xmax - 1) // 12 + 1) if xmax > 1 else 1
-    for k in range(1, xmax + 1, x_step):
-        x = x_at(k)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 4}" '
-            f'stroke="#374151" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 18}" text-anchor="middle" '
-            f'fill="#374151">{k}</text>'
-        )
-    parts.append(
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
-        f'stroke="#374151" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
-        f'stroke="#374151" stroke-width="1.5"/>'
-    )
+        y = y_at(tick / 10.0)
+        line(left, y, left + plot_w, y, "#e5e7eb")
+        text(left - 8, y + 4, f"{tick / 10.0:.1f}", anchor="end")
+    for k in range(1, xmax + 1, (xmax - 1) // 12 + 1):
+        line(x_at(k), base, x_at(k), base + 4)
+        text(x_at(k), base + 18, k)
+    line(left, base, left + plot_w, base, stroke=1.5)
+    line(left, top, left, base, stroke=1.5)
     y_thr = y_at(trace.threshold)
-    parts.append(
-        f'<line x1="{left}" y1="{y_thr:.2f}" x2="{left + plot_w}" y2="{y_thr:.2f}" '
-        f'stroke="#16a34a" stroke-width="1" stroke-dasharray="2 4"/>'
-    )
-    parts.append(
-        f'<text x="{left + plot_w}" y="{y_thr - 5:.2f}" text-anchor="end" '
-        f'fill="#16a34a">threshold {trace.threshold:g}</text>'
-    )
-    series = (
-        ("clean", "#2563eb", None, [(s.sensor_count, s.clean_f1) for s in trace.steps]),
-        ("noisy top sensor", "#f59e0b", "6 3", [(s.sensor_count, s.noisy_f1) for s in trace.steps]),
-    )
-    for _, color, dash, points in series:
-        if not points:
-            continue
-        coords = " ".join(f"{x_at(k):.2f},{y_at(v):.2f}" for k, v in points)
+    line(left, y_thr, left + plot_w, y_thr, "#16a34a", dash="2 4")
+    text(left + plot_w, y_thr - 5, f"threshold {trace.threshold:g}", "#16a34a", "end")
+    series = [("clean", "#2563eb", None, [s.clean_f1 for s in trace.steps])]
+    for index, row in enumerate(trace.robustness.scenarios):
+        color = _SCENARIO_COLORS[index % len(_SCENARIO_COLORS)]
+        series.append((row.spec.label(), color, "6 3", [s.noisy_f1[index] for s in trace.steps]))
+    for _, color, dash, scores in series:
+        points = [(x_at(s.sensor_count), y_at(f)) for s, f in zip(trace.steps, scores)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"{dash_attr}/>'
-        )
-        for k, v in points:
-            parts.append(
-                f'<circle cx="{x_at(k):.2f}" cy="{y_at(v):.2f}" r="3" fill="{color}"/>'
-            )
-    legend_y = top + 14
-    for name, color, _, _ in series:
-        parts.append(
-            f'<rect x="{left + 12}" y="{legend_y - 9}" width="18" height="4" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{left + 36}" y="{legend_y - 2}" fill="#111827">{name}</text>'
-        )
-        legend_y += 18
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" text-anchor="middle" '
-        f'fill="#111827">sensors used (ranked order)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" fill="#111827" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.2f})">macro-F1</text>'
-    )
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"{dash_attr}/>')
+        parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>' for x, y in points]
+    for index, (name, color, _, _) in enumerate(series):
+        legend_y = top + 14 + 18 * index
+        parts.append(f'<rect x="{left + 12}" y="{legend_y - 9}" width="18" height="4" fill="{color}"/>')
+        text(left + 36, legend_y - 2, name, "#111827", "start")
+    text(left + plot_w / 2, height - 8, "sensors used (ranked order)", "#111827")
+    middle = top + plot_h / 2
+    text(16, middle, "macro-F1", "#111827", extra=f' transform="rotate(-90 16 {middle:.2f})"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> tuple[Dataset, RfaTrace]:
-    """Run the stages data, rebalance, split and selection: (test set,
-    trace).  enter is called with each stage's name as the stage starts."""
+def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> RfaTrace:
+    """Run the stages data, rebalance, split and selection, and return the
+    trace.  enter is called with each stage's name as the stage starts."""
     enter("data")
     if cfg.data_path is not None:
         try:
@@ -378,21 +335,7 @@ def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> tuple[Dataset,
     train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
 
     enter("selection")
-    trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
-    return test, trace
-
-
-def _probe(model, data: Dataset, sensor: str, snr_levels, include_failure: bool,
-           seed: int) -> RobustnessReport:
-    """Score model on its own sensors of data, picked by name: clean, with
-    noise on sensor at each SNR level, and with sensor dead if
-    include_failure."""
-    if data.symbols != model.feature_names:
-        data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-    specs = [NoiseSpec(sensor=sensor, mode=AWGN, snr_db=level) for level in snr_levels]
-    if include_failure:
-        specs.append(NoiseSpec(sensor=sensor, mode=FAILURE))
-    return run_scenarios(model, data, specs, seed)
+    return run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
 
 
 def _write_pair(out_dir: Path, name: str, result) -> dict[str, Path]:
@@ -414,20 +357,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = ["setup"]
     try:
-        test, trace = _select(cfg, stages.append)
-
-        stages.append("robustness")
-        robustness = _probe(trace.model, test, trace.ranking[0], cfg.snr_levels,
-                            cfg.include_failure, derive_seed(cfg.seed, "robustness"))
-        report = robustness.baseline
+        trace = _select(cfg, stages.append)
 
         stages.append("artifacts")
         paths = {
             "config": out_dir / "config.json",
             "model": out_dir / "model.json",
             **_write_pair(out_dir, "rfa_trace", trace),
-            **_write_pair(out_dir, "robustness", robustness),
-            **_write_pair(out_dir, "class_report", report),
+            **_write_pair(out_dir, "robustness", trace.robustness),
+            **_write_pair(out_dir, "class_report", trace.robustness.baseline),
             "chart": out_dir / "rfa_curves.svg",
         }
         write_json(paths["config"], cfg.to_json_dict())
@@ -442,5 +380,5 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             pass
         raise
 
-    return PipelineResult(config=cfg, trace=trace, report=report, robustness=robustness,
-                          out_dir=out_dir, artifact_paths=paths)
+    return PipelineResult(config=cfg, trace=trace, report=trace.robustness.baseline,
+                          robustness=trace.robustness, out_dir=out_dir, artifact_paths=paths)

@@ -53,6 +53,15 @@ class NoiseSpec:
         return f"{self.sensor}:awgn@{self.snr_db:g}dB"
 
 
+def _specs(sensor: str, snr_levels, include_failure: bool) -> list[NoiseSpec]:
+    """A study's scenario list on one sensor: AWGN at each SNR level, in
+    order, then the sensor's failure if include_failure."""
+    specs = [NoiseSpec(sensor=sensor, mode=AWGN, snr_db=level) for level in snr_levels]
+    if include_failure:
+        specs.append(NoiseSpec(sensor=sensor, mode=FAILURE))
+    return specs
+
+
 def _snr_ratio(snr_db) -> float | None:
     """The power ratio 10^(snr_db / 10), or None if it is not a finite
     positive float (below about -3236 dB or above 3082 dB)."""

@@ -89,8 +89,8 @@ class TreeConfig:
     def __post_init__(self):
         _check_kind("max_depth", self.max_depth, int, optional=True)
         _check_kind("min_leaf", self.min_leaf, int)
-        if self.feature_subsample != SQRT:
-            _check_kind("feature_subsample", self.feature_subsample, int, optional=True)
+        if not (self.feature_subsample in (SQRT, None) or _of_kind(int, self.feature_subsample)):
+            raise InvalidValueError(f'feature_subsample must be an integer, "sqrt" or None, got {self.feature_subsample!r}')
         if self.max_depth is not None and self.max_depth < 0:
             raise InvalidValueError("max_depth must be >= 0 or None")
         if self.min_leaf < 1:

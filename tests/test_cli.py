@@ -240,14 +240,26 @@ class TestRfaCommand:
             rfa, pipeline = ((tmp_path / side / name).read_bytes() for side in ("rfa", "pipeline"))
             assert rfa == pipeline, name
 
-    @pytest.mark.parametrize("probe", ["4000", "-4000"])
-    def test_extreme_snr_probe_fails_cleanly(self, tmp_path, probe):
-        result = invoke("rfa", "--data", str(make_csv(tmp_path)), f"--snr-probe={probe}")
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "3,4000"])
+    def test_extreme_snr_fails_cleanly(self, tmp_path, snr):
+        result = invoke("rfa", "--data", str(make_csv(tmp_path)), f"--snr={snr}")
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: InvalidValueError: rfa.noise_snr_db {float(probe)!r} is out of range: "
+            f"Error: InvalidValueError: snr_levels {float(snr.split(',')[-1])!r} is out of range: "
             "10^(snr/10) must be a finite positive float"
         ]
+
+    def test_prints_one_score_per_scenario(self, tmp_path):
+        result = invoke("rfa", "--data", str(make_csv(tmp_path)), "--trees", "3", "--max-sensors", "2",
+                        "--snr", "6,-2")
+        assert result.exit_code == 0, result.output
+        steps = [line for line in result.output.splitlines() if line.startswith("k=")]
+        assert len(steps) == 2
+        for line in steps:
+            scores = line[line.index("clean="):].split()
+            assert [part.split("=")[0].split(":")[-1] for part in scores] == [
+                "clean", "awgn@6dB", "awgn@-2dB", "failure"
+            ]
 
 
     def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
@@ -261,6 +273,23 @@ class TestRfaCommand:
         assert result.output.splitlines() == [
             f"Error: FileExistsError: [Errno 17] File exists: {str(blocker)!r}"
         ]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "rfa", "robustness"])
+@pytest.mark.parametrize("snr", ["3,3", "0,-0", "10,3,10.0"])
+def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
+    """A level is one scenario: the --snr parser rejects a repeated one
+    before anything runs."""
+    args = {
+        "pipeline": ["--out", str(tmp_path / "p")],
+        "rfa": ["--data", str(tmp_path / "missing.csv")],
+        "robustness": ["--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "missing.csv")],
+    }[command]
+    result = invoke(command, *args, "--snr", snr)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value: expected distinct SNR values, got {snr!r}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRobustnessCommand:
@@ -447,8 +476,30 @@ class TestPipelineCommand:
         result = invoke("pipeline", f"--snr={snr}", "--out", str(out))
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: InvalidValueError: robustness.snr_db {float(snr.split(',')[-1])!r} "
+            f"Error: InvalidValueError: snr_levels {float(snr.split(',')[-1])!r} "
             "is out of range: 10^(snr/10) must be a finite positive float"
+        ]
+        assert not out.exists()
+
+    def test_repeated_snr_level_in_a_config_fails_before_any_stage(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"robustness": {"snr_db": [10, 3, 3]}}))
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: InvalidValueError: robustness.snr_db repeats the level 3.0: each level is one scenario"
+        ]
+        assert not out.exists()
+
+    def test_repeated_key_in_a_config_fails_before_any_stage(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "seed": 2}')
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: ConfigParseError: config file {cfg} repeats the key 'seed' in one object"
         ]
         assert not out.exists()
 
@@ -506,7 +557,7 @@ ACCEPTED = {
     ("train", "--max-depth"): {"zero"},
     ("train", "--feature-subsample"): {"empty"},
     ("rfa", "--seed"): {"negative", "zero"},
-    ("rfa", "--snr-probe"): {"negative", "zero"},
+    ("rfa", "--snr"): {"negative", "zero"},
     ("rfa", "--out"): set(EDGE_VALUES) - {"empty"},
     ("rfa", "--max-depth"): {"zero"},
     ("rfa", "--feature-subsample"): {"empty"},

@@ -340,6 +340,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["n_classes", "feature"], ids=["model", "tree"])
+    def test_repeated_key_rejected(self, tmp_path, key):
+        """json.loads would keep the last of a repeated key; a model file
+        that repeats one, in the model's object or in a tree's, is refused,
+        and the key is named."""
+        payload = model_to_dict(hand_model_a())
+        text = json.dumps(payload)
+        inner = json.dumps(payload if key == "n_classes" else payload["trees"][0])
+        assert key in json.loads(inner)
+        text = text.replace(inner, f'{{"{key}": 0, ' + inner[1:], 1)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=f"^model file repeats the key '{key}' in one object$"):
+            load_model(path)
+
     def test_saved_file_is_canonical_json(self, tmp_path):
         model = hand_model_a()
         path = tmp_path / "model.json"
@@ -542,6 +557,8 @@ class TestFddErrors:
             pytest.param("hard_vote", lambda: EnsembleConfig(hard_vote="no"), id="hard_vote-str"),
             pytest.param("max_sensors", lambda: RfaConfig(max_sensors=2.5), id="max_sensors-2.5"),
             pytest.param("threshold", lambda: RfaConfig(threshold="0.9"), id="threshold-str"),
+            pytest.param("snr_levels", lambda: RfaConfig(snr_levels=3.0), id="snr_levels-float"),
+            pytest.param("include_failure", lambda: RfaConfig(include_failure=1), id="include_failure-int"),
             pytest.param("n_rows", lambda: GeneratorConfig(n_rows=2.5), id="n_rows-2.5"),
             pytest.param("snr_db", lambda: NoiseSpec("T_C", "awgn", True), id="snr_db-True"),
             pytest.param("sensor", lambda: NoiseSpec(5, "failure"), id="sensor-int"),

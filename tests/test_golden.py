@@ -55,24 +55,24 @@ STUDY_GOLDEN = {
     "bagging": {
         "class_report.csv": "6036a8d5966865cd72533acc954ad430c45eaf312038699078828bfca3aa3e21",
         "class_report.json": "333aee75b1ae47a41297dda03f221a56d4e238035c8cedff94ebac5d02c3dd90",
-        "config.json": "7dc0674f2bf62d89c0aad328af155cdcc9468b12e0ae4273c6caf5f9c6ce469e",
+        "config.json": "3db0bb5e4a685fa1f70f6c7be680d0cdfae829155e07a1ea34e233ce5e86751d",
         "model.json": "0e73ad6c22f1d87708e24ca8b64ac0fde2bc20d6213e7e93fc2741a7c7eba654",
-        "rfa_curves.svg": "a517bd070c02488d1f43baa3cc4e9e28297cc92554ea1f75b44ecce03fbc2f1a",
-        "rfa_trace.csv": "42cd07edc0941d0cd03f3c658b1d216599337bdaf68c9c2a2b1db6b811e6ffea",
-        "rfa_trace.json": "8187a4e592683c2d88fd7fa098eaf9a48f1ba74ddb4fc714d0c39eecac9c2d28",
-        "robustness.csv": "42ac562a3109dbc52f276dd5358e878be16c3a6e8c254326bccd0ddf0df3c5b5",
-        "robustness.json": "bd33c39a42c9ed451d2256feb01ed6e0772db3c4f19ad2f552d606d5b65edf6e",
+        "rfa_curves.svg": "be343038708c7ffb6a93253ec68e02b794306beec4a2cf55cc3a49350cfb90af",
+        "rfa_trace.csv": "2f40abe50cbd66cd25a9c1a772d9dbc802308923fa6f57d04ee24a413e1a841b",
+        "rfa_trace.json": "996db8f9d2352b448b50a47d20c858848573e6dd8b8454dccd37e1841267251a",
+        "robustness.csv": "5151672fab210762bc58cf85b13cf6e8e698469847512473409c69339c1852b7",
+        "robustness.json": "965e1eb69a4294361a8f148c74e3d125b1a3004fbe967ce3d0041b357d1cefea",
     },
     "boosting": {
         "class_report.csv": "2396b4d5f934ca956879951ee84d91b4bc00ae8f6b8a7e5bd5ba4a0b544e5b23",
         "class_report.json": "b56ec0359f94e9329a493f64ddf577e2877241710161f1c9c939fee9ba44a04f",
-        "config.json": "74a9a29e1bc8de8c76cfa5683fafad30e84529b65a982f07890f09e42ec1e8e3",
+        "config.json": "12a2b1e5b019f2471bfb32fc4b747d3a4e7c973927ab31d2e1795a85be4b3726",
         "model.json": "79487c31950c2d507bb0469bf1af37873e73e73c40ee08b4b3859b746b03a43f",
-        "rfa_curves.svg": "18eeee355212889d90a1381cfdfc4a712e9919be9c99db2d74207eb5015b105f",
-        "rfa_trace.csv": "8391b0c276ab1deda9e7659f16256964334a47d511ebd04e6c08c9221f39fd86",
-        "rfa_trace.json": "dcc9327a8d366e676314859cf3968a5366550e0b64ebbeb529640aad3021026a",
-        "robustness.csv": "fa696bbd48bc32b8104587cc69163e31c2fd08d484410645f30cb80ac5377fe9",
-        "robustness.json": "8453aada4e808a1456e607e3931cfd733f7723f182628156dd17d3273c764911",
+        "rfa_curves.svg": "e5950ca895219cb35c0daf259bf0c0c9a5d81204b910c588a5d0e0978613cbfc",
+        "rfa_trace.csv": "2b2e76ae75c02c06c35a50b67ea42a99a80eea431175ebf46b9ffc1dd61bdaf2",
+        "rfa_trace.json": "045f4e028610c3c918b85e37df766a151032ce07c5891679f78b1e0e16b98568",
+        "robustness.csv": "864721ef02f25c529679b8404d17767e4e6d6d39a4fae1c08f91d05307e4fd8a",
+        "robustness.json": "6c569d9fe8ba804010c1685ba96aa3c10df9e4be86a432a5f944c58770077685",
     },
 }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fddsense import ensembles, pipeline
-from fddsense.dataset import FAULT_CLASSES, split_train_test, undersample_majority, write_csv
+from fddsense.dataset import FAULT_CLASSES, Dataset, split_train_test, undersample_majority, write_csv
 from fddsense.ensembles import EnsembleConfig, fit_ensemble, load_model, model_json_text
 from fddsense.errors import BadProportionsError, ConfigParseError, FddError, InvalidValueError
 from fddsense.pipeline import (
@@ -52,7 +52,6 @@ KINDS = {
     "ensemble.hard_vote": (bool,),
     "rfa.threshold": (float,),
     "rfa.max_sensors": (int, None),
-    "rfa.noise_snr_db": (float,),
     "robustness.snr_db": (list,),
     "robustness.include_failure": (bool,),
     "out_dir": (str,),
@@ -85,8 +84,8 @@ class TestParseConfig:
         assert cfg.generator.n_rows == 20000
         assert cfg.train_fraction == 0.75
         assert cfg.rfa.threshold == 0.99
-        assert cfg.snr_levels == (10.0, 3.0, 0.0)
-        assert cfg.include_failure is True
+        assert cfg.rfa.snr_levels == (10.0, 3.0, 0.0)
+        assert cfg.rfa.include_failure is True
 
     def test_env_out_dir_lowest_nondefault_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_DIR_ENV, "/from/env")
@@ -114,8 +113,8 @@ class TestParseConfig:
         assert cfg.generator.n_rows == 500
         assert cfg.ensemble.n_trees == 4 and cfg.ensemble.tree.max_depth == 3
         assert cfg.rfa.threshold == 0.9 and cfg.rfa.max_sensors == 5
-        assert cfg.snr_levels == (6.0, 3.0)
-        assert cfg.include_failure is False
+        assert cfg.rfa.snr_levels == (6.0, 3.0)
+        assert cfg.rfa.include_failure is False
 
     def test_overrides_beat_file(self, tmp_path):
         file = tmp_path / "cfg.json"
@@ -156,8 +155,6 @@ class TestParseConfig:
         [
             ({"robustness": {"snr_db": [3, 4000]}}, "robustness.snr_db"),
             ({"robustness": {"snr_db": [-4000]}}, "robustness.snr_db"),
-            ({"rfa": {"noise_snr_db": 4000}}, "rfa.noise_snr_db"),
-            ({"rfa": {"noise_snr_db": -4000}}, "rfa.noise_snr_db"),
         ],
     )
     def test_snr_without_a_finite_power_ratio_names_the_key(self, tmp_path, payload, key):
@@ -165,8 +162,36 @@ class TestParseConfig:
         file.write_text(json.dumps(payload))
         with pytest.raises(InvalidValueError, match=re.escape(key)):
             parse_config(str(file), None)
-        cfg = parse_config(None, {"snr_levels": [3000, -3000], "rfa": {"noise_snr_db": -3000}})
-        assert cfg.snr_levels == (3000.0, -3000.0)
+        cfg = parse_config(None, {"rfa": {"snr_levels": [3000, -3000]}})
+        assert cfg.rfa.snr_levels == (3000.0, -3000.0)
+
+    @pytest.mark.parametrize("levels", [[3, 3], [0, -0.0], [10, 3, 0, 3.0]], ids=["3-3", "0-minus0", "10-3-0-3"])
+    def test_repeated_snr_level_names_the_key(self, tmp_path, levels):
+        """A level is one scenario and one column of rfa_trace; a repeated
+        level is rejected, by the file's key or the override's name."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"robustness": {"snr_db": levels}}))
+        with pytest.raises(InvalidValueError, match=r"^robustness\.snr_db repeats the level "):
+            parse_config(str(file), None)
+        with pytest.raises(InvalidValueError, match=r"^snr_levels repeats the level "):
+            parse_config(None, {"rfa": {"snr_levels": levels}})
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 1, "seed": 2}', "'seed'"),
+            ('{"ensemble": {"n_trees": 3}, "ensemble": {"max_depth": 4}}', "'ensemble'"),
+            ('{"rfa": {"threshold": 0.9, "max_sensors": 3, "threshold": 0.95}}', "'threshold'"),
+        ],
+        ids=["seed", "ensemble-section", "nested"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        """json.loads keeps the last of a repeated key, which would drop
+        a value, or a whole section, of the file without a word."""
+        file = tmp_path / "cfg.json"
+        file.write_text(text)
+        with pytest.raises(ConfigParseError, match=f"repeats the key {key}"):
+            parse_config(str(file), None)
 
     def test_feature_subsample_forms(self):
         def study(subsample):
@@ -177,6 +202,14 @@ class TestParseConfig:
         assert study(4).ensemble_config(40).tree.feature_subsample == 4
         with pytest.raises(InvalidValueError):
             study("log2")
+
+    def test_feature_subsample_type_error_names_sqrt(self, tmp_path):
+        """The one string the key takes is named in its type error."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"ensemble": {"feature_subsample": "log2"}}))
+        with pytest.raises(InvalidValueError) as info:
+            parse_config(str(file), None)
+        assert str(info.value) == 'ensemble.feature_subsample must be an integer, "sqrt" or None, got \'log2\''
 
     @pytest.mark.parametrize(
         "key, value",
@@ -318,12 +351,13 @@ class TestParseConfig:
             json.dumps(
                 {
                     "data": {"generator": {"class_proportions": [0.4] + [0.1] * 6}},
-                    "rfa": {"max_sensors": 5, "noise_snr_db": 6},
+                    "rfa": {"max_sensors": 5},
+                    "robustness": {"snr_db": [6]},
                 }
             )
         )
         cfg = parse_config(str(file), {"rfa": {"threshold": 0.9}, "generator": {"n_rows": 700}})
-        assert (cfg.rfa.threshold, cfg.rfa.max_sensors, cfg.rfa.noise_snr_db) == (0.9, 5, 6)
+        assert (cfg.rfa.threshold, cfg.rfa.max_sensors, cfg.rfa.snr_levels) == (0.9, 5, (6.0,))
         assert cfg.generator.n_rows == 700
         assert cfg.generator.class_proportions == (0.4,) + (0.1,) * 6
 
@@ -341,9 +375,7 @@ class TestParseConfig:
                 bootstrap=False,
                 learning_rate=0.5,
             ),
-            rfa=RfaConfig(threshold=0.95, max_sensors=6, noise_snr_db=1.0),
-            snr_levels=(5.0,),
-            include_failure=False,
+            rfa=RfaConfig(threshold=0.95, max_sensors=6, snr_levels=(5.0,), include_failure=False),
         )
         file = tmp_path / "cfg.json"
         file.write_text(json.dumps(cfg.to_json_dict()))
@@ -376,7 +408,7 @@ FUZZ_BASE = {
         "method": "bagging", "n_trees": 3, "max_depth": 6, "min_leaf": 5, "feature_subsample": "sqrt",
         "bootstrap": True, "learning_rate": 0.3, "hard_vote": False,
     },
-    "rfa": {"threshold": 0.9, "max_sensors": 3, "noise_snr_db": 3.0},
+    "rfa": {"threshold": 0.9, "max_sensors": 3},
     "robustness": {"snr_db": [10, 0], "include_failure": True},
     "n_threads": 1,
 }
@@ -402,8 +434,7 @@ FUZZ_VALUES = {
     "ensemble.hard_vote": (["yes", 0], []),
     "rfa.threshold": (["0.9", True], [0.0, 1.01]),
     "rfa.max_sensors": (["3", 2.5, True], [0]),
-    "rfa.noise_snr_db": (["3", True], [4000, -4000]),
-    "robustness.snr_db": ([10, "10", [True], ["10"]], [[4000], [3, -4000]]),
+    "robustness.snr_db": ([10, "10", [True], ["10"]], [[4000], [3, -4000], [3, 3]]),
     "robustness.include_failure": (["yes", 1], []),
     "out_dir": ([1, True, ["out"]], []),
     "n_threads": (["1", 1.0, True], [0, 2]),
@@ -550,7 +581,6 @@ class TestRunPipeline:
             ("rebalance", "undersample_majority"),
             ("split", "split_train_test"),
             ("selection", "run_rfa"),
-            ("robustness", "run_scenarios"),
             ("artifacts", "save_model"),
         ],
     )
@@ -613,12 +643,13 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         steps = len(result.trace.steps)
         assert calls["fit_ensemble"] == 1 + steps
-        # Each RFA step and the robustness stage call run_scenarios, which
-        # scores its baseline with evaluate and its scenarios from the
-        # baseline's rows routed once (not through evaluate).  The
-        # pipeline itself scores nothing.
+        # Each RFA step calls run_scenarios, which scores its baseline with
+        # evaluate and its scenarios from the baseline's rows routed once
+        # (not through evaluate).  The pipeline itself scores nothing: its
+        # robustness report is the last step's run.
         assert result.robustness.scenarios
-        assert calls["evaluate"] == steps + 1
+        assert calls["evaluate"] == steps
+        assert result.robustness is result.trace.robustness
         assert result.report is result.robustness.baseline
 
     @pytest.mark.parametrize(
@@ -645,3 +676,36 @@ class TestRunPipeline:
         )
         assert model_json_text(result.trace.model) == model_json_text(fresh)
         assert result.artifact_paths["model"].read_text() == model_json_text(fresh)
+
+
+# study -> (run_pipeline overrides, each sensor's scale factor by column)
+SCALED_STUDIES = {
+    "bagging": ({"n_trees": 5}, lambda n: np.where(np.arange(n) % 2 == 0, 2.0, 0.5)),
+    "boosting": ({"method": "boosting", "n_trees": 3}, lambda n: np.full(n, 4.0)),
+}
+
+
+class TestStudyInvariants:
+    @pytest.mark.parametrize("study", sorted(SCALED_STUDIES))
+    def test_sensors_scaled_by_powers_of_two_leave_the_study_unchanged(self, tmp_path, study):
+        """Scaling a sensor by a power of two is exact in binary floating
+        point, and every stage is scale-exact: split thresholds halfway
+        between two readings, interval routing, noise power set from
+        signal power, and failure to 0.  So a study of the scaled table
+        selects the same sensors and writes the same trace, scenario
+        scores and class report, byte for byte.  Both tables go through
+        the CSV writer and loader."""
+        overrides, scales = SCALED_STUDIES[study]
+        data = generate_dataset(GeneratorConfig(n_rows=3000), 11)
+        outputs = {}
+        for side, factors in (("plain", np.ones(data.n_sensors)), ("scaled", scales(data.n_sensors))):
+            path = tmp_path / f"{side}.csv"
+            write_csv(Dataset(data.schema, data.values * factors, data.labels), path)
+            cfg = parse_config(None, {**overrides, "seed": 1, "data_path": str(path), "out_dir": str(tmp_path / side)})
+            outputs[side] = run_pipeline(cfg)
+        plain, scaled = outputs["plain"], outputs["scaled"]
+        assert scaled.trace.selected == plain.trace.selected
+        assert len(plain.trace.steps) > 1 and plain.robustness.scenarios
+        for name in ("rfa_trace.json", "robustness.json", "class_report.json"):
+            assert (scaled.out_dir / name).read_bytes() == (plain.out_dir / name).read_bytes(), name
+        assert (scaled.out_dir / "model.json").read_bytes() != (plain.out_dir / "model.json").read_bytes()
