@@ -24,7 +24,7 @@ from .ensembles import (
     rank_features,
     save_model,
 )
-from .errors import FddError
+from .errors import FddError, InvalidValueError
 from .fileio import atomic_write_text
 from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
 from .pipeline import _select, _with_fields, _write_pair
@@ -38,6 +38,25 @@ def _fail(exc: Exception) -> "click.ClickException":
     # numpy's failed allocation raises a private subclass of MemoryError.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     return click.ClickException(f"{name}: {exc}")
+
+
+# The settings name that a flag sets, as a range error leads with it.
+_FLAG_NAMES = {
+    "--rows": ("n_rows", "data.generator.n_rows"),
+    "--trees": ("n_trees",),
+    "--threshold": ("threshold",),
+    "--train-fraction": ("train_fraction",),
+    "--snr": ("snr_levels",),
+    "--max-sensors": ("max_sensors",),
+}
+
+
+def _by_flag(exc: InvalidValueError, given) -> InvalidValueError:
+    """exc, with its leading settings name renamed to the flag of given
+    that set it, as parse_config renames a file's values to their keys."""
+    name, _, rest = str(exc).partition(" ")
+    flags = {setting: flag for flag in given for setting in _FLAG_NAMES[flag]}
+    return type(exc)(f"{flags.get(name, name)} {rest}")
 
 
 class _Path(click.Path):
@@ -138,8 +157,13 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
         "include_failure": False if no_failure else None,
     }
     overrides["rfa"] = {name: value for name, value in rfa_fields.items() if value is not None}
+    flags = {"--rows": rows, "--trees": trees, "--threshold": threshold, "--train-fraction": train_fraction,
+             "--snr": snr}
     try:
-        cfg = parse_config(config_path, overrides)
+        try:
+            cfg = parse_config(config_path, overrides)
+        except InvalidValueError as exc:
+            raise _by_flag(exc, [flag for flag, value in flags.items() if value is not None]) from exc
         result = run_pipeline(cfg)
     except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
@@ -224,9 +248,12 @@ def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, *
     the trace is the pipeline's for the same CSV, seed and flags."""
     levels = _parse_snr_list(snr)
     try:
-        rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=levels)
-        cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
-                                          rfa=rfa_cfg), ensemble_fields)
+        try:
+            rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=levels)
+            cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
+                                              rfa=rfa_cfg), ensemble_fields)
+        except InvalidValueError as exc:
+            raise _by_flag(exc, _FLAG_NAMES.keys() - {"--rows"}) from exc
         trace = _select(cfg, lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)

@@ -123,14 +123,20 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _fit_bagged_tree(x, y, cfg: EnsembleConfig, master_seed: int, index: int, n_classes: int) -> DecisionTree:
+    """Tree index of a bagged ensemble.  A bootstrap draws n rows with
+    replacement, about 63% of them distinct; the tree grows on the
+    distinct rows, each counted as often as it was drawn (fit_tree's
+    repeats), which is the tree of the drawn rows themselves."""
+    repeats = None
     if cfg.bootstrap:
         rng = np.random.default_rng(derive_seed(master_seed, index, "bootstrap"))
-        rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        # Gather the resample straight into column-major order, the layout
-        # fit_tree reads, so that it makes no second copy of the resample.
-        x, y = x.T.take(rows, axis=1).T, y[rows]
+        drawn = np.bincount(rng.integers(0, x.shape[0], size=x.shape[0]), minlength=x.shape[0])
+        rows = drawn.nonzero()[0]
+        # Gather the rows straight into column-major order, the layout
+        # fit_tree reads, so that it makes no second copy of them.
+        x, y, repeats = x.T.take(rows, axis=1).T, y[rows], drawn[rows]
     return fit_tree(
-        x, y, cfg.tree, rng_seed=derive_seed(master_seed, index, "grow"), n_classes=n_classes
+        x, y, cfg.tree, rng_seed=derive_seed(master_seed, index, "grow"), n_classes=n_classes, repeats=repeats
     )
 
 

@@ -23,6 +23,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .dataset import load_dataset, split_train_test, undersample_majority
 from .ensembles import EnsembleConfig, save_model
 # Nothing here fits a model any more (selection.run_rfa does), but the
@@ -34,7 +36,7 @@ from .metrics import ClassReport
 from .robustness import RobustnessReport
 from .seeding import derive_seed
 from .selection import RfaConfig, RfaTrace, run_rfa
-from .simgen import GeneratorConfig, generate_dataset
+from .simgen import GeneratorConfig, _exact_label_counts, generate_dataset
 from .trees import SQRT, TreeConfig
 
 OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
@@ -127,8 +129,9 @@ def _merge(section, prefix: str, keys: dict, merged: dict, source: str) -> None:
 class PipelineConfig:
     """Fully resolved settings for one run.
 
-    data_path of None means the built-in generator supplies the data.
-    The ensemble's feature_subsample may be "sqrt", which ensemble_config
+    data_path of None means the built-in generator supplies the data,
+    and then the study must be feasible (_check_feasible).  The
+    ensemble's feature_subsample may be "sqrt", which ensemble_config
     resolves.  Each field is type-checked once, by the dataclass that
     holds it.
     """
@@ -157,6 +160,8 @@ class PipelineConfig:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads != 1:
             raise InvalidValueError(f"n_threads must be 1: every fit runs on one thread, got {self.n_threads}")
+        if self.data_path is None:
+            _check_feasible(self.generator, self.train_fraction, self.undersample)
 
     def ensemble_config(self, n_sensors: int) -> EnsembleConfig:
         """The ensemble recipe, with a feature_subsample of "sqrt" resolved
@@ -179,6 +184,49 @@ class PipelineConfig:
                 value = attrgetter(_ATTRIBUTES.get(key.field, key.field))(self)
                 node[leaf] = list(value) if isinstance(value, tuple) else value
         return echo
+
+
+def _check_feasible(generator: GeneratorConfig, train_fraction: float, undersample: bool) -> None:
+    """Reject a generated study that a later stage would fail.
+
+    Every class count of a generated study is fixed before any stage
+    runs: the generator's largest-remainder counts, then the majority
+    class shrunk to the largest minority class (if undersample), then
+    each class's floor(train_fraction * count) training rows, as
+    split_train_test takes them.  The study needs two classes, at least
+    two rows of each class (the stratified split), and two classes in
+    the train set (the ensemble fit).
+
+    Raises:
+        InvalidValueError: naming data.generator.class_proportions,
+            data.generator.n_rows or train_fraction, whichever leaves the
+            study infeasible.
+    """
+    counts = _exact_label_counts(generator.n_rows, generator.class_proportions)
+    present = counts.nonzero()[0]
+    if present.size < 2:
+        if sum(p > 0 for p in generator.class_proportions) < 2:
+            raise InvalidValueError(
+                f"data.generator.class_proportions gives rows to {present.size} class(es): a study needs 2"
+            )
+        raise InvalidValueError(
+            f"data.generator.n_rows {generator.n_rows} gives rows to {present.size} class(es): a study needs 2"
+        )
+    if undersample:
+        majority = int(counts.argmax())
+        counts[majority] = np.delete(counts, majority).max()
+    small = present[counts.take(present) < 2]
+    if small.size:
+        after = " after undersampling" if undersample else ""
+        raise InvalidValueError(
+            f"data.generator.n_rows {generator.n_rows} gives class {int(small[0])} only 1 row{after}: "
+            "the stratified split needs 2 per class"
+        )
+    trained = sum(math.floor(train_fraction * int(counts[c])) > 0 for c in present)
+    if trained < 2:
+        raise InvalidValueError(
+            f"train_fraction {train_fraction} leaves {trained} class(es) in the train set: the model needs 2"
+        )
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:

@@ -16,12 +16,26 @@ Each node makes one scan over all its sampled features at once: the
 node's rows of those columns form one (features, rows) array, sorted
 along its rows in one call.  Classification needs no per-class count
 table.  Its sums of squared counts come from exact int64 identities: a
-row of class c adds 2 * occ + 1 to sum(left_counts^2), where occ counts
-the earlier sorted rows of class c, and sum(right_counts^2) =
+row of class c that counts w times (its repeats, below) adds
+w * (2 * occ + w) to sum(left_counts^2), where occ counts the earlier
+sorted rows of class c, repeats included, and sum(right_counts^2) =
 sum(T^2) - 2 * sum(T * left_counts) + sum(left_counts^2) for the node's
 class counts T.  So g is bit-equal to the per-class count formula.  A
 node with more sampled elements than _SCAN_BLOCK is scanned in blocks of
-whole features, which bounds the scan's working set.
+whole features, which bounds the scan's working set.  A classification
+split cuts its children from the winning feature's sort order, which
+already holds the rows each side gets; a regression split routes its
+rows with _route, because its float sums follow the rows' order.
+
+A classification tree may count each row a positive number of times
+(fit_tree's repeats): the tree of x and y with row i repeated r[i] times
+is grown from the distinct rows alone.  Repeated copies of a row share
+its value, so no threshold falls between them: every candidate of the
+repeated table is a candidate here, with the same rows on each side.
+Node sizes, class counts and so min_leaf, g and every impurity decrease
+count repeats, in the same exact int64 sums, so the tree is bit-equal.
+A bootstrap holds about 1 - 1/e = 63% distinct rows, and bagging grows
+each tree on those.
 
 A classification tree on one feature (Recursive Feature Addition starts
 every model from its top sensor alone) is grown a level at a time
@@ -33,7 +47,8 @@ class counts over the sorted rows gives each node's T and each row's occ
 within its node, and one vectorized pass per level scores every
 candidate of every growing node with the same int64 sums and float64
 divisions as the node scan, so g, the first maximum, the thresholds and
-the leaves are bit-equal to the node-by-node tree.  One feature draws no
+the leaves are bit-equal to the node-by-node tree.  Its prefix table
+counts repeats too.  One feature draws no
 feature subset, so the rng is never consumed.  Regression keeps the node
 scan: its float sums follow each node's own sort order, which a level
 pass does not reproduce.
@@ -41,6 +56,12 @@ pass does not reproduce.
 A threshold is the midpoint of the two values it separates, or the lower
 value where the midpoint rounds onto the upper one (_threshold), so it
 always routes the rows the scan counted.
+
+A tree whose splits all test one feature is a step function of it: each
+reachable leaf admits one interval (lo, hi] of its values, and the
+intervals ascend in preorder.  Such a tree routes rows with one sorted
+search of those upper bounds (DecisionTree._steps, _reach) in place of
+a walk over its splits; any other tree is routed split by split.
 
 A tree's feature importance is its mean decrease in impurity: each split's
 impurity decrease, weighted by its node's share of the root's samples,
@@ -51,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +156,26 @@ class DecisionTree:
         """A read-only node view of the root, for code that walks nodes."""
         return _node_view(self, 0)
 
+    @cached_property
+    def _steps(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """(feature, leaves, bounds) for a tree whose splits all test one
+        feature, else None: its reachable leaves in ascending order of
+        the values they admit, and the upper bound of each.
+
+        Such a tree is a step function of its feature.  Its reachable
+        leaves (lo < hi in _leaf_intervals) split the real line into the
+        intervals (lo, hi], which ascend in preorder, so a value v reaches
+        the first of them whose hi >= v.  A leaf-only tree is the one
+        step (-inf, inf] of feature 0.
+        """
+        tested = self.feature[self.feature >= 0]
+        if tested.size and (tested != tested[0]).any():
+            return None
+        feature = int(tested[0]) if tested.size else 0
+        lo, hi = _leaf_intervals(self, feature)
+        leaves = (lo < hi).nonzero()[0]
+        return feature, leaves, hi.take(leaves)
+
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Leaf outputs for a matrix of rows: (n, K) distributions for
         classification trees, (n,) values for regression trees.
@@ -215,9 +257,17 @@ def _reach(
     Where a split tests feature column, the rows read values (one per row
     of xf) in place of that column of xf, so a scenario routes rows with
     one sensor changed without a changed copy of the matrix.  The one
-    routing loop, shared by predict_batch and the robustness scenarios'
-    re-routing; each split applies _route.
+    routing rule, shared by predict_batch and the robustness scenarios'
+    re-routing.  A tree whose splits all test one feature is routed with
+    one sorted search of its leaves' upper bounds (DecisionTree._steps);
+    any other tree node by node, each split applying _route.
     """
+    steps = tree._steps
+    if steps is not None:
+        feature, leaves, bounds = steps
+        col = values if feature == column else xf[:, feature]
+        out[idx] = leaves.take(bounds.searchsorted(col.take(idx)))
+        return
     stack = [(0, idx)]
     while stack:
         node, idx = stack.pop()
@@ -281,46 +331,55 @@ def gini_impurity(class_counts) -> float:
 _SCAN_BLOCK = 1 << 14
 
 
-def _scan(cols: np.ndarray, yy: np.ndarray, min_leaf: int, counts: np.ndarray | None):
+def _scan(cols: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, min_leaf: int, counts: np.ndarray | None):
     """Best candidate over cols (m, n), one row per sampled feature:
-    (g, feature row, position, threshold), where position i puts the
-    i + 1 smallest values left.  counts is the node's class counts, None
-    for regression.  g is -inf when no candidate exists.
+    (g, feature row, position, threshold, that row's sort order), where
+    position i puts the i + 1 smallest values left.  Classification gives
+    ww, each row's repeats, and counts, the node's class counts (repeats
+    summed); regression gives None for both.  g is -inf when no candidate
+    exists.
     """
     m, n = cols.shape
     order = cols.argsort(axis=1)
     xs = cols.take(order + np.arange(0, m * n, n)[:, None])
     valid = xs[:, :-1] < xs[:, 1:]
-    valid[:, : min_leaf - 1] = False
-    valid[:, n - min_leaf :] = False
-    n_left = np.arange(1, n)
-    n_right = n - n_left
     if counts is None:
+        valid[:, : min_leaf - 1] = False
+        valid[:, n - min_leaf :] = False
+        n_left = np.arange(1, n)
+        n_right = n - n_left
         cum = yy.take(order).cumsum(axis=1)
         sum_left = cum[:, :-1]
         sum_right = cum[:, -1:] - sum_left
         g = sum_left * sum_left / n_left + sum_right * sum_right / n_right
     else:
         # The module docstring's identities; cross's last entry is sum(T^2).
+        ws = ww.take(order)
+        rows = ws.cumsum(axis=1)
+        n_left = rows[:, :-1]
+        n_right = rows[:, -1:] - n_left
+        valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
         k = counts.size
         dtype = np.min_scalar_type(m * k - 1)  # numpy radix-sorts 8- and 16-bit keys
         ys = yy.astype(dtype).take(order)
         key = (ys + np.arange(0, m * k, k, dtype=dtype)[:, None]).ravel()
         sizes = np.bincount(key, minlength=m * k)
         # A stable sort groups each (feature, class) in sorted-row order,
-        # so a row's rank in its group is its occ.
+        # so the repeats ahead of a row in its group are its occ.
+        grouped = key.argsort(kind="stable")
+        wg = ws.take(grouped)
+        ahead = np.concatenate([[0], wg.cumsum()])
+        occ = ahead[:-1] - np.repeat(ahead.take(np.cumsum(sizes) - sizes), sizes)
         step = np.empty(m * n, dtype=np.int64)
-        step[key.argsort(kind="stable")] = (
-            2 * (np.arange(m * n) - np.repeat(np.cumsum(sizes) - sizes, sizes)) + 1
-        )
+        step[grouped] = wg * (2 * occ + wg)
         sum_left_sq = step.reshape(m, n)[:, :-1].cumsum(axis=1)
-        cross = counts.take(ys).cumsum(axis=1)
+        cross = (counts.take(ys) * ws).cumsum(axis=1)
         sum_right_sq = cross[:, -1:] - 2 * cross[:, :-1] + sum_left_sq
         g = sum_left_sq / n_left + sum_right_sq / n_right
     g[~valid] = -np.inf  # equal neighbours, or fewer than min_leaf rows a side
     best = int(g.argmax())  # first maximum: lowest feature row, then threshold
     row, pos = divmod(best, n - 1)
-    return float(g[row, pos]), row, pos, _threshold(float(xs[row, pos]), float(xs[row, pos + 1]))
+    return float(g[row, pos]), row, pos, _threshold(float(xs[row, pos]), float(xs[row, pos + 1])), order[row]
 
 
 def _threshold(lo: float, hi: float) -> float:
@@ -344,21 +403,23 @@ def _pick_features(n_features: int, cfg: TreeConfig, rng: np.random.Generator):
     return picked
 
 
-def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig) -> DecisionTree:
-    """The classification tree on the one feature col, grown a level at a
-    time over col sorted once (the module docstring says why it is the
-    tree the node-by-node grower makes).  Its prefix table holds (n + 1)
-    * n_classes int64 counts."""
+def _grow_levels(col: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int, cfg: TreeConfig) -> DecisionTree:
+    """The classification tree on the one feature col, row i repeated
+    w[i] times, grown a level at a time over col sorted once (the module
+    docstring says why it is the tree the node-by-node grower makes).
+    Its prefix table holds (n + 1) * n_classes int64 counts."""
     n, k = col.size, n_classes
     order = col.argsort()
-    xs, ys = col.take(order), y.take(order)
-    # prefix[j, c]: rows of class c among the j smallest; a node [a, b)
-    # of sorted rows has class counts prefix[b] - prefix[a].
+    xs, ys, ws = col.take(order), y.take(order), w.take(order)
+    # prefix[j, c]: repeated rows of class c among the j smallest rows; a
+    # node [a, b) of sorted rows has class counts prefix[b] - prefix[a],
+    # and above[b] - above[a] repeated rows.
     prefix = np.zeros((n + 1, k), dtype=np.int64)
-    prefix[np.arange(1, n + 1), ys] = 1
+    prefix[np.arange(1, n + 1), ys] = ws
     np.cumsum(prefix, axis=0, out=prefix)
+    above = np.concatenate([[0], ws.cumsum()])
     flat = prefix.ravel()
-    occ = flat.take(np.arange(0, n * k, k) + ys)  # earlier rows of each row's class
+    occ = flat.take(np.arange(0, n * k, k) + ys)  # earlier repeated rows of each row's class
     tie = xs[:-1] == xs[1:]  # no threshold between sorted rows j and j + 1
 
     # The level's nodes as sorted-row ranges [a, b).  A split's children
@@ -371,7 +432,7 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
     depth = 0
     while a.size:
         counts = prefix.take(b, axis=0) - prefix.take(a, axis=0)
-        sizes = b - a
+        sizes = above.take(b) - above.take(a)
         sq = (counts * counts).sum(axis=1)
         g_parent = sq / sizes
         grow = (counts.max(axis=1) < sizes) & (sizes >= 2 * cfg.min_leaf)
@@ -388,7 +449,7 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
             owner = np.repeat(np.arange(ga.size), lens)  # each candidate's node
             first = ga.take(owner)
             r = np.arange(lens.sum()) - starts.take(owner) + first
-            c = ys.take(r)
+            c, wr = ys.take(r), ws.take(r)
 
             def seg_cumsum(v):  # cumulative sums that restart at each node
                 cum = v.cumsum()
@@ -396,11 +457,11 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig
 
             # The module docstring's identities in exact int64, where a
             # row's occ within its node is occ[r] - prefix[a, c].
-            s_left = seg_cumsum(2 * (occ.take(r) - flat.take(first * k + c)) + 1)
-            cross = seg_cumsum(counts[grow].ravel().take(owner * k + c))
+            s_left = seg_cumsum(wr * (2 * (occ.take(r) - flat.take(first * k + c)) + wr))
+            cross = seg_cumsum(counts[grow].ravel().take(owner * k + c) * wr)
             s_right = sq[grow].take(owner) - 2 * cross + s_left
-            n_left = r - first + 1
-            n_right = gb.take(owner) - r - 1
+            n_left = above.take(r + 1) - above.take(first)
+            n_right = above.take(gb).take(owner) - above.take(r + 1)
             g = s_left / n_left + s_right / n_right
             g[tie.take(r) | (n_left < cfg.min_leaf) | (n_right < cfg.min_leaf)] = -np.inf
             node_best = np.maximum.reduceat(g, starts)
@@ -460,18 +521,47 @@ def _class_ids(y: np.ndarray, n_classes: int | None) -> tuple[np.ndarray, int]:
     return y, n_classes
 
 
+def _repeat_counts(repeats, n: int) -> np.ndarray:
+    """repeats as an int64 array of one positive count per row of n.
+
+    Raises:
+        DimensionMismatchError: repeats is not one value per row.
+        InvalidValueError: a count that is not a positive integer; the
+            message names the first such row.
+    """
+    repeats = np.asarray(repeats)
+    if repeats.shape != (n,):
+        raise DimensionMismatchError(f"x has {n} rows but repeats has shape {repeats.shape}")
+    if repeats.dtype.kind not in "iuf":
+        raise InvalidValueError(f"repeats must be positive integers, got dtype {repeats.dtype}")
+    row = _non_integer_row(repeats)
+    if row is None:
+        small = repeats < 1
+        row = int(small.argmax()) if small.any() else None
+    if row is not None:
+        raise InvalidValueError(f"repeats[{row}] must be a positive integer, got {repeats[row].item()!r}")
+    return repeats.astype(np.int64, copy=False)
+
+
 def fit_tree(
     x: np.ndarray,
     y: np.ndarray,
     cfg: TreeConfig,
     rng_seed: int = 0,
     n_classes: int | None = None,
+    repeats: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree by greedy top-down search.
 
     A classification tree on a one-column x grows level by level over the
     column sorted once; any other tree grows node by node.  Both give the
     same tree, node for node (see the module docstring).
+
+    A classification tree may take repeats, a positive count per row: it
+    is then exactly the tree of np.repeat(x, repeats, 0) and
+    np.repeat(y, repeats), whose node sizes, class counts, min_leaf and
+    impurity decreases all count repeated rows.  Bagging grows each tree
+    on its bootstrap's distinct rows this way.
 
     Args:
         x: (n, f) feature matrix, finite.
@@ -480,18 +570,23 @@ def fit_tree(
         cfg: growth limits.
         rng_seed: drives per-node feature subsampling only.
         n_classes: class count for classification; inferred from y if None.
+        repeats: n positive integers, how often each row counts
+            (classification only); None counts each row once.
 
     Returns:
         DecisionTree.  All-constant features yield a single-leaf tree
         rather than an error.
 
     Raises:
-        DimensionMismatchError: y is not one value per row of x.
+        DimensionMismatchError: y or repeats is not one value per row of x.
+        EmptyInputError: fewer than 2 rows, repeats counted.
         LabelOutOfRangeError: a label that is not an integer, or a class
             id outside [0, n_classes); the message names the first such
             row.
         NonFiniteInputError: x, or a regression target, is NaN or Inf.
-        InvalidValueError: cfg.feature_subsample is "sqrt", unresolved.
+        InvalidValueError: cfg.feature_subsample is "sqrt", unresolved; a
+            repeat count that is not a positive integer (named by its
+            row); or repeats given to a regression tree.
     """
     if cfg.feature_subsample == SQRT:
         raise InvalidValueError('feature_subsample "sqrt" must be resolved to a count before a tree is grown')
@@ -499,11 +594,15 @@ def fit_tree(
     if x.ndim != 2:
         raise InvalidValueError("x must be a 2-D matrix")
     n, n_features = x.shape
-    if n < 2:
-        raise EmptyInputError(f"need at least 2 rows to fit a tree, got {n}")
+    classify = cfg.task == CLASSIFICATION
+    if repeats is not None and not classify:
+        raise InvalidValueError(f"repeats applies to classification trees only, not to task {cfg.task!r}")
+    w = np.ones(n, dtype=np.int64) if repeats is None else _repeat_counts(repeats, n)
+    total = int(w.sum())
+    if total < 2:
+        raise EmptyInputError(f"need at least 2 rows to fit a tree, got {total}")
     if not np.isfinite(x).all():
         raise NonFiniteInputError("training matrix contains NaN or Inf")
-    classify = cfg.task == CLASSIFICATION
     y = np.asarray(y)
     if y.shape != (n,):
         raise DimensionMismatchError(f"x has {n} rows but y has shape {y.shape}")
@@ -516,18 +615,19 @@ def fit_tree(
             raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
     x = np.asfortranarray(x)  # _route reads whole columns
     if classify and n_features == 1:
-        return _grow_levels(x[:, 0], y, n_classes, cfg)
+        return _grow_levels(x[:, 0], y, w, n_classes, cfg)
     xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     rng = np.random.default_rng(rng_seed)
 
-    def best_split(idx: np.ndarray, yy: np.ndarray, counts: np.ndarray | None):
-        """(feature, threshold, impurity decrease) of the node's best
-        split, or None."""
+    def best_split(idx: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, size: int, counts: np.ndarray | None):
+        """(feature, threshold, impurity decrease, sort order, position)
+        of the node's best split, or None; the order's first position + 1
+        rows go left."""
         if classify:
-            g_parent = float((counts * counts).sum()) / idx.size
+            g_parent = float((counts * counts).sum()) / size
         else:
             s = float(yy.sum())
-            g_parent = s * s / idx.size
+            g_parent = s * s / size
         features = _pick_features(n_features, cfg, rng)
         per_block = max(1, _SCAN_BLOCK // idx.size)
         best = None
@@ -535,12 +635,13 @@ def fit_tree(
         for start in range(0, features.size, per_block):
             block = features[start : start + per_block]
             cols = xt.take(block[:, None] * n + idx)
-            g, row, pos, threshold = _scan(cols, yy, cfg.min_leaf, counts)
+            g, row, pos, threshold, order = _scan(cols, yy, ww, cfg.min_leaf, counts)
             if g > best_g:  # strict: an earlier block wins ties
-                best_g, best = g, (int(block[row]), threshold)
+                best_g, best = g, (int(block[row]), threshold, order, pos)
         if best is None:
             return None
-        return (*best, (best_g - g_parent) / idx.size)
+        f, threshold, order, pos = best
+        return f, threshold, (best_g - g_parent) / size, order, pos
 
     # The tree's arrays, appended in preorder: an explicit stack of (row
     # indices, depth), children pushed right-then-left, so the left
@@ -556,21 +657,30 @@ def fit_tree(
         # One gather of the node's labels serves the purity test, the
         # scan and the leaf; a node holds at least min_leaf >= 1 rows.
         yy = y.take(idx)
-        counts = np.bincount(yy, minlength=n_classes).astype(np.int64) if classify else None
-        pure = counts.max() == idx.size if classify else np.minimum.reduce(yy) == np.maximum.reduce(yy)
+        if classify:
+            ww = w.take(idx)
+            size = int(ww.sum())
+            counts = np.bincount(yy, ww, minlength=n_classes).astype(np.int64)
+            pure = counts.max() == size
+        else:
+            ww, size, counts = None, idx.size, None
+            pure = np.minimum.reduce(yy) == np.maximum.reduce(yy)
         depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
-        grow = not (pure or depth_capped or idx.size < 2 * cfg.min_leaf)
-        split = best_split(idx, yy, counts) if grow else None
+        grow = not (pure or depth_capped or size < 2 * cfg.min_leaf)
+        split = best_split(idx, yy, ww, size, counts) if grow else None
         if split is None:
             feature.append(-1)
-            n_samples.append(idx.size)
-            value.append(counts if classify else float(yy.sum() / idx.size))  # yy.mean(), bit for bit
+            n_samples.append(size)
+            value.append(counts if classify else float(yy.sum() / size))  # yy.mean(), bit for bit
         else:
-            f, t, d = split
+            f, t, d, order, pos = split
             feature.append(f)
             threshold.append(t)
             decrease.append(d)
-            left, right = _route(x[:, f], idx, t)
+            if classify:  # the children are cut from the split's sort order
+                left, right = idx.take(order[: pos + 1]), idx.take(order[pos + 1 :])
+            else:  # a regression scan sums in its rows' order: keep idx's
+                left, right = _route(x[:, f], idx, t)
             stack.append((right, depth + 1))
             stack.append((left, depth + 1))
     arrays = (np.array(column) for column in (feature, threshold, decrease, n_samples, value))

@@ -6,6 +6,10 @@ sum(right_counts^2)/n_right computed with the same IEEE-754 operations
 strictly positive decreases, and break ties toward the lowest feature
 index then the lowest threshold, so agreement can be checked exactly.
 
+A classification case may give repeats, a count per row: the reference
+then counts row i repeats[i] times in every class count, node size and
+min_leaf test, as if the table held that many copies of it.
+
 The regression reference ranks splits by g = (sum_left y)^2/n_left +
 (sum_right y)^2/n_right.  Its cases use integer-valued targets, so every
 float sum is exact in any order and agreement is again exact.
@@ -20,29 +24,41 @@ def oracle_gini(labels):
     return 1.0 - float(sum(c * c for c in counts.values())) / (float(n) * float(n))
 
 
-def oracle_best_split(rows, labels, min_leaf=1):
+def _class_counts(labels, repeats, indices):
+    """Counter of the labels of the rows indices, row i counted
+    repeats[i] times."""
+    counts = Counter()
+    for i in indices:
+        counts[labels[i]] += repeats[i]
+    return counts
+
+
+def oracle_best_split(rows, labels, min_leaf=1, repeats=None):
     """Exhaustive scan of every midpoint threshold on every feature.
 
     Returns (feature, threshold, left_indices, right_indices), or None
     when no candidate strictly beats the parent.
     """
-    n = len(rows)
-    parent = Counter(labels)
+    if repeats is None:
+        repeats = [1] * len(rows)
+    n = sum(repeats)
+    parent = _class_counts(labels, repeats, range(len(rows)))
     best_g = sum(c * c for c in parent.values()) / n
     best = None
     for j in range(len(rows[0])):
         distinct = sorted(set(r[j] for r in rows))
         for lo, hi in zip(distinct, distinct[1:]):
             thr = (lo + hi) / 2
-            left = [i for i in range(n) if rows[i][j] <= thr]
-            if len(left) < min_leaf or n - len(left) < min_leaf:
+            left = [i for i in range(len(rows)) if rows[i][j] <= thr]
+            right = [i for i in range(len(rows)) if rows[i][j] > thr]
+            n_left = sum(repeats[i] for i in left)
+            if n_left < min_leaf or n - n_left < min_leaf:
                 continue
-            right = [i for i in range(n) if rows[i][j] > thr]
-            cl = Counter(labels[i] for i in left)
-            cr = Counter(labels[i] for i in right)
+            cl = _class_counts(labels, repeats, left)
+            cr = _class_counts(labels, repeats, right)
             g = (
-                sum(c * c for c in cl.values()) / len(left)
-                + sum(c * c for c in cr.values()) / len(right)
+                sum(c * c for c in cl.values()) / n_left
+                + sum(c * c for c in cr.values()) / (n - n_left)
             )
             if g > best_g:
                 best_g = g
@@ -50,23 +66,27 @@ def oracle_best_split(rows, labels, min_leaf=1):
     return best
 
 
-def oracle_fit(rows, labels, max_depth=None, min_leaf=1, n_classes=None, depth=0):
-    """Greedy tree as a nested dict, grown with the same stopping rules."""
+def oracle_fit(rows, labels, max_depth=None, min_leaf=1, n_classes=None, depth=0, repeats=None):
+    """Greedy tree as a nested dict, grown with the same stopping rules;
+    a leaf also holds its size, n_samples."""
     if n_classes is None:
         n_classes = max(labels) + 1
-    n = len(labels)
+    if repeats is None:
+        repeats = [1] * len(labels)
+    n = sum(repeats)
 
     def leaf():
-        counts = Counter(labels)
+        counts = _class_counts(labels, repeats, range(len(labels)))
         return {
             "kind": "leaf",
+            "n_samples": n,
             "distribution": [counts.get(k, 0) / n for k in range(n_classes)],
         }
 
     capped = max_depth is not None and depth >= max_depth
     if len(set(labels)) == 1 or capped or n < 2 * min_leaf:
         return leaf()
-    found = oracle_best_split(rows, labels, min_leaf)
+    found = oracle_best_split(rows, labels, min_leaf, repeats)
     if found is None:
         return leaf()
     j, thr, left, right = found
@@ -74,14 +94,13 @@ def oracle_fit(rows, labels, max_depth=None, min_leaf=1, n_classes=None, depth=0
         "kind": "split",
         "feature": j,
         "threshold": thr,
-        "left": oracle_fit(
-            [rows[i] for i in left], [labels[i] for i in left],
-            max_depth, min_leaf, n_classes, depth + 1,
-        ),
-        "right": oracle_fit(
-            [rows[i] for i in right], [labels[i] for i in right],
-            max_depth, min_leaf, n_classes, depth + 1,
-        ),
+        **{
+            side: oracle_fit(
+                [rows[i] for i in part], [labels[i] for i in part],
+                max_depth, min_leaf, n_classes, depth + 1, [repeats[i] for i in part],
+            )
+            for side, part in (("left", left), ("right", right))
+        },
     }
 
 

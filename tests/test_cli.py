@@ -245,9 +245,23 @@ class TestRfaCommand:
         result = invoke("rfa", "--data", str(make_csv(tmp_path)), f"--snr={snr}")
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: InvalidValueError: snr_levels {float(snr.split(',')[-1])!r} is out of range: "
+            f"Error: InvalidValueError: --snr {float(snr.split(',')[-1])!r} is out of range: "
             "10^(snr/10) must be a finite positive float"
         ]
+
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--threshold", "0", "--threshold must be in (0, 1], got 0.0"),
+            ("--max-sensors", "0", "--max-sensors must be >= 1 or None"),
+            ("--train-fraction", "1", "--train-fraction must be in (0, 1), got 1.0"),
+            ("--trees", "0", "--trees must be >= 1"),
+        ],
+    )
+    def test_bad_flag_value_is_named_by_its_flag(self, tmp_path, flag, value, line):
+        result = invoke("rfa", "--data", str(make_csv(tmp_path)), flag, value)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: InvalidValueError: {line}"]
 
     def test_prints_one_score_per_scenario(self, tmp_path):
         result = invoke("rfa", "--data", str(make_csv(tmp_path)), "--trees", "3", "--max-sensors", "2",
@@ -476,10 +490,40 @@ class TestPipelineCommand:
         result = invoke("pipeline", f"--snr={snr}", "--out", str(out))
         assert result.exit_code == 1
         assert result.output.splitlines() == [
-            f"Error: InvalidValueError: snr_levels {float(snr.split(',')[-1])!r} "
+            f"Error: InvalidValueError: --snr {float(snr.split(',')[-1])!r} "
             "is out of range: 10^(snr/10) must be a finite positive float"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
+            (["--trees", "0"], "--trees must be >= 1"),
+            (["--train-fraction", "1.5"], "--train-fraction must be in (0, 1), got 1.5"),
+            (["--rows", "0"], "--rows must be >= 1, got 0"),
+            (["--rows", "20"], "--rows 20 gives class 2 only 1 row after undersampling: "
+                               "the stratified split needs 2 per class"),
+            (["--rows", "400", "--train-fraction", "0.001"],
+             "--train-fraction 0.001 leaves 0 class(es) in the train set: the model needs 2"),
+        ],
+        ids=["threshold", "trees", "train-fraction", "rows", "rows-infeasible", "train-fraction-infeasible"],
+    )
+    def test_bad_flag_value_is_named_by_its_flag(self, tmp_path, flags, line):
+        out = tmp_path / "out"
+        result = invoke("pipeline", *flags, "--out", str(out))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: InvalidValueError: {line}"]
+        assert not out.exists()
+
+    def test_a_files_value_keeps_its_key_beside_a_flag(self, tmp_path):
+        """Only the names of the flags given are renamed: the file's bad
+        key keeps its dotted name, also where a flag sets another key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rfa": {"threshold": 0.0}}))
+        result = invoke("pipeline", "--config", str(cfg), "--trees", "3", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: InvalidValueError: rfa.threshold must be in (0, 1], got 0.0"]
 
     def test_repeated_snr_level_in_a_config_fails_before_any_stage(self, tmp_path):
         cfg = tmp_path / "cfg.json"

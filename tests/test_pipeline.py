@@ -275,6 +275,53 @@ class TestParseConfig:
         with pytest.raises(InvalidValueError, match="^data_path must not be empty"):
             parse_config(None, {"data_path": ""})
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"data": {"generator": {"n_rows": 2}}}, "data.generator.n_rows"),
+            ({"data": {"generator": {"n_rows": 20}}}, "data.generator.n_rows"),
+            ({"data": {"generator": {"class_proportions": [1, 0, 0, 0, 0, 0, 0]}}},
+             "data.generator.class_proportions"),
+            ({"data": {"generator": {"n_rows": 400}}, "train_fraction": 0.001}, "train_fraction"),
+        ],
+        ids=["n_rows-2", "n_rows-20", "one-class", "train_fraction-0.001"],
+    )
+    def test_infeasible_study_fails_before_any_stage(self, tmp_path, monkeypatch, payload, key):
+        """A generated study that a later stage would fail (split: a class
+        under 2 rows; rebalance: one class; selection: a one-class train
+        set) is rejected by parse_config, naming the key."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(payload))
+        monkeypatch.setattr(pipeline, "generate_dataset", None)  # no stage may run
+        with pytest.raises(InvalidValueError, match="^" + re.escape(key) + " "):
+            parse_config(str(file), None)
+
+    def test_feasibility_counts_follow_the_stages(self):
+        """Each generated study parse_config accepts has two classes with
+        two rows each after undersampling and a train set of two classes,
+        and each it rejects has not."""
+        proportions = [None, [0.5, 0.5, 0, 0, 0, 0, 0], [0.98, 0.01, 0.01, 0, 0, 0, 0], [0.001] + [0.999 / 6] * 6]
+        for n_rows in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+            for props in proportions:
+                for fraction in (0.1, 0.5, 0.75):
+                    for undersample in (True, False):
+                        generator = {"n_rows": n_rows, **({"class_proportions": props} if props else {})}
+                        case = {"generator": generator, "train_fraction": fraction, "undersample": undersample}
+                        try:
+                            parse_config(None, case)
+                            accepted = True
+                        except InvalidValueError:
+                            accepted = False
+                        data = generate_dataset(GeneratorConfig(**generator), 3)
+                        try:
+                            if undersample:
+                                data = undersample_majority(data, seed=1)
+                            train, _ = split_train_test(data, fraction, seed=2)
+                            runs = np.unique(train.labels).size >= 2
+                        except FddError:
+                            runs = False
+                        assert accepted == runs, case
+
     def test_bad_value_types_rejected(self):
         with pytest.raises(InvalidValueError):
             parse_config(None, {"bogus_key": 3})

@@ -56,6 +56,7 @@ def assert_same_tree(tree, ref, node=0):
             assert tree.output[j] == ref["value"]
         else:
             assert list(tree.output[j]) == ref["distribution"]
+            assert tree.n_samples[j] == ref["n_samples"]
     else:
         assert tree.feature[node] == ref["feature"]
         assert tree.threshold[j] == ref["threshold"]
@@ -162,6 +163,99 @@ class TestOneColumnGrowth:
             node = fit_tree(np.hstack([x, x]), y, cfg, n_classes=k)
             assert tree_to_dict(level) == tree_to_dict(node), case
             assert same_tree(level, node), case
+
+
+def tied_table(rng, n, width, step, k):
+    """(x, y, repeats): n rows of width columns rounded to step, so values
+    tie, labels that follow the first column, and 1-4 repeats per row."""
+    x = np.round(rng.normal(0.0, 2.0, size=(n, width)) / step) * step
+    y = (np.abs(x[:, 0]) * 3 + rng.integers(0, 2, size=n)).astype(int) % k
+    return x, y, rng.integers(1, 5, size=n)
+
+
+class TestRepeats:
+    """fit_tree(x, y, repeats=r) grows the tree of the table that holds
+    row i r[i] times."""
+
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    @pytest.mark.parametrize("min_leaf", [1, 5])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_equals_the_repeated_table(self, step, min_leaf, max_depth):
+        rng = np.random.default_rng(int(step * 10) + min_leaf + 7 * (max_depth or 0))
+        for case, width in enumerate([1, 1, 2, 3, 4, 5, 6, 6]):
+            k = int(rng.integers(2, 6))
+            x, y, r = tied_table(rng, int(rng.integers(2, 160)), width, step, k)
+            subsample = 2 if case == 7 else None  # a feature draw below the column count
+            cfg = TreeConfig(max_depth=max_depth, min_leaf=min_leaf, feature_subsample=subsample)
+            seed = int(rng.integers(0, 2**31))
+            tree = fit_tree(x, y, cfg, seed, k, repeats=r)
+            reference = fit_tree(np.repeat(x, r, 0), np.repeat(y, r), cfg, seed, k)
+            assert same_tree(tree, reference), (case, width)
+            assert tree_to_dict(tree) == tree_to_dict(reference), (case, width)
+
+    def test_matches_bruteforce_randomized(self):
+        rng = np.random.default_rng(2025)
+        for case in range(200):
+            rows, labels = random_case(rng)
+            repeats = [int(v) for v in rng.integers(1, 4, size=len(rows))]
+            min_leaf = 1 if case % 3 else 3
+            max_depth = None if case % 4 else 2
+            cfg = TreeConfig(max_depth=max_depth, min_leaf=min_leaf)
+            tree = fit_tree(np.array(rows), np.array(labels), cfg, n_classes=3, repeats=repeats)
+            ref = oracle_fit(rows, labels, max_depth=max_depth, min_leaf=min_leaf, n_classes=3, repeats=repeats)
+            assert_same_tree(tree, ref)
+
+    def test_a_row_drawn_twice_is_two_rows(self):
+        x = np.array([[1.0, 2.0]])
+        tree = fit_tree(x, [1], TreeConfig(), n_classes=2, repeats=[2])
+        assert tree.n_samples.tolist() == [2] and tree.value.tolist() == [[0, 2]]
+        with pytest.raises(EmptyInputError, match="got 1"):
+            fit_tree(x, [1], TreeConfig(), n_classes=2, repeats=[1])
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (0, r"repeats\[2\] must be a positive integer, got 0"),
+            (-3, r"repeats\[2\] must be a positive integer, got -3"),
+            (1.5, r"repeats\[2\] must be a positive integer, got 1.5"),
+            (np.nan, r"repeats\[2\] must be a positive integer, got nan"),
+        ],
+    )
+    def test_bad_count_is_rejected_by_row(self, width, bad, match):
+        x = np.arange(8.0).reshape(-1, 1).repeat(width, axis=1)
+        repeats = np.ones(8)
+        repeats[2] = bad
+        with pytest.raises(InvalidValueError, match=match):
+            fit_tree(x, np.arange(8) % 2, TreeConfig(), repeats=repeats)
+
+    def test_wrong_shape_or_type_is_rejected(self):
+        x = np.arange(8.0).reshape(-1, 2)
+        with pytest.raises(DimensionMismatchError, match="4 rows but repeats"):
+            fit_tree(x, [0, 1, 0, 1], TreeConfig(), repeats=[1, 2, 3])
+        with pytest.raises(InvalidValueError, match="positive integers"):
+            fit_tree(x, [0, 1, 0, 1], TreeConfig(), repeats=["1", "2", "1", "2"])
+        with pytest.raises(InvalidValueError, match="positive integers"):
+            fit_tree(x, [0, 1, 0, 1], TreeConfig(), repeats=[True] * 4)
+
+    def test_regression_takes_no_repeats(self):
+        cfg = TreeConfig(task="regression_on_gradients")
+        with pytest.raises(InvalidValueError, match="classification trees only, not to task 'regression_on_gradients'"):
+            fit_tree(np.arange(8.0).reshape(-1, 2), [0.5, 1.0, 2.0, 0.0], cfg, repeats=[1, 1, 1, 1])
+
+    def test_bagged_trees_are_the_trees_of_their_drawn_rows(self):
+        """A bagged tree grows on its bootstrap's distinct rows with their
+        draw counts, and equals the tree of the drawn rows themselves."""
+        from fddsense.seeding import derive_seed
+
+        rng = np.random.default_rng(4)
+        x, y, _ = tied_table(rng, 300, 4, 0.1, 3)
+        cfg = EnsembleConfig(n_trees=4, tree=TreeConfig(max_depth=6, min_leaf=2, feature_subsample=2))
+        model = fit_ensemble(x, y, cfg, 9, ("a", "b", "c", "d"))
+        for i, tree in enumerate(model.trees):
+            rows = np.random.default_rng(derive_seed(9, i, "bootstrap")).integers(0, 300, size=300)
+            drawn = fit_tree(x[rows], y[rows], cfg.tree, derive_seed(9, i, "grow"), 3)
+            assert same_tree(tree, drawn), i
 
 
 def all_splits(tree):
@@ -610,6 +704,105 @@ class TestLeafSpans:
             assert 3 not in tree.feature, name  # column "d" is constant
             lo, hi = trees._leaf_intervals(tree, 3)
             assert np.all(lo == -np.inf) and np.all(hi == np.inf), name
+
+
+GRID = np.arange(-4.0, 4.5, 0.5)  # thresholds and row values, so rows land on thresholds
+
+
+def random_stepped_tree(rng, n_features, feature, ordered):
+    """A random classification tree whose splits all test feature, with
+    thresholds from GRID.  ordered keeps each threshold inside the
+    interval its path admits; otherwise thresholds fall anywhere, which
+    leaves some leaves unreachable, as in a hand-edited model file."""
+    features, thresholds = [], []
+
+    def grow(depth, lo, hi):
+        inside = GRID[(GRID > lo) & (GRID < hi)] if ordered else GRID
+        if depth >= 6 or inside.size == 0 or rng.random() < 0.25:
+            features.append(-1)
+            return
+        t = float(rng.choice(inside))
+        features.append(feature)
+        thresholds.append(t)
+        grow(depth + 1, lo, t)
+        grow(depth + 1, t, hi)
+
+    grow(0, -np.inf, np.inf)
+    feature = np.array(features)
+    leaves = int((feature < 0).sum())
+    value = rng.integers(0, 3, size=(leaves, 3)) + np.eye(3, dtype=np.int64)[np.arange(leaves) % 3]
+    return trees.DecisionTree(feature, np.array(thresholds), np.zeros(len(thresholds)), value.sum(axis=1),
+                              value, n_features, 3)
+
+
+def node_loop(tree, x, column=-1, values=None):
+    """Each row's leaf number, routed one split at a time from the root;
+    where a split tests column, the row reads values in place of x."""
+    leaves = []
+    for i, row in enumerate(x):
+        node = 0
+        while tree.feature[node] >= 0:
+            f, j = tree.feature[node], tree.number[node]
+            v = values[i] if f == column else row[f]
+            node = node + 1 if v <= tree.threshold[j] else tree.right[j]
+        leaves.append(tree.number[node])
+    return np.array(leaves)
+
+
+class TestStepRouting:
+    """A tree whose splits all test one feature is routed by one sorted
+    search; it must reach the leaves the node loop reaches."""
+
+    def check(self, tree, x, rng):
+        xf = np.asfortranarray(x)
+        idx = np.sort(rng.choice(x.shape[0], size=x.shape[0] // 2, replace=False))
+        for column in (-1, *range(x.shape[1])):
+            values = rng.choice(GRID, size=x.shape[0]) + rng.choice([0.0, 0.25], size=x.shape[0])
+            out = np.full(x.shape[0], -1)
+            trees._reach(xf, tree, idx, out, column, values)
+            want = node_loop(tree, x, column, values)
+            assert np.array_equal(out.take(idx), want.take(idx)), column
+            assert np.all(np.delete(out, idx) == -1), column  # rows outside idx are not written
+
+    def test_random_trees_match_the_node_loop(self):
+        rng = np.random.default_rng(33)
+        unreachable = 0
+        for case in range(300):
+            n_features = int(rng.integers(1, 4))
+            tree = random_stepped_tree(rng, n_features, int(rng.integers(0, n_features)), case % 2 == 0)
+            assert tree._steps is not None, case
+            lo, hi = trees._leaf_intervals(tree, tree._steps[0])
+            unreachable += int((lo >= hi).sum())
+            x = rng.choice(GRID, size=(40, n_features)) + rng.choice([0.0, 0.25, -0.25], size=(40, n_features))
+            self.check(tree, x, rng)
+        assert unreachable > 100  # the unordered trees test leaves no value reaches
+
+    def test_out_of_order_thresholds(self):
+        """Root t=0 with a left split at t=2: no value <= 0 exceeds 2, so
+        leaf 1 is unreachable and the search skips it."""
+        tree = trees.DecisionTree(
+            np.array([0, 0, -1, -1, -1]), np.array([0.0, 2.0]), np.zeros(2), np.array([1, 1, 1]),
+            np.eye(3, dtype=np.int64), 1, 3,
+        )
+        feature, leaves, bounds = tree._steps
+        assert feature == 0 and leaves.tolist() == [0, 2] and bounds.tolist() == [0.0, np.inf]
+        x = np.array([[-1.0], [0.0], [1.0], [2.0], [3.0]])
+        self.check(tree, x, np.random.default_rng(0))
+        out = np.empty(5, dtype=np.intp)
+        trees._reach(np.asfortranarray(x), tree, np.arange(5), out)
+        assert out.tolist() == [0, 0, 2, 2, 2]
+
+    def test_grown_and_leaf_only_trees(self):
+        rng = np.random.default_rng(5)
+        x, y, _ = tied_table(rng, 200, 3, 0.5, 3)
+        one = fit_tree(x[:, 1:2], y, TreeConfig(max_depth=6))
+        several = fit_tree(x, y, TreeConfig(max_depth=6))
+        stump = fit_tree(x, np.zeros(200, dtype=int), TreeConfig(), n_classes=2)
+        assert one._steps is not None and stump._steps is not None
+        assert np.unique(several.feature[several.feature >= 0]).size > 1 and several._steps is None
+        for tree, data in ((one, x[:, 1:2]), (several, x), (stump, x)):
+            self.check(tree, data, rng)
+            assert np.array_equal(tree.predict_batch(data), np.array([predict_tree(tree, row) for row in data]))
 
 
 def corrupt(payload, node, key, value):
