@@ -5,9 +5,9 @@
 # feature at each node) and a boosting model, and the scenarios on a table
 # of more than one 8,192-row load block; then a small study, whose saved
 # model goes through the loader again, and a Recursive Feature Addition
-# run.  Last, an out-of-range flag and each config file with a bad value
-# must fail with one Error line that names the flag or key, exit 1 and
-# print no traceback.
+# run.  Last, each command line with an out-of-range flag or a config file
+# with a bad value must fail with one Error line that names the flag or
+# key, exit 1 and print no traceback.
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
@@ -26,28 +26,26 @@ test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
 fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
-status=0
-fddsense pipeline --snr 4000 --out bad-out > bad.txt 2>&1 || status=$?
-cat bad.txt
-test "$status" -eq 1
-test "$(wc -l < bad.txt)" -eq 1
-test "$(cut -d ' ' -f 1-3 bad.txt)" = "Error: InvalidValueError: --snr"
-if grep -q Traceback bad.txt; then exit 1; fi
-while read -r key config; do
+while IFS='|' read -r name args config; do
   echo "$config" > bad.json
   status=0
-  fddsense pipeline --config bad.json > bad.txt 2>&1 || status=$?
+  # args is unquoted: it is a command line, split into words on purpose.
+  fddsense $args > bad.txt 2>&1 || status=$?
   cat bad.txt
   test "$status" -eq 1
   test "$(wc -l < bad.txt)" -eq 1
-  test "$(cut -d ' ' -f 1-3 bad.txt)" = "Error: InvalidValueError: $key"
+  test "$(cut -d ' ' -f 1-3 bad.txt)" = "Error: InvalidValueError: $name"
   if grep -q Traceback bad.txt; then exit 1; fi
-done <<'CONFIGS'
-n_threads {"n_threads": 2}
-rfa.max_sensors {"rfa": {"max_sensors": 2.5}}
-ensemble.method {"ensemble": {"method": 1}}
-ensemble.max_depth {"ensemble": {"max_depth": 2.0}}
-data.path {"data": {"path": ""}}
-robustness.snr_db {"robustness": {"snr_db": [3, 3]}}
-ensemble.learning_rate {"ensemble": {"learning_rate": 5.0}}
-CONFIGS
+done <<'BAD'
+--snr|pipeline --snr 4000 --out bad-out|
+--min-leaf|train --data d.csv --min-leaf 0 --model-out bad-model.json|
+--learning-rate|rfa --data d.csv --learning-rate 2|
+--rows|simgen --rows 0 --out bad.csv|
+n_threads|pipeline --config bad.json|{"n_threads": 2}
+rfa.max_sensors|pipeline --config bad.json|{"rfa": {"max_sensors": 2.5}}
+ensemble.method|pipeline --config bad.json|{"ensemble": {"method": 1}}
+ensemble.max_depth|pipeline --config bad.json|{"ensemble": {"max_depth": 2.0}}
+data.path|pipeline --config bad.json|{"data": {"path": ""}}
+robustness.snr_db|pipeline --config bad.json|{"robustness": {"snr_db": [3, 3]}}
+ensemble.learning_rate|pipeline --config bad.json|{"ensemble": {"learning_rate": 5.0}}
+BAD

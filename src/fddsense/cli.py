@@ -27,7 +27,7 @@ from .ensembles import (
 from .errors import FddError, InvalidValueError
 from .fileio import atomic_write_text
 from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _select, _with_fields, _write_pair
+from .pipeline import _renamed, _select, _with_fields, _write_pair
 from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig
@@ -35,28 +35,17 @@ from .simgen import GeneratorConfig, generate_dataset
 
 
 def _fail(exc: Exception) -> "click.ClickException":
+    """exc as one Error line.  An InvalidValueError's leading settings name
+    is spelled as the flag that set it, among the command's value flags
+    that hold a value; a config file's key keeps parse_config's name."""
+    if isinstance(exc, InvalidValueError):
+        ctx = click.get_current_context()
+        given = {param.opts[0] for param in ctx.command.params
+                 if isinstance(param, click.Option) and not param.is_flag and ctx.params[param.name] is not None}
+        exc = _renamed(exc, {key.field.split(".")[-1]: key.flag for key in _SCHEMA if key.flag in given})
     # numpy's failed allocation raises a private subclass of MemoryError.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     return click.ClickException(f"{name}: {exc}")
-
-
-# The settings name that a flag sets, as a range error leads with it.
-_FLAG_NAMES = {
-    "--rows": ("n_rows", "data.generator.n_rows"),
-    "--trees": ("n_trees",),
-    "--threshold": ("threshold",),
-    "--train-fraction": ("train_fraction",),
-    "--snr": ("snr_levels",),
-    "--max-sensors": ("max_sensors",),
-}
-
-
-def _by_flag(exc: InvalidValueError, given) -> InvalidValueError:
-    """exc, with its leading settings name renamed to the flag of given
-    that set it, as parse_config renames a file's values to their keys."""
-    name, _, rest = str(exc).partition(" ")
-    flags = {setting: flag for flag in given for setting in _FLAG_NAMES[flag]}
-    return type(exc)(f"{flags.get(name, name)} {rest}")
 
 
 class _Path(click.Path):
@@ -69,7 +58,10 @@ class _Path(click.Path):
         return super().convert(value, param, ctx)
 
 
-def _parse_snr_list(text: str) -> tuple[float, ...]:
+def _parse_snr_list(ctx, param, text):
+    """The --snr flag's comma-separated text as a tuple of levels."""
+    if text is None:
+        return None
     try:
         levels = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
@@ -104,12 +96,11 @@ def _feature_subsample(ctx, param, text):
 
 
 def _with_ensemble_options(fn):
-    """Add one flag per "ensemble" config key, defaulting as PipelineConfig
+    """Add each "ensemble" config key's flag, defaulting as PipelineConfig
     and typed as its default."""
     defaults = PipelineConfig().to_json_dict()["ensemble"]
     for key in reversed([k for k in _SCHEMA if k.path.startswith("ensemble.")]):
-        flag = "--trees" if key.field == "n_trees" else "--" + key.field.replace("_", "-")
-        default = defaults[key.path.removeprefix("ensemble.")]
+        flag, default = key.flag, defaults[key.path.removeprefix("ensemble.")]
         kwargs = {"default": default, "show_default": True, "help": _HELP.get(key.field)}
         if isinstance(default, bool):
             kwargs["is_flag"] = True
@@ -138,7 +129,7 @@ def main():
 @click.option("--trees", type=int, default=None)
 @click.option("--threshold", type=float, default=None, help="Clean macro-F1 stopping threshold.")
 @click.option("--train-fraction", type=float, default=None)
-@click.option("--snr", default=None, help="Comma-separated SNR levels in dB, e.g. 10,3,0.")
+@click.option("--snr", default=None, callback=_parse_snr_list, help="Comma-separated SNR levels in dB, e.g. 10,3,0.")
 @click.option("--no-failure", is_flag=True, help="Skip the dead-sensor scenario.")
 def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
              train_fraction, snr, no_failure):
@@ -153,18 +144,12 @@ def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
     }
     rfa_fields = {
         "threshold": threshold,
-        "snr_levels": None if snr is None else _parse_snr_list(snr),
+        "snr_levels": snr,
         "include_failure": False if no_failure else None,
     }
     overrides["rfa"] = {name: value for name, value in rfa_fields.items() if value is not None}
-    flags = {"--rows": rows, "--trees": trees, "--threshold": threshold, "--train-fraction": train_fraction,
-             "--snr": snr}
     try:
-        try:
-            cfg = parse_config(config_path, overrides)
-        except InvalidValueError as exc:
-            raise _by_flag(exc, [flag for flag, value in flags.items() if value is not None]) from exc
-        result = run_pipeline(cfg)
+        result = run_pipeline(parse_config(config_path, overrides))
     except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     trace = result.trace
@@ -237,7 +222,8 @@ def importance(model_path, top):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=RfaConfig.threshold, show_default=True)
 @click.option("--max-sensors", type=int, default=None)
-@click.option("--snr", default=_SNR_DEFAULT, show_default=True, help="Comma-separated SNR levels in dB of each step's scenarios.")
+@click.option("--snr", default=_SNR_DEFAULT, show_default=True, callback=_parse_snr_list,
+              help="Comma-separated SNR levels in dB of each step's scenarios.")
 @click.option("--train-fraction", type=float, default=PipelineConfig.train_fraction, show_default=True)
 @click.option("--out", "out_dir", type=_Path(), default=None, help="Write trace artifacts here.")
 @_with_ensemble_options
@@ -246,14 +232,10 @@ def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, *
 
     Runs the pipeline's data, rebalance, split and selection stages, so
     the trace is the pipeline's for the same CSV, seed and flags."""
-    levels = _parse_snr_list(snr)
     try:
-        try:
-            rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=levels)
-            cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
-                                              rfa=rfa_cfg), ensemble_fields)
-        except InvalidValueError as exc:
-            raise _by_flag(exc, _FLAG_NAMES.keys() - {"--rows"}) from exc
+        rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=snr)
+        cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
+                                          rfa=rfa_cfg), ensemble_fields)
         trace = _select(cfg, lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)
@@ -276,13 +258,13 @@ def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, *
 @click.option("--model", "model_path", type=_Path(), required=True)
 @click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
-@click.option("--snr", default=_SNR_DEFAULT, show_default=True, help="Comma-separated SNR levels in dB.")
+@click.option("--snr", default=_SNR_DEFAULT, show_default=True, callback=_parse_snr_list,
+              help="Comma-separated SNR levels in dB.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=_Path(), default=None, help="Write robustness artifacts here.")
 def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     """Score a saved model under noise and dead-sensor scenarios."""
-    levels = _parse_snr_list(snr)
     try:
         model = load_model(model_path)
         data = load_dataset(data_path)
@@ -290,7 +272,7 @@ def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
             sensor = rank_features(model)[0][0]
         if data.symbols != model.feature_names:
             data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-        specs = _specs(sensor, levels, fail_sensor)
+        specs = _specs(sensor, snr, fail_sensor)
         report = run_scenarios(model, data, specs, derive_seed(seed, "robustness"))
         if out_dir is not None:
             out = Path(out_dir)

@@ -43,46 +43,57 @@ OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
 
 
 class _Key(NamedTuple):
-    """One config key: its dotted place in the config file (path), its
-    override name (field) and whether config.json echoes it.  A field is
-    the dotted PipelineConfig attribute the key sets, except that an
-    ensemble key's is the name of its EnsembleConfig or TreeConfig field
-    (_ATTRIBUTES)."""
+    """One setting and each of its names: its dotted place in the config
+    file (path), its override name (field), the CLI flag that sets it
+    (flag, or None) and whether config.json echoes it.  A field is the
+    dotted PipelineConfig attribute the key sets, except that an ensemble
+    key's is the name of its EnsembleConfig or TreeConfig field
+    (_ATTRIBUTES).  A range error starts with the field's last part, which
+    _renamed spells as the path or the flag that set the value."""
 
     path: str
     field: str
+    flag: str | None = None
     echo: bool = True
 
 
 # The config schema.  Defaults live on PipelineConfig and the configs it
 # nests, each of which checks the type and range of its own fields; the
-# parser, the config.json echo and the CLI's ensemble flags read this
-# table.
+# parser, the config.json echo, the CLI's ensemble flags and its error
+# names read this table.
 _SCHEMA = (
-    _Key("seed", "seed"),
-    _Key("data.path", "data_path"),
-    _Key("data.generator.n_rows", "generator.n_rows"),
+    _Key("seed", "seed", "--seed"),
+    _Key("data.path", "data_path", "--data"),
+    _Key("data.generator.n_rows", "generator.n_rows", "--rows"),
     _Key("data.generator.class_proportions", "generator.class_proportions"),
-    _Key("train_fraction", "train_fraction"),
+    _Key("train_fraction", "train_fraction", "--train-fraction"),
     _Key("undersample", "undersample"),
-    _Key("ensemble.method", "method"),
-    _Key("ensemble.n_trees", "n_trees"),
-    _Key("ensemble.max_depth", "max_depth"),
-    _Key("ensemble.min_leaf", "min_leaf"),
-    _Key("ensemble.feature_subsample", "feature_subsample"),
-    _Key("ensemble.bootstrap", "bootstrap"),
-    _Key("ensemble.learning_rate", "learning_rate"),
-    _Key("ensemble.hard_vote", "hard_vote"),
-    _Key("rfa.threshold", "rfa.threshold"),
-    _Key("rfa.max_sensors", "rfa.max_sensors"),
-    _Key("robustness.snr_db", "rfa.snr_levels"),
-    _Key("robustness.include_failure", "rfa.include_failure"),
+    _Key("ensemble.method", "method", "--method"),
+    _Key("ensemble.n_trees", "n_trees", "--trees"),
+    _Key("ensemble.max_depth", "max_depth", "--max-depth"),
+    _Key("ensemble.min_leaf", "min_leaf", "--min-leaf"),
+    _Key("ensemble.feature_subsample", "feature_subsample", "--feature-subsample"),
+    _Key("ensemble.bootstrap", "bootstrap", "--bootstrap"),
+    _Key("ensemble.learning_rate", "learning_rate", "--learning-rate"),
+    _Key("ensemble.hard_vote", "hard_vote", "--hard-vote"),
+    _Key("rfa.threshold", "rfa.threshold", "--threshold"),
+    _Key("rfa.max_sensors", "rfa.max_sensors", "--max-sensors"),
+    _Key("robustness.snr_db", "rfa.snr_levels", "--snr"),
+    _Key("robustness.include_failure", "rfa.include_failure", "--no-failure"),
     # Placement cannot affect results, so the echo leaves it out and stays
     # byte-stable across destinations.
-    _Key("out_dir", "out_dir", echo=False),
+    _Key("out_dir", "out_dir", "--out", echo=False),
     # 1 only; kept for the benchmark's study overrides, ROADMAP item 2 deletes both.
     _Key("n_threads", "n_threads", echo=False),
 )
+
+
+def _renamed(exc: InvalidValueError, names: dict) -> InvalidValueError:
+    """exc with its leading settings name (a field's last part) replaced
+    by its spelling in names, a file key or a CLI flag, where names has
+    one."""
+    name, _, rest = str(exc).partition(" ")
+    return type(exc)(f"{names.get(name, name)} {rest}")
 
 
 # The dotted PipelineConfig attribute of each ensemble key's field; any
@@ -198,19 +209,18 @@ def _check_feasible(generator: GeneratorConfig, train_fraction: float, undersamp
     the train set (the ensemble fit).
 
     Raises:
-        InvalidValueError: naming data.generator.class_proportions,
-            data.generator.n_rows or train_fraction, whichever leaves the
-            study infeasible.
+        InvalidValueError: starting with class_proportions, n_rows or
+            train_fraction, whichever leaves the study infeasible.
     """
     counts = _exact_label_counts(generator.n_rows, generator.class_proportions)
     present = counts.nonzero()[0]
     if present.size < 2:
         if sum(p > 0 for p in generator.class_proportions) < 2:
             raise InvalidValueError(
-                f"data.generator.class_proportions gives rows to {present.size} class(es): a study needs 2"
+                f"class_proportions gives rows to {present.size} class(es): a study needs 2"
             )
         raise InvalidValueError(
-            f"data.generator.n_rows {generator.n_rows} gives rows to {present.size} class(es): a study needs 2"
+            f"n_rows {generator.n_rows} gives rows to {present.size} class(es): a study needs 2"
         )
     if undersample:
         majority = int(counts.argmax())
@@ -219,7 +229,7 @@ def _check_feasible(generator: GeneratorConfig, train_fraction: float, undersamp
     if small.size:
         after = " after undersampling" if undersample else ""
         raise InvalidValueError(
-            f"data.generator.n_rows {generator.n_rows} gives class {int(small[0])} only 1 row{after}: "
+            f"n_rows {generator.n_rows} gives class {int(small[0])} only 1 row{after}: "
             "the stratified split needs 2 per class"
         )
     trained = sum(math.floor(train_fraction * int(counts[c])) > 0 for c in present)
@@ -269,15 +279,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
     merged.update(from_file)
     merged.update(from_overrides)
 
-    # An error starts with the attribute's name; one the file set is
-    # renamed to its key as the file spells it.
+    # An error the file set is renamed to its key as the file spells it.
     file_set = from_file.keys() - from_overrides.keys()
-    spelled = {key.field.split(".")[-1]: key.path for key in _SCHEMA if key.field in file_set}
     try:
         return _with_fields(PipelineConfig(), merged)
     except InvalidValueError as exc:
-        name, _, rest = str(exc).partition(" ")
-        raise type(exc)(f"{spelled.get(name, name)} {rest}") from exc
+        spelled = {key.field.split(".")[-1]: key.path for key in _SCHEMA if key.field in file_set}
+        raise _renamed(exc, spelled) from exc
 
 
 @dataclass(frozen=True)

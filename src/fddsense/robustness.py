@@ -19,7 +19,7 @@ from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
 from .fileio import _check_kind, _csv_rows
 from .metrics import ClassReport
 from .seeding import derive_seed
-from .trees import _leaf_intervals, _reach
+from .trees import _reach
 
 AWGN = "awgn"
 FAILURE = "failure"
@@ -177,17 +177,16 @@ class _CleanRoutes:
 
     A scenario changes one column.  A row keeps its clean leaf exactly
     when its new value lies in the interval that the leaf's path admits
-    on that column (trees._leaf_intervals), so only the rows outside it
+    on that column (DecisionTree._intervals), so only the rows outside it
     are routed again, from the root, through the routing loop
     trees._reach, which reads the new column wherever a split tests it.
-    A column's intervals are computed the first time a scenario perturbs
-    it, and kept for later scenarios on it.
+    Each tree computes a column's intervals once, the first time a
+    scenario perturbs it or it routes by _steps, and keeps them.
     """
 
     def __init__(self, trees, xf: np.ndarray):
         n = xf.shape[0]
         self.trees = trees
-        self.intervals = {}  # column -> one (lo, hi) per tree
         widest = max(tree.n_samples.size for tree in trees)
         self.ids = np.empty((len(trees), n), dtype=np.min_scalar_type(widest - 1))
         for tree, ids in zip(trees, self.ids):
@@ -196,10 +195,9 @@ class _CleanRoutes:
     def outputs(self, xf: np.ndarray, column: int, values: np.ndarray):
         """Yield each tree's leaf outputs, in tree order, for the clean
         rows xf with column replaced by values."""
-        if column not in self.intervals:
-            self.intervals[column] = [_leaf_intervals(tree, column) for tree in self.trees]
         ids = np.empty(values.size, dtype=np.intp)  # reused by every tree
-        for tree, (lo, hi), clean in zip(self.trees, self.intervals[column], self.ids):
+        for tree, clean in zip(self.trees, self.ids):
+            lo, hi = tree._intervals(column)
             ids[:] = clean
             stays = (lo.take(clean) < values) & (values <= hi.take(clean))
             _reach(xf, tree, (~stays).nonzero()[0], ids, column, values)

@@ -131,7 +131,8 @@ class DecisionTree:
     variance), and n_samples and value per leaf (its class counts, or
     its mean target).  Derived from them: right, each split's right
     child; number, each node's split or leaf number; and output, each
-    leaf's class shares or value.
+    leaf's class shares or value.  Computed on demand: _steps, and the
+    leaf intervals of each feature asked for (_intervals).
     """
 
     feature: np.ndarray
@@ -144,6 +145,7 @@ class DecisionTree:
     right: np.ndarray = field(init=False, repr=False)
     number: np.ndarray = field(init=False, repr=False)
     output: np.ndarray = field(init=False, repr=False)
+    _interval_cache: dict = field(init=False, repr=False, default_factory=dict)  # feature -> (lo, hi)
 
     def __post_init__(self):
         is_leaf = self.feature < 0
@@ -155,6 +157,12 @@ class DecisionTree:
     def root(self):
         """A read-only node view of the root, for code that walks nodes."""
         return _node_view(self, 0)
+
+    def _intervals(self, feature: int) -> tuple[np.ndarray, np.ndarray]:
+        """_leaf_intervals(self, feature), computed once per feature."""
+        if feature not in self._interval_cache:
+            self._interval_cache[feature] = _leaf_intervals(self, feature)
+        return self._interval_cache[feature]
 
     @cached_property
     def _steps(self) -> tuple[int, np.ndarray, np.ndarray] | None:
@@ -172,7 +180,7 @@ class DecisionTree:
         if tested.size and (tested != tested[0]).any():
             return None
         feature = int(tested[0]) if tested.size else 0
-        lo, hi = _leaf_intervals(self, feature)
+        lo, hi = self._intervals(feature)
         leaves = (lo < hi).nonzero()[0]
         return feature, leaves, hi.take(leaves)
 
@@ -476,21 +484,16 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int, 
         # xs[cut], so the children hold exactly the rows _route sends them.
         cut = (best_r + 1)[split]
         thresholds += [_threshold(float(xs[mid - 1]), float(xs[mid])) for mid in cut.tolist()]
-        levels.append((split, (best_g - g_parent) / sizes, sizes, counts))
+        levels.append((split, (best_g - g_parent) / sizes, sizes, counts, a, b))
         a, b = np.stack([a[split], cut], axis=1).ravel(), np.stack([cut, b[split]], axis=1).ravel()
         depth += 1
 
-    # Level order to preorder, in one stack pass.
-    is_split, decrease, sizes, counts = (np.concatenate(column) for column in zip(*levels))
+    # Level order to preorder.  A node's sorted rows [a, b) hold its
+    # subtree's, and a left child starts where its parent does, so
+    # preorder is by a, then by b descending.
+    is_split, decrease, sizes, counts, a, b = (np.concatenate(column) for column in zip(*levels))
     rank = is_split.cumsum() - 1  # a split's number in level order
-    splits_at, ranks = is_split.tolist(), rank.tolist()
-    preorder, stack = [], [0]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        if splits_at[node]:
-            stack += [2 * ranks[node] + 2, 2 * ranks[node] + 1]
-    nodes = np.array(preorder)
+    nodes = np.lexsort((-b, a))
     at_split = is_split.take(nodes)
     splits, leaves = nodes[at_split], nodes[~at_split]
     threshold = np.array(thresholds).take(rank.take(splits))

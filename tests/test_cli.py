@@ -100,7 +100,7 @@ class TestTrainCommand:
             "train", "--data", str(data), "--model-out", str(model_path), "--min-leaf", "0"
         )
         assert result.exit_code == 1
-        assert result.output.splitlines() == ["Error: InvalidValueError: min_leaf must be >= 1"]
+        assert result.output.splitlines() == ["Error: InvalidValueError: --min-leaf must be >= 1"]
         assert not model_path.exists()
 
     def test_negative_label_fails_cleanly(self, tmp_path):
@@ -292,8 +292,8 @@ class TestRfaCommand:
 @pytest.mark.parametrize("command", ["pipeline", "rfa", "robustness"])
 @pytest.mark.parametrize("snr", ["3,3", "0,-0", "10,3,10.0"])
 def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
-    """A level is one scenario: the --snr parser rejects a repeated one
-    before anything runs."""
+    """A level is one scenario: the --snr parser rejects a repeated one,
+    naming the flag, before anything runs."""
     args = {
         "pipeline": ["--out", str(tmp_path / "p")],
         "rfa": ["--data", str(tmp_path / "missing.csv")],
@@ -302,7 +302,7 @@ def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
     result = invoke(command, *args, "--snr", snr)
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: Invalid value: expected distinct SNR values, got {snr!r}"]
+    assert errors == [f"Error: Invalid value for '--snr': expected distinct SNR values, got {snr!r}"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -623,7 +623,8 @@ def small_inputs(tmp_path_factory):
 
 class TestEdgeValues:
     """Each command's flags at edge values: a rejected value exits 1 or 2
-    with one Error line, and no value raises an uncaught exception."""
+    with one Error line that names the flag, and no value raises an
+    uncaught exception."""
 
     @pytest.mark.parametrize("kind", EDGE_VALUES)
     @pytest.mark.parametrize("command, flag", VALUE_FLAGS, ids=[f"{c}-{f}" for c, f in VALUE_FLAGS])
@@ -641,6 +642,10 @@ class TestEdgeValues:
         else:
             assert result.exit_code in (1, 2), result.output
             assert len(errors) == 1, result.output
+            if errors[0].startswith("Error: InvalidValueError:"):
+                assert errors[0].startswith(f"Error: InvalidValueError: {flag} "), errors[0]
+            if errors[0].startswith("Error: Invalid value"):
+                assert errors[0].startswith(f"Error: Invalid value for '{flag}': "), errors[0]
 
     @pytest.mark.parametrize("command, flag", PATH_FLAGS, ids=[f"{c}-{f}" for c, f in PATH_FLAGS])
     def test_empty_path_is_rejected_by_name(self, tmp_path, monkeypatch, small_inputs, command, flag):

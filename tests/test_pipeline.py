@@ -296,6 +296,17 @@ class TestParseConfig:
         with pytest.raises(InvalidValueError, match="^" + re.escape(key) + " "):
             parse_config(str(file), None)
 
+    def test_infeasible_override_is_named_by_its_field(self, tmp_path):
+        """The feasibility check names a field, as every other check does:
+        an override keeps that name, and parse_config spells a file's
+        value as its dotted key."""
+        with pytest.raises(InvalidValueError, match=r"^n_rows 20 gives class 2 only 1 row "):
+            parse_config(None, {"generator": {"n_rows": 20}})
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"data": {"generator": {"n_rows": 20}}}))
+        with pytest.raises(InvalidValueError, match=r"^data\.generator\.n_rows 20 gives class 2 only 1 row "):
+            parse_config(str(file), None)
+
     def test_feasibility_counts_follow_the_stages(self):
         """Each generated study parse_config accepts has two classes with
         two rows each after undersampling and a train set of two classes,
