@@ -3,9 +3,9 @@
 # directory: a model saved and loaded again, and the robustness scenarios,
 # on bagging models (bootstrapped, without the bootstrap, and with every
 # feature at each node) and a boosting model, and the scenarios on a table
-# of more than one 8,192-row load block; then a small study, whose saved
-# model goes through the loader again, and a Recursive Feature Addition
-# run.  Last, each command line with an out-of-range flag or a config file
+# of more than one 8,192-row load block; then a small bagging study and a
+# 2-round boosting study, whose saved models go through the loader again,
+# and a Recursive Feature Addition run.  Last, each command line with an out-of-range flag or a config file
 # with a bad value must fail with one Error line that names the flag or
 # key, exit 1 and print no traceback.
 #
@@ -25,6 +25,10 @@ fddsense robustness --model m.json --data big.csv --fail-sensor --out rb
 test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
+# pipeline has no --method flag; a config file sets the method.
+echo '{"ensemble": {"method": "boosting"}}' > boosting.json
+fddsense pipeline --config boosting.json --trees 2 --rows 3000 --out pb
+fddsense importance --model pb/model.json --top 3
 fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
 while IFS='|' read -r name args config; do
   echo "$config" > bad.json
@@ -38,6 +42,7 @@ while IFS='|' read -r name args config; do
   if grep -q Traceback bad.txt; then exit 1; fi
 done <<'BAD'
 --snr|pipeline --snr 4000 --out bad-out|
+--snr|robustness --model m.json --data d.csv --snr 4000|
 --min-leaf|train --data d.csv --min-leaf 0 --model-out bad-model.json|
 --learning-rate|rfa --data d.csv --learning-rate 2|
 --rows|simgen --rows 0 --out bad.csv|

@@ -266,6 +266,7 @@ def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, *
 def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
     """Score a saved model under noise and dead-sensor scenarios."""
     try:
+        RfaConfig(snr_levels=snr)  # the study's rule for the levels, before the model and table load
         model = load_model(model_path)
         data = load_dataset(data_path)
         if sensor is None:

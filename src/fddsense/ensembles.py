@@ -192,7 +192,7 @@ def fit_ensemble(
 
     # Boosting: additive softmax model, one regression tree per class per
     # round, fitted to residuals onehot - p.
-    x = np.asfortranarray(x)  # once for every fit_tree and predict_batch below
+    x = np.asfortranarray(x)  # once, so that no fit_tree below copies it
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     priors = np.where(counts > 0, counts, 0.5) / y.shape[0]
     base_scores = np.log(priors)
@@ -200,6 +200,7 @@ def fit_ensemble(
     onehot = np.zeros((x.shape[0], n_classes), dtype=np.float64)
     onehot[np.arange(x.shape[0]), y] = 1.0
     trees: list[DecisionTree] = []
+    fitted = np.empty(x.shape[0])  # each tree's leaf value per training row
     for round_index in range(cfg.n_trees):
         probs = _softmax(scores)
         residuals = onehot - probs
@@ -209,9 +210,10 @@ def fit_ensemble(
                 residuals[:, k],
                 cfg.tree,
                 rng_seed=derive_seed(master_seed, "boost", round_index, k),
+                fitted=fitted,
             )
             trees.append(tree)
-            scores[:, k] += cfg.learning_rate * tree.predict_batch(x)
+            scores[:, k] += cfg.learning_rate * fitted
     return EnsembleModel(
         config=cfg,
         trees=trees,

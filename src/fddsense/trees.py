@@ -49,9 +49,17 @@ candidate of every growing node with the same int64 sums and float64
 divisions as the node scan, so g, the first maximum, the thresholds and
 the leaves are bit-equal to the node-by-node tree.  Its prefix table
 counts repeats too.  One feature draws no
-feature subset, so the rng is never consumed.  Regression keeps the node
-scan: its float sums follow each node's own sort order, which a level
-pass does not reproduce.
+feature subset, so the rng is never consumed.
+
+A regression tree on one feature with no tied values is a range [a, b)
+of its rows sorted once (fit_tree's ranked) at each node: the rows have
+one sort order, so the scan is the running sums of the range's targets
+and the children are [a, cut) and [cut, b), with no argsort, gather or
+_route per node.  Each node still holds its rows in row order, and sums
+them in that order for g and its leaf value, as the node scan does.  A
+column with a tie is scanned as any other: its order among ties is the
+sort's.  Given fitted, a regression tree writes each training row's leaf
+value into it: what predict_batch returns for that row.
 
 A threshold is the midpoint of the two values it separates, or the lower
 value where the midpoint rounds onto the upper one (_threshold), so it
@@ -354,12 +362,7 @@ def _scan(cols: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, min_leaf: int
     if counts is None:
         valid[:, : min_leaf - 1] = False
         valid[:, n - min_leaf :] = False
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        cum = yy.take(order).cumsum(axis=1)
-        sum_left = cum[:, :-1]
-        sum_right = cum[:, -1:] - sum_left
-        g = sum_left * sum_left / n_left + sum_right * sum_right / n_right
+        g = _regression_gain(yy.take(order).cumsum(axis=1))
     else:
         # The module docstring's identities; cross's last entry is sum(T^2).
         ws = ww.take(order)
@@ -388,6 +391,14 @@ def _scan(cols: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, min_leaf: int
     best = int(g.argmax())  # first maximum: lowest feature row, then threshold
     row, pos = divmod(best, n - 1)
     return float(g[row, pos]), row, pos, _threshold(float(xs[row, pos]), float(xs[row, pos + 1])), order[row]
+
+
+def _regression_gain(cum: np.ndarray) -> np.ndarray:
+    """g at each candidate of sorted targets whose running sums along the
+    last axis are cum: position i puts the i + 1 first rows left."""
+    n_left, sum_left = np.arange(1, cum.shape[-1]), cum[..., :-1]
+    sum_right = cum[..., -1:] - sum_left
+    return sum_left * sum_left / n_left + sum_right * sum_right / n_left[::-1]
 
 
 def _threshold(lo: float, hi: float) -> float:
@@ -553,12 +564,15 @@ def fit_tree(
     rng_seed: int = 0,
     n_classes: int | None = None,
     repeats: np.ndarray | None = None,
+    *,
+    fitted: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree by greedy top-down search.
 
-    A classification tree on a one-column x grows level by level over the
-    column sorted once; any other tree grows node by node.  Both give the
-    same tree, node for node (see the module docstring).
+    A one-column x grows over the column sorted once: a classification
+    tree level by level, a regression tree on ranges of sorted rows when
+    the column has no tied values.  Any other tree grows node by node.
+    Each gives the same tree, node for node (see the module docstring).
 
     A classification tree may take repeats, a positive count per row: it
     is then exactly the tree of np.repeat(x, repeats, 0) and
@@ -575,6 +589,9 @@ def fit_tree(
         n_classes: class count for classification; inferred from y if None.
         repeats: n positive integers, how often each row counts
             (classification only); None counts each row once.
+        fitted: an (n,) writable float64 array (regression only), into
+            which the grower writes each row's leaf value: bit for bit
+            what predict_batch(x) returns, without routing x again.
 
     Returns:
         DecisionTree.  All-constant features yield a single-leaf tree
@@ -589,7 +606,8 @@ def fit_tree(
         NonFiniteInputError: x, or a regression target, is NaN or Inf.
         InvalidValueError: cfg.feature_subsample is "sqrt", unresolved; a
             repeat count that is not a positive integer (named by its
-            row); or repeats given to a regression tree.
+            row); repeats given to a regression tree; or fitted given to
+            a classification tree, or not of the shape and dtype above.
     """
     if cfg.feature_subsample == SQRT:
         raise InvalidValueError('feature_subsample "sqrt" must be resolved to a count before a tree is grown')
@@ -600,6 +618,12 @@ def fit_tree(
     classify = cfg.task == CLASSIFICATION
     if repeats is not None and not classify:
         raise InvalidValueError(f"repeats applies to classification trees only, not to task {cfg.task!r}")
+    if fitted is not None and classify:
+        raise InvalidValueError(f"fitted applies to regression trees only, not to task {cfg.task!r}")
+    if fitted is not None and not (isinstance(fitted, np.ndarray) and fitted.flags.writeable and fitted.shape == (n,)
+                                   and fitted.dtype == np.float64):
+        got = f"{fitted.dtype} {fitted.shape}" if isinstance(fitted, np.ndarray) else type(fitted).__name__
+        raise InvalidValueError(f"fitted must be a writable float64 array of shape ({n},), got {got}")
     w = np.ones(n, dtype=np.int64) if repeats is None else _repeat_counts(repeats, n)
     total = int(w.sum())
     if total < 2:
@@ -612,25 +636,37 @@ def fit_tree(
     if classify:
         y, n_classes = _class_ids(y, n_classes)
     else:
-        y = y.astype(np.float64, copy=False)
+        y = np.ascontiguousarray(y, dtype=np.float64)  # a strided y.take copies all of y
         if not np.isfinite(y).all():
             row = int((~np.isfinite(y)).argmax())
             raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
     x = np.asfortranarray(x)  # _route reads whole columns
     if classify and n_features == 1:
         return _grow_levels(x[:, 0], y, w, n_classes, cfg)
+    # ranked: the rows of a one-column regression tree, sorted once, if no values tie.
+    ranked = x[:, 0].argsort() if n_features == 1 else None
+    if ranked is not None:
+        xs, ys = x[:, 0].take(ranked), y.take(ranked)
+        ranked = ranked if (xs[:-1] < xs[1:]).all() else None
     xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
     rng = np.random.default_rng(rng_seed)
 
-    def best_split(idx: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, size: int, counts: np.ndarray | None):
+    def best_split(idx: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, size: int, counts: np.ndarray | None, a: int):
         """(feature, threshold, impurity decrease, sort order, position)
         of the node's best split, or None; the order's first position + 1
-        rows go left."""
+        rows go left.  With ranked, the node is sorted rows [a, a + size)
+        and the order is None."""
         if classify:
             g_parent = float((counts * counts).sum()) / size
         else:
             s = float(yy.sum())
             g_parent = s * s / size
+        if ranked is not None:  # one sort order: the scan is the range's running sums
+            g = _regression_gain(ys[a : a + size].cumsum())
+            g[: cfg.min_leaf - 1] = g[size - cfg.min_leaf :] = -np.inf
+            pos = int(g.argmax())  # first maximum
+            t = _threshold(float(xs[a + pos]), float(xs[a + pos + 1]))
+            return (0, t, (float(g[pos]) - g_parent) / size, None, pos) if g[pos] > g_parent else None
         features = _pick_features(n_features, cfg, rng)
         per_block = max(1, _SCAN_BLOCK // idx.size)
         best = None
@@ -647,16 +683,17 @@ def fit_tree(
         return f, threshold, (best_g - g_parent) / size, order, pos
 
     # The tree's arrays, appended in preorder: an explicit stack of (row
-    # indices, depth), children pushed right-then-left, so the left
-    # subtree comes first and consumes the rng first.
+    # indices, depth, first sorted row if ranked), children pushed
+    # right-then-left, so the left subtree comes first and consumes the
+    # rng first.
     feature: list[int] = []
     threshold: list[float] = []
     decrease: list[float] = []
     n_samples: list[int] = []
     value: list = []
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), 0)]
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n), 0, 0)]
     while stack:
-        idx, depth = stack.pop()
+        idx, depth, a = stack.pop()
         # One gather of the node's labels serves the purity test, the
         # scan and the leaf; a node holds at least min_leaf >= 1 rows.
         yy = y.take(idx)
@@ -670,22 +707,27 @@ def fit_tree(
             pure = np.minimum.reduce(yy) == np.maximum.reduce(yy)
         depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
         grow = not (pure or depth_capped or size < 2 * cfg.min_leaf)
-        split = best_split(idx, yy, ww, size, counts) if grow else None
+        split = best_split(idx, yy, ww, size, counts, a) if grow else None
         if split is None:
             feature.append(-1)
             n_samples.append(size)
             value.append(counts if classify else float(yy.sum() / size))  # yy.mean(), bit for bit
+            if fitted is not None:
+                fitted[idx] = value[-1]
         else:
             f, t, d, order, pos = split
             feature.append(f)
             threshold.append(t)
             decrease.append(d)
+            cut = a + pos + 1  # the right child's first sorted row, if ranked
             if classify:  # the children are cut from the split's sort order
                 left, right = idx.take(order[: pos + 1]), idx.take(order[pos + 1 :])
+            elif ranked is not None:  # the ranges [a, cut) and [cut, b), in row order
+                left, right = np.sort(ranked[a:cut]), np.sort(ranked[cut : a + idx.size])
             else:  # a regression scan sums in its rows' order: keep idx's
                 left, right = _route(x[:, f], idx, t)
-            stack.append((right, depth + 1))
-            stack.append((left, depth + 1))
+            stack.append((right, depth + 1, cut))
+            stack.append((left, depth + 1, a))
     arrays = (np.array(column) for column in (feature, threshold, decrease, n_samples, value))
     return DecisionTree(*arrays, n_features, n_classes if classify else None)
 

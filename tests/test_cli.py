@@ -380,17 +380,19 @@ class TestRobustnessCommand:
         )
         assert result.exit_code != 0
 
-    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "3,4000"])
     def test_extreme_snr_fails_cleanly(self, tmp_path, snr):
+        """An out-of-range level is named by its flag, as rfa names it, and
+        is rejected before the model or the table is read."""
         data = make_csv(tmp_path)
         model_path = tmp_path / "model.json"
         invoke("train", "--data", str(data), "--model-out", str(model_path), "--trees", "2")
-        result = invoke("robustness", "--model", str(model_path), "--data", str(data), f"--snr={snr}")
-        assert result.exit_code == 1
-        lines = result.output.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("Error: InvalidValueError: awgn mode needs an snr_db ")
-        assert lines[0].endswith(f"got {float(snr)!r}")
+        line = (f"Error: InvalidValueError: --snr {float(snr.split(',')[-1])!r} is out of range: "
+                "10^(snr/10) must be a finite positive float")
+        for model in (model_path, tmp_path / "missing.json"):
+            result = invoke("robustness", "--model", str(model), "--data", str(data), f"--snr={snr}")
+            assert result.exit_code == 1
+            assert result.output.splitlines() == [line]
 
 
     def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):

@@ -473,6 +473,96 @@ class TestRegressionTask:
         assert tree.output.tolist() == [1.5, 12.0]
 
 
+REGRESSION = "regression_on_gradients"
+
+
+def beside_constant(x):
+    """x with a constant column appended: the node grower takes it, and the
+    constant column never splits, so it grows x's tree node by node."""
+    return np.hstack([x, np.full((x.shape[0], 1), 2.5)])
+
+
+def same_arrays(tree, ref):
+    """tree and ref hold equal arrays, bit for bit; n_features may differ."""
+    return same_tree(tree, ref) and tree_to_dict(tree) == tree_to_dict(ref)
+
+
+class TestRegressionRanges:
+    """A one-column regression tree without ties grows on ranges of its
+    sorted rows, and equals the node grower's tree."""
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5, 7])
+    @pytest.mark.parametrize("max_depth", [None, 3, 12])
+    def test_range_growth_matches_node_growth(self, min_leaf, max_depth):
+        rng = np.random.default_rng(100 * min_leaf + (max_depth or 0))
+        cfg = TreeConfig(task=REGRESSION, min_leaf=min_leaf, max_depth=max_depth)
+        for case, n in enumerate([2, 3, 4, 9, 15, 40, 127, 600, 3000]):
+            x = rng.normal(size=(n, 1)) * rng.choice([1.0, 1e-3, 40.0])
+            y = rng.normal(size=n) + np.where(x[:, 0] > 0.2, 1.5, 0.0)
+            if case % 3 == 0:
+                y = np.round(y, 1)  # targets that tie
+            if case == 4:
+                y[:] = 0.75  # a constant target
+            assert np.unique(x).size == n
+            assert same_arrays(fit_tree(x, y, cfg), fit_tree(beside_constant(x), y, cfg)), n
+
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    def test_tied_column_grows_the_node_growers_tree(self, step):
+        rng = np.random.default_rng(int(10 * step))
+        for case in range(12):
+            n = int(rng.integers(2, 400))
+            x = np.round(rng.normal(0.0, 2.0, size=(n, 1)) / step) * step
+            y = np.sin(x[:, 0]) + rng.normal(0.0, 0.3, size=n)
+            cfg = TreeConfig(task=REGRESSION, min_leaf=[1, 2, 5][case % 3], max_depth=[None, 3][case % 2])
+            assert same_arrays(fit_tree(x, y, cfg), fit_tree(beside_constant(x), y, cfg)), case
+
+    @pytest.mark.parametrize("width, step", [(1, None), (1, 0.1), (3, None), (6, 0.1)])
+    def test_fitted_is_predict_batch_on_the_training_rows(self, width, step):
+        rng = np.random.default_rng(width)
+        for case in range(10):
+            n = int(rng.integers(2, 500))
+            x = rng.normal(size=(n, width))
+            if step is not None:
+                x = np.round(x / step) * step
+            y = x[:, 0] * 2 + rng.normal(size=n)
+            cfg = TreeConfig(task=REGRESSION, min_leaf=1 + case % 4, feature_subsample=[None, 2][case % 2])
+            fitted = np.full(n, np.nan)
+            tree = fit_tree(x, y, cfg, case, fitted=fitted)
+            assert np.array_equal(fitted, tree.predict_batch(x)), case
+            assert same_arrays(tree, fit_tree(x, y, cfg, case)), case
+
+    @pytest.mark.parametrize(
+        "fitted, match",
+        [
+            (np.zeros(7), r"fitted must be a writable float64 array of shape \(8,\), got float64 \(7,\)"),
+            (np.zeros((8, 1)), r"of shape \(8,\), got float64 \(8, 1\)"),
+            (np.zeros(8, dtype=np.float32), r"of shape \(8,\), got float32 \(8,\)"),
+            ([0.0] * 8, r"of shape \(8,\), got list"),
+            (np.broadcast_to(0.0, (8,)), r"fitted must be a writable float64 array"),
+        ],
+    )
+    def test_bad_fitted_is_rejected(self, fitted, match):
+        x = np.arange(16.0).reshape(-1, 2)
+        with pytest.raises(InvalidValueError, match=match):
+            fit_tree(x, np.arange(8.0), TreeConfig(task=REGRESSION), fitted=fitted)
+
+    def test_classification_takes_no_fitted(self):
+        for width in (1, 2):
+            x = np.arange(8.0 * width).reshape(-1, width)
+            with pytest.raises(InvalidValueError, match="fitted applies to regression trees only, not to task 'classification'"):
+                fit_tree(x, np.arange(8) % 2, TreeConfig(), fitted=np.zeros(8))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_strided_targets_grow_the_same_tree(self, width):
+        rng = np.random.default_rng(width + 30)
+        x = rng.normal(size=(300, width))
+        residuals = rng.normal(size=(300, 4))
+        cfg = TreeConfig(task=REGRESSION, min_leaf=3)
+        strided = residuals[:, 2]
+        assert not strided.flags.c_contiguous
+        assert same_arrays(fit_tree(x, strided, cfg), fit_tree(x, strided.copy(), cfg))
+
+
 class TestPrediction:
     def setup_method(self):
         rng = np.random.default_rng(31)
