@@ -25,9 +25,7 @@ fddsense robustness --model m.json --data big.csv --fail-sensor --out rb
 test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
-# pipeline has no --method flag; a config file sets the method.
-echo '{"ensemble": {"method": "boosting"}}' > boosting.json
-fddsense pipeline --config boosting.json --trees 2 --rows 3000 --out pb
+fddsense pipeline --method boosting --trees 2 --rows 3000 --out pb
 fddsense importance --model pb/model.json --top 3
 fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
 while IFS='|' read -r name args config; do
@@ -45,6 +43,8 @@ done <<'BAD'
 --snr|robustness --model m.json --data d.csv --snr 4000|
 --min-leaf|train --data d.csv --min-leaf 0 --model-out bad-model.json|
 --learning-rate|rfa --data d.csv --learning-rate 2|
+--learning-rate|pipeline --learning-rate 2 --out bad-out|
+--max-sensors|pipeline --max-sensors 0 --out bad-out|
 --rows|simgen --rows 0 --out bad.csv|
 n_threads|pipeline --config bad.json|{"n_threads": 2}
 rfa.max_sensors|pipeline --config bad.json|{"rfa": {"max_sensors": 2.5}}

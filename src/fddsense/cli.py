@@ -4,45 +4,53 @@ Subcommands cover the full study (pipeline) and its stages in isolation:
 data synthesis, model training, importance ranking, greedy sensor-set
 selection, and noise/failure robustness checks.  All output is plain text
 on stdout; artifact files land in the requested directory.
+
+Every value flag that sets a study setting is its _SCHEMA row's flag,
+added by _settings with the setting's PipelineConfig default; pipeline
+takes all of them.  Flags that no setting owns (--config, --model,
+--model-out, --sensor, --fail-sensor, --top, simgen's --out) are hand-written.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .dataset import load_dataset, write_csv
-from .ensembles import (
-    BAGGING,
-    BOOSTING,
-    evaluate,
-    fit_ensemble,
-    load_model,
-    rank_features,
-    save_model,
-)
+from .ensembles import BAGGING, BOOSTING, evaluate, fit_ensemble, load_model, rank_features, save_model
 from .errors import FddError, InvalidValueError
 from .fileio import atomic_write_text
-from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
+from .pipeline import _ATTRIBUTES, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
 from .pipeline import _renamed, _select, _with_fields, _write_pair
 from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
 from .selection import RfaConfig
 from .simgen import GeneratorConfig, generate_dataset
 
+# Each schema field by its parameter name: its last part, as errors lead with it.
+_FIELDS = {key.field.split(".")[-1]: key.field for key in _SCHEMA}
+
+
+def _given() -> set[str]:
+    """The current command's parameters that the command line set."""
+    ctx = click.get_current_context()
+    return {name for name in ctx.params if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE}
+
 
 def _fail(exc: Exception) -> "click.ClickException":
     """exc as one Error line.  An InvalidValueError's leading settings name
-    is spelled as the flag that set it, among the command's value flags
-    that hold a value; a config file's key keeps parse_config's name."""
+    (a field's last part or a file key) is spelled as the flag that set
+    it, where the command line set one; a config file's key keeps
+    parse_config's name."""
     if isinstance(exc, InvalidValueError):
-        ctx = click.get_current_context()
-        given = {param.opts[0] for param in ctx.command.params
-                 if isinstance(param, click.Option) and not param.is_flag and ctx.params[param.name] is not None}
-        exc = _renamed(exc, {key.field.split(".")[-1]: key.flag for key in _SCHEMA if key.flag in given})
+        given = _given()
+        exc = _renamed(exc, {name: key.flag for key in _SCHEMA if key.field.split(".")[-1] in given
+                             for name in (key.field.split(".")[-1], key.path)})
     # numpy's failed allocation raises a private subclass of MemoryError.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     return click.ClickException(f"{name}: {exc}")
@@ -60,8 +68,6 @@ class _Path(click.Path):
 
 def _parse_snr_list(ctx, param, text):
     """The --snr flag's comma-separated text as a tuple of levels."""
-    if text is None:
-        return None
     try:
         levels = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
@@ -73,16 +79,6 @@ def _parse_snr_list(ctx, param, text):
     return levels
 
 
-_SNR_DEFAULT = ",".join(f"{v:g}" for v in RfaConfig.snr_levels)
-
-
-_HELP = {
-    "n_trees": "Trees (bagging) or rounds (boosting).",
-    "feature_subsample": 'Per-node feature subset size, "sqrt", or "all".',
-    "hard_vote": "Majority voting instead of distribution averaging (bagging).",
-}
-
-
 def _feature_subsample(ctx, param, text):
     """The flag's text as its config value, where "all" stands for null."""
     if text in ("all", "none", ""):
@@ -90,29 +86,70 @@ def _feature_subsample(ctx, param, text):
     try:
         return text if text == "sqrt" else int(text)
     except ValueError:
-        raise click.BadParameter(
-            f'feature subsample must be an int, "sqrt", or "all", got {text!r}'
-        )
+        raise click.BadParameter(f'feature subsample must be an int, "sqrt", or "all", got {text!r}')
 
 
-def _with_ensemble_options(fn):
-    """Add each "ensemble" config key's flag, defaulting as PipelineConfig
-    and typed as its default."""
-    defaults = PipelineConfig().to_json_dict()["ensemble"]
-    for key in reversed([k for k in _SCHEMA if k.path.startswith("ensemble.")]):
-        flag, default = key.flag, defaults[key.path.removeprefix("ensemble.")]
-        kwargs = {"default": default, "show_default": True, "help": _HELP.get(key.field)}
-        if isinstance(default, bool):
-            kwargs["is_flag"] = True
-            flag += f"/--no-{flag[2:]}" if default else ""
-        elif key.field == "feature_subsample":
-            kwargs["callback"] = _feature_subsample
-        elif key.field == "method":
-            kwargs["type"] = click.Choice((BAGGING, BOOSTING))
-        else:
-            kwargs["type"] = type(default)
-        fn = click.option(flag, key.field, **kwargs)(fn)
-    return fn
+_HELP = {
+    "seed": "Master seed.",
+    "data_path": "Labelled input CSV; without one, pipeline generates its rows.",
+    "n_rows": "Generator row count.",
+    "n_trees": "Trees (bagging) or rounds (boosting).",
+    "feature_subsample": 'Per-node feature subset size, "sqrt", or "all".',
+    "hard_vote": "Majority voting instead of distribution averaging (bagging).",
+    "threshold": "Clean macro-F1 stopping threshold.",
+    "snr_levels": "Comma-separated SNR levels in dB, e.g. 10,3,0.",
+    "include_failure": "Skip the dead-sensor scenario.",
+    "out_dir": "Artifact directory.",
+}
+
+# What a flag's default does not tell: its type or value check, and
+# --out's default.  Left out, --out writes nothing in rfa and robustness,
+# and pipeline's comes from FDDSENSE_OUT_DIR or PipelineConfig.
+_KINDS = {
+    "data_path": {"type": _Path()},
+    "method": {"type": click.Choice((BAGGING, BOOSTING))},
+    "feature_subsample": {"callback": _feature_subsample},
+    "max_sensors": {"type": int},
+    "snr_levels": {"callback": _parse_snr_list},
+    "out_dir": {"type": _Path(), "default": None},
+}
+
+
+def _settings(*flags: str, required: tuple[str, ...] = ()):
+    """Add the flags of the _SCHEMA rows whose flag is in flags, each named
+    as its field's last part (a _FIELDS key) and defaulting as
+    PipelineConfig.  A value flag is typed as its default unless _KINDS
+    says otherwise, and a list default is written as its flag's text.  A
+    boolean is an --x flag, an --x/--no-x pair where it defaults true, or,
+    spelled --no-x, a flag that sets it false."""
+    defaults = PipelineConfig()
+
+    def add(fn):
+        for key in reversed([key for key in _SCHEMA if key.flag in flags]):
+            name = key.field.split(".")[-1]
+            default = attrgetter(_ATTRIBUTES.get(key.field, key.field))(defaults)
+            if isinstance(default, tuple):
+                default = ",".join(f"{v:g}" for v in default)
+            kwargs = {"default": default, "show_default": True, "required": key.flag in required,
+                      "help": _HELP.get(name), **_KINDS.get(name, {})}
+            decl, inverted = key.flag, key.flag.startswith("--no-")
+            if not isinstance(default, bool):
+                kwargs.setdefault("type", type(default))
+            else:
+                kwargs.update(is_flag=True, flag_value=not inverted, show_default=not inverted)
+                decl += f"/--no-{key.flag[2:]}" if default and not inverted else ""
+            fn = click.option(decl, name, **kwargs)(fn)
+        return fn
+
+    return add
+
+
+def _config(settings: dict) -> PipelineConfig:
+    """PipelineConfig with the settings, keyed by parameter name, set."""
+    return _with_fields(PipelineConfig(), {_FIELDS[name]: value for name, value in settings.items()})
+
+
+_ENSEMBLE = tuple(key.flag for key in _SCHEMA if key.path.startswith("ensemble."))
 
 
 @click.group()
@@ -122,56 +159,35 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", type=_Path(), default=None, help="JSON config file.")
-@click.option("--data", "data_path", type=_Path(), default=None, help="Input CSV; omit to use the generator.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--out", "out_dir", type=_Path(), default=None, help="Artifact directory.")
-@click.option("--rows", type=int, default=None, help="Generator row count.")
-@click.option("--trees", type=int, default=None)
-@click.option("--threshold", type=float, default=None, help="Clean macro-F1 stopping threshold.")
-@click.option("--train-fraction", type=float, default=None)
-@click.option("--snr", default=None, callback=_parse_snr_list, help="Comma-separated SNR levels in dB, e.g. 10,3,0.")
-@click.option("--no-failure", is_flag=True, help="Skip the dead-sensor scenario.")
-def pipeline(config_path, data_path, seed, out_dir, rows, trees, threshold,
-             train_fraction, snr, no_failure):
-    """Run the full study and write all artifacts."""
-    overrides = {
-        "data_path": data_path,
-        "seed": seed,
-        "out_dir": out_dir,
-        "n_trees": trees,
-        "train_fraction": train_fraction,
-        "generator": None if rows is None else {"n_rows": rows},
-    }
-    rfa_fields = {
-        "threshold": threshold,
-        "snr_levels": snr,
-        "include_failure": False if no_failure else None,
-    }
-    overrides["rfa"] = {name: value for name, value in rfa_fields.items() if value is not None}
+@_settings(*(key.flag for key in _SCHEMA if key.flag))
+def pipeline(config_path, **settings):
+    """Run the full study and write all artifacts; a flag given beats the config file."""
+    given = _given()
+    overrides: dict = {}
+    for name, value in settings.items():
+        if name in given:
+            section, _, leaf = _FIELDS[name].rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[leaf] = value
     try:
         result = run_pipeline(parse_config(config_path, overrides))
     except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
     trace = result.trace
-    click.echo(
-        f"test rows: {int(result.report.support.sum())} selected sensors: {len(trace.selected)}"
-    )
+    click.echo(f"test rows: {int(result.report.support.sum())} selected sensors: {len(trace.selected)}")
     click.echo("selected: " + ", ".join(trace.selected))
     click.echo(f"clean macro-F1: {result.report.macro_f1:.4f} (threshold {trace.threshold:g}, met: {trace.threshold_met})")
     for row in result.robustness.scenarios:
-        tag = row.spec.label()
-        click.echo(f"{tag}: macro-F1 {row.macro_f1:.4f}")
+        click.echo(f"{row.spec.label()}: macro-F1 {row.macro_f1:.4f}")
     click.echo(f"artifacts: {result.out_dir}")
 
 
 @main.command()
 @click.option("--out", "out_path", type=_Path(), required=True, help="Destination CSV.")
-@click.option("--rows", type=int, default=GeneratorConfig.n_rows, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def simgen(out_path, rows, seed):
+@_settings("--rows", "--seed")
+def simgen(out_path, n_rows, seed):
     """Generate a synthetic labelled dataset CSV."""
     try:
-        data = generate_dataset(GeneratorConfig(n_rows=rows), seed)
+        data = generate_dataset(GeneratorConfig(n_rows=n_rows), seed)
         write_csv(data, out_path)
     except (FddError, OSError, MemoryError) as exc:
         raise _fail(exc)
@@ -179,18 +195,15 @@ def simgen(out_path, rows, seed):
 
 
 @main.command()
-@click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--model-out", type=_Path(), default="model.json", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_with_ensemble_options
-def train(data_path, model_out, seed, **ensemble_fields):
+@_settings("--data", "--seed", *_ENSEMBLE, required=("--data",))
+def train(model_out, **settings):
     """Fit an ensemble on a CSV and save it as JSON."""
     try:
-        data = load_dataset(data_path)
-        cfg = _with_fields(PipelineConfig(), ensemble_fields).ensemble_config(data.n_sensors)
-        model = fit_ensemble(
-            data.values, data.labels, cfg, derive_seed(seed, "model"), data.symbols
-        )
+        study = _config(settings)
+        data = load_dataset(study.data_path)
+        cfg = study.ensemble_config(data.n_sensors)
+        model = fit_ensemble(data.values, data.labels, cfg, derive_seed(study.seed, "model"), data.symbols)
         report = evaluate(model, data)
         save_model(model, model_out)
     except (FddError, OSError, MemoryError) as exc:
@@ -218,25 +231,15 @@ def importance(model_path, top):
 
 
 @main.command()
-@click.option("--data", "data_path", type=_Path(), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threshold", type=float, default=RfaConfig.threshold, show_default=True)
-@click.option("--max-sensors", type=int, default=None)
-@click.option("--snr", default=_SNR_DEFAULT, show_default=True, callback=_parse_snr_list,
-              help="Comma-separated SNR levels in dB of each step's scenarios.")
-@click.option("--train-fraction", type=float, default=PipelineConfig.train_fraction, show_default=True)
-@click.option("--out", "out_dir", type=_Path(), default=None, help="Write trace artifacts here.")
-@_with_ensemble_options
-def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, **ensemble_fields):
+@_settings("--data", "--seed", "--train-fraction", *_ENSEMBLE, "--threshold", "--max-sensors", "--snr", "--out",
+           required=("--data",))
+def rfa(out_dir, **settings):
     """Rank sensors, then grow the smallest set meeting the threshold.
 
     Runs the pipeline's data, rebalance, split and selection stages, so
     the trace is the pipeline's for the same CSV, seed and flags."""
     try:
-        rfa_cfg = RfaConfig(threshold=threshold, max_sensors=max_sensors, snr_levels=snr)
-        cfg = _with_fields(PipelineConfig(seed=seed, data_path=data_path, train_fraction=train_fraction,
-                                          rfa=rfa_cfg), ensemble_fields)
-        trace = _select(cfg, lambda stage: None)
+        trace = _select(_config(settings), lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -256,24 +259,20 @@ def rfa(data_path, seed, threshold, max_sensors, snr, train_fraction, out_dir, *
 
 @main.command()
 @click.option("--model", "model_path", type=_Path(), required=True)
-@click.option("--data", "data_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
-@click.option("--snr", default=_SNR_DEFAULT, show_default=True, callback=_parse_snr_list,
-              help="Comma-separated SNR levels in dB.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=_Path(), default=None, help="Write robustness artifacts here.")
-def robustness(model_path, data_path, sensor, snr, fail_sensor, seed, out_dir):
+@_settings("--data", "--seed", "--snr", "--out", required=("--data",))
+def robustness(model_path, sensor, fail_sensor, data_path, seed, snr_levels, out_dir):
     """Score a saved model under noise and dead-sensor scenarios."""
     try:
-        RfaConfig(snr_levels=snr)  # the study's rule for the levels, before the model and table load
+        RfaConfig(snr_levels=snr_levels)  # the study's rule for the levels, before the model and table load
         model = load_model(model_path)
         data = load_dataset(data_path)
         if sensor is None:
             sensor = rank_features(model)[0][0]
         if data.symbols != model.feature_names:
             data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-        specs = _specs(sensor, snr, fail_sensor)
+        specs = _specs(sensor, snr_levels, fail_sensor)
         report = run_scenarios(model, data, specs, derive_seed(seed, "robustness"))
         if out_dir is not None:
             out = Path(out_dir)

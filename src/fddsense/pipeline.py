@@ -141,7 +141,8 @@ class PipelineConfig:
     """Fully resolved settings for one run.
 
     data_path of None means the built-in generator supplies the data,
-    and then the study must be feasible (_check_feasible).  The
+    and then the study must be feasible (_check_feasible); a CSV's study
+    is checked once the data stage has loaded it.  The
     ensemble's feature_subsample may be "sqrt", which ensemble_config
     resolves.  Each field is type-checked once, by the dataclass that
     holds it.
@@ -172,7 +173,12 @@ class PipelineConfig:
         if self.n_threads != 1:
             raise InvalidValueError(f"n_threads must be 1: every fit runs on one thread, got {self.n_threads}")
         if self.data_path is None:
-            _check_feasible(self.generator, self.train_fraction, self.undersample)
+            generator = self.generator
+            counts = _exact_label_counts(generator.n_rows, generator.class_proportions)
+            # Proportions that give rows to fewer than 2 classes fail at any n_rows.
+            few = sum(p > 0 for p in generator.class_proportions) < 2
+            source = "class_proportions" if few else f"n_rows {generator.n_rows}"
+            _check_feasible(counts, source, self.train_fraction, self.undersample)
 
     def ensemble_config(self, n_sensors: int) -> EnsembleConfig:
         """The ensemble recipe, with a feature_subsample of "sqrt" resolved
@@ -197,31 +203,26 @@ class PipelineConfig:
         return echo
 
 
-def _check_feasible(generator: GeneratorConfig, train_fraction: float, undersample: bool) -> None:
-    """Reject a generated study that a later stage would fail.
+def _check_feasible(counts: np.ndarray, source: str, train_fraction: float, undersample: bool) -> None:
+    """Reject a study that a later stage would fail, from its class counts
+    (indexed by class id).
 
-    Every class count of a generated study is fixed before any stage
-    runs: the generator's largest-remainder counts, then the majority
-    class shrunk to the largest minority class (if undersample), then
-    each class's floor(train_fraction * count) training rows, as
-    split_train_test takes them.  The study needs two classes, at least
-    two rows of each class (the stratified split), and two classes in
-    the train set (the ensemble fit).
+    These counts fix every later one: the majority class shrunk to the
+    largest minority class (if undersample), then each class's
+    floor(train_fraction * count) training rows, as split_train_test
+    takes them.  The study needs two classes, at least two rows of each
+    class (the stratified split), and two classes in the train set (the
+    ensemble fit).  A generated study's counts are known before any
+    stage runs; a CSV's once it is loaded.
 
     Raises:
-        InvalidValueError: starting with class_proportions, n_rows or
-            train_fraction, whichever leaves the study infeasible.
+        InvalidValueError: starting with source, the settings name (and
+            value) that gave the counts, or with train_fraction.
     """
-    counts = _exact_label_counts(generator.n_rows, generator.class_proportions)
+    counts = counts.copy()
     present = counts.nonzero()[0]
     if present.size < 2:
-        if sum(p > 0 for p in generator.class_proportions) < 2:
-            raise InvalidValueError(
-                f"class_proportions gives rows to {present.size} class(es): a study needs 2"
-            )
-        raise InvalidValueError(
-            f"n_rows {generator.n_rows} gives rows to {present.size} class(es): a study needs 2"
-        )
+        raise InvalidValueError(f"{source} gives rows to {present.size} class(es): a study needs 2")
     if undersample:
         majority = int(counts.argmax())
         counts[majority] = np.delete(counts, majority).max()
@@ -229,8 +230,7 @@ def _check_feasible(generator: GeneratorConfig, train_fraction: float, undersamp
     if small.size:
         after = " after undersampling" if undersample else ""
         raise InvalidValueError(
-            f"n_rows {generator.n_rows} gives class {int(small[0])} only 1 row{after}: "
-            "the stratified split needs 2 per class"
+            f"{source} gives class {int(small[0])} only 1 row{after}: the stratified split needs 2 per class"
         )
     trained = sum(math.floor(train_fraction * int(counts[c])) > 0 for c in present)
     if trained < 2:
@@ -380,6 +380,7 @@ def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> RfaTrace:
         except OSError as exc:
             # The errno keeps the subclass, such as FileNotFoundError.
             raise OSError(exc.errno, f"data.path: {exc.strerror}", exc.filename) from exc
+        _check_feasible(np.bincount(data.labels), f"data.path {cfg.data_path}", cfg.train_fraction, cfg.undersample)
     else:
         data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
 

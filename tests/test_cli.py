@@ -1,12 +1,16 @@
+import hashlib
 import json
+from operator import attrgetter
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fddsense import cli
 from fddsense.cli import main
 from fddsense.dataset import Dataset, load_dataset, write_csv
+from fddsense.pipeline import _ATTRIBUTES, OUT_DIR_ENV, parse_config
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 
@@ -570,6 +574,211 @@ class TestPipelineCommand:
         assert result.exit_code != 0
         assert "InvalidValueError" in result.output
 
+    def test_ensemble_flags_equal_the_config_route(self, tmp_path):
+        """--method sets the key a config file's "ensemble" section sets:
+        the same study writes the same bytes by either route."""
+        cfg = tmp_path / "boosting.json"
+        cfg.write_text(json.dumps({"ensemble": {"method": "boosting"}}))
+        study = ["--trees", "2", "--rows", "3000"]
+        by_flag = invoke("pipeline", "--method", "boosting", *study, "--out", str(tmp_path / "flag"))
+        by_file = invoke("pipeline", "--config", str(cfg), *study, "--out", str(tmp_path / "file"))
+        assert (by_flag.exit_code, by_file.exit_code) == (0, 0), by_flag.output + by_file.output
+        assert by_flag.output.splitlines()[:-1] == by_file.output.splitlines()[:-1]
+        assert _digests(tmp_path / "flag") == _digests(tmp_path / "file")
+        assert json.loads((tmp_path / "flag" / "config.json").read_text())["ensemble"]["method"] == "boosting"
+
+    def test_ensemble_flag_beats_the_file_and_a_flag_left_out_keeps_it(self, tmp_path):
+        """Only the flags given override the file: --hard-vote, left out,
+        keeps the file's true although the flag defaults false."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"n_trees": 2, "max_depth": 3, "bootstrap": False, "hard_vote": True}}))
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--max-depth", "4", "--bootstrap", "--rows", "2500",
+                        "--out", str(out))
+        assert result.exit_code == 0, result.output
+        ensemble = json.loads((out / "config.json").read_text())["ensemble"]
+        assert (ensemble["n_trees"], ensemble["max_depth"], ensemble["bootstrap"], ensemble["hard_vote"]) == (
+            2, 4, True, True)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("min_leaf", 0), ("max_depth", -1), ("learning_rate", 5.0), ("feature_subsample", 0), ("method", "foo")],
+    )
+    def test_a_files_bad_ensemble_value_keeps_its_key_beside_ensemble_flags(self, tmp_path, key, value):
+        """Every ensemble flag is on the command, at its default; only the
+        flags the command line gave are renamed, so the file's bad value
+        keeps its dotted key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {key: value}}))
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--config", str(cfg), "--trees", "2", "--out", str(out))
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"Error: InvalidValueError: ensemble.{key} "), lines[0]
+        assert not out.exists()
+
+    def test_pipeline_flag_defaults_are_the_studys(self, monkeypatch):
+        """A pipeline flag shows the value its study uses when the flag and
+        the config file leave the setting out."""
+        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+        study = parse_config(None, None)
+        params = main.commands["pipeline"].make_context("pipeline", []).params
+        for name, field in cli._FIELDS.items():
+            if name in params and name != "out_dir":  # --out's is None: FDDSENSE_OUT_DIR's or fdd-out
+                assert params[name] == attrgetter(_ATTRIBUTES.get(field, field))(study), name
+
+
+@pytest.fixture(scope="module")
+def infeasible_csvs(tmp_path_factory):
+    """name -> a 3,000-row CSV cut down so that a later stage would fail it:
+    one row of class 6 (split), or class 0 only (rebalance)."""
+    root = tmp_path_factory.mktemp("infeasible")
+    table = load_dataset(make_csv(root, n_rows=3000, seed=4))
+    keep = {
+        "one-class-6-row": (table.labels != 6) | (np.cumsum(table.labels == 6) == 1),
+        "class-0-only": table.labels == 0,
+    }
+    paths = {}
+    for name, rows in keep.items():
+        paths[name] = root / f"{name}.csv"
+        write_csv(table.take_rows(np.flatnonzero(rows)), paths[name])
+    return paths
+
+
+INFEASIBLE = {
+    "one-class-6-row": "gives class 6 only 1 row after undersampling: the stratified split needs 2 per class",
+    "class-0-only": "gives rows to 1 class(es): a study needs 2",
+}
+
+
+@pytest.mark.parametrize("case", INFEASIBLE)
+class TestInfeasibleCsv:
+    """A CSV study that the rebalance or split stage would fail ends at
+    stage data, in one Error line that names the file by the flag or the
+    config key that gave it."""
+
+    def test_pipeline_names_the_flag(self, tmp_path, infeasible_csvs, case):
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--data", str(infeasible_csvs[case]), "--trees", "2", "--out", str(out))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: InvalidValueError: --data {infeasible_csvs[case]} {INFEASIBLE[case]}"]
+        payload = json.loads((out / "error.json").read_text())
+        assert (payload["stage"], payload["message"]) == ("data", f"data.path {infeasible_csvs[case]} {INFEASIBLE[case]}")
+
+    def test_pipeline_names_the_config_key(self, tmp_path, infeasible_csvs, case):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"path": str(infeasible_csvs[case])}}))
+        result = invoke("pipeline", "--config", str(cfg), "--trees", "2", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: InvalidValueError: data.path {infeasible_csvs[case]} {INFEASIBLE[case]}"
+        ]
+
+    def test_rfa_names_the_flag(self, infeasible_csvs, case):
+        result = invoke("rfa", "--data", str(infeasible_csvs[case]), "--trees", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: InvalidValueError: --data {infeasible_csvs[case]} {INFEASIBLE[case]}"]
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+# command -> each option as spelled -> (kind, the value a run uses when it is
+# left out, or REQUIRED).  --no-failure's value is its setting's,
+# include_failure.  A pipeline flag's is its study's when the config file
+# leaves the setting out too; --out's is None there as in rfa and
+# robustness, where they write nothing.
+REQUIRED = "required"
+FLAG_INVENTORY = {
+    "pipeline": {
+        "--config": ("value", None),
+        "--seed": ("value", 0),
+        "--data": ("value", None),
+        "--rows": ("value", 20000),
+        "--train-fraction": ("value", 0.75),
+        "--method": ("value", "bagging"),
+        "--trees": ("value", 25),
+        "--max-depth": ("value", 12),
+        "--min-leaf": ("value", 5),
+        "--feature-subsample": ("value", "sqrt"),
+        "--bootstrap/--no-bootstrap": ("boolean", True),
+        "--learning-rate": ("value", 0.3),
+        "--hard-vote": ("boolean", False),
+        "--threshold": ("value", 0.99),
+        "--max-sensors": ("value", None),
+        "--snr": ("value", (10.0, 3.0, 0.0)),
+        "--no-failure": ("boolean", True),
+        "--out": ("value", None),
+    },
+    "simgen": {
+        "--out": ("value", REQUIRED),
+        "--rows": ("value", 20000),
+        "--seed": ("value", 0),
+    },
+    "train": {
+        "--data": ("value", REQUIRED),
+        "--model-out": ("value", "model.json"),
+        "--seed": ("value", 0),
+        "--method": ("value", "bagging"),
+        "--trees": ("value", 25),
+        "--max-depth": ("value", 12),
+        "--min-leaf": ("value", 5),
+        "--feature-subsample": ("value", "sqrt"),
+        "--bootstrap/--no-bootstrap": ("boolean", True),
+        "--learning-rate": ("value", 0.3),
+        "--hard-vote": ("boolean", False),
+    },
+    "importance": {
+        "--model": ("value", REQUIRED),
+        "--top": ("value", None),
+    },
+    "rfa": {
+        "--data": ("value", REQUIRED),
+        "--seed": ("value", 0),
+        "--threshold": ("value", 0.99),
+        "--max-sensors": ("value", None),
+        "--snr": ("value", (10.0, 3.0, 0.0)),
+        "--train-fraction": ("value", 0.75),
+        "--out": ("value", None),
+        "--method": ("value", "bagging"),
+        "--trees": ("value", 25),
+        "--max-depth": ("value", 12),
+        "--min-leaf": ("value", 5),
+        "--feature-subsample": ("value", "sqrt"),
+        "--bootstrap/--no-bootstrap": ("boolean", True),
+        "--learning-rate": ("value", 0.3),
+        "--hard-vote": ("boolean", False),
+    },
+    "robustness": {
+        "--model": ("value", REQUIRED),
+        "--data": ("value", REQUIRED),
+        "--sensor": ("value", None),
+        "--snr": ("value", (10.0, 3.0, 0.0)),
+        "--fail-sensor": ("boolean", False),
+        "--seed": ("value", 0),
+        "--out": ("value", None),
+    },
+}
+
+
+@pytest.mark.parametrize("command", FLAG_INVENTORY)
+def test_flag_inventory(monkeypatch, command):
+    """Each command's options keep their spelling, kind, whether they are
+    required and the value a run uses when they are left out."""
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
+    required = [arg for p in options if p.required for arg in (p.opts[0], "x")]
+    params = main.commands[command].make_context(command, required).params
+    inventory = {
+        "/".join(p.opts + p.secondary_opts): (
+            "boolean" if p.is_flag else "value", REQUIRED if p.required else params[p.name]
+        )
+        for p in options
+    }
+    assert inventory == FLAG_INVENTORY[command]
+
 
 # Edge values for every flag that takes a value: "missing" names a file
 # that does not exist and "directory" an existing directory.
@@ -596,6 +805,8 @@ ACCEPTED = {
     ("pipeline", "--seed"): {"negative", "zero"},
     ("pipeline", "--out"): set(EDGE_VALUES) - {"empty"},
     ("pipeline", "--snr"): {"negative", "zero"},
+    ("pipeline", "--max-depth"): {"zero"},
+    ("pipeline", "--feature-subsample"): {"empty"},
     ("simgen", "--out"): ANY_FILE_NAME,
     ("simgen", "--seed"): {"zero"},
     ("train", "--model-out"): ANY_FILE_NAME,

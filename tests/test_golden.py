@@ -76,6 +76,19 @@ STUDY_GOLDEN = {
     },
 }
 
+# artifact of `fddsense pipeline --data train.csv --trees 5 --seed 1` -> SHA-256
+CSV_STUDY_GOLDEN = {
+    "class_report.csv": "6036a8d5966865cd72533acc954ad430c45eaf312038699078828bfca3aa3e21",
+    "class_report.json": "333aee75b1ae47a41297dda03f221a56d4e238035c8cedff94ebac5d02c3dd90",
+    "config.json": "52133996386d4fe791d8777264cb777b66aa5f849a173565db23e2be59071428",
+    "model.json": "b2a658c60aeb28ab15153971d293e2b11bb41579d7994388e97ed21091768608",
+    "rfa_curves.svg": "a8042d85642405ddc14605ae9b27807bc102c84b63c17cba7449442c2e8448be",
+    "rfa_trace.csv": "c3e6fd1ea216f6e82d7db1ad3a7b6383cb58edd52b37b709cba75b0adf7ae025",
+    "rfa_trace.json": "b9382135efa60c4125eba31ecdccb37e2c47dcd9f2221e50fec8f4b1e905c563",
+    "robustness.csv": "479467445e0b6a437203f44d884c4cee8a6a1e9bc9fd0f6ec0e908a2ee6911cc",
+    "robustness.json": "a81a226d33d6aa1065c2bcc42dff2ce91f6e133e842f4ab5045400593f779a28",
+}
+
 
 def digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
@@ -124,3 +137,11 @@ def test_study_artifacts_match_their_golden_hashes(tmp_path, study):
     overrides = {"seed": 1, "generator": {"n_rows": 3000}, "out_dir": str(tmp_path), **STUDIES[study]}
     run_pipeline(parse_config(None, overrides))
     assert digests(tmp_path) == STUDY_GOLDEN[study]
+
+
+def test_csv_study_artifacts_match_their_golden_hashes(tables, tmp_path, monkeypatch):
+    """A CSV study that passes the data stage's feasibility check writes
+    what it wrote before the check existed."""
+    monkeypatch.chdir(tables[0].parent)  # config.json echoes data.path as given
+    invoke("pipeline", "--data", tables[0].name, "--trees", 5, "--seed", 1, "--out", tmp_path)
+    assert digests(tmp_path) == CSV_STUDY_GOLDEN

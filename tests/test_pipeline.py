@@ -633,6 +633,37 @@ class TestRunPipeline:
         assert "data.path: " in payload["message"]
 
     @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (lambda labels: (labels != 6) | (np.cumsum(labels == 6) == 1),
+             "gives class 6 only 1 row after undersampling: the stratified split needs 2 per class"),
+            (lambda labels: labels == 0, "gives rows to 1 class(es): a study needs 2"),
+        ],
+        ids=["one-class-6-row", "class-0-only"],
+    )
+    def test_csv_study_is_checked_at_the_data_stage(self, tmp_path, monkeypatch, keep, message):
+        """A CSV study that rebalance or split would fail is rejected once
+        the data stage has loaded it, naming data.path and the file."""
+        data = generate_dataset(GeneratorConfig(n_rows=3000), 4)
+        csv_path = tmp_path / "data.csv"
+        write_csv(data.take_rows(np.flatnonzero(keep(data.labels))), csv_path)
+        out = tmp_path / "out"
+        cfg = parse_config(None, {"data_path": str(csv_path), "n_trees": 2, "out_dir": str(out)})
+        monkeypatch.setattr(pipeline, "undersample_majority", None)  # no later stage may run
+        with pytest.raises(InvalidValueError, match="^" + re.escape(f"data.path {csv_path} {message}") + "$"):
+            run_pipeline(cfg)
+        payload = json.loads((out / "error.json").read_text())
+        assert (payload["stage"], payload["error"]) == ("data", "InvalidValueError")
+
+    def test_csv_study_of_two_classes_runs(self, tmp_path):
+        """Two classes of a CSV, each large enough, pass the check."""
+        data = generate_dataset(GeneratorConfig(n_rows=3000), 4)
+        csv_path = tmp_path / "data.csv"
+        write_csv(data.take_rows(np.flatnonzero(data.labels <= 1)), csv_path)
+        cfg = parse_config(None, {"data_path": str(csv_path), "n_trees": 2, "out_dir": str(tmp_path / "out")})
+        assert run_pipeline(cfg).trace.threshold_met
+
+    @pytest.mark.parametrize(
         "stage, target",
         [
             ("data", "generate_dataset"),
