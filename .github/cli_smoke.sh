@@ -5,9 +5,10 @@
 # feature at each node) and a boosting model, and the scenarios on a table
 # of more than one 8,192-row load block; then a small bagging study and a
 # 2-round boosting study, whose saved models go through the loader again,
-# and a Recursive Feature Addition run.  Last, each command line with an out-of-range flag or a config file
-# with a bad value must fail with one Error line that names the flag or
-# key, exit 1 and print no traceback.
+# a study whose --feature-subsample all beats a config file's count, and a
+# Recursive Feature Addition run.  Last, each command line with an
+# out-of-range flag or a config file with a bad value must fail with one
+# Error line that names the flag or key, exit 1 and print no traceback.
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
@@ -27,6 +28,9 @@ fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
 fddsense pipeline --method boosting --trees 2 --rows 3000 --out pb
 fddsense importance --model pb/model.json --top 3
+echo '{"ensemble": {"feature_subsample": 4}}' > fs.json
+fddsense pipeline --config fs.json --feature-subsample all --rows 3000 --trees 2 --out pf
+grep -q '"feature_subsample": null' pf/config.json
 fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
 while IFS='|' read -r name args config; do
   echo "$config" > bad.json

@@ -6,9 +6,12 @@ selection, and noise/failure robustness checks.  All output is plain text
 on stdout; artifact files land in the requested directory.
 
 Every value flag that sets a study setting is its _SCHEMA row's flag,
-added by _settings with the setting's PipelineConfig default; pipeline
-takes all of them.  Flags that no setting owns (--config, --model,
---model-out, --sensor, --fail-sensor, --top, simgen's --out) are hand-written.
+added by _settings as a parameter named as the setting, with its
+PipelineConfig default; pipeline takes all of them.  pipeline passes the
+flags given to parse_config as overrides, and train, rfa and robustness
+pass all of theirs, so every study flag reaches PipelineConfig one way.
+Flags that no setting owns (--config, --model, --model-out, --sensor,
+--fail-sensor, --top, simgen's --out) are hand-written.
 """
 
 from __future__ import annotations
@@ -23,17 +26,13 @@ from click.core import ParameterSource
 
 from .dataset import load_dataset, write_csv
 from .ensembles import BAGGING, BOOSTING, evaluate, fit_ensemble, load_model, rank_features, save_model
-from .errors import FddError, InvalidValueError
+from .errors import FddError, InvalidValueError, UnknownSensorError
 from .fileio import atomic_write_text
-from .pipeline import _ATTRIBUTES, PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _renamed, _select, _with_fields, _write_pair
+from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
+from .pipeline import _renamed, _select, _write_pair
 from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
-from .selection import RfaConfig
 from .simgen import GeneratorConfig, generate_dataset
-
-# Each schema field by its parameter name: its last part, as errors lead with it.
-_FIELDS = {key.field.split(".")[-1]: key.field for key in _SCHEMA}
 
 
 def _given() -> set[str]:
@@ -44,13 +43,11 @@ def _given() -> set[str]:
 
 def _fail(exc: Exception) -> "click.ClickException":
     """exc as one Error line.  An InvalidValueError's leading settings name
-    (a field's last part or a file key) is spelled as the flag that set
-    it, where the command line set one; a config file's key keeps
-    parse_config's name."""
+    or file key is spelled as the flag that set it, where the command line
+    set one; a config file's key keeps parse_config's name."""
     if isinstance(exc, InvalidValueError):
         given = _given()
-        exc = _renamed(exc, {name: key.flag for key in _SCHEMA if key.field.split(".")[-1] in given
-                             for name in (key.field.split(".")[-1], key.path)})
+        exc = _renamed(exc, {name: key.flag for key in _SCHEMA if key.name in given for name in (key.name, key.path)})
     # numpy's failed allocation raises a private subclass of MemoryError.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     return click.ClickException(f"{name}: {exc}")
@@ -117,36 +114,30 @@ _KINDS = {
 
 def _settings(*flags: str, required: tuple[str, ...] = ()):
     """Add the flags of the _SCHEMA rows whose flag is in flags, each named
-    as its field's last part (a _FIELDS key) and defaulting as
-    PipelineConfig.  A value flag is typed as its default unless _KINDS
-    says otherwise, and a list default is written as its flag's text.  A
-    boolean is an --x flag, an --x/--no-x pair where it defaults true, or,
-    spelled --no-x, a flag that sets it false."""
+    as its setting and defaulting as PipelineConfig.  A value flag is
+    typed as its default unless _KINDS says otherwise, and a list default
+    is written as its flag's text.  A boolean is an --x flag, an --x/--no-x
+    pair where it defaults true, or, spelled --no-x, a flag that sets it
+    false."""
     defaults = PipelineConfig()
 
     def add(fn):
         for key in reversed([key for key in _SCHEMA if key.flag in flags]):
-            name = key.field.split(".")[-1]
-            default = attrgetter(_ATTRIBUTES.get(key.field, key.field))(defaults)
+            default = attrgetter(key.attr)(defaults)
             if isinstance(default, tuple):
                 default = ",".join(f"{v:g}" for v in default)
             kwargs = {"default": default, "show_default": True, "required": key.flag in required,
-                      "help": _HELP.get(name), **_KINDS.get(name, {})}
+                      "help": _HELP.get(key.name), **_KINDS.get(key.name, {})}
             decl, inverted = key.flag, key.flag.startswith("--no-")
             if not isinstance(default, bool):
                 kwargs.setdefault("type", type(default))
             else:
                 kwargs.update(is_flag=True, flag_value=not inverted, show_default=not inverted)
                 decl += f"/--no-{key.flag[2:]}" if default and not inverted else ""
-            fn = click.option(decl, name, **kwargs)(fn)
+            fn = click.option(decl, key.name, **kwargs)(fn)
         return fn
 
     return add
-
-
-def _config(settings: dict) -> PipelineConfig:
-    """PipelineConfig with the settings, keyed by parameter name, set."""
-    return _with_fields(PipelineConfig(), {_FIELDS[name]: value for name, value in settings.items()})
 
 
 _ENSEMBLE = tuple(key.flag for key in _SCHEMA if key.path.startswith("ensemble."))
@@ -163,11 +154,7 @@ def main():
 def pipeline(config_path, **settings):
     """Run the full study and write all artifacts; a flag given beats the config file."""
     given = _given()
-    overrides: dict = {}
-    for name, value in settings.items():
-        if name in given:
-            section, _, leaf = _FIELDS[name].rpartition(".")
-            (overrides.setdefault(section, {}) if section else overrides)[leaf] = value
+    overrides = {name: value for name, value in settings.items() if name in given}
     try:
         result = run_pipeline(parse_config(config_path, overrides))
     except (FddError, OSError, MemoryError) as exc:
@@ -200,7 +187,7 @@ def simgen(out_path, n_rows, seed):
 def train(model_out, **settings):
     """Fit an ensemble on a CSV and save it as JSON."""
     try:
-        study = _config(settings)
+        study = parse_config(None, settings)
         data = load_dataset(study.data_path)
         cfg = study.ensemble_config(data.n_sensors)
         model = fit_ensemble(data.values, data.labels, cfg, derive_seed(study.seed, "model"), data.symbols)
@@ -239,7 +226,7 @@ def rfa(out_dir, **settings):
     Runs the pipeline's data, rebalance, split and selection stages, so
     the trace is the pipeline's for the same CSV, seed and flags."""
     try:
-        trace = _select(_config(settings), lambda stage: None)
+        trace = _select(parse_config(None, settings), lambda stage: None)
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -262,18 +249,20 @@ def rfa(out_dir, **settings):
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
 @_settings("--data", "--seed", "--snr", "--out", required=("--data",))
-def robustness(model_path, sensor, fail_sensor, data_path, seed, snr_levels, out_dir):
+def robustness(model_path, sensor, fail_sensor, out_dir, **settings):
     """Score a saved model under noise and dead-sensor scenarios."""
     try:
-        RfaConfig(snr_levels=snr_levels)  # the study's rule for the levels, before the model and table load
+        study = parse_config(None, settings)  # the study's rules, before the model and table load
         model = load_model(model_path)
-        data = load_dataset(data_path)
         if sensor is None:
             sensor = rank_features(model)[0][0]
+        elif sensor not in model.feature_names:
+            raise UnknownSensorError(f"--sensor {sensor!r} is not one of the model's sensors")
+        data = load_dataset(study.data_path)
         if data.symbols != model.feature_names:
             data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-        specs = _specs(sensor, snr_levels, fail_sensor)
-        report = run_scenarios(model, data, specs, derive_seed(seed, "robustness"))
+        specs = _specs(sensor, study.rfa.snr_levels, fail_sensor)
+        report = run_scenarios(model, data, specs, derive_seed(study.seed, "robustness"))
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)

@@ -43,24 +43,27 @@ OUT_DIR_ENV = "FDDSENSE_OUT_DIR"
 
 
 class _Key(NamedTuple):
-    """One setting and each of its names: its dotted place in the config
-    file (path), its override name (field), the CLI flag that sets it
-    (flag, or None) and whether config.json echoes it.  A field is the
-    dotted PipelineConfig attribute the key sets, except that an ensemble
-    key's is the name of its EnsembleConfig or TreeConfig field
-    (_ATTRIBUTES).  A range error starts with the field's last part, which
-    _renamed spells as the path or the flag that set the value."""
+    """One setting: its dotted place in the config file (path), the dotted
+    PipelineConfig attribute it sets (attr), the CLI flag that sets it
+    (flag, or None) and whether config.json echoes it.  Its name, the
+    attribute's last part, is unique across _SCHEMA: it is the setting's
+    override key and CLI parameter, and a range error starts with it,
+    which _renamed spells as the path or the flag that set the value."""
 
     path: str
-    field: str
+    attr: str
     flag: str | None = None
     echo: bool = True
+
+    @property
+    def name(self) -> str:
+        return self.attr.rpartition(".")[2]
 
 
 # The config schema.  Defaults live on PipelineConfig and the configs it
 # nests, each of which checks the type and range of its own fields; the
-# parser, the config.json echo, the CLI's ensemble flags and its error
-# names read this table.
+# parser, the config.json echo, the CLI's flags and its error names read
+# this table.
 _SCHEMA = (
     _Key("seed", "seed", "--seed"),
     _Key("data.path", "data_path", "--data"),
@@ -68,14 +71,14 @@ _SCHEMA = (
     _Key("data.generator.class_proportions", "generator.class_proportions"),
     _Key("train_fraction", "train_fraction", "--train-fraction"),
     _Key("undersample", "undersample"),
-    _Key("ensemble.method", "method", "--method"),
-    _Key("ensemble.n_trees", "n_trees", "--trees"),
-    _Key("ensemble.max_depth", "max_depth", "--max-depth"),
-    _Key("ensemble.min_leaf", "min_leaf", "--min-leaf"),
-    _Key("ensemble.feature_subsample", "feature_subsample", "--feature-subsample"),
-    _Key("ensemble.bootstrap", "bootstrap", "--bootstrap"),
-    _Key("ensemble.learning_rate", "learning_rate", "--learning-rate"),
-    _Key("ensemble.hard_vote", "hard_vote", "--hard-vote"),
+    _Key("ensemble.method", "ensemble.method", "--method"),
+    _Key("ensemble.n_trees", "ensemble.n_trees", "--trees"),
+    _Key("ensemble.max_depth", "ensemble.tree.max_depth", "--max-depth"),
+    _Key("ensemble.min_leaf", "ensemble.tree.min_leaf", "--min-leaf"),
+    _Key("ensemble.feature_subsample", "ensemble.tree.feature_subsample", "--feature-subsample"),
+    _Key("ensemble.bootstrap", "ensemble.bootstrap", "--bootstrap"),
+    _Key("ensemble.learning_rate", "ensemble.learning_rate", "--learning-rate"),
+    _Key("ensemble.hard_vote", "ensemble.hard_vote", "--hard-vote"),
     _Key("rfa.threshold", "rfa.threshold", "--threshold"),
     _Key("rfa.max_sensors", "rfa.max_sensors", "--max-sensors"),
     _Key("robustness.snr_db", "rfa.snr_levels", "--snr"),
@@ -86,20 +89,15 @@ _SCHEMA = (
     # 1 only; kept for the benchmark's study overrides, ROADMAP item 2 deletes both.
     _Key("n_threads", "n_threads", echo=False),
 )
+_BY_NAME = {key.name: key for key in _SCHEMA}
+_BY_PATH = {key.path: key for key in _SCHEMA}
 
 
 def _renamed(exc: InvalidValueError, names: dict) -> InvalidValueError:
-    """exc with its leading settings name (a field's last part) replaced
-    by its spelling in names, a file key or a CLI flag, where names has
-    one."""
+    """exc with its leading settings name replaced by its spelling in
+    names, a file key or a CLI flag, where names has one."""
     name, _, rest = str(exc).partition(" ")
     return type(exc)(f"{names.get(name, name)} {rest}")
-
-
-# The dotted PipelineConfig attribute of each ensemble key's field; any
-# other field is its own attribute.
-_ATTRIBUTES = {**{name: "ensemble." + name for name in EnsembleConfig.__dataclass_fields__},
-               **{name: "ensemble.tree." + name for name in TreeConfig.__dataclass_fields__}}
 
 
 def _replaced(config, values: dict):
@@ -113,27 +111,21 @@ def _replaced(config, values: dict):
     return replace(config, **own)
 
 
-def _with_fields(config: PipelineConfig, fields: dict) -> PipelineConfig:
-    """config with fields, keyed by schema field, set."""
-    return _replaced(config, {_ATTRIBUTES.get(name, name): value for name, value in fields.items()})
-
-
-def _merge(section, prefix: str, keys: dict, merged: dict, source: str) -> None:
-    """Store the values of the dict section found at the dotted prefix in
-    merged by field, looking each up in keys (the schema by file path or
-    by field).  Unknown keys are rejected, not ignored."""
+def _merge(section, prefix: str, merged: dict) -> None:
+    """Store the values of the config file's dict section found at the
+    dotted prefix in merged by setting name.  Unknown keys are rejected,
+    not ignored."""
     if not isinstance(section, dict):
         raise InvalidValueError(f"{prefix[:-1]} must be an object, got {section!r}")
-    names = {name[len(prefix):].split(".")[0] for name in keys if name.startswith(prefix)}
+    names = {path[len(prefix):].split(".")[0] for path in _BY_PATH if path.startswith(prefix)}
     unknown = sorted(prefix + str(name) for name in section if name not in names)
     if unknown:
-        raise InvalidValueError(f"unknown {source} key(s) {unknown}")
+        raise InvalidValueError(f"unknown config key(s) {unknown}")
     for name, value in section.items():
-        key = keys.get(prefix + name)
-        if key is None:
-            _merge(value, prefix + name + ".", keys, merged, source)
+        if prefix + name in _BY_PATH:
+            merged[_BY_PATH[prefix + name].name] = value
         else:
-            merged[key.field] = value
+            _merge(value, prefix + name + ".", merged)
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,7 @@ class PipelineConfig:
                 node = echo
                 for section in sections:
                     node = node.setdefault(section, {})
-                value = attrgetter(_ATTRIBUTES.get(key.field, key.field))(self)
+                value = attrgetter(key.attr)(self)
                 node[leaf] = list(value) if isinstance(value, tuple) else value
         return echo
 
@@ -244,13 +236,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
 
     Precedence, lowest to highest: built-in defaults, the FDDSENSE_OUT_DIR
     environment variable (output directory only), the JSON config file,
-    then explicit overrides (CLI flags).  Overrides are keyed by schema
-    field: a PipelineConfig field, an ensemble key's own name (n_trees,
-    max_depth, ...), or generator and rfa with a dict of their fields,
-    merged into the file's; a None override is ignored.  Unknown keys
-    anywhere are rejected rather than ignored.  Each value is checked by
-    the config dataclass that holds it, and an error a file value causes
-    names its dotted key as the file spells it.
+    then explicit overrides (CLI flags).  Overrides are flat, keyed by
+    setting name (a _SCHEMA row's name: seed, n_rows, max_depth,
+    threshold, snr_levels, ...), and an override of None sets null, as
+    the file's null does.  Unknown keys anywhere are rejected rather than
+    ignored.  Each value is checked by the config dataclass that holds
+    it; an error an override causes starts with its name, and one a file
+    value causes with its dotted key as the file spells it.
 
     Raises:
         ConfigParseError: file unreadable or not valid UTF-8 JSON (the
@@ -271,21 +263,20 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Pipe
             raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigParseError(f"config file {path} must hold a JSON object")
-        _merge(loaded, "", {key.path: key for key in _SCHEMA}, from_file, "config")
+        _merge(loaded, "", from_file)
 
-    given = {name: value for name, value in (overrides or {}).items() if value is not None}
-    from_overrides: dict = {}
-    _merge(given, "", {key.field: key for key in _SCHEMA}, from_overrides, "override")
+    overrides = overrides or {}
+    unknown = sorted(str(name) for name in overrides if name not in _BY_NAME)
+    if unknown:
+        raise InvalidValueError(f"unknown override key(s) {unknown}")
     merged.update(from_file)
-    merged.update(from_overrides)
+    merged.update(overrides)
 
-    # An error the file set is renamed to its key as the file spells it.
-    file_set = from_file.keys() - from_overrides.keys()
     try:
-        return _with_fields(PipelineConfig(), merged)
+        return _replaced(PipelineConfig(), {_BY_NAME[name].attr: value for name, value in merged.items()})
     except InvalidValueError as exc:
-        spelled = {key.field.split(".")[-1]: key.path for key in _SCHEMA if key.field in file_set}
-        raise _renamed(exc, spelled) from exc
+        # An error the file set is renamed to its key as the file spells it.
+        raise _renamed(exc, {name: _BY_NAME[name].path for name in from_file.keys() - overrides.keys()}) from exc
 
 
 @dataclass(frozen=True)

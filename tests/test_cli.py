@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from fddsense import cli
 from fddsense.cli import main
 from fddsense.dataset import Dataset, load_dataset, write_csv
-from fddsense.pipeline import _ATTRIBUTES, OUT_DIR_ENV, parse_config
+from fddsense.pipeline import _SCHEMA, OUT_DIR_ENV, parse_config
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
 
@@ -398,6 +398,18 @@ class TestRobustnessCommand:
             assert result.exit_code == 1
             assert result.output.splitlines() == [line]
 
+    def test_unknown_sensor_fails_before_the_table_is_read(self, monkeypatch, small_inputs):
+        """A --sensor the model does not read is named by its flag right
+        after the model loads, before the CSV is read or any tree routed."""
+        data, model = small_inputs
+
+        def unread(*_args):
+            raise AssertionError("the table was read")
+
+        monkeypatch.setattr(cli, "load_dataset", unread)
+        result = invoke("robustness", "--model", str(model), "--data", str(data), "--sensor", "NOPE")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: UnknownSensorError: --sensor 'NOPE' is not one of the model's sensors"]
 
     def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
         data = make_csv(tmp_path)
@@ -624,9 +636,41 @@ class TestPipelineCommand:
         monkeypatch.delenv(OUT_DIR_ENV, raising=False)
         study = parse_config(None, None)
         params = main.commands["pipeline"].make_context("pipeline", []).params
-        for name, field in cli._FIELDS.items():
-            if name in params and name != "out_dir":  # --out's is None: FDDSENSE_OUT_DIR's or fdd-out
-                assert params[name] == attrgetter(_ATTRIBUTES.get(field, field))(study), name
+        for key in _SCHEMA:
+            if key.name in params and key.name != "out_dir":  # --out's is None: FDDSENSE_OUT_DIR's or fdd-out
+                assert params[key.name] == attrgetter(key.attr)(study), key.name
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("pipeline", None), ("pipeline", {"ensemble": {"feature_subsample": 4}}), ("train", None), ("rfa", None)],
+    ids=["pipeline", "pipeline-over-config", "train", "rfa"],
+)
+def test_feature_subsample_all_reaches_the_study_as_null(tmp_path, monkeypatch, small_inputs, command, config):
+    """--feature-subsample all is the file's null, all features: each
+    study command passes it to parse_config, also over a config file's
+    count, and pipeline's config.json echoes it as null."""
+    parsed = []
+
+    def recording(*args):
+        parsed.append(parse_config(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_config", recording)
+    monkeypatch.chdir(tmp_path)
+    args = {
+        "pipeline": ["--rows", "3000", "--trees", "2", "--max-sensors", "2", "--out", "p"],
+        "train": ["--data", str(small_inputs[0]), "--trees", "2", "--model-out", "m.json"],
+        "rfa": ["--data", str(small_inputs[0]), "--trees", "2", "--max-sensors", "2"],
+    }[command]
+    if config is not None:
+        (tmp_path / "fs.json").write_text(json.dumps(config))
+        args += ["--config", "fs.json"]
+    result = invoke(command, *args, "--feature-subsample", "all")
+    assert result.exit_code == 0, result.output
+    assert [study.ensemble.tree.feature_subsample for study in parsed] == [None]
+    if command == "pipeline":
+        assert json.loads((tmp_path / "p" / "config.json").read_text())["ensemble"]["feature_subsample"] is None
 
 
 @pytest.fixture(scope="module")

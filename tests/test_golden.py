@@ -134,7 +134,7 @@ def test_robustness_artifacts_match_their_golden_hashes(tables, trained, tmp_pat
 
 @pytest.mark.parametrize("study", sorted(STUDIES))
 def test_study_artifacts_match_their_golden_hashes(tmp_path, study):
-    overrides = {"seed": 1, "generator": {"n_rows": 3000}, "out_dir": str(tmp_path), **STUDIES[study]}
+    overrides = {"seed": 1, "n_rows": 3000, "out_dir": str(tmp_path), **STUDIES[study]}
     run_pipeline(parse_config(None, overrides))
     assert digests(tmp_path) == STUDY_GOLDEN[study]
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from fddsense.selection import RfaConfig
 from fddsense.simgen import GeneratorConfig, generate_dataset
 from fddsense.trees import TreeConfig
 
-SMALL = {"generator": {"n_rows": 2500}, "n_trees": 10}
+SMALL = {"n_rows": 2500, "n_trees": 10}
 
 
 def nested(dotted, value):
@@ -56,6 +57,32 @@ KINDS = {
     "robustness.include_failure": (bool,),
     "out_dir": (str,),
     "n_threads": (int,),
+}
+
+
+# A legal value of each schema key, other than its default where it has
+# another: n_threads takes only 1.
+LEGAL = {
+    "seed": 7,
+    "data.path": "plant.csv",
+    "data.generator.n_rows": 3000,
+    "data.generator.class_proportions": [0.4] + [0.1] * 6,
+    "train_fraction": 0.6,
+    "undersample": False,
+    "ensemble.method": "boosting",
+    "ensemble.n_trees": 3,
+    "ensemble.max_depth": None,
+    "ensemble.min_leaf": 2,
+    "ensemble.feature_subsample": None,
+    "ensemble.bootstrap": False,
+    "ensemble.learning_rate": 0.5,
+    "ensemble.hard_vote": True,
+    "rfa.threshold": 0.9,
+    "rfa.max_sensors": 5,
+    "robustness.snr_db": [6, 3],
+    "robustness.include_failure": False,
+    "out_dir": "elsewhere",
+    "n_threads": 1,
 }
 
 
@@ -162,7 +189,7 @@ class TestParseConfig:
         file.write_text(json.dumps(payload))
         with pytest.raises(InvalidValueError, match=re.escape(key)):
             parse_config(str(file), None)
-        cfg = parse_config(None, {"rfa": {"snr_levels": [3000, -3000]}})
+        cfg = parse_config(None, {"snr_levels": [3000, -3000]})
         assert cfg.rfa.snr_levels == (3000.0, -3000.0)
 
     @pytest.mark.parametrize("levels", [[3, 3], [0, -0.0], [10, 3, 0, 3.0]], ids=["3-3", "0-minus0", "10-3-0-3"])
@@ -174,7 +201,7 @@ class TestParseConfig:
         with pytest.raises(InvalidValueError, match=r"^robustness\.snr_db repeats the level "):
             parse_config(str(file), None)
         with pytest.raises(InvalidValueError, match=r"^snr_levels repeats the level "):
-            parse_config(None, {"rfa": {"snr_levels": levels}})
+            parse_config(None, {"snr_levels": levels})
 
     @pytest.mark.parametrize(
         "text, key",
@@ -260,10 +287,9 @@ class TestParseConfig:
         with pytest.raises((InvalidValueError, BadProportionsError)) as info:
             parse_config(str(file), None)
         assert str(info.value).startswith(key + " "), str(info.value)
-        *_, name = key.split(".")
-        override = next(k for k in _SCHEMA if k.path == key).field
+        name = next(k for k in _SCHEMA if k.path == key).name
         with pytest.raises((InvalidValueError, BadProportionsError)) as info:
-            parse_config(None, {**nested(override, value), **rest})
+            parse_config(None, {name: value, **rest})
         assert str(info.value).startswith(name + " "), str(info.value)
 
     def test_empty_data_path_is_rejected_by_name(self, tmp_path):
@@ -301,7 +327,7 @@ class TestParseConfig:
         an override keeps that name, and parse_config spells a file's
         value as its dotted key."""
         with pytest.raises(InvalidValueError, match=r"^n_rows 20 gives class 2 only 1 row "):
-            parse_config(None, {"generator": {"n_rows": 20}})
+            parse_config(None, {"n_rows": 20})
         file = tmp_path / "cfg.json"
         file.write_text(json.dumps({"data": {"generator": {"n_rows": 20}}}))
         with pytest.raises(InvalidValueError, match=r"^data\.generator\.n_rows 20 gives class 2 only 1 row "):
@@ -317,7 +343,7 @@ class TestParseConfig:
                 for fraction in (0.1, 0.5, 0.75):
                     for undersample in (True, False):
                         generator = {"n_rows": n_rows, **({"class_proportions": props} if props else {})}
-                        case = {"generator": generator, "train_fraction": fraction, "undersample": undersample}
+                        case = {**generator, "train_fraction": fraction, "undersample": undersample}
                         try:
                             parse_config(None, case)
                             accepted = True
@@ -333,26 +359,45 @@ class TestParseConfig:
                             runs = False
                         assert accepted == runs, case
 
+    @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
+    def test_file_key_and_override_set_the_same_attribute(self, tmp_path, monkeypatch, key):
+        """A value given as the file's dotted key and as the override named
+        as the setting yields one PipelineConfig, whose attribute is that
+        value; a null takes the same route as any other value."""
+        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+        value = LEGAL[key.path]
+        expected = tuple(value) if isinstance(value, list) else value
+        if key.path != "n_threads":
+            assert attrgetter(key.attr)(PipelineConfig()) != expected
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(nested(key.path, value)))
+        from_file = parse_config(str(file), None)
+        assert from_file == parse_config(None, {key.name: value})
+        assert attrgetter(key.attr)(from_file) == expected
+
     def test_bad_value_types_rejected(self):
-        with pytest.raises(InvalidValueError):
-            parse_config(None, {"bogus_key": 3})
+        """An unknown override key is rejected by name.  Overrides are flat,
+        keyed by setting name, so a nested section of them is one unknown
+        key."""
+        for overrides, name in (({"bogus_key": 3}, "bogus_key"), ({"generator": {"n_rows": 3000}}, "generator"),
+                                ({"rfa": {"threshold": 0.9}}, "rfa")):
+            with pytest.raises(InvalidValueError, match=rf"^unknown override key\(s\) \['{name}'\]$"):
+                parse_config(None, overrides)
 
     @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
     def test_wrong_typed_values_rejected(self, tmp_path, key):
-        """A file's value is named by its dotted key, an override's by the
-        name its settings give it (as for a range error)."""
+        """A file's value is named by its dotted key, an override's by its
+        setting name (as for a range error); a None override is null, as
+        in the file."""
         file = tmp_path / "cfg.json"
-        name = key.field.split(".")[-1]
         for value in wrong_values(key):
             file.write_text(json.dumps(nested(key.path, value)))
             with pytest.raises(FddError) as info:
                 parse_config(str(file), None)
             assert key.path in str(info.value), value
-            if value is None and "." not in key.field:
-                continue  # a None override means "not given"
             with pytest.raises(FddError) as info:
-                parse_config(None, nested(key.field, value))
-            assert name in str(info.value), value
+                parse_config(None, {key.name: value})
+            assert key.name in str(info.value), value
 
     @pytest.mark.parametrize(
         "key",
@@ -370,8 +415,8 @@ class TestParseConfig:
                 parse_config(str(file), None)
             if number == "1e400":
                 continue
-            with pytest.raises(InvalidValueError, match=re.escape(key.field.split(".")[-1])):
-                parse_config(None, nested(key.field, value))
+            with pytest.raises(InvalidValueError, match=re.escape(key.name)):
+                parse_config(None, {key.name: value})
 
     @pytest.mark.parametrize(
         "path, value",
@@ -384,16 +429,16 @@ class TestParseConfig:
     )
     def test_removed_keys_rejected(self, tmp_path, path, value):
         """The histogram splitter's two keys and the importance mode are
-        gone; setting one is an unknown key, through the file and through
-        overrides (ensemble keys are top-level override names, rfa keys
-        nest under "rfa")."""
+        gone; setting one is an unknown key, through the file by its dotted
+        key and through overrides by its name, the key's last part, as
+        every override is named."""
         file = tmp_path / "cfg.json"
         file.write_text(json.dumps(nested(path, value)))
         with pytest.raises(InvalidValueError, match=re.escape(path)):
             parse_config(str(file), None)
-        field = path.removeprefix("ensemble.")
-        with pytest.raises(InvalidValueError, match=re.escape(field)):
-            parse_config(None, nested(field, value))
+        name = path.rpartition(".")[2]
+        with pytest.raises(InvalidValueError, match=re.escape(f"['{name}']")):
+            parse_config(None, {name: value})
 
     @pytest.mark.parametrize("section", ["data", "data.generator", "ensemble", "rfa", "robustness"])
     def test_non_object_section_rejected(self, tmp_path, section):
@@ -403,7 +448,7 @@ class TestParseConfig:
             with pytest.raises(InvalidValueError, match=section):
                 parse_config(str(file), None)
 
-    def test_nested_overrides_keep_the_files_other_keys(self, tmp_path):
+    def test_overrides_keep_the_files_other_keys(self, tmp_path):
         file = tmp_path / "cfg.json"
         file.write_text(
             json.dumps(
@@ -414,7 +459,7 @@ class TestParseConfig:
                 }
             )
         )
-        cfg = parse_config(str(file), {"rfa": {"threshold": 0.9}, "generator": {"n_rows": 700}})
+        cfg = parse_config(str(file), {"threshold": 0.9, "n_rows": 700})
         assert (cfg.rfa.threshold, cfg.rfa.max_sensors, cfg.rfa.snr_levels) == (0.9, 5, (6.0,))
         assert cfg.generator.n_rows == 700
         assert cfg.generator.class_proportions == (0.4,) + (0.1,) * 6
@@ -554,8 +599,7 @@ class TestRunPipeline:
         """Generated data with no row of class 6 gives a 6-class model, and
         the class reports name its classes as the first six fault classes."""
         proportions = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0]
-        generator = {"n_rows": 2500, "class_proportions": proportions}
-        overrides = {**SMALL, "generator": generator, "rfa": {"max_sensors": 2}, "out_dir": str(tmp_path)}
+        overrides = {**SMALL, "class_proportions": proportions, "max_sensors": 2, "out_dir": str(tmp_path)}
         result = run_pipeline(parse_config(None, overrides))
         names = [fc.name for fc in FAULT_CLASSES[:6]]
         assert result.trace.model.n_classes == 6
