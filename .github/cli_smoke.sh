@@ -8,7 +8,8 @@
 # a study whose --feature-subsample all beats a config file's count, and a
 # Recursive Feature Addition run.  Last, each command line with an
 # out-of-range flag or a config file with a bad value must fail with one
-# Error line that names the flag or key, exit 1 and print no traceback.
+# Error line that names the flag or key, exit 1 and print no traceback,
+# and so must a --data file that cannot be read, named by --data.
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
@@ -58,3 +59,12 @@ data.path|pipeline --config bad.json|{"data": {"path": ""}}
 robustness.snr_db|pipeline --config bad.json|{"robustness": {"snr_db": [3, 3]}}
 ensemble.learning_rate|pipeline --config bad.json|{"ensemble": {"learning_rate": 5.0}}
 BAD
+for args in "pipeline --data nope.csv --out bad-out" "robustness --model m.json --data nope.csv"; do
+  status=0
+  fddsense $args > bad.txt 2>&1 || status=$?
+  cat bad.txt
+  test "$status" -eq 1
+  test "$(wc -l < bad.txt)" -eq 1
+  grep -q '^Error: .*--data' bad.txt
+  if grep -q Traceback bad.txt; then exit 1; fi
+done

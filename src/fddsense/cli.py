@@ -12,6 +12,9 @@ flags given to parse_config as overrides, and train, rfa and robustness
 pass all of theirs, so every study flag reaches PipelineConfig one way.
 Flags that no setting owns (--config, --model, --model-out, --sensor,
 --fail-sensor, --top, simgen's --out) are hand-written.
+
+Every command is a _Command: an FddError, OSError or MemoryError that
+it raises ends it as one Error line (_fail), never a traceback.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .dataset import load_dataset, write_csv
+from .dataset import write_csv
 from .ensembles import BAGGING, BOOSTING, evaluate, fit_ensemble, load_model, rank_features, save_model
 from .errors import FddError, InvalidValueError, UnknownSensorError
 from .fileio import atomic_write_text
 from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _renamed, _select, _write_pair
+from .pipeline import _load, _renamed, _select, _write_pair
 from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
 from .simgen import GeneratorConfig, generate_dataset
@@ -43,14 +46,32 @@ def _given() -> set[str]:
 
 def _fail(exc: Exception) -> "click.ClickException":
     """exc as one Error line.  An InvalidValueError's leading settings name
-    or file key is spelled as the flag that set it, where the command line
-    set one; a config file's key keeps parse_config's name."""
+    or file key, and the file key that leads an OSError's message (a
+    data.path that cannot be read), are spelled as the flag that set the
+    value, where the command line set one; a config file's key keeps
+    parse_config's name."""
+    given = _given()
+    names = {name: key.flag for key in _SCHEMA if key.name in given for name in (key.name, key.path)}
     if isinstance(exc, InvalidValueError):
-        given = _given()
-        exc = _renamed(exc, {name: key.flag for key in _SCHEMA if key.name in given for name in (key.name, key.path)})
+        exc = _renamed(exc, names)
+    elif isinstance(exc, OSError) and exc.strerror:
+        name, _, rest = exc.strerror.partition(": ")
+        if name in names:  # the errno keeps the subclass, such as FileNotFoundError
+            exc = OSError(exc.errno, f"{names[name]}: {rest}", exc.filename)
     # numpy's failed allocation raises a private subclass of MemoryError.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     return click.ClickException(f"{name}: {exc}")
+
+
+class _Command(click.Command):
+    """A command whose FddError, OSError or MemoryError ends it as one
+    Error line (_fail) rather than a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FddError, OSError, MemoryError) as exc:
+            raise _fail(exc)
 
 
 class _Path(click.Path):
@@ -148,6 +169,9 @@ def main():
     """Fault detection studies for the 40-sensor refrigeration schema."""
 
 
+main.command_class = _Command
+
+
 @main.command()
 @click.option("--config", "config_path", type=_Path(), default=None, help="JSON config file.")
 @_settings(*(key.flag for key in _SCHEMA if key.flag))
@@ -155,10 +179,7 @@ def pipeline(config_path, **settings):
     """Run the full study and write all artifacts; a flag given beats the config file."""
     given = _given()
     overrides = {name: value for name, value in settings.items() if name in given}
-    try:
-        result = run_pipeline(parse_config(config_path, overrides))
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    result = run_pipeline(parse_config(config_path, overrides))
     trace = result.trace
     click.echo(f"test rows: {int(result.report.support.sum())} selected sensors: {len(trace.selected)}")
     click.echo("selected: " + ", ".join(trace.selected))
@@ -173,11 +194,8 @@ def pipeline(config_path, **settings):
 @_settings("--rows", "--seed")
 def simgen(out_path, n_rows, seed):
     """Generate a synthetic labelled dataset CSV."""
-    try:
-        data = generate_dataset(GeneratorConfig(n_rows=n_rows), seed)
-        write_csv(data, out_path)
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    data = generate_dataset(GeneratorConfig(n_rows=n_rows), seed)
+    write_csv(data, out_path)
     click.echo(f"wrote {data.n_rows} rows x {data.n_sensors} sensors to {out_path}")
 
 
@@ -186,15 +204,12 @@ def simgen(out_path, n_rows, seed):
 @_settings("--data", "--seed", *_ENSEMBLE, required=("--data",))
 def train(model_out, **settings):
     """Fit an ensemble on a CSV and save it as JSON."""
-    try:
-        study = parse_config(None, settings)
-        data = load_dataset(study.data_path)
-        cfg = study.ensemble_config(data.n_sensors)
-        model = fit_ensemble(data.values, data.labels, cfg, derive_seed(study.seed, "model"), data.symbols)
-        report = evaluate(model, data)
-        save_model(model, model_out)
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    study = parse_config(None, settings)
+    data = _load(study.data_path)
+    cfg = study.ensemble_config(data.n_sensors)
+    model = fit_ensemble(data.values, data.labels, cfg, derive_seed(study.seed, "model"), data.symbols)
+    report = evaluate(model, data)
+    save_model(model, model_out)
     click.echo(f"trained {cfg.method} on {data.n_rows} rows x {data.n_sensors} sensors")
     click.echo(f"training macro-F1: {report.macro_f1:.4f}")
     click.echo(f"model: {model_out}")
@@ -205,11 +220,7 @@ def train(model_out, **settings):
 @click.option("--top", type=click.IntRange(min=1), default=None, help="Show only the top N sensors.")
 def importance(model_path, top):
     """Print a model's per-sensor importance ranking."""
-    try:
-        model = load_model(model_path)
-        ranking = rank_features(model)
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    ranking = rank_features(load_model(model_path))
     if top is not None:
         ranking = ranking[:top]
     width = max(len(s) for s, _ in ranking)
@@ -225,15 +236,12 @@ def rfa(out_dir, **settings):
 
     Runs the pipeline's data, rebalance, split and selection stages, so
     the trace is the pipeline's for the same CSV, seed and flags."""
-    try:
-        trace = _select(parse_config(None, settings), lambda stage: None)
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            _write_pair(out, "rfa_trace", trace)
-            atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    trace = _select(parse_config(None, settings), lambda stage: None)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_pair(out, "rfa_trace", trace)
+        atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
     labels = [row.spec.label() for row in trace.robustness.scenarios]
     for step in trace.steps:
         noisy = "".join(f" {label}={f1:.4f}" for label, f1 in zip(labels, step.noisy_f1))
@@ -251,24 +259,21 @@ def rfa(out_dir, **settings):
 @_settings("--data", "--seed", "--snr", "--out", required=("--data",))
 def robustness(model_path, sensor, fail_sensor, out_dir, **settings):
     """Score a saved model under noise and dead-sensor scenarios."""
-    try:
-        study = parse_config(None, settings)  # the study's rules, before the model and table load
-        model = load_model(model_path)
-        if sensor is None:
-            sensor = rank_features(model)[0][0]
-        elif sensor not in model.feature_names:
-            raise UnknownSensorError(f"--sensor {sensor!r} is not one of the model's sensors")
-        data = load_dataset(study.data_path)
-        if data.symbols != model.feature_names:
-            data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-        specs = _specs(sensor, study.rfa.snr_levels, fail_sensor)
-        report = run_scenarios(model, data, specs, derive_seed(study.seed, "robustness"))
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            _write_pair(out, "robustness", report)
-    except (FddError, OSError, MemoryError) as exc:
-        raise _fail(exc)
+    study = parse_config(None, settings)  # the study's rules, before the model and table load
+    model = load_model(model_path)
+    if sensor is None:
+        sensor = rank_features(model)[0][0]
+    elif sensor not in model.feature_names:
+        raise UnknownSensorError(f"--sensor {sensor!r} is not one of the model's sensors")
+    data = _load(study.data_path)
+    if data.symbols != model.feature_names:
+        data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
+    specs = _specs(sensor, study.rfa.snr_levels, fail_sensor)
+    report = run_scenarios(model, data, specs, derive_seed(study.seed, "robustness"))
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_pair(out, "robustness", report)
     click.echo(f"baseline: macro-F1 {report.baseline.macro_f1:.4f}")
     for row in report.scenarios:
         measured = "" if not math.isfinite(row.measured_snr_db) else f" (measured {row.measured_snr_db:.2f} dB)"

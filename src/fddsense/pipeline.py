@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import load_dataset, split_train_test, undersample_majority
+from .dataset import Dataset, load_dataset, split_train_test, undersample_majority
 from .ensembles import EnsembleConfig, save_model
 # Nothing here fits a model any more (selection.run_rfa does), but the
 # benchmark's binding check reads pipeline.fit_ensemble, so the name stays.
@@ -361,16 +361,21 @@ def _chart_svg(trace: RfaTrace) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _load(path: str) -> Dataset:
+    """load_dataset(path), whose read error names the setting data.path."""
+    try:
+        return load_dataset(path)
+    except OSError as exc:
+        # The errno keeps the subclass, such as FileNotFoundError.
+        raise OSError(exc.errno, f"data.path: {exc.strerror}", exc.filename) from exc
+
+
 def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> RfaTrace:
     """Run the stages data, rebalance, split and selection, and return the
     trace.  enter is called with each stage's name as the stage starts."""
     enter("data")
     if cfg.data_path is not None:
-        try:
-            data = load_dataset(cfg.data_path)
-        except OSError as exc:
-            # The errno keeps the subclass, such as FileNotFoundError.
-            raise OSError(exc.errno, f"data.path: {exc.strerror}", exc.filename) from exc
+        data = _load(cfg.data_path)
         _check_feasible(np.bincount(data.labels), f"data.path {cfg.data_path}", cfg.train_fraction, cfg.undersample)
     else:
         data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))

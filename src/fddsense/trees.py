@@ -22,10 +22,14 @@ sorted rows of class c, repeats included, and sum(right_counts^2) =
 sum(T^2) - 2 * sum(T * left_counts) + sum(left_counts^2) for the node's
 class counts T.  So g is bit-equal to the per-class count formula.  A
 node with more sampled elements than _SCAN_BLOCK is scanned in blocks of
-whole features, which bounds the scan's working set.  A classification
-split cuts its children from the winning feature's sort order, which
-already holds the rows each side gets; a regression split routes its
-rows with _route, because its float sums follow the rows' order.
+whole features, which bounds the scan's working set.
+
+A node is its rows in the order of the split that made it.  The winning
+feature's sort order already holds the rows each side gets, so every
+split's children are the two parts of that order its position divides:
+no row is compared with the threshold again.  A classification node
+sums exact integers in any order; a regression node sorts its rows back
+to row order first, because its float sums follow the rows' order.
 
 A classification tree may count each row a positive number of times
 (fit_tree's repeats): the tree of x and y with row i repeated r[i] times
@@ -51,15 +55,15 @@ the leaves are bit-equal to the node-by-node tree.  Its prefix table
 counts repeats too.  One feature draws no
 feature subset, so the rng is never consumed.
 
-A regression tree on one feature with no tied values is a range [a, b)
-of its rows sorted once (fit_tree's ranked) at each node: the rows have
-one sort order, so the scan is the running sums of the range's targets
-and the children are [a, cut) and [cut, b), with no argsort, gather or
-_route per node.  Each node still holds its rows in row order, and sums
-them in that order for g and its leaf value, as the node scan does.  A
-column with a tie is scanned as any other: its order among ties is the
-sort's.  Given fitted, a regression tree writes each training row's leaf
-value into it: what predict_batch returns for that row.
+A regression tree on one feature with no tied values (fit_tree's
+ranked) starts from its column sorted once, and each split's order is
+that order again, so every node is a run of it: the scan is the running
+sums of the run's targets, with no argsort or column gather per node.
+Each node still sums its targets in row order for g and its leaf value,
+as the node scan does.  A column with a tie is scanned as any other: its
+order among ties is the sort's.  Given fitted, a regression tree writes
+each training row's leaf value into it: what predict_batch returns for
+that row.
 
 A threshold is the midpoint of the two values it separates, or the lower
 value where the midpoint rounds onto the upper one (_threshold), so it
@@ -252,18 +256,6 @@ def _node_view(tree: DecisionTree, node: int):
     return object() if tree.feature[node] < 0 else _SplitView(tree, node)
 
 
-def _route(col: np.ndarray, idx: np.ndarray, threshold: float):
-    """(left, right) split of the row indices idx at col <= threshold.
-
-    The one routing rule shared by fit_tree and the routing loop _reach.
-    col is the split feature's column, contiguous (a column of a
-    column-major matrix), so take reads it without striding across rows.
-    Both halves keep the order of idx.
-    """
-    goes_left = col.take(idx) <= threshold
-    return idx.take(goes_left.nonzero()[0]), idx.take((~goes_left).nonzero()[0])
-
-
 def _reach(
     xf: np.ndarray, tree: DecisionTree, idx: np.ndarray, out: np.ndarray, column: int = -1, values=None
 ) -> None:
@@ -276,7 +268,10 @@ def _reach(
     routing rule, shared by predict_batch and the robustness scenarios'
     re-routing.  A tree whose splits all test one feature is routed with
     one sorted search of its leaves' upper bounds (DecisionTree._steps);
-    any other tree node by node, each split applying _route.
+    any other tree node by node, each split sending left its rows whose
+    value is <= its threshold.  A split's column is contiguous (a column
+    of a column-major matrix), so take reads it without striding across
+    rows, and both halves keep the order of idx.
     """
     steps = tree._steps
     if steps is not None:
@@ -294,9 +289,9 @@ def _reach(
         if f < 0:
             out[idx] = j
             continue
-        left, right = _route(values if f == column else xf[:, f], idx, tree.threshold[j])
-        stack.append((tree.right[j], right))
-        stack.append((node + 1, left))
+        goes_left = (values if f == column else xf[:, f]).take(idx) <= tree.threshold[j]
+        stack.append((tree.right[j], idx.take((~goes_left).nonzero()[0])))
+        stack.append((node + 1, idx.take(goes_left.nonzero()[0])))
 
 
 def _leaf_spans(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,7 +311,7 @@ def _leaf_intervals(tree: DecisionTree, feature: int) -> tuple[np.ndarray, np.nd
     feature, hi the smallest at which it turns left (-inf and inf where
     it turns neither way).  So a row that reaches leaf j still reaches it
     after this feature alone changes to v exactly when lo[j] < v <=
-    hi[j], which is _route's <= rule.  Each split on the feature bounds
+    hi[j], which is _reach's <= rule.  Each split on the feature bounds
     the contiguous leaf ranges of its two subtrees (_leaf_spans).
     """
     lo = np.full(tree.n_samples.size, -np.inf)
@@ -406,8 +401,9 @@ def _threshold(lo: float, hi: float) -> float:
 
     lo/2 + hi/2 is bit-equal to (lo + hi)/2 for normal doubles but cannot
     overflow.  Between adjacent doubles, or subnormals, it can round onto
-    hi; then lo is used.  lo <= t < hi makes _route send left exactly the
-    rows <= lo, the left_count the scan recorded.
+    hi; then lo is used.  lo <= t < hi makes value <= t hold for exactly
+    the rows <= lo, so prediction sends left the rows the grower cut left
+    from the sort order.
     """
     t = lo / 2 + hi / 2
     return t if lo <= t < hi else lo
@@ -492,7 +488,8 @@ def _grow_levels(col: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int, 
         # fit_tree's best_split and leaves.
         split = best_g > g_parent  # strict: a split must lower the impurity
         # The right child's first sorted row: xs[cut - 1] <= threshold <
-        # xs[cut], so the children hold exactly the rows _route sends them.
+        # xs[cut], so the children hold exactly the rows the threshold
+        # sends them.
         cut = (best_r + 1)[split]
         thresholds += [_threshold(float(xs[mid - 1]), float(xs[mid])) for mid in cut.tolist()]
         levels.append((split, (best_g - g_parent) / sizes, sizes, counts, a, b))
@@ -570,9 +567,10 @@ def fit_tree(
     """Grow one tree by greedy top-down search.
 
     A one-column x grows over the column sorted once: a classification
-    tree level by level, a regression tree on ranges of sorted rows when
-    the column has no tied values.  Any other tree grows node by node.
-    Each gives the same tree, node for node (see the module docstring).
+    tree level by level, a regression tree on runs of its sorted rows
+    when the column has no tied values.  Any other tree grows node by
+    node.  Each gives the same tree, node for node (see the module
+    docstring).
 
     A classification tree may take repeats, a positive count per row: it
     is then exactly the tree of np.repeat(x, repeats, 0) and
@@ -640,33 +638,34 @@ def fit_tree(
         if not np.isfinite(y).all():
             row = int((~np.isfinite(y)).argmax())
             raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
-    x = np.asfortranarray(x)  # _route reads whole columns
+    x = np.asfortranarray(x)  # each column contiguous
     if classify and n_features == 1:
         return _grow_levels(x[:, 0], y, w, n_classes, cfg)
-    # ranked: the rows of a one-column regression tree, sorted once, if no values tie.
-    ranked = x[:, 0].argsort() if n_features == 1 else None
-    if ranked is not None:
-        xs, ys = x[:, 0].take(ranked), y.take(ranked)
-        ranked = ranked if (xs[:-1] < xs[1:]).all() else None
     xt = x.T  # C-contiguous: the split scan gathers its rows with one flat take
+    # A node is its rows in the order of the split that made it; the root
+    # of a one-column (regression) tree is its column's sort order, and if
+    # no values tie, every node is a run of it (ranked).
+    root = xt[0].argsort() if n_features == 1 else np.arange(n)
+    ranked = n_features == 1 and bool((xt[0].take(root[:-1]) < xt[0].take(root[1:])).all())
     rng = np.random.default_rng(rng_seed)
 
-    def best_split(idx: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, size: int, counts: np.ndarray | None, a: int):
-        """(feature, threshold, impurity decrease, sort order, position)
-        of the node's best split, or None; the order's first position + 1
-        rows go left.  With ranked, the node is sorted rows [a, a + size)
-        and the order is None."""
+    def best_split(rows: np.ndarray, idx: np.ndarray, yy: np.ndarray, ww: np.ndarray | None, size: int,
+                   counts: np.ndarray | None):
+        """(feature, threshold, impurity decrease, the node's rows in that
+        feature's order, position) of the node's best split, or None; the
+        first position + 1 ordered rows go left.  rows is the node in its
+        split's order, idx in the order yy and ww were gathered in."""
         if classify:
             g_parent = float((counts * counts).sum()) / size
         else:
             s = float(yy.sum())
             g_parent = s * s / size
-        if ranked is not None:  # one sort order: the scan is the range's running sums
-            g = _regression_gain(ys[a : a + size].cumsum())
+        if ranked:  # rows in the column's order: the scan is their targets' running sums
+            g = _regression_gain(y.take(rows).cumsum())
             g[: cfg.min_leaf - 1] = g[size - cfg.min_leaf :] = -np.inf
             pos = int(g.argmax())  # first maximum
-            t = _threshold(float(xs[a + pos]), float(xs[a + pos + 1]))
-            return (0, t, (float(g[pos]) - g_parent) / size, None, pos) if g[pos] > g_parent else None
+            t = _threshold(float(xt[0, rows[pos]]), float(xt[0, rows[pos + 1]]))
+            return (0, t, (float(g[pos]) - g_parent) / size, rows, pos) if g[pos] > g_parent else None
         features = _pick_features(n_features, cfg, rng)
         per_block = max(1, _SCAN_BLOCK // idx.size)
         best = None
@@ -680,22 +679,24 @@ def fit_tree(
         if best is None:
             return None
         f, threshold, order, pos = best
-        return f, threshold, (best_g - g_parent) / size, order, pos
+        return f, threshold, (best_g - g_parent) / size, idx.take(order), pos
 
-    # The tree's arrays, appended in preorder: an explicit stack of (row
-    # indices, depth, first sorted row if ranked), children pushed
-    # right-then-left, so the left subtree comes first and consumes the
-    # rng first.
+    # The tree's arrays, appended in preorder: an explicit stack of (rows,
+    # depth), children pushed right-then-left, so the left subtree comes
+    # first and consumes the rng first.
     feature: list[int] = []
     threshold: list[float] = []
     decrease: list[float] = []
     n_samples: list[int] = []
     value: list = []
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n), 0, 0)]
+    stack: list[tuple[np.ndarray, int]] = [(root, 0)]
     while stack:
-        idx, depth, a = stack.pop()
-        # One gather of the node's labels serves the purity test, the
-        # scan and the leaf; a node holds at least min_leaf >= 1 rows.
+        rows, depth = stack.pop()
+        # Float sums follow the rows' order, so a regression node takes its
+        # rows back in row order.  One gather of the node's labels serves
+        # the purity test, the scan and the leaf; a node holds at least
+        # min_leaf >= 1 rows.
+        idx = rows if classify else np.sort(rows)
         yy = y.take(idx)
         if classify:
             ww = w.take(idx)
@@ -707,7 +708,7 @@ def fit_tree(
             pure = np.minimum.reduce(yy) == np.maximum.reduce(yy)
         depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
         grow = not (pure or depth_capped or size < 2 * cfg.min_leaf)
-        split = best_split(idx, yy, ww, size, counts, a) if grow else None
+        split = best_split(rows, idx, yy, ww, size, counts) if grow else None
         if split is None:
             feature.append(-1)
             n_samples.append(size)
@@ -715,19 +716,11 @@ def fit_tree(
             if fitted is not None:
                 fitted[idx] = value[-1]
         else:
-            f, t, d, order, pos = split
+            f, t, d, ordered, pos = split
             feature.append(f)
             threshold.append(t)
             decrease.append(d)
-            cut = a + pos + 1  # the right child's first sorted row, if ranked
-            if classify:  # the children are cut from the split's sort order
-                left, right = idx.take(order[: pos + 1]), idx.take(order[pos + 1 :])
-            elif ranked is not None:  # the ranges [a, cut) and [cut, b), in row order
-                left, right = np.sort(ranked[a:cut]), np.sort(ranked[cut : a + idx.size])
-            else:  # a regression scan sums in its rows' order: keep idx's
-                left, right = _route(x[:, f], idx, t)
-            stack.append((right, depth + 1, cut))
-            stack.append((left, depth + 1, a))
+            stack += (ordered[pos + 1 :], depth + 1), (ordered[: pos + 1], depth + 1)
     arrays = (np.array(column) for column in (feature, threshold, decrease, n_samples, value))
     return DecisionTree(*arrays, n_features, n_classes if classify else None)
 

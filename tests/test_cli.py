@@ -406,7 +406,7 @@ class TestRobustnessCommand:
         def unread(*_args):
             raise AssertionError("the table was read")
 
-        monkeypatch.setattr(cli, "load_dataset", unread)
+        monkeypatch.setattr(cli, "_load", unread)
         result = invoke("robustness", "--model", str(model), "--data", str(data), "--sensor", "NOPE")
         assert result.exit_code == 1
         assert result.output.splitlines() == ["Error: UnknownSensorError: --sensor 'NOPE' is not one of the model's sensors"]
@@ -723,6 +723,37 @@ class TestInfeasibleCsv:
         result = invoke("rfa", "--data", str(infeasible_csvs[case]), "--trees", "2")
         assert result.exit_code == 1
         assert result.output.splitlines() == [f"Error: InvalidValueError: --data {infeasible_csvs[case]} {INFEASIBLE[case]}"]
+
+
+class TestUnreadableData:
+    """A data file that cannot be read ends in one Error line that names
+    it by the flag or the config key that gave it."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "rfa", "train", "robustness"])
+    def test_names_the_flag(self, tmp_path, monkeypatch, small_inputs, command):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "nope.csv"
+        result = invoke(command, *_base_args(command, missing, small_inputs[1]))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileNotFoundError: [Errno 2] --data: No such file or directory: '{missing}'"
+        ]
+
+    def test_pipeline_names_the_config_key(self, tmp_path):
+        missing = tmp_path / "nope.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"path": str(missing)}}))
+        result = invoke("pipeline", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileNotFoundError: [Errno 2] data.path: No such file or directory: '{missing}'"
+        ]
+
+    def test_a_missing_model_is_not_named_as_the_data(self, tmp_path, small_inputs):
+        missing = tmp_path / "nope.json"
+        result = invoke("robustness", "--model", str(missing), "--data", str(small_inputs[0]))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"]
 
 
 def _digests(directory):
