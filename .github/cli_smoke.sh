@@ -46,6 +46,8 @@ while IFS='|' read -r name args config; do
 done <<'BAD'
 --snr|pipeline --snr 4000 --out bad-out|
 --snr|robustness --model m.json --data d.csv --snr 4000|
+--snr|pipeline --snr 3,3 --out bad-out|
+--snr|robustness --model m.json --data d.csv --snr nan|
 --min-leaf|train --data d.csv --min-leaf 0 --model-out bad-model.json|
 --learning-rate|rfa --data d.csv --learning-rate 2|
 --learning-rate|pipeline --learning-rate 2 --out bad-out|

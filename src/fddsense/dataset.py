@@ -25,7 +25,7 @@ from .errors import (
     SingleClassError,
     UnknownSensorError,
 )
-from .fileio import _non_integer_row
+from .fileio import _finite, _integers
 
 LABEL_COLUMN = "class"
 
@@ -156,16 +156,10 @@ class Dataset:
             raise InvalidValueError("values must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != values.shape[0]:
             raise InvalidValueError("labels length must equal the number of rows")
-        row = _non_integer_row(labels)
-        if row is not None:
-            raise InvalidValueError(f"label {float(labels[row])!r} at row {row} is not an integer")
-        labels = _freeze(np.asarray(labels, dtype=np.int64))
+        labels = _freeze(_integers(labels, "label", InvalidValueError))
         if values.shape[1] != len(self.schema):
             raise InvalidValueError("column count must equal schema length")
-        if values.size and not np.isfinite(values).all():
-            raise InvalidValueError("values contain NaN or Inf")
-        if labels.size and labels.min() < 0:
-            raise InvalidValueError("labels must be non-negative")
+        _finite(values, "values", InvalidValueError)
         symbols = [s.symbol for s in self.schema]
         if len(set(symbols)) != len(symbols):
             raise InvalidValueError("sensor symbols must be unique")

@@ -13,7 +13,6 @@ training is reproducible.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .dataset import FAULT_CLASSES, Dataset
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InvalidValueError,
     ModelFormatError,
     SchemaMismatchError,
@@ -82,11 +82,8 @@ class EnsembleConfig:
 
 
 def schema_fingerprint(feature_names: tuple[str, ...]) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    for name in feature_names:
-        h.update(name.encode("utf-8"))
-        h.update(b"\x1f")
-    return h.hexdigest()
+    """The sensor names' derive_seed hash, as 16 hex digits."""
+    return derive_seed(*feature_names).to_bytes(8, "little").hex()
 
 
 @dataclass
@@ -151,7 +148,8 @@ def fit_ensemble(
     """Train an ensemble on (x, y).
 
     Args:
-        x: (n, f) feature matrix with columns matching feature_names.
+        x: (n, f) finite feature matrix with columns matching
+            feature_names, f >= 1 (EmptyInputError otherwise).
         y: integer class ids in [0, n_classes); any other label is a
             LabelOutOfRangeError that names its row.
         cfg: ensemble recipe.
@@ -174,9 +172,11 @@ def fit_ensemble(
         raise DimensionMismatchError(
             f"{x.shape[1]} columns but {len(feature_names)} feature names"
         )
+    if x.shape[1] == 0:
+        raise EmptyInputError(f"x has shape {x.shape}: a model needs at least one sensor column")
     y, n_classes = _class_ids(y, n_classes)
     if np.unique(y).size < 2:
-        raise SingleClassError("training labels contain a single class")
+        raise SingleClassError(f"training labels hold {np.unique(y).size} class(es): a model needs 2")
     feature_names = tuple(feature_names)
     task = CLASSIFICATION if cfg.method == BAGGING else REGRESSION
     cfg = replace(cfg, tree=replace(cfg.tree, task=task))

@@ -58,7 +58,7 @@ class EmptyNodeError(FddError):
 
 
 class EmptyInputError(FddError):
-    """Training input has too few rows."""
+    """Training input has too few rows, or no column."""
 
 
 class DimensionMismatchError(FddError):
@@ -86,12 +86,6 @@ class LabelOutOfRangeError(FddError):
 
 class EmptyMatrixError(FddError):
     """Confusion matrix contains no observations."""
-
-
-# -- selection ----------------------------------------------------------------
-
-class EmptyRankingError(FddError):
-    """Importance ranking contains no sensors."""
 
 
 # -- robustness ----------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Deterministic artifact writing.
+"""Deterministic artifact writing, and the input rules every module shares.
+
+The rules: a value of a config or JSON kind (_of_kind, _check_kind), an
+array of integers in a range, such as class labels and repeat counts
+(_integers), and a finite vector or matrix (_finite).  Each names the
+first bad entry and raises the error class its caller documents.
 
 All JSON artifacts are rendered with sorted keys, fixed separators, and
 repr-quality floats so the same in-memory value always produces the same
@@ -53,14 +58,38 @@ def _check_kind(name: str, value, kind: type, optional: bool = False) -> None:
         raise InvalidValueError(f"{name} must be {expected}{' or None' if optional else ''}, got {value!r}")
 
 
-def _non_integer_row(labels: np.ndarray) -> int | None:
-    """Index of the first of the 1-D labels that is not an integer in the
-    int64 range (NaN and Inf included), or None.  Labels of an integer or
-    bool dtype have none."""
-    if labels.dtype.kind != "f":
-        return None
-    whole = (labels == np.trunc(labels)) & (np.abs(labels) < 2.0**63)
-    return None if whole.all() else int(whole.argmin())
+def _integers(values, what: str, error: type, low: int = 0, high: int | None = None) -> np.ndarray:
+    """The 1-D values as int64, each an integer in [low, high) (no upper
+    bound if high is None).  Otherwise raise error, naming the first bad
+    entry: "<what> <value> at row <i> is not an integer" (NaN and Inf
+    included) or "... is below <low>" or "... is outside [low, high)".
+    Values of an integer or bool dtype, and of a float dtype whose values
+    are whole, are integers; any other dtype is none."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise error(f"{what} values must be integers, got dtype {values.dtype}")
+    if values.dtype.kind == "f":
+        whole = (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            row = int(whole.argmin())
+            raise error(f"{what} {values[row].item()!r} at row {row} is not an integer")
+    values = values.astype(np.int64, copy=False)
+    bad = values < low if high is None else (values < low) | (values >= high)
+    if bad.any():
+        row = int(bad.argmax())
+        bound = f"below {low}" if high is None else f"outside [{low}, {high})"
+        raise error(f"{what} {values[row]} at row {row} is {bound}")
+    return values
+
+
+def _finite(x: np.ndarray, what: str, error: type) -> None:
+    """Raise error unless every entry of the float vector or matrix x is
+    finite, naming the first NaN or Inf by its row, and by its column for
+    a matrix: "<what> <value> at row <i>, column <j> is not finite"."""
+    if not np.isfinite(x).all():
+        row, *column = np.argwhere(~np.isfinite(x))[0].tolist()
+        at = "".join(f", column {j}" for j in column)
+        raise error(f"{what} {float(x[(row, *column)])!r} at row {row}{at} is not finite")
 
 
 def canonical_json(payload) -> str:

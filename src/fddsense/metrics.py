@@ -12,27 +12,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMatrixError, LabelOutOfRangeError, LengthMismatchError
-from .fileio import _csv_rows
+from .fileio import _csv_rows, _integers
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int | None = None) -> np.ndarray:
-    """(K, K) count matrix with rows = true class, columns = predicted."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    """(K, K) count matrix with rows = true class, columns = predicted.
+
+    Raises:
+        LengthMismatchError: the label vectors differ in shape, or are
+            not 1-D.
+        EmptyMatrixError: no labels.
+        LabelOutOfRangeError: a label that is not an integer, or that lies
+            outside [0, n_classes); the message names the first such row.
+    """
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise LengthMismatchError(
             f"label vectors differ in shape: {y_true.shape} vs {y_pred.shape}"
         )
     if y_true.size == 0:
         raise EmptyMatrixError("cannot build a confusion matrix from zero labels")
-    low = min(int(y_true.min()), int(y_pred.min()))
-    high = max(int(y_true.max()), int(y_pred.max()))
-    if low < 0:
-        raise LabelOutOfRangeError(f"negative class id {low}")
+    y_true = _integers(y_true, "true label", LabelOutOfRangeError, 0, n_classes)
+    y_pred = _integers(y_pred, "predicted label", LabelOutOfRangeError, 0, n_classes)
     if n_classes is None:
-        n_classes = high + 1
-    elif high >= n_classes:
-        raise LabelOutOfRangeError(f"class id {high} outside 0..{n_classes - 1}")
+        n_classes = int(max(y_true.max(), y_pred.max())) + 1
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm

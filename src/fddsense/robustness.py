@@ -73,11 +73,13 @@ def _snr_ratio(snr_db) -> float | None:
 
 
 def signal_power(x) -> float:
-    """Raw mean-square power of a signal vector (no mean removal)."""
+    """Raw mean-square power of a signal vector (no mean removal): inf,
+    without a warning, where it exceeds the float range."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise EmptyVectorError("signal power of an empty vector is undefined")
-    return float(np.mean(x * x))
+    with np.errstate(over="ignore"):
+        return float(np.mean(x * x))
 
 
 def noise_power_for_snr(p_signal: float, snr_db: float) -> float:
@@ -117,10 +119,15 @@ def awgn_for(x, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
 
 def inject_awgn(data: Dataset, sensor: str, snr_db: float, seed: int) -> tuple[Dataset, float]:
     """(dataset copy with white Gaussian noise added to one sensor column,
-    measured SNR in dB); the SNR is NaN for a zero-power column."""
+    measured SNR in dB); the SNR is NaN for a zero-power column.  An
+    InvalidValueError of awgn_for, such as a column whose power is inf,
+    is raised again with the sensor's name in front."""
     column = data.sensor_index(sensor)
     values = data.values.copy(order="F")
-    values[:, column], measured = awgn_for(values[:, column], snr_db, seed)
+    try:
+        values[:, column], measured = awgn_for(values[:, column], snr_db, seed)
+    except InvalidValueError as exc:
+        raise InvalidValueError(f"sensor {sensor!r}: {exc}") from exc
     return Dataset(data.schema, values, data.labels), measured
 
 

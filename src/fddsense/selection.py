@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .dataset import Dataset
 from .ensembles import EnsembleModel
-from .errors import EmptyRankingError, InvalidValueError
+from .errors import InvalidValueError
 from .fileio import _check_kind, _csv_rows, _of_kind
 from .robustness import RobustnessReport, _snr_ratio, _specs
 from .seeding import derive_seed
@@ -160,8 +160,6 @@ def run_rfa(
         )
 
     ranking = rank_features(fit(train))
-    if not ranking:
-        raise EmptyRankingError("sensor ranking is empty")
 
     ranked_symbols = tuple(s for s, _ in ranking)
     importances = tuple(v for _, v in ranking)

@@ -97,7 +97,7 @@ from .errors import (
     ModelFormatError,
     NonFiniteInputError,
 )
-from .fileio import _check_kind, _non_integer_row, _of_kind
+from .fileio import _check_kind, _finite, _integers, _of_kind
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression_on_gradients"
@@ -205,7 +205,8 @@ class DecisionTree:
         values, is routed without a copy; any other layout is copied to
         column-major once per call, and a caller that predicts with many
         trees should convert x first.  Every call checks that x is
-        finite, so predict_scores checks its input once per tree.  The
+        finite (NonFiniteInputError names the first NaN or Inf by row and
+        column), so predict_scores checks its input once per tree.  The
         robustness scenarios route rows of a Dataset, finite by
         construction, through the same loop (_reach) without this check.
         """
@@ -214,8 +215,7 @@ class DecisionTree:
             raise DimensionMismatchError(
                 f"expected (n, {self.n_features}) matrix, got {x.shape}"
             )
-        if x.size and not np.isfinite(x).all():
-            raise NonFiniteInputError("prediction input contains NaN or Inf")
+        _finite(x, "prediction input", NonFiniteInputError)
         x = np.asfortranarray(x)
         leaf = np.empty(x.shape[0], dtype=np.intp)
         _reach(x, self, np.arange(x.shape[0]), leaf)
@@ -326,9 +326,7 @@ def _leaf_intervals(tree: DecisionTree, feature: int) -> tuple[np.ndarray, np.nd
 
 def gini_impurity(class_counts) -> float:
     """Gini impurity 1 - sum(p_i^2) of a node's class counts."""
-    counts = np.asarray(class_counts, dtype=np.int64)
-    if counts.size and counts.min() < 0:
-        raise InvalidValueError("class counts must be non-negative")
+    counts = _integers(class_counts, "class count", InvalidValueError)
     total = int(counts.sum())
     if total == 0:
         raise EmptyNodeError("gini impurity of an empty node is undefined")
@@ -519,17 +517,8 @@ def _class_ids(y: np.ndarray, n_classes: int | None) -> tuple[np.ndarray, int]:
         LabelOutOfRangeError: a label that is not an integer, or that lies
             outside [0, n_classes); the message names the first such row.
     """
-    row = _non_integer_row(y)
-    if row is not None:
-        raise LabelOutOfRangeError(f"label {float(y[row])!r} at row {row} is not an integer")
-    y = y.astype(np.int64, copy=False)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    bad = (y < 0) | (y >= n_classes)
-    if bad.any():
-        row = int(bad.argmax())
-        raise LabelOutOfRangeError(f"label {int(y[row])} at row {row} is outside [0, {n_classes})")
-    return y, n_classes
+    y = _integers(y, "label", LabelOutOfRangeError, 0, n_classes)
+    return y, int(y.max(initial=-1)) + 1 if n_classes is None else n_classes
 
 
 def _repeat_counts(repeats, n: int) -> np.ndarray:
@@ -545,13 +534,7 @@ def _repeat_counts(repeats, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"x has {n} rows but repeats has shape {repeats.shape}")
     if repeats.dtype.kind not in "iuf":
         raise InvalidValueError(f"repeats must be positive integers, got dtype {repeats.dtype}")
-    row = _non_integer_row(repeats)
-    if row is None:
-        small = repeats < 1
-        row = int(small.argmax()) if small.any() else None
-    if row is not None:
-        raise InvalidValueError(f"repeats[{row}] must be a positive integer, got {repeats[row].item()!r}")
-    return repeats.astype(np.int64, copy=False)
+    return _integers(repeats, "repeat count", InvalidValueError, low=1)
 
 
 def fit_tree(
@@ -597,11 +580,12 @@ def fit_tree(
 
     Raises:
         DimensionMismatchError: y or repeats is not one value per row of x.
-        EmptyInputError: fewer than 2 rows, repeats counted.
+        EmptyInputError: fewer than 2 rows, repeats counted, or no column.
         LabelOutOfRangeError: a label that is not an integer, or a class
             id outside [0, n_classes); the message names the first such
             row.
-        NonFiniteInputError: x, or a regression target, is NaN or Inf.
+        NonFiniteInputError: an entry of x, or a regression target, is NaN
+            or Inf; the message names its row (and column).
         InvalidValueError: cfg.feature_subsample is "sqrt", unresolved; a
             repeat count that is not a positive integer (named by its
             row); repeats given to a regression tree; or fitted given to
@@ -613,6 +597,8 @@ def fit_tree(
     if x.ndim != 2:
         raise InvalidValueError("x must be a 2-D matrix")
     n, n_features = x.shape
+    if n_features == 0:
+        raise EmptyInputError(f"x has shape {x.shape}: a tree needs at least one column")
     classify = cfg.task == CLASSIFICATION
     if repeats is not None and not classify:
         raise InvalidValueError(f"repeats applies to classification trees only, not to task {cfg.task!r}")
@@ -626,8 +612,7 @@ def fit_tree(
     total = int(w.sum())
     if total < 2:
         raise EmptyInputError(f"need at least 2 rows to fit a tree, got {total}")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("training matrix contains NaN or Inf")
+    _finite(x, "training matrix", NonFiniteInputError)
     y = np.asarray(y)
     if y.shape != (n,):
         raise DimensionMismatchError(f"x has {n} rows but y has shape {y.shape}")
@@ -635,9 +620,7 @@ def fit_tree(
         y, n_classes = _class_ids(y, n_classes)
     else:
         y = np.ascontiguousarray(y, dtype=np.float64)  # a strided y.take copies all of y
-        if not np.isfinite(y).all():
-            row = int((~np.isfinite(y)).argmax())
-            raise NonFiniteInputError(f"target {float(y[row])} at row {row} is not finite")
+        _finite(y, "target", NonFiniteInputError)
     x = np.asfortranarray(x)  # each column contiguous
     if classify and n_features == 1:
         return _grow_levels(x[:, 0], y, w, n_classes, cfg)
@@ -732,8 +715,7 @@ def predict_tree(tree: DecisionTree, row) -> np.ndarray | float:
         raise DimensionMismatchError(
             f"expected row of length {tree.n_features}, got shape {row.shape}"
         )
-    if not np.isfinite(row).all():
-        raise NonFiniteInputError("prediction row contains NaN or Inf")
+    _finite(row[None, :], "prediction input", NonFiniteInputError)
     node = 0
     while tree.feature[node] >= 0:
         j = tree.number[node]

@@ -296,17 +296,19 @@ class TestRfaCommand:
 @pytest.mark.parametrize("command", ["pipeline", "rfa", "robustness"])
 @pytest.mark.parametrize("snr", ["3,3", "0,-0", "10,3,10.0"])
 def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
-    """A level is one scenario: the --snr parser rejects a repeated one,
-    naming the flag, before anything runs."""
+    """A level is one scenario: RfaConfig rejects a repeated one, as it
+    does in a config file, and the error names the flag, before anything
+    runs."""
     args = {
         "pipeline": ["--out", str(tmp_path / "p")],
         "rfa": ["--data", str(tmp_path / "missing.csv")],
         "robustness": ["--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "missing.csv")],
     }[command]
     result = invoke(command, *args, "--snr", snr)
-    assert result.exit_code == 2
+    assert result.exit_code == 1
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: Invalid value for '--snr': expected distinct SNR values, got {snr!r}"]
+    repeated = float(snr.split(",")[-1])
+    assert errors == [f"Error: InvalidValueError: --snr repeats the level {repeated!r}: each level is one scenario"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -397,6 +399,21 @@ class TestRobustnessCommand:
             result = invoke("robustness", "--model", str(model), "--data", str(data), f"--snr={snr}")
             assert result.exit_code == 1
             assert result.output.splitlines() == [line]
+
+    def test_a_column_whose_power_is_inf_is_named_by_its_sensor(self, tmp_path, small_inputs):
+        """A finite cell of 1e200 squares past the float range: one Error
+        line names the sensor, with no numpy overflow warning."""
+        data, model = small_inputs
+        table = load_dataset(data)
+        values = table.values.copy(order="F")
+        values[3, table.sensor_index("T_C")] = 1e200
+        write_csv(Dataset(table.schema, values, table.labels), tmp_path / "big.csv")
+        result = invoke("robustness", "--model", str(model), "--data", str(tmp_path / "big.csv"),
+                        "--sensor", "T_C", "--snr", "3")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: InvalidValueError: sensor 'T_C': no finite positive noise power puts power inf at 3.0 dB"
+        ]
 
     def test_unknown_sensor_fails_before_the_table_is_read(self, monkeypatch, small_inputs):
         """A --sensor the model does not read is named by its flag right
@@ -867,8 +884,9 @@ VALUE_FLAGS = [
 # Flags that take a value run as usual at these edges: any name but "" is
 # an output path (a file output cannot be a directory), any integer a
 # seed of a derived stream (the generator's own seed must be >= 0), an SNR
-# may be at or below 0 dB, max depth 0 grows stumps, and an empty feature
-# subsample means all features.
+# may be at or below 0 dB, an empty SNR list runs no noise scenario (as
+# robustness.snr_db: [] in a config file), max depth 0 grows stumps, and an
+# empty feature subsample means all features.
 PATH_FLAGS = [
     (name, param.opts[0])
     for name, command in main.commands.items()
@@ -879,7 +897,7 @@ ANY_FILE_NAME = {"negative", "zero", "nan", "huge", "missing"}
 ACCEPTED = {
     ("pipeline", "--seed"): {"negative", "zero"},
     ("pipeline", "--out"): set(EDGE_VALUES) - {"empty"},
-    ("pipeline", "--snr"): {"negative", "zero"},
+    ("pipeline", "--snr"): {"negative", "zero", "empty"},
     ("pipeline", "--max-depth"): {"zero"},
     ("pipeline", "--feature-subsample"): {"empty"},
     ("simgen", "--out"): ANY_FILE_NAME,
@@ -889,11 +907,11 @@ ACCEPTED = {
     ("train", "--max-depth"): {"zero"},
     ("train", "--feature-subsample"): {"empty"},
     ("rfa", "--seed"): {"negative", "zero"},
-    ("rfa", "--snr"): {"negative", "zero"},
+    ("rfa", "--snr"): {"negative", "zero", "empty"},
     ("rfa", "--out"): set(EDGE_VALUES) - {"empty"},
     ("rfa", "--max-depth"): {"zero"},
     ("rfa", "--feature-subsample"): {"empty"},
-    ("robustness", "--snr"): {"negative", "zero"},
+    ("robustness", "--snr"): {"negative", "zero", "empty"},
     ("robustness", "--seed"): {"negative", "zero"},
     ("robustness", "--out"): set(EDGE_VALUES) - {"empty"},
 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fddsense import ensembles
-from fddsense.dataset import FAULT_CLASSES
+from fddsense.dataset import FAULT_CLASSES, INSTALLED_SENSORS, Dataset
 from fddsense.ensembles import (
     EnsembleConfig,
     EnsembleModel,
@@ -22,17 +22,21 @@ from fddsense.ensembles import (
     predict_scores,
     rank_features,
     save_model,
+    schema_fingerprint,
 )
 from fddsense.errors import (
     DimensionMismatchError,
+    EmptyInputError,
     FddError,
     InvalidValueError,
     LabelOutOfRangeError,
     ModelFormatError,
+    NonFiniteInputError,
     SchemaMismatchError,
     SingleClassError,
 )
 from fddsense.fileio import canonical_json
+from fddsense.metrics import build_report, confusion_matrix
 from fddsense.pipeline import PipelineConfig
 from fddsense.robustness import NoiseSpec
 from fddsense.selection import RfaConfig, run_rfa
@@ -42,6 +46,7 @@ from fddsense.trees import (
     TreeConfig,
     fit_tree,
     gini_impurity,
+    predict_tree,
     tree_from_dict,
 )
 
@@ -224,6 +229,10 @@ def _no_tree_expected(*args, **kwargs):
 
 
 class TestInputValidation:
+    def test_no_training_row_is_an_fdd_error(self):
+        with pytest.raises(SingleClassError, match=re.escape("training labels hold 0 class(es)")):
+            fit_ensemble(np.zeros((0, 2)), np.zeros(0, dtype=int), EnsembleConfig(), 0, ("a", "b"))
+
     def test_single_class_rejected(self):
         d = training_data()
         rows = np.flatnonzero(d.labels == 0)
@@ -290,6 +299,12 @@ class TestInputValidation:
 
 
 class TestSerialization:
+    def test_schema_fingerprint_keeps_its_value(self):
+        """The fingerprint is 16 hex digits of the names' derive_seed hash;
+        every saved model stores it, so its value must not move."""
+        assert schema_fingerprint(("T_C", "W1")) == "92db2d26863d2d4a"
+        assert schema_fingerprint(("a\x1fb",)) == "e7c499ae5fb76187"
+
     def test_roundtrip_bagging(self, tmp_path):
         d = training_data()
         cfg = EnsembleConfig(n_trees=3, tree=TreeConfig(max_depth=4, feature_subsample=2))
@@ -526,7 +541,98 @@ class TestLoaderChecks:
         assert 0 < loaded < 400
 
 
+# A small clean input for the bad-input table: six rows of two columns and
+# two classes.
+_X = np.arange(12.0).reshape(6, 2)
+_Y = np.array([0, 1, 0, 1, 0, 1])
+
+
+def _with(array, where, value) -> np.ndarray:
+    """A float copy of array with the entry at where set to value."""
+    out = np.array(array, dtype=np.float64)
+    out[where] = value
+    return out
+
+
+def _dataset(x, y):
+    return Dataset(INSTALLED_SENSORS[: x.shape[1]], x, y)
+
+
+def _fit_ensemble(x, y):
+    return fit_ensemble(x, y, EnsembleConfig(n_trees=2), 0, tuple(f"s{j}" for j in range(x.shape[1])))
+
+
+def _predict_batch(x):
+    return fit_tree(_X, _Y, TreeConfig()).predict_batch(x)
+
+
+def _predict_tree(row):
+    return predict_tree(fit_tree(_X, _Y, TreeConfig()), row)
+
+
+def _build_report(y_true, y_pred):
+    return build_report(y_true, y_pred, ("a", "b"))
+
+
+# (entry point, its arguments, its documented error, the message): each bad
+# entry is named by its row, and by its column in a matrix.
+BAD_INPUTS = [
+    (_dataset, (_with(_X, (3, 1), np.nan), _Y), InvalidValueError, "values nan at row 3, column 1 is not finite"),
+    (_dataset, (_with(_X, (2, 0), -np.inf), _Y), InvalidValueError, "values -inf at row 2, column 0 is not finite"),
+    (_dataset, (_X, _with(_Y, 4, 0.5)), InvalidValueError, "label 0.5 at row 4 is not an integer"),
+    (_dataset, (_X, _with(_Y, 4, -1)), InvalidValueError, "label -1 at row 4 is below 0"),
+    (_dataset, (_X, _with(_Y, 4, np.nan)), InvalidValueError, "label nan at row 4 is not an integer"),
+    (fit_tree, (_with(_X, (3, 1), np.nan), _Y, TreeConfig()), NonFiniteInputError,
+     "training matrix nan at row 3, column 1 is not finite"),
+    (fit_tree, (_with(_X, (5, 0), np.inf), _Y, TreeConfig()), NonFiniteInputError,
+     "training matrix inf at row 5, column 0 is not finite"),
+    (fit_tree, (_X, _with(_Y, 4, 0.5), TreeConfig()), LabelOutOfRangeError, "label 0.5 at row 4 is not an integer"),
+    (fit_tree, (_X, _with(_Y, 4, -1), TreeConfig()), LabelOutOfRangeError, "label -1 at row 4 is below 0"),
+    (fit_tree, (_X, _with(_Y, 4, np.nan), TreeConfig()), LabelOutOfRangeError, "label nan at row 4 is not an integer"),
+    (fit_tree, (_X[:, :0], _Y, TreeConfig()), EmptyInputError, "x has shape (6, 0): a tree needs at least one column"),
+    (_fit_ensemble, (_with(_X, (3, 1), np.nan), _Y), NonFiniteInputError,
+     "training matrix nan at row 3, column 1 is not finite"),
+    (_fit_ensemble, (_X, _with(_Y, 4, 0.5)), LabelOutOfRangeError, "label 0.5 at row 4 is not an integer"),
+    (_fit_ensemble, (_X, _with(_Y, 4, -1)), LabelOutOfRangeError, "label -1 at row 4 is below 0"),
+    (_fit_ensemble, (_X, _with(_Y, 4, np.nan)), LabelOutOfRangeError, "label nan at row 4 is not an integer"),
+    (_fit_ensemble, (_X[:, :0], _Y), EmptyInputError, "x has shape (6, 0): a model needs at least one sensor column"),
+    (_predict_batch, (_with(_X, (3, 1), np.nan),), NonFiniteInputError,
+     "prediction input nan at row 3, column 1 is not finite"),
+    (_predict_batch, (_with(_X, (1, 0), np.inf),), NonFiniteInputError,
+     "prediction input inf at row 1, column 0 is not finite"),
+    (_predict_tree, ([1.0, np.nan],), NonFiniteInputError,
+     "prediction input nan at row 0, column 1 is not finite"),
+    (confusion_matrix, ([0.7, 1], [0, 1]), LabelOutOfRangeError, "true label 0.7 at row 0 is not an integer"),
+    (confusion_matrix, (_Y, _with(_Y, 4, 0.5)), LabelOutOfRangeError, "predicted label 0.5 at row 4 is not an integer"),
+    (confusion_matrix, (_with(_Y, 4, -1), _Y), LabelOutOfRangeError, "true label -1 at row 4 is below 0"),
+    (confusion_matrix, (_with(_Y, 4, np.nan), _Y), LabelOutOfRangeError, "true label nan at row 4 is not an integer"),
+    (_build_report, (_with(_Y, 4, 0.5), _Y), LabelOutOfRangeError, "true label 0.5 at row 4 is not an integer"),
+    (_build_report, (_Y, _with(_Y, 4, -1)), LabelOutOfRangeError, "predicted label -1 at row 4 is outside [0, 2)"),
+    (_build_report, (_with(_Y, 4, np.nan), _Y), LabelOutOfRangeError, "true label nan at row 4 is not an integer"),
+    (_build_report, (_with(_Y, 4, 2), _Y), LabelOutOfRangeError, "true label 2 at row 4 is outside [0, 2)"),
+]
+
+
 class TestFddErrors:
+    @pytest.mark.parametrize(
+        "call, args, error, message",
+        BAD_INPUTS,
+        ids=[f"{call.__name__.lstrip('_')}-{i}" for i, (call, *_) in enumerate(BAD_INPUTS)],
+    )
+    def test_bad_entry_is_named_by_row_and_column(self, call, args, error, message):
+        """Every public entry point applies the shared input rules: a
+        non-finite matrix or target entry, a label that is not an integer
+        in range, and a fit on zero columns each raise the error type the
+        entry point documents, naming the first bad entry."""
+        with pytest.raises(error) as info:
+            call(*args)
+        assert str(info.value) == message
+
+    def test_a_study_on_no_sensor_fails_at_its_first_fit(self):
+        none = training_data(n=300).select_sensors([])
+        with pytest.raises(EmptyInputError, match=re.escape("x has shape (300, 0)")):
+            run_rfa(none, none, EnsembleConfig(n_trees=2), 1, RfaConfig())
+
     def test_bad_arguments_are_fdd_errors(self):
         """Each bad argument raises an InvalidValueError, which except
         FddError catches."""

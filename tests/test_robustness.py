@@ -7,7 +7,7 @@ import pytest
 from fddsense import robustness
 from fddsense.dataset import Dataset
 from fddsense.ensembles import EnsembleConfig, evaluate, fit_ensemble
-from fddsense.errors import EmptyVectorError, FddError, UnknownSensorError, ZeroSignalError
+from fddsense.errors import EmptyVectorError, FddError, InvalidValueError, UnknownSensorError, ZeroSignalError
 from fddsense.robustness import (
     AWGN,
     FAILURE,
@@ -34,6 +34,18 @@ class TestPowerArithmetic:
     def test_empty_vector_rejected(self):
         with pytest.raises(EmptyVectorError):
             signal_power([])
+
+    def test_power_beyond_the_float_range_is_inf_without_a_warning(self):
+        # 1e200 squared overflows; pytest turns a warning into an error.
+        assert signal_power([1.0, 1e200]) == math.inf
+
+    def test_a_column_whose_power_is_inf_is_named_by_its_sensor(self):
+        d = generate_dataset(GeneratorConfig(n_rows=300), 1)
+        values = d.values.copy(order="F")
+        values[5, d.sensor_index("T_C")] = 1e200
+        with pytest.raises(InvalidValueError) as info:
+            inject_awgn(Dataset(d.schema, values, d.labels), "T_C", 3.0, seed=1)
+        assert str(info.value) == "sensor 'T_C': no finite positive noise power puts power inf at 3.0 dB"
 
     def test_zero_db_means_equal_power(self):
         assert noise_power_for_snr(7.5, 0.0) == 7.5

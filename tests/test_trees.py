@@ -216,10 +216,10 @@ class TestRepeats:
     @pytest.mark.parametrize(
         "bad, match",
         [
-            (0, r"repeats\[2\] must be a positive integer, got 0"),
-            (-3, r"repeats\[2\] must be a positive integer, got -3"),
-            (1.5, r"repeats\[2\] must be a positive integer, got 1.5"),
-            (np.nan, r"repeats\[2\] must be a positive integer, got nan"),
+            (0, "repeat count 0 at row 2 is below 1"),
+            (-3, "repeat count -3 at row 2 is below 1"),
+            (1.5, "repeat count 1.5 at row 2 is not an integer"),
+            (np.nan, "repeat count nan at row 2 is not an integer"),
         ],
     )
     def test_bad_count_is_rejected_by_row(self, width, bad, match):
