@@ -6,10 +6,11 @@
 # of more than one 8,192-row load block; then a small bagging study and a
 # 2-round boosting study, whose saved models go through the loader again,
 # a study whose --feature-subsample all beats a config file's count, and a
-# Recursive Feature Addition run.  Last, each command line with an
-# out-of-range flag or a config file with a bad value must fail with one
-# Error line that names the flag or key, exit 1 and print no traceback,
-# and so must a --data file that cannot be read, named by --data.
+# study on the CSV that prints one k= line per step of its rfa_trace.json.
+# Last, each command line with an out-of-range flag or a config file with
+# a bad value must fail with one Error line that names the flag or key,
+# exit 1 and print no traceback, and so must a --data file that cannot be
+# read, named by --data.
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
@@ -32,7 +33,8 @@ fddsense importance --model pb/model.json --top 3
 echo '{"ensemble": {"feature_subsample": 4}}' > fs.json
 fddsense pipeline --config fs.json --feature-subsample all --rows 3000 --trees 2 --out pf
 grep -q '"feature_subsample": null' pf/config.json
-fddsense rfa --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0
+fddsense pipeline --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0 --out pr | tee pr.txt
+test "$(grep -c '^k=' pr.txt)" -eq "$(python3 -c 'import json; print(len(json.load(open("pr/rfa_trace.json"))["steps"]))')"
 while IFS='|' read -r name args config; do
   echo "$config" > bad.json
   status=0
@@ -49,7 +51,6 @@ done <<'BAD'
 --snr|pipeline --snr 3,3 --out bad-out|
 --snr|robustness --model m.json --data d.csv --snr nan|
 --min-leaf|train --data d.csv --min-leaf 0 --model-out bad-model.json|
---learning-rate|rfa --data d.csv --learning-rate 2|
 --learning-rate|pipeline --learning-rate 2 --out bad-out|
 --max-sensors|pipeline --max-sensors 0 --out bad-out|
 --rows|simgen --rows 0 --out bad.csv|

@@ -1,15 +1,18 @@
 """Command line front end.
 
-Subcommands cover the full study (pipeline) and its stages in isolation:
-data synthesis, model training, importance ranking, greedy sensor-set
-selection, and noise/failure robustness checks.  All output is plain text
+pipeline runs the full study: it ranks the sensors, adds them one at a
+time until the clean macro-F1 meets the threshold, scores each step under
+noise and a dead sensor, and prints one line per step.  The other
+commands work on their own: data synthesis (simgen), model training
+(train), importance ranking (importance), and noise/failure checks of a
+saved model on a recorded table (robustness).  All output is plain text
 on stdout; artifact files land in the requested directory.
 
 Every value flag that sets a study setting is its _SCHEMA row's flag,
 added by _settings as a parameter named as the setting, with its
 PipelineConfig default; pipeline takes all of them.  pipeline passes the
-flags given to parse_config as overrides, and train, rfa and robustness
-pass all of theirs, so every study flag reaches PipelineConfig one way.
+flags given to parse_config as overrides, and train and robustness pass
+all of theirs, so every study flag reaches PipelineConfig one way.
 Flags that no setting owns (--config, --model, --model-out, --sensor,
 --fail-sensor, --top, simgen's --out) are hand-written.
 
@@ -29,10 +32,8 @@ from click.core import ParameterSource
 
 from .dataset import write_csv
 from .ensembles import BAGGING, BOOSTING, evaluate, fit_ensemble, load_model, rank_features, save_model
-from .errors import FddError, InvalidValueError, UnknownSensorError
-from .fileio import atomic_write_text
-from .pipeline import PipelineConfig, _SCHEMA, _chart_svg, parse_config, run_pipeline
-from .pipeline import _load, _renamed, _select, _write_pair
+from .errors import FddError, InvalidValueError, SchemaMismatchError, UnknownSensorError
+from .pipeline import PipelineConfig, _SCHEMA, _load, _renamed, _write_pair, parse_config, run_pipeline
 from .robustness import _specs, run_scenarios
 from .seeding import derive_seed
 from .simgen import GeneratorConfig, generate_dataset
@@ -117,8 +118,8 @@ _HELP = {
 }
 
 # What a flag's default does not tell: its type or value check, and
-# --out's default.  Left out, --out writes nothing in rfa and robustness,
-# and pipeline's comes from FDDSENSE_OUT_DIR or PipelineConfig.
+# --out's default.  Left out, --out writes nothing in robustness, and
+# pipeline's comes from FDDSENSE_OUT_DIR or PipelineConfig.
 _KINDS = {
     "data_path": {"type": _Path()},
     "method": {"type": click.Choice((BAGGING, BOOSTING))},
@@ -172,16 +173,18 @@ main.command_class = _Command
 @click.option("--config", "config_path", type=_Path(), default=None, help="JSON config file.")
 @_settings(*(key.flag for key in _SCHEMA if key.flag))
 def pipeline(config_path, **settings):
-    """Run the full study and write all artifacts; a flag given beats the config file."""
+    """Run the full study, print each RFA step and write all artifacts; a flag given beats the config file."""
     given = _given()
     overrides = {name: value for name, value in settings.items() if name in given}
     result = run_pipeline(parse_config(config_path, overrides))
     trace = result.trace
-    click.echo(f"test rows: {int(result.report.support.sum())} selected sensors: {len(trace.selected)}")
+    click.echo(f"test rows: {int(result.report.support.sum())}")
+    labels = [row.spec.label() for row in result.robustness.scenarios]
+    for step in trace.steps:
+        noisy = "".join(f" {label}={f1:.4f}" for label, f1 in zip(labels, step.noisy_f1))
+        click.echo(f"k={step.sensor_count:2d} +{step.added_sensor:<8s} clean={step.clean_f1:.4f}{noisy}")
+    click.echo(f"threshold {trace.threshold:g} met: {trace.threshold_met}")
     click.echo("selected: " + ", ".join(trace.selected))
-    click.echo(f"clean macro-F1: {result.report.macro_f1:.4f} (threshold {trace.threshold:g}, met: {trace.threshold_met})")
-    for row in result.robustness.scenarios:
-        click.echo(f"{row.spec.label()}: macro-F1 {row.macro_f1:.4f}")
     click.echo(f"artifacts: {result.out_dir}")
 
 
@@ -225,30 +228,6 @@ def importance(model_path, top):
 
 
 @main.command()
-@_settings("--data", "--seed", "--train-fraction", *_ENSEMBLE, "--threshold", "--max-sensors", "--snr", "--out",
-           required=("--data",))
-def rfa(out_dir, **settings):
-    """Rank sensors, then grow the smallest set meeting the threshold.
-
-    Runs the pipeline's data, rebalance, split and selection stages, so
-    the trace is the pipeline's for the same CSV, seed and flags."""
-    trace = _select(parse_config(None, settings), lambda stage: None)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_pair(out, "rfa_trace", trace)
-        atomic_write_text(out / "rfa_curves.svg", _chart_svg(trace))
-    labels = [row.spec.label() for row in trace.robustness.scenarios]
-    for step in trace.steps:
-        noisy = "".join(f" {label}={f1:.4f}" for label, f1 in zip(labels, step.noisy_f1))
-        click.echo(f"k={step.sensor_count:2d} +{step.added_sensor:<8s} clean={step.clean_f1:.4f}{noisy}")
-    click.echo(f"threshold {trace.threshold:g} met: {trace.threshold_met}")
-    click.echo("selected: " + ", ".join(trace.selected))
-    if out_dir is not None:
-        click.echo(f"artifacts: {out}")
-
-
-@main.command()
 @click.option("--model", "model_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
 @click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
@@ -263,6 +242,10 @@ def robustness(model_path, sensor, fail_sensor, out_dir, **settings):
         raise UnknownSensorError(f"--sensor {sensor!r} is not one of the model's sensors")
     data = _load(study.data_path)
     if data.symbols != model.feature_names:
+        missing = [s for s in model.feature_names if s not in data.symbols]
+        if missing:
+            raise SchemaMismatchError(f"--data {study.data_path} has no column for the model's sensor(s) "
+                                      + ", ".join(map(repr, missing)))
         data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
     specs = _specs(sensor, study.rfa.snr_levels, fail_sensor)
     report = run_scenarios(model, data, specs, derive_seed(study.seed, "robustness"))

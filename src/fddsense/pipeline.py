@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -370,27 +370,6 @@ def _load(path: str) -> Dataset:
         raise OSError(exc.errno, f"data.path: {exc.strerror}", exc.filename) from exc
 
 
-def _select(cfg: PipelineConfig, enter: Callable[[str], None]) -> RfaTrace:
-    """Run the stages data, rebalance, split and selection, and return the
-    trace.  enter is called with each stage's name as the stage starts."""
-    enter("data")
-    if cfg.data_path is not None:
-        data = _load(cfg.data_path)
-        _check_feasible(np.bincount(data.labels), f"data.path {cfg.data_path}", cfg.train_fraction, cfg.undersample)
-    else:
-        data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
-
-    enter("rebalance")
-    if cfg.undersample:
-        data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
-
-    enter("split")
-    train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
-
-    enter("selection")
-    return run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
-
-
 def _write_pair(out_dir: Path, name: str, result) -> dict[str, Path]:
     """Write result's JSON record to <name>.json and its CSV rows to
     <name>.csv under out_dir; returns their artifact_paths entries."""
@@ -410,7 +389,23 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = ["setup"]
     try:
-        trace = _select(cfg, stages.append)
+        stages.append("data")
+        if cfg.data_path is not None:
+            data = _load(cfg.data_path)
+            _check_feasible(np.bincount(data.labels), f"data.path {cfg.data_path}", cfg.train_fraction,
+                            cfg.undersample)
+        else:
+            data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
+
+        stages.append("rebalance")
+        if cfg.undersample:
+            data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
+
+        stages.append("split")
+        train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
+
+        stages.append("selection")
+        trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
 
         stages.append("artifacts")
         paths = {

@@ -32,6 +32,15 @@ UNREADABLE_JSON = pytest.mark.parametrize(
 )
 
 
+def test_commands():
+    """pipeline is the one study command: rfa, which ran its first stages
+    alone, is gone."""
+    assert sorted(main.commands) == ["importance", "pipeline", "robustness", "simgen", "train"]
+    result = CliRunner().invoke(main, ["rfa", "--data", "data.csv"])
+    assert result.exit_code == 2
+    assert "No such command" in result.output
+
+
 class TestSimgenCommand:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "synth.csv"
@@ -219,81 +228,7 @@ class TestImportanceCommand:
         assert lines[0].startswith(f"Error: ModelFormatError: model file is not readable JSON: {cause}: ")
 
 
-class TestRfaCommand:
-    def test_prints_steps_and_writes_artifacts(self, tmp_path):
-        data = make_csv(tmp_path)
-        out = tmp_path / "rfa-out"
-        result = invoke(
-            "rfa", "--data", str(data), "--threshold", "0.9", "--trees", "8",
-            "--out", str(out),
-        )
-        assert result.exit_code == 0
-        assert "selected:" in result.output
-        assert (out / "rfa_trace.json").exists()
-        assert (out / "rfa_trace.csv").exists()
-        assert (out / "rfa_curves.svg").exists()
-
-    def test_trace_files_equal_the_pipelines(self, tmp_path):
-        """rfa runs the pipeline's data, rebalance, split and selection
-        stages, so the same CSV, seed and flags give the same trace."""
-        flags = ["--data", str(make_csv(tmp_path, n_rows=3000, seed=4)), "--seed", "3",
-                 "--trees", "6", "--threshold", "0.95", "--train-fraction", "0.7"]
-        assert invoke("rfa", *flags, "--out", str(tmp_path / "rfa")).exit_code == 0
-        assert invoke("pipeline", *flags, "--out", str(tmp_path / "pipeline")).exit_code == 0
-        for name in ("rfa_trace.json", "rfa_trace.csv", "rfa_curves.svg"):
-            rfa, pipeline = ((tmp_path / side / name).read_bytes() for side in ("rfa", "pipeline"))
-            assert rfa == pipeline, name
-
-    @pytest.mark.parametrize("snr", ["4000", "-4000", "3,4000"])
-    def test_extreme_snr_fails_cleanly(self, tmp_path, snr):
-        result = invoke("rfa", "--data", str(make_csv(tmp_path)), f"--snr={snr}")
-        assert result.exit_code == 1
-        assert result.output.splitlines() == [
-            f"Error: InvalidValueError: --snr {float(snr.split(',')[-1])!r} is out of range: "
-            "10^(snr/10) must be a finite positive float"
-        ]
-
-    @pytest.mark.parametrize(
-        "flag, value, line",
-        [
-            ("--threshold", "0", "--threshold must be in (0, 1], got 0.0"),
-            ("--max-sensors", "0", "--max-sensors must be >= 1 or None"),
-            ("--train-fraction", "1", "--train-fraction must be in (0, 1), got 1.0"),
-            ("--trees", "0", "--trees must be >= 1"),
-        ],
-    )
-    def test_bad_flag_value_is_named_by_its_flag(self, tmp_path, flag, value, line):
-        result = invoke("rfa", "--data", str(make_csv(tmp_path)), flag, value)
-        assert result.exit_code == 1
-        assert result.output.splitlines() == [f"Error: InvalidValueError: {line}"]
-
-    def test_prints_one_score_per_scenario(self, tmp_path):
-        result = invoke("rfa", "--data", str(make_csv(tmp_path)), "--trees", "3", "--max-sensors", "2",
-                        "--snr", "6,-2")
-        assert result.exit_code == 0, result.output
-        steps = [line for line in result.output.splitlines() if line.startswith("k=")]
-        assert len(steps) == 2
-        for line in steps:
-            scores = line[line.index("clean="):].split()
-            assert [part.split("=")[0].split(":")[-1] for part in scores] == [
-                "clean", "awgn@6dB", "awgn@-2dB", "failure"
-            ]
-
-
-    def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        result = invoke(
-            "rfa", "--data", str(make_csv(tmp_path)), "--trees", "3", "--threshold", "0.5",
-            "--out", str(blocker),
-        )
-        assert result.exit_code == 1
-        assert result.output.splitlines() == [
-            f"Error: FileExistsError: [Errno 17] File exists: {str(blocker)!r}"
-        ]
-
-
-@pytest.mark.parametrize("command", ["pipeline", "rfa", "robustness"])
+@pytest.mark.parametrize("command", ["pipeline", "robustness"])
 @pytest.mark.parametrize("snr", ["3,3", "0,-0", "10,3,10.0"])
 def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
     """A level is one scenario: RfaConfig rejects a repeated one, as it
@@ -301,7 +236,6 @@ def test_repeated_snr_level_is_one_error_line(tmp_path, command, snr):
     runs."""
     args = {
         "pipeline": ["--out", str(tmp_path / "p")],
-        "rfa": ["--data", str(tmp_path / "missing.csv")],
         "robustness": ["--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "missing.csv")],
     }[command]
     result = invoke(command, *args, "--snr", snr)
@@ -377,8 +311,9 @@ class TestRobustnessCommand:
             main, ["robustness", "--model", str(out / "model.json"), "--data", str(narrow)]
         )
         assert result.exit_code == 1
-        assert "UnknownSensorError" in result.output
-        assert repr(missing) in result.output
+        assert result.output.splitlines() == [
+            f"Error: SchemaMismatchError: --data {narrow} has no column for the model's sensor(s) {missing!r}"
+        ]
 
     def test_bad_snr_list_rejected(self, tmp_path):
         result = CliRunner().invoke(
@@ -388,7 +323,7 @@ class TestRobustnessCommand:
 
     @pytest.mark.parametrize("snr", ["4000", "-4000", "3,4000"])
     def test_extreme_snr_fails_cleanly(self, tmp_path, snr):
-        """An out-of-range level is named by its flag, as rfa names it, and
+        """An out-of-range level is named by its flag, as pipeline names it, and
         is rejected before the model or the table is read."""
         data = make_csv(tmp_path)
         model_path = tmp_path / "model.json"
@@ -457,6 +392,48 @@ class TestPipelineCommand:
         assert (out / "model.json").exists()
         report = json.loads((out / "robustness.json").read_text())
         assert len(report["scenarios"]) == 3  # two SNR levels + failure
+
+    def test_prints_one_score_per_scenario(self, tmp_path):
+        result = invoke("pipeline", "--data", str(make_csv(tmp_path)), "--trees", "3", "--max-sensors", "2",
+                        "--snr", "6,-2", "--out", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        steps = [line for line in result.output.splitlines() if line.startswith("k=")]
+        assert len(steps) == 2
+        for line in steps:
+            scores = line[line.index("clean="):].split()
+            assert [part.split("=")[0].split(":")[-1] for part in scores] == [
+                "clean", "awgn@6dB", "awgn@-2dB", "failure"
+            ]
+
+    def test_step_lines_equal_the_trace(self, tmp_path):
+        """One k= line per step of rfa_trace.json, with its sensor count,
+        added sensor, and clean and scenario macro-F1 to 4 decimals."""
+        out = tmp_path / "out"
+        result = invoke("pipeline", "--data", str(make_csv(tmp_path, n_rows=3000, seed=4)), "--trees", "3",
+                        "--snr", "10,0", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        steps = json.loads((out / "rfa_trace.json").read_text())["steps"]
+        lines = [line[2:].split() for line in result.output.splitlines() if line.startswith("k=")]
+        assert len(lines) == len(steps) > 1
+        for (count, sensor, *scores), step in zip(lines, steps):
+            assert (int(count), sensor) == (step["sensor_count"], "+" + step["added_sensor"])
+            for score in scores:
+                name, value = score.split(":")[-1].split("=")
+                assert value == f"{step[name + '_f1']:.4f}", score
+            assert len(scores) == 4  # clean, two SNR levels, failure
+        # The last step's model is the study's: its line is robustness.json.
+        report = json.loads((out / "robustness.json").read_text())
+        f1s = [report["baseline"]["macro_f1"]] + [row["macro_f1"] for row in report["scenarios"]]
+        assert [score.split("=")[1] for score in lines[-1][2:]] == [f"{f1:.4f}" for f1 in f1s]
+
+    def test_out_naming_a_plain_file_fails_cleanly(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        result = invoke("pipeline", "--data", str(make_csv(tmp_path)), "--trees", "3", "--out", str(blocker))
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: FileExistsError: [Errno 17] File exists: {str(blocker)!r}"
+        ]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -536,13 +513,14 @@ class TestPipelineCommand:
             (["--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
             (["--trees", "0"], "--trees must be >= 1"),
             (["--train-fraction", "1.5"], "--train-fraction must be in (0, 1), got 1.5"),
+            (["--max-sensors", "0"], "--max-sensors must be >= 1 or None"),
             (["--rows", "0"], "--rows must be >= 1, got 0"),
             (["--rows", "20"], "--rows 20 gives class 2 only 1 row after undersampling: "
                                "the stratified split needs 2 per class"),
             (["--rows", "400", "--train-fraction", "0.001"],
              "--train-fraction 0.001 leaves 0 class(es) in the train set: the model needs 2"),
         ],
-        ids=["threshold", "trees", "train-fraction", "rows", "rows-infeasible", "train-fraction-infeasible"],
+        ids=["threshold", "trees", "train-fraction", "max-sensors", "rows", "rows-infeasible", "train-fraction-infeasible"],
     )
     def test_bad_flag_value_is_named_by_its_flag(self, tmp_path, flags, line):
         out = tmp_path / "out"
@@ -660,8 +638,8 @@ class TestPipelineCommand:
 
 @pytest.mark.parametrize(
     "command, config",
-    [("pipeline", None), ("pipeline", {"ensemble": {"feature_subsample": 4}}), ("train", None), ("rfa", None)],
-    ids=["pipeline", "pipeline-over-config", "train", "rfa"],
+    [("pipeline", None), ("pipeline", {"ensemble": {"feature_subsample": 4}}), ("train", None)],
+    ids=["pipeline", "pipeline-over-config", "train"],
 )
 def test_feature_subsample_all_reaches_the_study_as_null(tmp_path, monkeypatch, small_inputs, command, config):
     """--feature-subsample all is the file's null, all features: each
@@ -678,7 +656,6 @@ def test_feature_subsample_all_reaches_the_study_as_null(tmp_path, monkeypatch, 
     args = {
         "pipeline": ["--rows", "3000", "--trees", "2", "--max-sensors", "2", "--out", "p"],
         "train": ["--data", str(small_inputs[0]), "--trees", "2", "--model-out", "m.json"],
-        "rfa": ["--data", str(small_inputs[0]), "--trees", "2", "--max-sensors", "2"],
     }[command]
     if config is not None:
         (tmp_path / "fs.json").write_text(json.dumps(config))
@@ -736,17 +713,12 @@ class TestInfeasibleCsv:
             f"Error: InvalidValueError: data.path {infeasible_csvs[case]} {INFEASIBLE[case]}"
         ]
 
-    def test_rfa_names_the_flag(self, infeasible_csvs, case):
-        result = invoke("rfa", "--data", str(infeasible_csvs[case]), "--trees", "2")
-        assert result.exit_code == 1
-        assert result.output.splitlines() == [f"Error: InvalidValueError: --data {infeasible_csvs[case]} {INFEASIBLE[case]}"]
-
 
 class TestUnreadableData:
     """A data file that cannot be read ends in one Error line that names
     it by the flag or the config key that gave it."""
 
-    @pytest.mark.parametrize("command", ["pipeline", "rfa", "train", "robustness"])
+    @pytest.mark.parametrize("command", ["pipeline", "train", "robustness"])
     def test_names_the_flag(self, tmp_path, monkeypatch, small_inputs, command):
         monkeypatch.chdir(tmp_path)
         missing = tmp_path / "nope.csv"
@@ -780,8 +752,8 @@ def _digests(directory):
 # command -> each option as spelled -> (kind, the value a run uses when it is
 # left out, or REQUIRED).  --no-failure's value is its setting's,
 # include_failure.  A pipeline flag's is its study's when the config file
-# leaves the setting out too; --out's is None there as in rfa and
-# robustness, where they write nothing.
+# leaves the setting out too; --out's is None there as in robustness, where
+# it writes nothing.
 REQUIRED = "required"
 FLAG_INVENTORY = {
     "pipeline": {
@@ -825,23 +797,6 @@ FLAG_INVENTORY = {
     "importance": {
         "--model": ("value", REQUIRED),
         "--top": ("value", None),
-    },
-    "rfa": {
-        "--data": ("value", REQUIRED),
-        "--seed": ("value", 0),
-        "--threshold": ("value", 0.99),
-        "--max-sensors": ("value", None),
-        "--snr": ("value", (10.0, 3.0, 0.0)),
-        "--train-fraction": ("value", 0.75),
-        "--out": ("value", None),
-        "--method": ("value", "bagging"),
-        "--trees": ("value", 25),
-        "--max-depth": ("value", 12),
-        "--min-leaf": ("value", 5),
-        "--feature-subsample": ("value", "sqrt"),
-        "--bootstrap/--no-bootstrap": ("boolean", True),
-        "--learning-rate": ("value", 0.3),
-        "--hard-vote": ("boolean", False),
     },
     "robustness": {
         "--model": ("value", REQUIRED),
@@ -906,11 +861,6 @@ ACCEPTED = {
     ("train", "--seed"): {"negative", "zero"},
     ("train", "--max-depth"): {"zero"},
     ("train", "--feature-subsample"): {"empty"},
-    ("rfa", "--seed"): {"negative", "zero"},
-    ("rfa", "--snr"): {"negative", "zero", "empty"},
-    ("rfa", "--out"): set(EDGE_VALUES) - {"empty"},
-    ("rfa", "--max-depth"): {"zero"},
-    ("rfa", "--feature-subsample"): {"empty"},
     ("robustness", "--snr"): {"negative", "zero", "empty"},
     ("robustness", "--seed"): {"negative", "zero"},
     ("robustness", "--out"): set(EDGE_VALUES) - {"empty"},
@@ -972,6 +922,5 @@ def _base_args(command, data, model):
         "simgen": ["--out", "s.csv", "--rows", "600"],
         "train": ["--data", str(data), "--trees", "2", "--model-out", "m.json"],
         "importance": ["--model", str(model)],
-        "rfa": ["--data", str(data), "--trees", "2"],
         "robustness": ["--model", str(model), "--data", str(data)],
     }[command]
