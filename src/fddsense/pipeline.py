@@ -160,6 +160,8 @@ class PipelineConfig:
         _check_kind("data_path", self.data_path, str, optional=True)
         if self.data_path == "":
             raise InvalidValueError("data_path must not be empty: leave it out, or null, to use the generator")
+        if self.out_dir == "":
+            raise InvalidValueError(f"out_dir must not be empty: leave it out to write to {PipelineConfig.out_dir}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.n_threads != 1:

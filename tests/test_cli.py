@@ -924,3 +924,54 @@ def _base_args(command, data, model):
         "importance": ["--model", str(model)],
         "robustness": ["--model", str(model), "--data", str(data)],
     }[command]
+
+
+# The config file's keys at the flags' edge values.  A list key takes each
+# edge as its one element, and "empty" as [].  The file may run at fewer of
+# them than the flags: a feature subsample of "" is no setting (the file's
+# null means all features), and out_dir, like --out, must name a directory.
+LIST_KEYS = {"data.generator.class_proportions", "robustness.snr_db"}
+ACCEPTED_KEYS = {
+    "seed": {"negative", "zero"},
+    "ensemble.max_depth": {"zero"},
+    "robustness.snr_db": {"negative", "zero", "empty"},
+    "out_dir": {"missing", "directory"},
+}
+
+
+class TestConfigEdgeValues:
+    """pipeline --config with one key of a runnable file at an edge value:
+    a rejected value exits 1 with one Error line that names the key as the
+    file spells it, and an accepted one writes its artifacts."""
+
+    @pytest.mark.parametrize("kind", EDGE_VALUES)
+    @pytest.mark.parametrize("key", _SCHEMA, ids=lambda key: key.path)
+    def test_key_at_edge_value(self, tmp_path, monkeypatch, small_inputs, key, kind):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir lands here
+        monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+        (tmp_path / "adir").mkdir()
+        value = {
+            "negative": -1, "zero": 0, "nan": "NAN", "huge": "HUGE", "empty": "",
+            "missing": str(tmp_path / "missing.json"), "directory": str(tmp_path / "adir"),
+        }[kind]
+        if key.path in LIST_KEYS:
+            value = [] if kind == "empty" else [value]
+        payload = {"data": {"path": str(small_inputs[0])}, "ensemble": {"n_trees": 2}, "out_dir": "p"}
+        node = payload
+        *sections, leaf = key.path.split(".")
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+        # The literals NaN and 1e999 read back as nan and inf.
+        (tmp_path / "cfg.json").write_text(json.dumps(payload).replace('"NAN"', "NaN").replace('"HUGE"', "1e999"))
+        result = invoke("pipeline", "--config", "cfg.json")
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        if kind in ACCEPTED_KEYS.get(key.path, ()):
+            assert (result.exit_code, errors) == (0, []), result.output
+            assert (tmp_path / payload["out_dir"] / "config.json").exists()
+        else:
+            assert result.exit_code == 1, result.output
+            assert result.output.splitlines() == errors
+            assert len(errors) == 1 and key.path in errors[0], result.output
+            if errors[0].startswith("Error: InvalidValueError:"):
+                assert errors[0].startswith(f"Error: InvalidValueError: {key.path} "), errors[0]

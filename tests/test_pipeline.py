@@ -301,6 +301,16 @@ class TestParseConfig:
         with pytest.raises(InvalidValueError, match="^data_path must not be empty"):
             parse_config(None, {"data_path": ""})
 
+    def test_empty_out_dir_is_rejected_by_name(self, tmp_path):
+        """Nor does out_dir, as --out does not: artifacts never land in the
+        working directory by an empty name."""
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({"out_dir": ""}))
+        with pytest.raises(InvalidValueError, match="^out_dir must not be empty"):
+            parse_config(str(file), None)
+        with pytest.raises(InvalidValueError, match="^out_dir must not be empty"):
+            parse_config(None, {"out_dir": ""})
+
     @pytest.mark.parametrize(
         "payload, key",
         [
