@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # CLI smoke run through the installed fddsense entry point, in the current
-# directory: a model saved and loaded again, and the robustness scenarios,
-# on bagging models (bootstrapped, without the bootstrap, and with every
-# feature at each node) and a boosting model, and the scenarios on a table
-# of more than one 8,192-row load block; then a small bagging study and a
-# 2-round boosting study, whose saved models go through the loader again,
-# a study whose --feature-subsample all beats a config file's count, and a
-# study on the CSV that prints one k= line per step of its rfa_trace.json.
+# directory, under umask 022: a model saved and loaded again, and the
+# robustness scenarios, the dead sensor included by default, on bagging
+# models (bootstrapped, without the bootstrap, and with every feature at
+# each node) and a boosting model; the scenarios without the dead sensor
+# (--no-failure), and on a table of more than one 8,192-row load block;
+# then a small bagging study, whose model.json has open()'s mode 644 as
+# the simgen CSV has, and a 2-round boosting study, whose saved models go
+# through the loader again, a study whose --feature-subsample all beats a
+# config file's count, and a study on the CSV that prints one k= line per
+# step of its rfa_trace.json.
 # Last, each command line with an out-of-range flag or a config file with
 # a bad value must fail with one Error line that names the flag or key,
 # exit 1 and print no traceback, and so must a --data file that cannot be
@@ -14,20 +17,25 @@
 #
 #   cd "$(mktemp -d)" && bash /path/to/repo/.github/cli_smoke.sh
 set -euo pipefail
+umask 022
 
 fddsense simgen --rows 3000 --seed 4 --out d.csv
 for flags in "" "--no-bootstrap" "--feature-subsample all" "--method boosting"; do
   rm -rf r
   fddsense train --data d.csv --trees 5 --model-out m.json $flags
   fddsense importance --model m.json --top 3
-  fddsense robustness --model m.json --data d.csv --fail-sensor --out r
-  test -f r/robustness.json
+  fddsense robustness --model m.json --data d.csv --out r
+  grep -q '"mode": "failure"' r/robustness.json
 done
+fddsense robustness --model m.json --data d.csv --no-failure --out rn
+test -f rn/robustness.json
+if grep -q '"mode": "failure"' rn/robustness.json; then exit 1; fi
 fddsense simgen --rows 9000 --seed 5 --out big.csv
-fddsense robustness --model m.json --data big.csv --fail-sensor --out rb
+fddsense robustness --model m.json --data big.csv --out rb
 test -f rb/robustness.json
 fddsense pipeline --rows 3000 --trees 3 --out p
 fddsense importance --model p/model.json --top 3
+for file in p/model.json d.csv; do test "$(stat -c %a "$file")" = 644; done
 fddsense pipeline --method boosting --trees 2 --rows 3000 --out pb
 fddsense importance --model pb/model.json --top 3
 echo '{"ensemble": {"feature_subsample": 4}}' > fs.json

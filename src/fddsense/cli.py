@@ -14,7 +14,7 @@ PipelineConfig default; pipeline takes all of them.  pipeline passes the
 flags given to parse_config as overrides, and train and robustness pass
 all of theirs, so every study flag reaches PipelineConfig one way.
 Flags that no setting owns (--config, --model, --model-out, --sensor,
---fail-sensor, --top, simgen's --out) are hand-written.
+--top, simgen's --out) are hand-written.
 
 Every command is a _Command: an FddError, OSError or MemoryError that
 it raises ends it as one Error line (_fail), never a traceback.
@@ -230,9 +230,8 @@ def importance(model_path, top):
 @main.command()
 @click.option("--model", "model_path", type=_Path(), required=True)
 @click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
-@click.option("--fail-sensor", is_flag=True, help="Also test the sensor stuck at zero.")
-@_settings("--data", "--seed", "--snr", "--out", required=("--data",))
-def robustness(model_path, sensor, fail_sensor, out_dir, **settings):
+@_settings("--data", "--seed", "--snr", "--no-failure", "--out", required=("--data",))
+def robustness(model_path, sensor, out_dir, **settings):
     """Score a saved model under noise and dead-sensor scenarios."""
     study = parse_config(None, settings)  # the study's rules, before the model and table load
     model = load_model(model_path)
@@ -247,7 +246,7 @@ def robustness(model_path, sensor, fail_sensor, out_dir, **settings):
             raise SchemaMismatchError(f"--data {study.data_path} has no column for the model's sensor(s) "
                                       + ", ".join(map(repr, missing)))
         data = data.select_sensors([data.sensor_index(s) for s in model.feature_names])
-    specs = _specs(sensor, study.rfa.snr_levels, fail_sensor)
+    specs = _specs(sensor, study.rfa.snr_levels, study.rfa.include_failure)
     report = run_scenarios(model, data, specs, derive_seed(study.seed, "robustness"))
     if out_dir is not None:
         out = Path(out_dir)

@@ -25,7 +25,7 @@ from .errors import (
     SingleClassError,
     UnknownSensorError,
 )
-from .fileio import _finite, _integers
+from .fileio import _finite, _integers, _replacing
 
 LABEL_COLUMN = "class"
 
@@ -374,12 +374,13 @@ _WRITE_BLOCK_ROWS = 8192
 
 
 def write_csv(d: Dataset, path) -> None:
-    """Write a Dataset in the loadable CSV format.
+    """Write a Dataset in the loadable CSV format, atomically as fileio
+    writes every file.
 
     Floats are rendered with repr, the shortest text that parses back to
     the identical float64, so write/load round-trips exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(d.symbols) + f",{LABEL_COLUMN}\n")
         # tolist() turns a block of rows into Python floats in one call;
         # reading a column-major row scalar by scalar is the slow way.  A

@@ -7,8 +7,10 @@ first bad entry and raises the error class its caller documents.
 
 All JSON artifacts are rendered with sorted keys, fixed separators, and
 repr-quality floats so the same in-memory value always produces the same
-bytes.  Writes go through a temp file in the destination directory plus
-os.replace, so readers never observe a half-written artifact.
+bytes.  Every file the package writes, JSON, CSV, SVG or a dataset CSV,
+goes through one writer (_replacing): a temp file in the destination
+directory, created with open()'s mode, then os.replace, so readers never
+observe a half-written file and a failed write leaves the old one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import json
 import numbers
 import os
 import sys
-import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,6 @@ def _of_kind(kind: type, value) -> bool:
     (an integer, not a bool), float (a number, an integer too), bool or
     str.  Numbers must be finite floats: Python's json reads NaN, Infinity
     and 1e400 (as inf), and integers of any size."""
-    # Exact builtin types first: a model file holds thousands of numbers,
-    # and the abstract types are slow to check.
-    exact = type(value)
-    if exact is float or exact is int:
-        return (kind is float or kind is exact) and abs(value) <= _FLOAT_MAX
     if isinstance(value, bool):
         return kind is bool
     if kind is int or kind is float:
@@ -96,24 +93,33 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+@contextmanager
+def _replacing(path: str | Path):
+    """A UTF-8 text handle on a new temp file beside path, which replaces
+    path when the with block ends and is removed if anything in it
+    raises, so path holds either its old bytes or all the new ones.  The
+    file is created as open() creates one, with mode 0o666 less the umask.
+    An OSError about the temp file names path, which the caller gave."""
     path = Path(path)
-    tmp = None
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        handle = open(tmp, "x", encoding="utf-8", newline="")  # O_CREAT | O_EXCL, mode 0o666
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # The temp file is ours; the caller named path.
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import re
+import stat
 from operator import attrgetter
 
 import click
@@ -187,6 +190,37 @@ class TestTrainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
+@pytest.fixture(params=[0o022, 0o077], ids=oct)
+def umask(request):
+    """The process umask set to the parameter for one test, and restored."""
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_every_written_file_has_open_mode(tmp_path, umask):
+    """Every file a command writes has the mode open() gives a new file,
+    0o666 less the umask: simgen's CSV, train's saved model, robustness's
+    pair, a study's 9 artifacts, and a failed study's error.json."""
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.json"
+    for args in (
+        ["simgen", "--out", str(data), "--rows", "1500", "--seed", "3"],
+        ["train", "--data", str(data), "--trees", "2", "--model-out", str(model)],
+        ["robustness", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "rob")],
+        ["pipeline", "--data", str(data), "--trees", "2", "--max-sensors", "1", "--out", str(tmp_path / "p")],
+    ):
+        assert invoke(*args).exit_code == 0
+    assert invoke("pipeline", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "failed")).exit_code == 1
+    modes = {p.relative_to(tmp_path).as_posix(): stat.S_IMODE(p.stat().st_mode)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    study = ["class_report.csv", "class_report.json", "config.json", "model.json", "rfa_curves.svg",
+             "rfa_trace.csv", "rfa_trace.json", "robustness.csv", "robustness.json"]
+    written = ["d.csv", "m.json", "rob/robustness.csv", "rob/robustness.json", "failed/error.json",
+               *(f"p/{name}" for name in study)]
+    assert modes == {name: 0o666 & ~umask for name in written}
+
+
 class TestImportanceCommand:
     def test_prints_ranking(self, tmp_path):
         data = make_csv(tmp_path)
@@ -253,7 +287,7 @@ class TestRobustnessCommand:
         invoke("train", "--data", str(data), "--model-out", str(model_path), "--trees", "5")
         result = invoke(
             "robustness", "--model", str(model_path), "--data", str(data),
-            "--snr", "10,0", "--fail-sensor", "--out", str(tmp_path / "rob"),
+            "--snr", "10,0", "--out", str(tmp_path / "rob"),
         )
         assert result.exit_code == 0
         assert "baseline: macro-F1" in result.output
@@ -274,7 +308,7 @@ class TestRobustnessCommand:
         write_csv(Dataset(table.schema, values, table.labels), dead)
         result = invoke(
             "robustness", "--model", str(model_path), "--data", str(dead),
-            "--snr", "3", "--fail-sensor", "--out", str(tmp_path / "rob"),
+            "--snr", "3", "--out", str(tmp_path / "rob"),
         )
         assert result.exit_code == 0
         baseline = result.output.splitlines()[0].split()[-1]
@@ -296,7 +330,7 @@ class TestRobustnessCommand:
         assert len(sensors) < 40  # the model reads a subset of the CSV's columns
         result = invoke(
             "robustness", "--model", str(out / "model.json"), "--data", str(data),
-            "--snr", "10", "--fail-sensor",
+            "--snr", "10",
         )
         assert result.exit_code == 0
         assert "baseline: macro-F1" in result.output
@@ -314,6 +348,23 @@ class TestRobustnessCommand:
         assert result.output.splitlines() == [
             f"Error: SchemaMismatchError: --data {narrow} has no column for the model's sensor(s) {missing!r}"
         ]
+
+    @pytest.mark.parametrize("flags", [[], ["--no-failure"]], ids=["default", "no-failure"])
+    def test_scenarios_are_the_pipelines(self, tmp_path, flags):
+        """robustness builds its scenario list as each RFA step does: on a
+        one-sensor study's model and source CSV, it prints the labels of
+        the pipeline's k= line, the dead sensor included unless both are
+        given --no-failure."""
+        data = make_csv(tmp_path, n_rows=1500, seed=2)
+        out = tmp_path / "out"
+        study = invoke("pipeline", "--data", str(data), "--trees", "2", "--max-sensors", "1", "--out", str(out), *flags)
+        (step,) = [line for line in study.output.splitlines() if line.startswith("k=")]
+        labels = re.findall(r" (\S+:\S+)=", step)
+        result = invoke("robustness", "--model", str(out / "model.json"), "--data", str(data), *flags)
+        assert result.exit_code == 0
+        assert [line.split(": ")[0] for line in result.output.splitlines()[1:]] == labels
+        failures = [label for label in labels if label.endswith(":failure")]
+        assert len(failures) == (0 if flags else 1)
 
     def test_bad_snr_list_rejected(self, tmp_path):
         result = CliRunner().invoke(
@@ -803,7 +854,7 @@ FLAG_INVENTORY = {
         "--data": ("value", REQUIRED),
         "--sensor": ("value", None),
         "--snr": ("value", (10.0, 3.0, 0.0)),
-        "--fail-sensor": ("boolean", False),
+        "--no-failure": ("boolean", True),
         "--seed": ("value", 0),
         "--out": ("value", None),
     },

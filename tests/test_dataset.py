@@ -1,3 +1,4 @@
+import errno
 import re
 import tracemalloc
 import zlib
@@ -5,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+import fddsense.dataset as dataset
 from fddsense.dataset import (
     _LOAD_BLOCK_ROWS,
     FAULT_CLASSES,
@@ -117,6 +119,40 @@ class TestCsvRoundTrip:
         assert loaded.symbols == d.symbols
         assert np.array_equal(loaded.values, d.values)
         assert np.array_equal(loaded.labels, d.labels)
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A write that fails after its first block, as on a full disk,
+        leaves the file as it was, and no temp file beside it."""
+        path = tmp_path / "data.csv"
+        write_csv(small_dataset(n=20, seed=1), path)
+        before = path.read_bytes()
+        blocks = []
+
+        def zip_then_fail(*args):
+            blocks.append(args)
+            if len(blocks) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return zip(*args)
+
+        monkeypatch.setattr(dataset, "_WRITE_BLOCK_ROWS", 8)
+        monkeypatch.setattr(dataset, "zip", zip_then_fail, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(small_dataset(n=40, seed=2), path)
+        assert len(blocks) == 2
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("where, error", [("missing/data.csv", FileNotFoundError), ("adir", IsADirectoryError)])
+    def test_unwritable_path_is_named(self, tmp_path, where, error):
+        """The error names the path given, not the temp file written first,
+        and no temp file is left."""
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / where
+        with pytest.raises(error) as caught:
+            write_csv(small_dataset(n=20), path)
+        assert caught.value.filename == str(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_strict_rejects_unknown_symbol(self, tmp_path):
         path = tmp_path / "bad.csv"

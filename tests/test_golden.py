@@ -28,7 +28,7 @@ TRAINED = {
     "boosting": "7bd267c7c1387a8db9fa58d351633e9ce719bb56cd6600790991e4a6592e6ff8",
 }
 
-# model -> artifact of `fddsense robustness --fail-sensor --out` -> SHA-256
+# model -> artifact of `fddsense robustness --out` -> SHA-256
 GOLDEN = {
     "bagging": {
         "robustness.csv": "a830ecc48bf597614441ff1e1d35916ac324fd521ad3035e5b5bf0915cb4696c",
@@ -128,7 +128,7 @@ def test_trained_models_match_their_golden_hashes(trained, model):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_robustness_artifacts_match_their_golden_hashes(tables, trained, tmp_path, model):
     out = tmp_path / "out"
-    invoke("robustness", "--model", trained[model], "--data", tables[1], "--fail-sensor", "--out", out)
+    invoke("robustness", "--model", trained[model], "--data", tables[1], "--out", out)
     assert digests(out) == GOLDEN[model]
 
 
