@@ -9,7 +9,10 @@
 # the simgen CSV has, and a 2-round boosting study, whose saved models go
 # through the loader again, a study whose --feature-subsample all beats a
 # config file's count, and a study on the CSV that prints one k= line per
-# step of its rfa_trace.json.
+# step of its rfa_trace.json; robustness on that study's model.json, given
+# --sensor as rfa_trace.json's ranking[0] (without it, robustness perturbs
+# the model's own top-ranked sensor), prints the scenario labels of the
+# study's last k= line.
 # Last, each command line with an out-of-range flag or a config file with
 # a bad value must fail with one Error line that names the flag or key,
 # exit 1 and print no traceback, and so must a --data file that cannot be
@@ -43,6 +46,10 @@ fddsense pipeline --config fs.json --feature-subsample all --rows 3000 --trees 2
 grep -q '"feature_subsample": null' pf/config.json
 fddsense pipeline --data d.csv --trees 3 --max-sensors 3 --snr 10,3,0 --out pr | tee pr.txt
 test "$(grep -c '^k=' pr.txt)" -eq "$(python3 -c 'import json; print(len(json.load(open("pr/rfa_trace.json"))["steps"]))')"
+first="$(python3 -c 'import json; print(json.load(open("pr/rfa_trace.json"))["ranking"][0]["sensor"])')"
+fddsense robustness --model pr/model.json --data d.csv --snr 10,3,0 --sensor "$first" | tee prr.txt
+test "$(grep '^k=' pr.txt | tail -n 1 | grep -o ' [^ =]*:[^ =]*=' | tr -d ' =')" = \
+  "$(tail -n +2 prr.txt | cut -d ' ' -f 1 | sed 's/:$//')"
 while IFS='|' read -r name args config; do
   echo "$config" > bad.json
   status=0

@@ -229,7 +229,8 @@ def importance(model_path, top):
 
 @main.command()
 @click.option("--model", "model_path", type=_Path(), required=True)
-@click.option("--sensor", default=None, help="Target sensor; default: the model's top-ranked one.")
+@click.option("--sensor", default=None, help="Target sensor; default: the model's own top-ranked one.  A "
+              "study's scenarios use its rfa_trace.json ranking[0]: pass that sensor to reproduce their labels.")
 @_settings("--data", "--seed", "--snr", "--no-failure", "--out", required=("--data",))
 def robustness(model_path, sensor, out_dir, **settings):
     """Score a saved model under noise and dead-sensor scenarios."""

@@ -153,7 +153,7 @@ class Dataset:
         values = _freeze(np.asarray(self.values, dtype=np.float64))
         labels = np.asarray(self.labels)
         if values.ndim != 2:
-            raise InvalidValueError("values must be a 2-D matrix")
+            raise InvalidValueError(f"values must be a 2-D matrix, got shape {values.shape}")
         if labels.ndim != 1 or labels.shape[0] != values.shape[0]:
             raise InvalidValueError("labels length must equal the number of rows")
         labels = _freeze(_integers(labels, "label", InvalidValueError))
@@ -161,8 +161,9 @@ class Dataset:
             raise InvalidValueError("column count must equal schema length")
         _finite(values, "values", InvalidValueError)
         symbols = [s.symbol for s in self.schema]
-        if len(set(symbols)) != len(symbols):
-            raise InvalidValueError("sensor symbols must be unique")
+        repeated = [s for i, s in enumerate(symbols) if s in symbols[:i]]
+        if repeated:
+            raise InvalidValueError(f"sensor symbols must be unique: {repeated[0]!r} repeats")
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
@@ -215,8 +216,9 @@ def _parse_header(header: list[str]) -> tuple[SensorMeta, ...]:
     symbols = header[:-1]
     if not symbols:
         raise SchemaMismatchError("header names no sensor columns")
-    if len(set(symbols)) != len(symbols):
-        raise SchemaMismatchError("duplicate sensor symbols in header")
+    repeated = [s for i, s in enumerate(symbols) if s in symbols[:i]]
+    if repeated:
+        raise SchemaMismatchError(f"duplicate sensor symbol {repeated[0]!r} in header")
     unknown = [s for s in symbols if s not in INSTALLED_SENSOR_INDEX]
     if unknown:
         raise SchemaMismatchError(f"unknown sensor symbols {unknown!r}")

@@ -240,7 +240,7 @@ def predict_scores(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatchError("prediction input must be a 2-D matrix")
+        raise DimensionMismatchError(f"prediction input must be a 2-D matrix, got shape {x.shape}")
     x = np.asfortranarray(x)
     return _combine(model, x.shape[0], (tree.predict_batch(x) for tree in model.trees))
 
@@ -250,17 +250,16 @@ def _combine(model: EnsembleModel, n: int, outputs) -> np.ndarray:
     for the n rows in model.trees order: the one combiner of
     predict_scores and the robustness scenarios."""
     if model.config.method == BAGGING:
-        # Each tree's (n, K) outputs are dropped before the next tree's
-        # are made, so two of them are never held at once.
-        if model.config.hard_vote:
-            votes = np.zeros((n, model.n_classes), dtype=np.float64)
-            for out in outputs:
-                votes[np.arange(n), np.argmax(out, axis=1)] += 1.0
-                del out
-            return votes / len(model.trees)
+        # A tree adds its leaf distribution, or under hard_vote one vote
+        # for its argmax class.  Each tree's (n, K) outputs are dropped
+        # before the next tree's are made, so two of them are never held
+        # at once.
         total = np.zeros((n, model.n_classes), dtype=np.float64)
         for out in outputs:
-            total += out
+            if model.config.hard_vote:
+                total[np.arange(n), np.argmax(out, axis=1)] += 1.0
+            else:
+                total += out
             del out
         return total / len(model.trees)
     scores = np.tile(model.base_scores, (n, 1))
@@ -278,7 +277,7 @@ def predict_batch(model: EnsembleModel, x: np.ndarray) -> np.ndarray:
 def predict(model: EnsembleModel, row) -> int:
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1:
-        raise DimensionMismatchError("predict takes a single 1-D row")
+        raise DimensionMismatchError(f"predict takes a single 1-D row, got shape {row.shape}")
     return int(predict_batch(model, row[None, :])[0])
 
 

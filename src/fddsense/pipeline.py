@@ -389,9 +389,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stages = ["setup"]
+    stage = "data"
     try:
-        stages.append("data")
         if cfg.data_path is not None:
             data = _load(cfg.data_path)
             _check_feasible(np.bincount(data.labels), f"data.path {cfg.data_path}", cfg.train_fraction,
@@ -399,17 +398,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         else:
             data = generate_dataset(cfg.generator, derive_seed(cfg.seed, "simgen"))
 
-        stages.append("rebalance")
+        stage = "rebalance"
         if cfg.undersample:
             data = undersample_majority(data, seed=derive_seed(cfg.seed, "undersample"))
 
-        stages.append("split")
+        stage = "split"
         train, test = split_train_test(data, cfg.train_fraction, seed=derive_seed(cfg.seed, "split"))
 
-        stages.append("selection")
+        stage = "selection"
         trace = run_rfa(train, test, cfg.ensemble_config(train.n_sensors), derive_seed(cfg.seed, "model"), cfg.rfa)
 
-        stages.append("artifacts")
+        stage = "artifacts"
         paths = {
             "config": out_dir / "config.json",
             "model": out_dir / "model.json",
@@ -423,7 +422,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         atomic_write_text(paths["chart"], _chart_svg(trace))
         (out_dir / "error.json").unlink(missing_ok=True)
     except Exception as exc:
-        payload = {"stage": stages[-1], "error": type(exc).__name__, "message": str(exc)}
+        payload = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
         try:
             write_json(out_dir / "error.json", payload)
         except OSError:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .ensembles import _rescore, evaluate
 from .errors import EmptyVectorError, InvalidValueError, ZeroSignalError
 from .fileio import _check_kind, _csv_rows
 from .metrics import ClassReport
@@ -117,27 +118,31 @@ def awgn_for(x, snr_db: float, seed: int) -> tuple[np.ndarray, float]:
     return x + noise, measured
 
 
+def _with_column(data: Dataset, sensor: str, build) -> tuple[Dataset, float]:
+    """(dataset copy with sensor's column replaced, measured SNR in dB),
+    both from build(clean column), which returns the new column (or a
+    scalar that fills it) and the measured SNR."""
+    column = data.sensor_index(sensor)
+    values = data.values.copy(order="F")
+    values[:, column], measured = build(values[:, column])
+    return Dataset(data.schema, values, data.labels), measured
+
+
 def inject_awgn(data: Dataset, sensor: str, snr_db: float, seed: int) -> tuple[Dataset, float]:
     """(dataset copy with white Gaussian noise added to one sensor column,
     measured SNR in dB); the SNR is NaN for a zero-power column.  An
     InvalidValueError of awgn_for, such as a column whose power is inf,
     is raised again with the sensor's name in front."""
-    column = data.sensor_index(sensor)
-    values = data.values.copy(order="F")
     try:
-        values[:, column], measured = awgn_for(values[:, column], snr_db, seed)
+        return _with_column(data, sensor, lambda x: awgn_for(x, snr_db, seed))
     except InvalidValueError as exc:
         raise InvalidValueError(f"sensor {sensor!r}: {exc}") from exc
-    return Dataset(data.schema, values, data.labels), measured
 
 
 def fail_sensor(data: Dataset, sensor: str) -> tuple[Dataset, float]:
     """(dataset copy with one sensor column stuck at 0, measured SNR of
     -inf dB: no signal survives, so the column is treated as all noise)."""
-    column = data.sensor_index(sensor)
-    values = data.values.copy(order="F")
-    values[:, column] = 0.0
-    return Dataset(data.schema, values, data.labels), -math.inf
+    return _with_column(data, sensor, lambda x: (0.0, -math.inf))
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,6 @@ def _scenario(model, routes: _CleanRoutes, test: Dataset, spec: NoiseSpec, seed:
     sensor's column is built: the degradation is applied to a one-column
     Dataset of it, which also checks the new values are finite, and the
     clean matrix is never copied."""
-    from .ensembles import _rescore
-
     column = test.sensor_index(spec.sensor)
     single = test.select_sensors([column])
     if spec.mode == AWGN:
@@ -247,8 +250,6 @@ def run_scenarios(model, test: Dataset, specs, seed: int) -> RobustnessReport:
     label), so reordering or removing scenarios never changes another
     scenario's noise.
     """
-    from .ensembles import evaluate
-
     baseline = evaluate(model, test)
     routes = _CleanRoutes(model.trees, test.values)
     results = tuple(_scenario(model, routes, test, spec, seed) for spec in specs)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dataset import Dataset
-from .ensembles import EnsembleModel
+from .ensembles import EnsembleModel, fit_ensemble, rank_features
 from .errors import InvalidValueError
 from .fileio import _check_kind, _csv_rows, _of_kind
-from .robustness import RobustnessReport, _snr_ratio, _specs
+from .robustness import RobustnessReport, _snr_ratio, _specs, run_scenarios
 from .seeding import derive_seed
 
 
@@ -142,9 +142,6 @@ def run_rfa(
         threshold_met is False when the loop exhausted its sensor budget
         without reaching the threshold.
     """
-    from .ensembles import fit_ensemble, rank_features
-    from .robustness import run_scenarios
-
     if train.schema != test.schema:
         raise InvalidValueError("train and test schemas differ")
     n_classes = max(train.n_classes, test.n_classes)

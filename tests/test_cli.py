@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from fddsense import cli
 from fddsense.cli import main
 from fddsense.dataset import Dataset, load_dataset, write_csv
+from fddsense.ensembles import load_model, rank_features
 from fddsense.pipeline import _SCHEMA, OUT_DIR_ENV, parse_config
 from fddsense.simgen import GeneratorConfig, generate_dataset
 
@@ -365,6 +366,27 @@ class TestRobustnessCommand:
         assert [line.split(": ")[0] for line in result.output.splitlines()[1:]] == labels
         failures = [label for label in labels if label.endswith(":failure")]
         assert len(failures) == (0 if flags else 1)
+
+    def test_default_sensor_is_the_models_and_sensor_gives_the_studys(self, tmp_path):
+        """The study perturbs the all-sensor ranking's top sensor
+        (rfa_trace.json's ranking[0]); robustness without --sensor
+        perturbs the saved model's own top-ranked one.  Here the two
+        differ, and --sensor ranking[0] reproduces the last k= line's
+        labels."""
+        data = make_csv(tmp_path, n_rows=3000, seed=1)
+        out = tmp_path / "out"
+        flags = ["--snr", "10", "--no-failure"]
+        study = invoke("pipeline", "--data", str(data), "--trees", "3", "--out", str(out), *flags)
+        *_, last = [line for line in study.output.splitlines() if line.startswith("k=")]
+        labels = re.findall(r" (\S+:\S+)=", last)
+        first = json.loads((out / "rfa_trace.json").read_text())["ranking"][0]["sensor"]
+        own = rank_features(load_model(out / "model.json"))[0][0]
+        assert own != first
+        score = ["robustness", "--model", str(out / "model.json"), "--data", str(data), *flags]
+        default = invoke(*score).output.splitlines()[1:]
+        assert [line.split(": ")[0] for line in default] == [f"{own}:awgn@10dB"]
+        chosen = invoke(*score, "--sensor", first).output.splitlines()[1:]
+        assert [line.split(": ")[0] for line in chosen] == labels == [f"{first}:awgn@10dB"]
 
     def test_bad_snr_list_rejected(self, tmp_path):
         result = CliRunner().invoke(

@@ -110,6 +110,20 @@ class TestDatasetType:
                 Dataset(INSTALLED_SENSORS[:2], values, labels)
 
 
+    def test_one_dimensional_values_name_their_shape(self):
+        with pytest.raises(InvalidValueError, match=re.escape("values must be a 2-D matrix, got shape (3,)")):
+            Dataset(INSTALLED_SENSORS[:1], np.zeros(3), np.zeros(3, dtype=int))
+
+    def test_repeated_sensor_is_named(self):
+        meta = INSTALLED_SENSOR_INDEX["T_FI"]
+        with pytest.raises(InvalidValueError, match=re.escape("sensor symbols must be unique: 'T_FI' repeats")):
+            Dataset((INSTALLED_SENSOR_INDEX["T_C"], meta, meta), np.zeros((2, 3)), np.zeros(2, dtype=int))
+
+    def test_text_labels_name_their_dtype(self):
+        with pytest.raises(InvalidValueError, match=re.escape("label values must be integers, got dtype <U1")):
+            Dataset(INSTALLED_SENSORS[:1], np.zeros((2, 1)), np.array(["0", "1"]))
+
+
 class TestCsvRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):
         d = small_dataset(n=120, seed=3)
@@ -164,6 +178,21 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("T_FI,T_FO\n1.0,2.0\n")
         with pytest.raises(SchemaMismatchError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("T_FI,T_FI,class", "duplicate sensor symbol 'T_FI' in header"),
+            ("class", "header names no sensor columns"),
+            ('"T_FI,class', "header is not readable CSV: unexpected end of data"),
+        ],
+        ids=["repeated-symbol", "class-only", "unclosed-quote"],
+    )
+    def test_bad_header_is_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,0\n")
+        with pytest.raises(SchemaMismatchError, match="^" + re.escape(message) + "$"):
             load_dataset(path)
 
     def test_malformed_cells_all_reported(self, tmp_path):
@@ -274,6 +303,11 @@ class TestSplitting:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DegenerateFractionError):
                 split_train_test(d, bad)
+
+    def test_empty_dataset_rejected(self):
+        empty = small_dataset().take_rows(np.arange(0))
+        with pytest.raises(EmptyDatasetError, match="cannot split an empty dataset"):
+            split_train_test(empty, 0.75)
 
     def test_tiny_class_rejected_when_stratified(self):
         d = small_dataset(n=300, seed=4)

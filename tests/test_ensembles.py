@@ -271,6 +271,13 @@ class TestInputValidation:
         with pytest.raises(LabelOutOfRangeError, match="label 0.2 at row 0 is not an integer"):
             fit_ensemble(np.arange(4.0)[:, None], [0.2, 0.9, 1.5, 1.99], cfg, 0, ("T_C",))
 
+    def test_prediction_input_names_its_shape(self):
+        model = hand_model_a()
+        with pytest.raises(DimensionMismatchError, match=re.escape("a 2-D matrix, got shape (2,)")):
+            predict_scores(model, np.zeros(2))
+        with pytest.raises(DimensionMismatchError, match=re.escape("a single 1-D row, got shape (1, 2)")):
+            predict(model, np.zeros((1, 2)))
+
     def test_evaluate_checks_schema(self):
         d = training_data()
         cfg = EnsembleConfig(n_trees=2, tree=TreeConfig(max_depth=3))
@@ -348,6 +355,12 @@ class TestSerialization:
         del payload["trees"]
         with pytest.raises(ModelFormatError):
             model_from_dict(payload)
+
+    def test_one_class_model_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**model_to_dict(hand_model_a()), "n_classes": 1}))
+        with pytest.raises(ModelFormatError, match="^" + re.escape("model: n_classes must be >= 2, got 1") + "$"):
+            load_model(path)
 
     def test_non_json_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"

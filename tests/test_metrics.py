@@ -79,6 +79,10 @@ class TestConfusionMatrix:
         with pytest.raises(EmptyMatrixError):
             macro_f1(np.zeros((2, 3)))
 
+    def test_all_zero_matrix_has_no_accuracy(self):
+        with pytest.raises(EmptyMatrixError, match="confusion matrix has zero total count"):
+            accuracy(np.zeros((2, 2), dtype=np.int64))
+
 
 class TestReport:
     def setup_method(self):

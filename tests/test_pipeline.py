@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fddsense import ensembles, pipeline
+from fddsense import ensembles, pipeline, robustness, selection
 from fddsense.dataset import FAULT_CLASSES, Dataset, split_train_test, undersample_majority, write_csv
 from fddsense.ensembles import EnsembleConfig, fit_ensemble, load_model, model_json_text
 from fddsense.errors import BadProportionsError, ConfigParseError, FddError, InvalidValueError
@@ -738,6 +738,18 @@ class TestRunPipeline:
         payload = json.loads((out / "error.json").read_text())
         assert payload == {"stage": stage, "error": "FileNotFoundError", "message": f"{target} failed"}
 
+    def test_stage_error_propagates_when_error_json_cannot_be_written(self, tmp_path):
+        """error.json is best effort: where it is a directory, the stage's
+        own error still propagates, the directory stays as it was and no
+        temp file is left."""
+        out = tmp_path / "out"
+        (out / "error.json").mkdir(parents=True)
+        cfg = parse_config(None, {"data_path": str(tmp_path / "missing.csv"), "out_dir": str(out)})
+        with pytest.raises(FileNotFoundError, match="data.path: "):
+            run_pipeline(cfg)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert (out / "error.json").is_dir() and not any((out / "error.json").iterdir())
+
     def test_stale_error_artifact_removed_on_success(self, tmp_path):
         out = tmp_path / "out"
         bad = parse_config(None, {"data_path": str(tmp_path / "missing.csv"), "out_dir": str(out)})
@@ -777,11 +789,12 @@ class TestRunPipeline:
 
             return counted
 
+        # Patch the name at home and in every module that binds it by import.
         for name in calls:
             wrapper = counting(name)
-            monkeypatch.setattr(ensembles, name, wrapper)
-            if hasattr(pipeline, name):
-                monkeypatch.setattr(pipeline, name, wrapper)
+            for module in (ensembles, pipeline, selection, robustness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         cfg = parse_config(None, {**SMALL, "seed": 4, "out_dir": str(tmp_path / "out")})
         result = run_pipeline(cfg)
         steps = len(result.trace.steps)
